@@ -1,0 +1,598 @@
+"""Exact complex character tables and rational character data.
+
+Tables are computed by the modular class-algebra method: split the class-sum
+matrices into common eigenvectors over a prime field GF(p) with
+p ≡ 1 (mod exp G) and p > 2·sqrt(|G|), read off degrees and eigenvalue
+multiplicities, lift roots of unity through one fixed primitive root, and
+verify orthogonality exactly before returning anything.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from sympy import isprime, primitive_root
+
+from .exactmath import CycNumber, kronecker_symbol
+from .groups import PermGroup
+
+PRIME_SEARCH_BOUND = 10**7
+
+
+class ModularMethodError(RuntimeError):
+    """No admissible prime below the bound, or a lift failed verification."""
+
+
+@dataclass
+class ClassFunction:
+    group: PermGroup
+    values: tuple[CycNumber, ...]
+    label: str | None = None
+
+    def __post_init__(self):
+        self.values = tuple(
+            v if isinstance(v, CycNumber) else CycNumber.from_rational(v)
+            for v in self.values)
+
+    def at_element(self, i: int) -> CycNumber:
+        return self.values[self.group.class_of(i)]
+
+    def degree(self) -> Fraction:
+        return self.values[0].rational_value()
+
+    def is_rational(self) -> bool:
+        return all(v.is_rational() for v in self.values)
+
+    def galois(self, k: int) -> "ClassFunction":
+        """Action of ζ -> ζ^k, computed through the power maps."""
+        G = self.group
+        e = G.exponent()
+        if math.gcd(k, e) != 1:
+            raise ValueError(f"k={k} not coprime to exponent {e}")
+        vals = tuple(self.values[G.power_class(i, k)]
+                     for i in range(len(self.values)))
+        return ClassFunction(G, vals)
+
+    def conjugate(self) -> "ClassFunction":
+        return ClassFunction(self.group, tuple(v.conjugate() for v in self.values))
+
+    def __add__(self, other):
+        self._check(other)
+        return ClassFunction(self.group, tuple(
+            a + b for a, b in zip(self.values, other.values)))
+
+    def __sub__(self, other):
+        self._check(other)
+        return ClassFunction(self.group, tuple(
+            a - b for a, b in zip(self.values, other.values)))
+
+    def __mul__(self, other):
+        if isinstance(other, ClassFunction):
+            self._check(other)
+            return ClassFunction(self.group, tuple(
+                a * b for a, b in zip(self.values, other.values)))
+        return ClassFunction(self.group, tuple(a * other for a in self.values))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (isinstance(other, ClassFunction) and self.group is other.group
+                and all(a == b for a, b in zip(self.values, other.values)))
+
+    def _check(self, other):
+        if other.group is not self.group:
+            raise ValueError("class functions live on different groups")
+
+
+@dataclass
+class CharacterTable:
+    group: PermGroup
+    irreducibles: list[ClassFunction]
+    class_sizes: tuple[int, ...]
+    prime: int
+
+
+@dataclass
+class RationalCharacter:
+    label: str
+    sum_values: ClassFunction
+    constituent: ClassFunction
+    constituent_index: int
+    orbit_indices: tuple[int, ...]
+
+
+@dataclass
+class CharFieldData:
+    stabilizer: tuple[int, ...]
+    quadratic_subfields: tuple[int, ...]
+    field_degree: int
+
+    def degree_factor(self, d: int) -> int:
+        """[K : K ∩ Q(χ)] for K = Q(sqrt(d))."""
+        if d == 1 or d in self.quadratic_subfields:
+            return 1
+        return 2
+
+
+# ---------------------------------------------------------------------------
+# GF(p) linear algebra helpers (dense lists of ints)
+
+
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    rows = [r[:] for r in rows]
+    pivots: list[int] = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _coords(rref_rows, pivots, vec, p):
+    vec = vec[:]
+    out = []
+    for row, c in zip(rref_rows, pivots):
+        f = vec[c] % p
+        out.append(f)
+        if f:
+            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+    if any(x % p for x in vec):
+        raise ModularMethodError("vector left the invariant subspace")
+    return out
+
+
+def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
+    n = len(mat)
+    rref_rows, pivots = _rref(mat, p)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * n
+        v[fc] = 1
+        for row, c in zip(rref_rows, pivots):
+            v[c] = (-row[fc]) % p
+        basis.append(v)
+    return basis
+
+
+def _min_poly(mat: list[list[int]], p: int) -> list[int]:
+    """Monic minimal polynomial, as the lcm over Krylov sequences of e_i."""
+    n = len(mat)
+    result = [1]  # polynomial 1, coefficients low-to-high
+    for start in range(n):
+        if len(result) == n + 1:
+            break
+        w = [0] * n
+        w[start] = 1
+        # echelon rows: (pivot, reduced vector, poly coeffs of that vector)
+        rows: list[tuple[int, list[int], list[int]]] = []
+        deg = 0
+        while True:
+            vec = w[:]
+            coeffs = [0] * deg + [1]
+            for piv, evec, ecoef in rows:
+                f = vec[piv] % p
+                if f:
+                    vec = [(a - f * b) % p for a, b in zip(vec, evec)]
+                    coeffs = [(a - f * b) % p for a, b in zip(
+                        coeffs, ecoef + [0] * (len(coeffs) - len(ecoef)))]
+            if not any(vec):
+                result = _poly_lcm(result, coeffs, p)
+                break
+            piv = next(i for i, x in enumerate(vec) if x)
+            inv = pow(vec[piv], -1, p)
+            rows.append((piv, [(x * inv) % p for x in vec],
+                         [(c * inv) % p for c in coeffs]))
+            w = [sum(mat[i][j] * w[j] for j in range(n)) % p for i in range(n)]
+            deg += 1
+    return result
+
+
+def _poly_divmod(a, b, p):
+    a = a[:]
+    binv = pow(b[-1], -1, p)
+    q = [0] * max(1, len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(a):
+        while a and a[-1] % p == 0:
+            a.pop()
+        if len(a) < len(b):
+            break
+        f = (a[-1] * binv) % p
+        shift = len(a) - len(b)
+        q[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - f * c) % p
+        a.pop()
+    while a and a[-1] % p == 0:
+        a.pop()
+    return q, a or [0]
+
+
+def _poly_gcd(a, b, p):
+    while any(c % p for c in b):
+        _, r = _poly_divmod(a, b, p)
+        a, b = b, r
+    inv = pow(a[-1], -1, p)
+    return [(c * inv) % p for c in a]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _poly_lcm(a, b, p):
+    g = _poly_gcd(a, b, p)
+    q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
+    assert r == [0]
+    return q
+
+
+def _poly_eval(poly, x, p):
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# The table itself
+
+
+def admissible_prime(G: PermGroup) -> int:
+    e = G.exponent()
+    p = e + 1
+    while p < PRIME_SEARCH_BOUND:
+        if p * p > 4 * G.order and isprime(p):
+            return p
+        p += e
+    raise ModularMethodError(
+        f"no prime ≡ 1 mod {e} above 2*sqrt({G.order}) below {PRIME_SEARCH_BOUND}")
+
+
+def _structure_constants(G: PermGroup):
+    classes = G.conjugacy_classes()
+    r = len(classes)
+    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
+    class_of = [G.class_of(x) for x in range(G.order)]
+    for i, ci in enumerate(classes):
+        for x in ci:
+            row = G._mul[x]
+            for y in range(G.order):
+                counts[i][class_of[y]][class_of[row[y]]] += 1
+    sizes = [len(c) for c in classes]
+    # counts[i][j][k] aggregates over the whole class C_k; normalize
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                q, rem = divmod(counts[i][j][k], sizes[k])
+                assert rem == 0
+                counts[i][j][k] = q
+    return counts
+
+
+def character_table(G: PermGroup) -> CharacterTable:
+    cached = getattr(G, "_character_table", None)
+    if cached is not None:
+        return cached
+    classes = G.conjugacy_classes()
+    r = len(classes)
+    sizes = tuple(len(c) for c in classes)
+    reps = [c[0] for c in classes]
+    e = G.exponent()
+    p = admissible_prime(G)
+    const = _structure_constants(G)
+    mats = [[[const[i][j][k] % p for k in range(r)] for j in range(r)]
+            for i in range(r)]
+
+    # split GF(p)^r into common eigenspaces of the class-sum matrices
+    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+    for i in range(1, r):
+        if all(len(b) == 1 for b in spaces):
+            break
+        mat = mats[i]
+        nxt = []
+        for basis in spaces:
+            if len(basis) == 1:
+                nxt.append(basis)
+                continue
+            rref_rows, pivots = _rref(basis, p)
+            basis = rref_rows
+            d = len(basis)
+            images = [[sum(mat[a][b] * vec[b] for b in range(r)) % p
+                       for a in range(r)] for vec in basis]
+            cols = [_coords(rref_rows, pivots, img, p) for img in images]
+            restr = [[cols[j][a] for j in range(d)] for a in range(d)]
+            mp = _min_poly(restr, p)
+            roots = [lam for lam in range(p) if _poly_eval(mp, lam, p) == 0]
+            covered = 0
+            for lam in roots:
+                shifted = [[(restr[a][b] - (lam if a == b else 0)) % p
+                            for b in range(d)] for a in range(d)]
+                kern = _kernel(shifted, p)
+                covered += len(kern)
+                sub = [[sum(kv[j] * basis[j][b] for j in range(d)) % p
+                        for b in range(r)] for kv in kern]
+                nxt.append(sub)
+            if covered != d:
+                raise ModularMethodError("class-sum matrix is not "
+                                         "diagonalizable on a subspace")
+        spaces = nxt
+    if any(len(b) != 1 for b in spaces) or len(spaces) != r:
+        raise ModularMethodError("class algebra did not split into lines")
+
+    inv_class = [G.class_of(G.inv(reps[i])) for i in range(r)]
+    gp = primitive_root(p)
+    omega_e = pow(gp, (p - 1) // e, p)
+    size_inv = [pow(s, -1, p) for s in sizes]
+    orders = [G.element_order(reps[i]) for i in range(r)]
+    theta_inv_pows: dict[int, list[int]] = {}
+    for n in set(orders):
+        t = pow(omega_e, -(e // n), p)
+        theta_inv_pows[n] = [pow(t, m, p) for m in range(n)]
+
+    rows = []
+    for (vec,) in spaces:
+        if vec[0] % p == 0:
+            raise ModularMethodError("eigenvector vanishes on the identity class")
+        norm = pow(vec[0], -1, p)
+        om = [(v * norm) % p for v in vec]
+        s = sum(om[i] * om[inv_class[i]] * size_inv[i] for i in range(r)) % p
+        d2 = (G.order * pow(s, -1, p)) % p
+        deg = next((d for d in range(1, math.isqrt(G.order) + 1)
+                    if (d * d - d2) % p == 0), None)
+        if deg is None:
+            raise ModularMethodError("no integer degree matches the eigenvector")
+        chi_mod = [(deg * om[i] * size_inv[i]) % p for i in range(r)]
+        sparse = []
+        for i in range(r):
+            n = orders[i]
+            prow = G.power_class_row(i)
+            tpow = theta_inv_pows[n]
+            n_inv = pow(n, -1, p)
+            powers = {}
+            for j in range(n):
+                cj = sum(chi_mod[prow[t]] * tpow[(j * t) % n]
+                         for t in range(n)) * n_inv % p
+                if cj:
+                    if cj > deg:
+                        raise ModularMethodError("eigenvalue multiplicity lift "
+                                                 "out of range")
+                    powers[j] = cj
+            sparse.append((n, powers))
+        rows.append((deg, sparse))
+
+    # verify the table exactly before trusting it.  Inner products are
+    # computed through traces of roots of unity: classes group into
+    # power-map orbits, and on each orbit the summands are a full Galois
+    # orbit, so Tr(ζ_n^m) = μ(d)·φ(n)/φ(d), d = n/gcd(n, m), gives the
+    # exact rational value with no cyclotomic arithmetic at all.
+    if sum(deg * deg for deg, _ in rows) != G.order:
+        raise ModularMethodError("degree check failed")
+
+    units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
+    orbit_rep = [-1] * r
+    orbit_count = [0] * r
+    for i in range(r):
+        if orbit_rep[i] >= 0:
+            continue
+        prow = G.power_class_row(i)
+        members = sorted({prow[k % orders[i]] for k in units})
+        for j in members:
+            orbit_rep[j] = i
+            orbit_count[i] = len(members)
+
+    def exact_inner(sa, sb) -> Fraction:
+        total = Fraction(0)
+        for i in range(r):
+            if orbit_rep[i] != i:
+                continue
+            n, da = sa[i]
+            _, db = sb[inv_class[i]]
+            tr = 0
+            for ma, ca in da.items():
+                for mb, cb in db.items():
+                    m = (ma + mb) % n
+                    d = n // math.gcd(n, m)
+                    tr += ca * cb * _MOBIUS(d) * (_PHI(n) // _PHI(d))
+            total += Fraction(sizes[i] * orbit_count[i] * tr, _PHI(n))
+        return total / G.order
+
+    for a, (da, sa) in enumerate(rows):
+        for b, (db, sb) in enumerate(rows):
+            if b < a:
+                continue
+            want = Fraction(1) if a == b else Fraction(0)
+            if exact_inner(sa, sb) != want:
+                raise ModularMethodError("orthogonality check failed")
+
+    values_of = [tuple(CycNumber.from_powers(n, powers) for n, powers in sparse)
+                 for _, sparse in rows]
+    value_keys = [[tuple(v.raised(e).coeffs) for v in vals]
+                  for vals in values_of]
+
+    def field_degree(a):
+        keys = value_keys[a]
+        stab = sum(1 for k in units
+                   if all(keys[G.power_class(i, k)] == keys[i]
+                          for i in range(r)))
+        return len(units) // stab
+
+    order_idx = sorted(
+        range(len(rows)),
+        key=lambda a: (rows[a][0], field_degree(a),
+                       tuple(tuple(-c for c in cs) for cs in value_keys[a])))
+    irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}")
+            for k, a in enumerate(order_idx)]
+    table = CharacterTable(G, irrs, sizes, p)
+    G._character_table = table
+    return table
+
+
+def _MOBIUS(n: int) -> int:
+    from .groups import sympy_factorint_cache
+    fac = sympy_factorint_cache(n)
+    if any(v > 1 for v in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
+
+def _PHI(n: int) -> int:
+    from .groups import sympy_factorint_cache
+    out = 1
+    for q, v in sympy_factorint_cache(n).items():
+        out *= (q - 1) * q ** (v - 1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Derived character operations
+
+
+def perm_character(G: PermGroup, hsub: frozenset[int]) -> ClassFunction:
+    """Character of C[G/H]: fixed-coset counts, one value per class."""
+    hsub = frozenset(hsub)
+    reps, covered = [], set()
+    for x in range(G.order):
+        if x in covered:
+            continue
+        reps.append(x)
+        covered.update(G.mul(x, h) for h in hsub)
+    values = []
+    for cls in G.conjugacy_classes():
+        g = cls[0]
+        count = sum(1 for x in reps
+                    if G.mul(G.mul(G.inv(x), g), x) in hsub)
+        values.append(CycNumber.from_rational(count))
+    return ClassFunction(G, tuple(values))
+
+
+def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    if a.group is not b.group:
+        raise ValueError("different groups")
+    G = a.group
+    sizes = [len(c) for c in G.conjugacy_classes()]
+    tot = CycNumber.from_rational(0)
+    for i, s in enumerate(sizes):
+        tot = tot + s * (a.values[i] * b.values[i].conjugate())
+    return tot.rational_value() / G.order
+
+
+def fs_indicator(chi: ClassFunction) -> int:
+    G = chi.group
+    sizes = [len(c) for c in G.conjugacy_classes()]
+    tot = CycNumber.from_rational(0)
+    for i, s in enumerate(sizes):
+        tot = tot + s * chi.values[G.power_class(i, 2)]
+    val = tot.rational_value() / G.order
+    if val not in (-1, 0, 1):
+        raise ValueError(f"indicator {val} is not in {{-1, 0, 1}}")
+    return int(val)
+
+
+def _value_keys(cf: ClassFunction) -> list[tuple]:
+    e = cf.group.exponent()
+    return [tuple(v.raised(e).coeffs) for v in cf.values]
+
+
+def galois_orbit(chi: ClassFunction) -> list[ClassFunction]:
+    G = chi.group
+    e = G.exponent()
+    r = len(chi.values)
+    base = _value_keys(chi)
+    seen = set()
+    out: list[ClassFunction] = []
+    for k in range(1, e + 1):
+        if math.gcd(k, e) != 1:
+            continue
+        key = tuple(base[G.power_class(i, k)] for i in range(r))
+        if key not in seen:
+            seen.add(key)
+            out.append(chi.galois(k))
+    return out
+
+
+def rational_irreducibles(G: PermGroup) -> list[RationalCharacter]:
+    table = character_table(G)
+    r = len(table.class_sizes)
+    e = G.exponent()
+    units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
+    keys = [_value_keys(chi) for chi in table.irreducibles]
+    key_to_idx = {tuple(k): i for i, k in enumerate(keys)}
+    used: set[int] = set()
+    out = []
+    for idx, chi in enumerate(table.irreducibles):
+        if idx in used:
+            continue
+        members = sorted({
+            key_to_idx[tuple(keys[idx][G.power_class(i, k)] for i in range(r))]
+            for k in units})
+        used.update(members)
+        total = table.irreducibles[members[0]]
+        for m in members[1:]:
+            total = total + table.irreducibles[m]
+        out.append(RationalCharacter(
+            label=f"tau_{len(out) + 1}",
+            sum_values=total,
+            constituent=chi,
+            constituent_index=idx,
+            orbit_indices=tuple(members),
+        ))
+    return out
+
+
+def _fundamental_discriminant(d: int) -> int:
+    return d if d % 4 == 1 else 4 * d
+
+
+def char_field_data(chi: ClassFunction) -> CharFieldData:
+    G = chi.group
+    e = G.exponent()
+    r = len(G.conjugacy_classes())
+    keys = _value_keys(chi)
+    stab = []
+    for k in range(1, e + 1):
+        if math.gcd(k, e) != 1:
+            continue
+        if all(keys[G.power_class(i, k)] == keys[i] for i in range(r)):
+            stab.append(k)
+    units = sum(1 for k in range(1, e + 1) if math.gcd(k, e) == 1)
+    subfields = []
+    for d in range(-e, e + 1):
+        if d in (0, 1):
+            continue
+        if any(v > 1 for v in _squarefree_exps(abs(d))):
+            continue
+        disc = _fundamental_discriminant(d)
+        if e % abs(disc) != 0:
+            continue
+        if all(kronecker_symbol(disc, k) == 1 for k in stab):
+            subfields.append(d)
+    subfields.sort(key=lambda d: (abs(d), d))
+    return CharFieldData(stabilizer=tuple(stab),
+                         quadratic_subfields=tuple(subfields),
+                         field_degree=units // len(stab))
+
+
+def _squarefree_exps(n: int):
+    from .groups import sympy_factorint_cache
+    return sympy_factorint_cache(n).values()

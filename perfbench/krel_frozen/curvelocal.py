@@ -1,0 +1,473 @@
+"""Per-place curve data: Tamagawa numbers, fudge factors, root-number data.
+
+A place descriptor packages the decomposition and inertia groups at one
+place together with declared reduction data (type, discriminant valuation,
+square classes of the invariants involved).  Everything downstream is a
+function of these inputs; no Weierstrass models are processed.  Additive
+cases assume residue characteristic at least 5 throughout.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd
+
+from sympy import isprime
+
+from .characters import ClassFunction, character_table, inner_product
+from .exactmath import kronecker_symbol
+from .groups import PermGroup, subgroup_as_group
+
+CASE_GOOD = "1G"
+CASE_SPLIT = "1S"
+CASE_NONSPLIT = "1NS"
+CASE_CYCLIC = "2C"
+CASE_DIHEDRAL = "2D"
+CASE_POTMULT = "2M"
+
+
+@dataclass(frozen=True)
+class SquareClassLocal:
+    """Square class of a nonzero local element: valuation parity, unit part."""
+
+    val_parity: int
+    unit_is_square: bool
+
+    def __post_init__(self):
+        if self.val_parity not in (0, 1):
+            raise ValueError("val_parity must be 0 or 1")
+
+    def is_square(self) -> bool:
+        return self.val_parity == 0 and self.unit_is_square
+
+
+@dataclass(frozen=True)
+class Good:
+    pass
+
+
+@dataclass(frozen=True)
+class SplitMult:
+    n: int
+
+
+@dataclass(frozen=True)
+class NonsplitMult:
+    n: int
+
+
+@dataclass(frozen=True)
+class AddPotGood:
+    delta: int
+    delta_class: SquareClassLocal
+    b_class: SquareClassLocal
+    lambda_override: int | None = None
+    dprime: frozenset[int] | None = None
+
+
+@dataclass(frozen=True)
+class AddPotMult:
+    n: int
+    minus_c6_class: SquareClassLocal
+    b_class: SquareClassLocal
+    delta_class: SquareClassLocal
+    minus6b_class: SquareClassLocal
+    dprime: frozenset[int] | None = None
+
+
+ReductionData = Good | SplitMult | NonsplitMult | AddPotGood | AddPotMult
+
+
+def ram_degree(delta: int) -> int:
+    """Ramification degree of the potentially-good splitting field."""
+    return 12 // gcd(12, delta)
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    rule: str
+    message: str
+
+    def __str__(self):
+        return f"{self.rule}: {self.message}"
+
+
+@dataclass
+class PlaceDescriptor:
+    name: str
+    kind: str  # "real" | "complex" | "finite"
+    group: PermGroup | None = None
+    l: int | None = None
+    q: int | None = None
+    dsub: frozenset[int] | None = None
+    isub: frozenset[int] | None = None
+    reduction: ReductionData | None = None
+    validated: bool = field(default=False, compare=False)
+    _carrier: tuple | None = field(default=None, repr=False, compare=False)
+
+    def is_finite(self) -> bool:
+        return self.kind == "finite"
+
+
+@dataclass(frozen=True)
+class RootDatum:
+    lam: int
+    v_char: ClassFunction | None
+    carrier: PermGroup | None = None
+    to_carrier: dict[int, int] | None = None
+
+    def v_dimension(self) -> int:
+        if self.v_char is None:
+            return 0
+        return int(self.v_char.degree())
+
+
+def is_square_in_ext(x: SquareClassLocal, e: int, f: int) -> bool:
+    """Does x become a square after an extension with these e and f?
+
+    The valuation gets multiplied by e and a non-square unit becomes a
+    square exactly in even residue degree (odd residue characteristic).
+    """
+    return (x.val_parity * e) % 2 == 0 and (x.unit_is_square or f % 2 == 0)
+
+
+def _ef(p: PlaceDescriptor, h: frozenset[int]) -> tuple[int, int]:
+    if not h <= p.dsub:
+        raise ValueError("H must be a subgroup of D_v")
+    hi = len(h & p.isub)
+    e = len(p.isub) // hi
+    f = len(p.dsub) * hi // (len(h) * len(p.isub))
+    return e, f
+
+
+def _is_prime_power(q: int, l: int) -> bool:
+    if q < l:
+        return False
+    while q % l == 0:
+        q //= l
+    return q == 1
+
+
+def _quotient_is_dihedral(q: PermGroup, rot: frozenset[int]) -> bool:
+    """Is q a dihedral group with rotation subgroup rot (of index 2)?"""
+    n = len(rot)
+    if q.order != 2 * n:
+        return False
+    gen = next((x for x in rot if q.element_order(x) == n), None)
+    if gen is None:
+        return False
+    y = next(x for x in range(q.order) if x not in rot)
+    return (q.mul(y, y) in rot and q.element_order(q.mul(y, y)) <= 2
+            and q.mul(q.mul(y, gen), q.inv(y)) == q.inv(gen))
+
+
+def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
+    """Check a descriptor against the structural and arithmetic rules.
+
+    An empty list marks the place validated; any violated rule appears as a
+    named diagnostic and the place stays unusable for evaluation.
+    """
+    out: list[Diagnostic] = []
+    if p.kind in ("real", "complex"):
+        p.validated = True
+        return out
+    if p.kind != "finite":
+        return [Diagnostic("kind", f"unknown place kind {p.kind!r}")]
+
+    G, red = p.group, p.reduction
+    if G is None or p.dsub is None or p.isub is None or red is None:
+        return [Diagnostic("incomplete", "finite place needs group, D_v, I_v "
+                           "and reduction data")]
+    if p.l is None or p.q is None or not isprime(p.l) \
+            or not _is_prime_power(p.q, p.l):
+        out.append(Diagnostic("residue-size",
+                              f"q = {p.q} is not a power of the prime l = {p.l}"))
+        return out
+    if G.closure(p.dsub) != p.dsub:
+        return [Diagnostic("decomposition-closed", "D_v is not a subgroup")]
+    if not p.isub <= p.dsub or G.closure(p.isub) != p.isub:
+        return [Diagnostic("inertia-subgroup", "I_v is not a subgroup of D_v")]
+    dgens = G.generating_indices(p.dsub)
+    if any(G.mul(G.mul(g, i), G.inv(g)) not in p.isub
+           for g in dgens for i in p.isub):
+        out.append(Diagnostic("inertia-normality", "I_v is not normal in D_v"))
+        return out
+    if not _cyclic_quotient(G, p.dsub, p.isub):
+        out.append(Diagnostic("quotient-cyclic", "D_v/I_v is not cyclic"))
+        return out
+
+    e1, f1 = len(p.isub), len(p.dsub) // len(p.isub)
+    if isinstance(red, (SplitMult, NonsplitMult, AddPotMult)) and red.n < 1:
+        out.append(Diagnostic("discriminant-valuation", "n must be >= 1"))
+
+    if isinstance(red, AddPotGood):
+        if p.l < 5:
+            out.append(Diagnostic("additive-residue-char",
+                                  "additive reduction requires l >= 5"))
+        if red.delta not in (2, 3, 4, 6, 8, 9, 10):
+            out.append(Diagnostic("delta-range",
+                                  f"delta = {red.delta} is not additive "
+                                  "potentially good"))
+            return out
+        if (red.delta * e1) % 12 != 0:
+            out.append(Diagnostic(
+                "good-not-attained",
+                f"delta*|I_v| = {red.delta * e1} is not 0 mod 12"))
+        fe = ram_degree(red.delta)
+        dihedral = fe > 2 and p.q % fe == fe - 1
+        if red.lambda_override not in (None, 1, -1):
+            out.append(Diagnostic("lambda-range", "lambda must be +-1"))
+        if dihedral:
+            out.extend(_check_dihedral_dprime(p, red.dprime, fe))
+        else:
+            if red.dprime is not None:
+                out.append(Diagnostic("d-prime-not-needed",
+                                      "cyclic case takes no D'"))
+            if fe == 6 and not red.delta_class.is_square():
+                out.append(Diagnostic(
+                    "delta-square-forced",
+                    "q = 1 mod 6 admits a tame cubic extension, so the "
+                    "discriminant must already be a square"))
+    elif isinstance(red, AddPotMult):
+        if p.l < 5:
+            out.append(Diagnostic("additive-residue-char",
+                                  "additive reduction requires l >= 5"))
+        if red.minus_c6_class.is_square():
+            out.append(Diagnostic("not-additive",
+                                  "-c6 a square means split multiplicative "
+                                  "reduction, not additive"))
+        in_f = is_square_in_ext(red.minus_c6_class, e1, f1)
+        if red.dprime is None:
+            if in_f:
+                out.append(Diagnostic(
+                    "d-prime-required",
+                    "-c6 becomes a square in F_w, so the quadratic subfield "
+                    "exists and D' must be given"))
+        else:
+            if not in_f:
+                out.append(Diagnostic(
+                    "d-prime-forbidden",
+                    "-c6 stays non-square in F_w, so no D' exists"))
+            elif G.closure(red.dprime) != red.dprime \
+                    or not red.dprime <= p.dsub \
+                    or 2 * len(red.dprime) != len(p.dsub):
+                out.append(Diagnostic("d-prime-index",
+                                      "D' must be an index-2 subgroup of D_v"))
+            elif (red.minus_c6_class.val_parity == 1) \
+                    != (not p.isub <= red.dprime):
+                out.append(Diagnostic(
+                    "d-prime-ramification",
+                    "ramification of F^{D'} disagrees with the -c6 class"))
+
+    p.validated = not out
+    return out
+
+
+def _cyclic_quotient(G: PermGroup, dsub, isub) -> bool:
+    f = len(dsub) // len(isub)
+    for x in dsub:
+        k, y = 1, x
+        while y not in isub:
+            y = G.mul(y, x)
+            k += 1
+        if k == f:
+            return True
+    return False
+
+
+def _check_dihedral_dprime(p: PlaceDescriptor, dprime, fe) -> list[Diagnostic]:
+    G = p.group
+    if dprime is None:
+        return [Diagnostic("d-prime-missing",
+                           "dihedral case needs D' with D_v/D' dihedral")]
+    if G.closure(dprime) != dprime or not dprime <= p.dsub:
+        return [Diagnostic("d-prime-subgroup", "D' is not a subgroup of D_v")]
+    if len(p.dsub) != 2 * fe * len(dprime):
+        return [Diagnostic("d-prime-index",
+                           f"D_v/D' must have order {2 * fe}")]
+    carrier, to_carrier = _carrier(p)
+    dp = frozenset(to_carrier[x] for x in dprime)
+    if not carrier.is_normal_subgroup(dp):
+        return [Diagnostic("d-prime-normality", "D' is not normal in D_v")]
+    q = carrier.quotient_group(dp)
+    rot = frozenset(q.proj[to_carrier[x]] for x in p.isub)
+    if len(rot) != fe:
+        return [Diagnostic("inertia-image",
+                           "inertia must map onto the rotation subgroup")]
+    if not _quotient_is_dihedral(q, rot):
+        return [Diagnostic("d-prime-quotient",
+                           f"D_v/D' is not dihedral of order {2 * fe}")]
+    return []
+
+
+def _carrier(p: PlaceDescriptor) -> tuple[PermGroup, dict[int, int]]:
+    if p._carrier is None:
+        p._carrier = subgroup_as_group(p.group, p.dsub)
+    return p._carrier
+
+
+def _require_validated(p: PlaceDescriptor):
+    if not p.validated:
+        raise ValueError(f"place {p.name!r} has not been validated")
+
+
+def reduction_case(p: PlaceDescriptor) -> str:
+    """Reduction case label: 1G, 1S, 1NS, 2C, 2D or 2M."""
+    red = p.reduction
+    if isinstance(red, Good):
+        return CASE_GOOD
+    if isinstance(red, SplitMult):
+        return CASE_SPLIT
+    if isinstance(red, NonsplitMult):
+        return CASE_NONSPLIT
+    if isinstance(red, AddPotGood):
+        fe = ram_degree(red.delta)
+        return CASE_DIHEDRAL if fe > 2 and p.q % fe == fe - 1 else CASE_CYCLIC
+    return CASE_POTMULT
+
+
+def tamagawa(p: PlaceDescriptor, h: frozenset[int]) -> int:
+    """Tamagawa number of the curve over the subfield fixed by h."""
+    _require_validated(p)
+    red = p.reduction
+    if isinstance(red, Good):
+        return 1
+    e, f = _ef(p, frozenset(h))
+    if isinstance(red, SplitMult):
+        return e * red.n
+    if isinstance(red, NonsplitMult):
+        en = e * red.n
+        if f % 2 == 0:
+            return en
+        return 2 if en % 2 == 0 else 1
+    if isinstance(red, AddPotGood):
+        g = gcd(red.delta * e, 12)
+        if g == 3:
+            return 2
+        if g == 4:
+            return 3 if is_square_in_ext(red.b_class, e, f) else 1
+        if g == 6:
+            # "1 or 4" for attained I_0*; both are the trivial square class
+            return 1 if is_square_in_ext(red.delta_class, e, f) else 2
+        return 1
+    if e % 2 == 1:
+        key = red.delta_class if red.n % 2 == 0 else red.b_class
+        return 4 if is_square_in_ext(key, e, f) else 2
+    if is_square_in_ext(red.minus6b_class, e, f):
+        return e * red.n
+    return 2
+
+
+def fudge_C(p: PlaceDescriptor, h: frozenset[int]) -> Fraction:
+    """Tamagawa number times the minimal-differential term."""
+    _require_validated(p)
+    c = Fraction(tamagawa(p, h))
+    red = p.reduction
+    if isinstance(red, (AddPotGood, AddPotMult)):
+        e, f = _ef(p, frozenset(h))
+        if isinstance(red, AddPotGood):
+            exponent = (red.delta * e // 12) * f
+        else:
+            exponent = (e // 2) * f
+        c *= Fraction(p.q) ** exponent
+    return c
+
+
+def default_additive_lambda(fe: int, q: int, dihedral: bool) -> int:
+    """Residue-symbol local sign for tame additive potentially good reduction."""
+    table = {2: -1, 3: -3, 4: -2, 6: -1}
+    sign = kronecker_symbol(table[fe], q)
+    return -sign if dihedral else sign
+
+
+def _quadratic_by_membership(carrier: PermGroup, member: frozenset[int]):
+    vals = []
+    for cls in carrier.conjugacy_classes():
+        vals.append(1 if cls[0] in member else -1)
+    return vals
+
+
+def root_datum(p: PlaceDescriptor) -> RootDatum:
+    """Local twisted-root-number data (lambda, V) for this place."""
+    if p.kind in ("real", "complex"):
+        return RootDatum(-1, None)
+    _require_validated(p)
+    red = p.reduction
+    carrier, to_carrier = _carrier(p)
+    if isinstance(red, Good):
+        return RootDatum(1, None, carrier, to_carrier)
+    if isinstance(red, SplitMult):
+        ones = tuple([1] * len(carrier.conjugacy_classes()))
+        return RootDatum(1, ClassFunction(carrier, ones), carrier, to_carrier)
+    if isinstance(red, NonsplitMult):
+        f = len(p.dsub) // len(p.isub)
+        if f % 2 == 1:
+            return RootDatum(1, None, carrier, to_carrier)
+        isub_c = frozenset(to_carrier[x] for x in p.isub)
+        q = carrier.quotient_group(isub_c)
+        squares = frozenset(q.mul(y, y) for y in range(q.order))
+        vals = [1 if q.proj[cls[0]] in squares else -1
+                for cls in carrier.conjugacy_classes()]
+        return RootDatum(1, ClassFunction(carrier, tuple(vals)),
+                         carrier, to_carrier)
+    if isinstance(red, AddPotGood):
+        fe = ram_degree(red.delta)
+        dihedral = reduction_case(p) == CASE_DIHEDRAL
+        lam = red.lambda_override
+        if lam is None:
+            lam = default_additive_lambda(fe, p.q, dihedral)
+        if not dihedral:
+            return RootDatum(lam, None, carrier, to_carrier)
+        dp = frozenset(to_carrier[x] for x in red.dprime)
+        q = carrier.quotient_group(dp)
+        rot = frozenset(q.proj[to_carrier[x]] for x in p.isub)
+        sigma = _faithful_two_dim(q)
+        vals = []
+        for cls in carrier.conjugacy_classes():
+            y = q.proj[cls[0]]
+            eta = 1 if y in rot else -1
+            sig = sigma.values[q.class_of(y)].rational_value()
+            vals.append(1 + eta + sig)
+        return RootDatum(lam, ClassFunction(carrier, tuple(vals)),
+                         carrier, to_carrier)
+    # potentially multiplicative
+    ramified = red.minus_c6_class.val_parity == 1
+    lam = kronecker_symbol(-1, p.q) if ramified else 1
+    if red.dprime is None:
+        return RootDatum(lam, None, carrier, to_carrier)
+    dp = frozenset(to_carrier[x] for x in red.dprime)
+    vals = _quadratic_by_membership(carrier, dp)
+    return RootDatum(lam, ClassFunction(carrier, tuple(vals)),
+                     carrier, to_carrier)
+
+
+def _faithful_two_dim(q: PermGroup) -> ClassFunction:
+    for chi in character_table(q).irreducibles:
+        if chi.degree() == 2 and all(
+                v != chi.values[0] for v in chi.values[1:]):
+            return chi
+    raise ValueError("no faithful 2-dimensional character")
+
+
+def restrict_to_carrier(chi: ClassFunction, carrier: PermGroup,
+                        to_carrier: dict[int, int]) -> ClassFunction:
+    """Restriction of a class function along the carrier's embedding."""
+    back = {v: k for k, v in to_carrier.items()}
+    vals = tuple(chi.at_element(back[cls[0]])
+                 for cls in carrier.conjugacy_classes())
+    return ClassFunction(carrier, vals)
+
+
+def local_u_contribution(p: PlaceDescriptor, chi: ClassFunction) -> int:
+    """Parity bit this place adds to the twisted-root-number exponent."""
+    dim = int(chi.degree())
+    rd = root_datum(p)
+    pairing = 0
+    if rd.v_char is not None:
+        res = restrict_to_carrier(chi, rd.carrier, rd.to_carrier)
+        m = inner_product(res, rd.v_char)
+        if m.denominator != 1:
+            raise ValueError("character does not restrict integrally")
+        pairing = int(m)
+    return (pairing + dim * (1 if rd.lam == -1 else 0)) % 2

@@ -1,0 +1,376 @@
+"""Regulator constants of virtual permutation modules and matrix models.
+
+The workhorse is the double-coset product for permutation modules; rational
+irreducibles are routed through it whenever an odd multiple is a virtual
+permutation character, with an explicit matrix model (plus an invariant
+pairing, generated on demand) as the fallback.  Values stay exact rationals
+and are reduced to square classes only at the very end.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .characters import (
+    ClassFunction,
+    character_table,
+    fs_indicator,
+    inner_product,
+)
+from .exactmath import (
+    SquareClass,
+    is_norm_from_quadratic,
+    rat_det,
+    reduce_by_kernel,
+    snf_solve,
+    squarefree_class,
+)
+from .groups import PermGroup, subgroup_rep
+from .relations import _multiplicity_rows, is_k_relation
+
+Matrix = list[list[Fraction]]
+
+
+class NeedsMatrixModel(RuntimeError):
+    """No permutation route exists; supply an explicit MatrixRep."""
+
+
+class DegeneratePairingError(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class RegConstValue:
+    raw: Fraction
+    square_class: SquareClass
+    d: int
+
+    def is_norm(self) -> bool:
+        return is_norm_from_quadratic(self.raw, self.d)
+
+    def same_mod_norms(self, other: "RegConstValue") -> bool:
+        if self.d != other.d:
+            raise ValueError("values live over different fields")
+        return is_norm_from_quadratic(self.raw / other.raw, self.d)
+
+
+def _value(raw: Fraction, d: int) -> RegConstValue:
+    raw = Fraction(raw)
+    return RegConstValue(raw, squarefree_class(raw), d)
+
+
+@dataclass
+class PermVirtualRep:
+    """A virtual sum of permutation modules Q[G/D], by subgroup class id."""
+
+    coeffs: dict[str, int]
+
+    def character(self, G: PermGroup) -> ClassFunction:
+        from .characters import perm_character
+        total = None
+        for cid, m in self.coeffs.items():
+            pc = m * perm_character(G, subgroup_rep(G, cid))
+            total = pc if total is None else total + pc
+        if total is None:
+            r = len(G.conjugacy_classes())
+            total = ClassFunction(G, tuple([0] * r))
+        return total
+
+
+def _coeffs_of(tau) -> dict[str, int]:
+    if isinstance(tau, PermVirtualRep):
+        return tau.coeffs
+    return dict(tau)
+
+
+# ---------------------------------------------------------------------------
+# Permutation route
+
+
+def perm_fixed_det(G: PermGroup, hsub, dsub) -> Fraction:
+    """det of the scaled standard pairing on the H-fixed part of Q[G/D].
+
+    The H-orbit sums of cosets give an orthogonal basis whose scaled Gram
+    determinant telescopes to the product of 1/|H ∩ wDw^-1| over double
+    cosets.
+    """
+    hrep = subgroup_rep(G, hsub)
+    drep = subgroup_rep(G, dsub)
+    val = Fraction(1)
+    for _, stab in G.double_cosets(hrep, drep):
+        val /= stab
+    return val
+
+
+def reg_const_perm(G: PermGroup, theta: dict[str, int], tau,
+                   d: int) -> RegConstValue:
+    """Regulator constant of a virtual permutation module on a K-relation."""
+    if not is_k_relation(G, theta, d):
+        raise ValueError("theta is not a K-relation for this field")
+    coeffs = _coeffs_of(tau)
+    raw = Fraction(1)
+    for cid, n in theta.items():
+        if not n:
+            continue
+        for did, m in coeffs.items():
+            if m:
+                raw *= perm_fixed_det(G, cid, did) ** (n * m)
+    return _value(raw, d)
+
+
+def minimal_perm_multiple(G: PermGroup,
+                          tau) -> tuple[int, PermVirtualRep]:
+    """Least k >= 1 with k*tau a virtual permutation character, plus witness.
+
+    tau may be a rational-valued ClassFunction or a RationalCharacter; the
+    witness expansion is the smallest (L1, lex) solution.
+    """
+    cf = tau.sum_values if hasattr(tau, "sum_values") else tau
+    if not cf.is_rational():
+        raise ValueError("character values must be rational")
+    table = character_table(G)
+    classes = G.subgroup_classes()
+    mult = _multiplicity_rows(G)
+    t = []
+    for chi in table.irreducibles:
+        m = inner_product(cf, chi)
+        if m.denominator != 1:
+            raise ValueError("not a virtual character")
+        t.append(int(m))
+    a = [[mult[i][j] for i in range(len(classes))]
+         for j in range(len(table.irreducibles))]
+    sol = snf_solve(a, t)
+    x = reduce_by_kernel(sol.witness, sol.kernel_basis)
+    coeffs = {classes[i].id: v for i, v in enumerate(x) if v}
+    return sol.minimal_m, PermVirtualRep(coeffs)
+
+
+def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
+                           d: int) -> RegConstValue:
+    """Regulator constant of a rational irreducible, routed by self-duality.
+
+    When some odd multiple k*tau is a virtual permutation character the
+    permutation value is returned (an odd power, so the same square class).
+    Otherwise symplectic or non-self-dual constituents force a square and
+    the value is 1; the remaining case needs an explicit matrix model.
+    """
+    if not is_k_relation(G, theta, d):
+        raise ValueError("theta is not a K-relation for this field")
+    k, expansion = minimal_perm_multiple(G, tau)
+    if k % 2 == 1:
+        return reg_const_perm(G, theta, expansion, d)
+    chi = getattr(tau, "constituent", None)
+    if chi is None:
+        raise ValueError("self-duality check needs a rational irreducible")
+    if fs_indicator(chi) in (0, -1):
+        return _value(Fraction(1), d)
+    raise NeedsMatrixModel(
+        f"{getattr(tau, 'label', 'tau')} has no odd permutation multiple "
+        "and an orthogonal constituent")
+
+
+# ---------------------------------------------------------------------------
+# Matrix route
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+def _transpose(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)]
+
+
+@dataclass
+class MatrixRep:
+    """Exact rational representation given on the group's generators.
+
+    images[i] is the matrix of the i-th entry of group.generator_indices.
+    Well-definedness is verified on construction by extending along the
+    multiplication table and checking every generator edge.
+    """
+
+    group: PermGroup
+    images: list[Matrix]
+    _elements: list[Matrix] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        G = self.group
+        gens = G.generator_indices
+        if len(self.images) != len(gens):
+            raise ValueError(
+                f"need {len(gens)} generator images, got {len(self.images)}")
+        dim = len(self.images[0]) if self.images else 1
+        mats: list[Matrix | None] = [None] * G.order
+        mats[0] = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
+        imgs = [[[Fraction(x) for x in row] for row in m] for m in self.images]
+        for m in imgs:
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise ValueError("generator images must be square, same size")
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, img in zip(gens, imgs):
+                    y = G.mul(g, x)
+                    prod = _mat_mul(img, mats[x])
+                    if mats[y] is None:
+                        mats[y] = prod
+                        nxt.append(y)
+                    elif mats[y] != prod:
+                        raise ValueError(
+                            "generator images violate the group relations")
+            frontier = nxt
+        self.images = imgs
+        self._elements = mats  # type: ignore[assignment]
+
+    @property
+    def dimension(self) -> int:
+        return len(self._elements[0])
+
+    def at(self, i: int) -> Matrix:
+        return self._elements[i]
+
+    def character(self) -> ClassFunction:
+        G = self.group
+        vals = [sum(self.at(cls[0])[i][i] for i in range(self.dimension))
+                for cls in G.conjugacy_classes()]
+        return ClassFunction(G, tuple(vals))
+
+
+def perm_matrix_rep(G: PermGroup, dsub) -> MatrixRep:
+    """Matrix model of Q[G/D] in the basis of left cosets."""
+    drep = subgroup_rep(G, dsub)
+    reps, coset_of = [], {}
+    for x in range(G.order):
+        if x in coset_of:
+            continue
+        k = len(reps)
+        reps.append(x)
+        for h in drep:
+            coset_of[G.mul(x, h)] = k
+    n = len(reps)
+    images = []
+    for g in G.generator_indices:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for j, x in enumerate(reps):
+            m[coset_of[G.mul(g, x)]][j] = Fraction(1)
+        images.append(m)
+    return MatrixRep(G, images)
+
+
+def invariant_pairing(rep: MatrixRep, seed: int = 0,
+                      retries: int = 8) -> Matrix:
+    """Non-degenerate G-invariant symmetric pairing by averaging a seed form."""
+    n = rep.dimension
+    G = rep.group
+    rng = random.Random(seed)
+    for _ in range(retries):
+        seed_form = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                seed_form[i][j] = seed_form[j][i] = Fraction(rng.randint(-3, 3))
+        total = [[Fraction(0)] * n for _ in range(n)]
+        for g in range(G.order):
+            m = rep.at(g)
+            part = _mat_mul(_transpose(m), _mat_mul(seed_form, m))
+            for i in range(n):
+                row = total[i]
+                prow = part[i]
+                for j in range(n):
+                    row[j] += prow[j]
+        if rat_det(total) != 0:
+            return total
+    raise DegeneratePairingError(f"no pairing found in {retries} attempts")
+
+
+def _check_pairing(rep: MatrixRep, pairing: Matrix) -> Matrix:
+    n = rep.dimension
+    q = [[Fraction(x) for x in row] for row in pairing]
+    if len(q) != n or any(len(row) != n for row in q):
+        raise ValueError("pairing has the wrong size")
+    if q != _transpose(q):
+        raise ValueError("pairing must be symmetric")
+    if rat_det(q) == 0:
+        raise DegeneratePairingError("pairing is degenerate")
+    for img in rep.images:
+        if _mat_mul(_transpose(img), _mat_mul(q, img)) != q:
+            raise ValueError("pairing is not invariant")
+    return q
+
+
+def _fixed_space_basis(rep: MatrixRep, hrep: frozenset[int]) -> list[list[Fraction]]:
+    """Fixed-subspace basis in reduced echelon form, via the averaging projector.
+
+    Echelon normalization keeps the determinant downstream reproducible; any
+    other basis would change it by a square only.
+    """
+    n = rep.dimension
+    proj = [[Fraction(0)] * n for _ in range(n)]
+    for h in hrep:
+        m = rep.at(h)
+        for i in range(n):
+            for j in range(n):
+                proj[i][j] += m[i][j]
+    basis: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for j in range(n):
+        v = [proj[i][j] for i in range(n)]
+        for b, p in zip(basis, pivots):
+            if v[p]:
+                c = v[p]
+                v = [x - c * y for x, y in zip(v, b)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        c = v[p]
+        v = [x / c for x in v]
+        for k, (b, q) in enumerate(zip(basis, pivots)):
+            if b[p]:
+                basis[k] = [x - b[p] * y for x, y in zip(b, v)]
+        basis.append(v)
+        pivots.append(p)
+    return basis
+
+
+def matrix_fixed_det(rep: MatrixRep, pairing: Matrix, hsub) -> Fraction:
+    """det((1/|H|) pairing restricted to the fixed space of H)."""
+    hrep = subgroup_rep(rep.group, hsub)
+    basis = _fixed_space_basis(rep, hrep)
+    if not basis:
+        return Fraction(1)
+    n = rep.dimension
+    scale = Fraction(1, len(hrep))
+    qb = [[sum(pairing[i][j] * b[j] for j in range(n)) for b in basis]
+          for i in range(n)]
+    gram = [[scale * sum(a[i] * qb[i][k] for i in range(n))
+             for k in range(len(basis))] for a in basis]
+    det = rat_det(gram)
+    if det == 0:
+        raise DegeneratePairingError("pairing restricts degenerately")
+    return det
+
+
+def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing,
+                     d: int, seed: int = 0, retries: int = 8) -> RegConstValue:
+    """Regulator constant from an explicit matrix model.
+
+    pairing is a symmetric rational matrix or "auto", in which case an
+    invariant pairing is generated from the given seed.  The raw value
+    depends on the pairing and fixed-space bases; only its class modulo
+    norms is canonical.
+    """
+    G = rep.group
+    if pairing == "auto":
+        q = invariant_pairing(rep, seed=seed, retries=retries)
+    else:
+        q = _check_pairing(rep, pairing)
+    raw = Fraction(1)
+    for cid, n in theta.items():
+        if n:
+            raw *= matrix_fixed_det(rep, q, cid) ** n
+    return _value(raw, d)

@@ -1,0 +1,510 @@
+"""Brauer relations, quadratic K-relations, and local functions on them.
+
+A virtual sum of transitive G-sets is a dict mapping subgroup class ids to
+integer coefficients, as in :mod:`krel.groups`.  This module decides when
+such a sum is a K-relation, produces lattice bases of all of them, searches
+for the minimal norm relation attached to an irreducible character, and
+evaluates local functions (D, I, psi) together with the certificate test
+for triviality on K-relations.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Union
+
+from sympy import divisors, mobius
+
+from .characters import (
+    ClassFunction,
+    char_field_data,
+    character_table,
+    inner_product,
+    perm_character,
+    rational_irreducibles,
+)
+from .exactmath import (
+    hermite_row_basis,
+    is_norm_from_quadratic,
+    is_squarefree,
+    reduce_by_kernel,
+    snf_solve,
+)
+from .groups import PermGroup, SubgroupClass, subgroup_rep
+
+#: Marker accepted wherever a quadratic discriminant is expected, selecting
+#: the classical notion (permutation character vanishes identically).
+BRAUER = "brauer"
+
+QuadraticField = Union[int, str]
+
+
+def _check_quadratic(d: int) -> None:
+    if not isinstance(d, int) or d == 1 or not is_squarefree(d):
+        raise ValueError(f"need a squarefree integer != 1, got {d!r}")
+
+
+def _theta_vector(G: PermGroup, theta: dict[str, int]) -> list[int]:
+    classes = G.subgroup_classes()
+    pos = {c.id: c.index for c in classes}
+    vec = [0] * len(classes)
+    for cid, coeff in theta.items():
+        vec[pos[cid]] += coeff
+    return vec
+
+
+def _vector_theta(classes: list[SubgroupClass],
+                  vec: list[int]) -> dict[str, int]:
+    return {classes[i].id: v for i, v in enumerate(vec) if v}
+
+
+def _multiplicity_rows(G: PermGroup) -> list[list[int]]:
+    """mult[i][j] = multiplicity of the j-th irreducible in C[G/H_i]."""
+    cached = getattr(G, "_perm_mult_rows", None)
+    if cached is not None:
+        return cached
+    table = character_table(G)
+    rows = []
+    for cls in G.subgroup_classes():
+        pc = perm_character(G, cls.representative)
+        row = []
+        for chi in table.irreducibles:
+            val = inner_product(pc, chi)
+            assert val.denominator == 1
+            row.append(int(val))
+        rows.append(row)
+    G._perm_mult_rows = rows
+    return rows
+
+
+def _field_data(G: PermGroup) -> list:
+    cached = getattr(G, "_char_field_list", None)
+    if cached is None:
+        cached = [char_field_data(chi)
+                  for chi in character_table(G).irreducibles]
+        G._char_field_list = cached
+    return cached
+
+
+# ---------------------------------------------------------------------------
+# Relations
+
+
+def psi_d(n: int, d: int) -> dict[str, int]:
+    """The element Psi_d of B(C_n): sum of mu(d/d') * [C_n / C_{n/d'}].
+
+    Its permutation character is the full Galois orbit of one character of
+    order d, so these elements diagonalize the Burnside ring of C_n.
+    """
+    if n % d:
+        raise ValueError(f"{d} does not divide {n}")
+    out: dict[str, int] = {}
+    for dp in divisors(d):
+        mu = int(mobius(d // dp))
+        if mu:
+            out[f"{n // dp}.1"] = mu
+    return out
+
+
+def is_brauer_relation(G: PermGroup, theta: dict[str, int]) -> bool:
+    """True when the permutation character of theta vanishes."""
+    mult = _multiplicity_rows(G)
+    vec = _theta_vector(G, theta)
+    ncols = len(mult[0]) if mult else 0
+    return all(
+        sum(vec[i] * mult[i][j] for i in range(len(vec))) == 0
+        for j in range(ncols))
+
+
+def is_k_relation(G: PermGroup, theta: dict[str, int],
+                  d: QuadraticField) -> bool:
+    """Divisibility test for membership in the K-relation lattice.
+
+    For K = Q(sqrt(d)) the multiplicity of each complex irreducible chi in
+    the permutation character must be divisible by [K : K ∩ Q(chi)], which
+    is 1 or 2 according to whether sqrt(d) lies in the character field.
+    Passing the BRAUER marker demands vanishing multiplicities instead.
+    """
+    if d == BRAUER:
+        return is_brauer_relation(G, theta)
+    _check_quadratic(d)
+    mult = _multiplicity_rows(G)
+    vec = _theta_vector(G, theta)
+    fields = _field_data(G)
+    for j, fdata in enumerate(fields):
+        m = sum(vec[i] * mult[i][j] for i in range(len(vec)))
+        if m % fdata.degree_factor(d):
+            return False
+    return True
+
+
+@dataclass
+class KRelationLattice:
+    group: PermGroup
+    d: QuadraticField
+    basis: list[dict[str, int]]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def contains(self, theta: dict[str, int]) -> bool:
+        rows = [_theta_vector(self.group, b) for b in self.basis]
+        vec = _theta_vector(self.group, theta)
+        base = hermite_row_basis(rows)
+        return hermite_row_basis(rows + [vec]) == base
+
+
+def brauer_basis(G: PermGroup) -> KRelationLattice:
+    """Integer kernel of the permutation character map, in Hermite form."""
+    classes = G.subgroup_classes()
+    mult = _multiplicity_rows(G)
+    ncols = len(mult[0]) if mult else 0
+    a = [[mult[i][j] for i in range(len(classes))] for j in range(ncols)]
+    sol = snf_solve(a, [0] * ncols)
+    rows = hermite_row_basis(sol.kernel_basis)
+    lat = KRelationLattice(G, BRAUER,
+                           [_vector_theta(classes, v) for v in rows])
+    assert lat.rank == sum(1 for c in classes if not c.is_cyclic)
+    assert all(is_brauer_relation(G, b) for b in lat.basis)
+    return lat
+
+
+def _gf2_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    reduced: list[tuple[int, list[int]]] = []  # (pivot column, row), RREF
+    for row in rows:
+        row = list(row)
+        for pc, r in reduced:
+            if row[pc]:
+                row = [a ^ b for a, b in zip(row, r)]
+        pc = next((c for c in range(ncols) if row[c]), None)
+        if pc is None:
+            continue
+        reduced = [(p, [a ^ b for a, b in zip(r, row)] if r[pc] else r)
+                   for p, r in reduced]
+        reduced.append((pc, row))
+    pivots = {p for p, _ in reduced}
+    out = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [0] * ncols
+        v[c] = 1
+        for pc, r in reduced:
+            if r[c]:
+                v[pc] = 1
+        out.append(v)
+    return out
+
+
+def k_relation_basis(G: PermGroup, d: QuadraticField) -> KRelationLattice:
+    """Basis of the full-rank lattice of K-relations for K = Q(sqrt(d)).
+
+    The parity conditions of :func:`is_k_relation` cut out a sublattice of
+    finite index in Z^s, so a basis is obtained by lifting a GF(2) kernel
+    and saturating with twice the standard basis vectors.
+    """
+    if d == BRAUER:
+        return brauer_basis(G)
+    _check_quadratic(d)
+    classes = G.subgroup_classes()
+    s = len(classes)
+    mult = _multiplicity_rows(G)
+    fields = _field_data(G)
+    cond = [[mult[i][j] % 2 for i in range(s)]
+            for j, fd in enumerate(fields) if fd.degree_factor(d) == 2]
+    gens = _gf2_kernel(cond, s)
+    gens += [[2 if i == k else 0 for i in range(s)] for k in range(s)]
+    rows = hermite_row_basis(gens)
+    assert len(rows) == s
+    basis = [_vector_theta(classes, v) for v in rows]
+    assert all(is_k_relation(G, b, d) for b in basis)
+    return KRelationLattice(G, d, basis)
+
+
+def find_norm_relation(G: PermGroup,
+                       chi: ClassFunction) -> tuple[int, dict[str, int]]:
+    """Minimal m >= 1 and theta whose permutation character is m times the
+    Galois orbit sum of chi.
+
+    Artin induction guarantees a solution for some m.  The witness is the
+    smallest (L1, lex) solution, obtained by reducing one solution modulo
+    the kernel of the multiplicity matrix (the Brauer relations).
+    """
+    table = character_table(G)
+    idx = next((j for j, c in enumerate(table.irreducibles) if c == chi), None)
+    if idx is None:
+        raise ValueError("chi does not match an irreducible of the table")
+    orbit = next(tau.orbit_indices for tau in rational_irreducibles(G)
+                 if idx in tau.orbit_indices)
+    classes = G.subgroup_classes()
+    mult = _multiplicity_rows(G)
+    nrows = len(table.irreducibles)
+    a = [[mult[i][j] for i in range(len(classes))] for j in range(nrows)]
+    t = [1 if j in orbit else 0 for j in range(nrows)]
+    sol = snf_solve(a, t)
+    x = reduce_by_kernel(sol.witness, sol.kernel_basis)
+    assert all(
+        sum(a[j][i] * x[i] for i in range(len(x))) == sol.minimal_m * t[j]
+        for j in range(nrows))
+    return sol.minimal_m, _vector_theta(classes, x)
+
+
+# ---------------------------------------------------------------------------
+# Local functions
+
+
+@dataclass(frozen=True)
+class Const:
+    value: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", Fraction(self.value))
+        if not self.value:
+            raise ValueError("constant must be nonzero")
+
+
+@dataclass(frozen=True)
+class E:
+    pass
+
+
+@dataclass(frozen=True)
+class F:
+    pass
+
+
+@dataclass(frozen=True)
+class EF:
+    pass
+
+
+@dataclass(frozen=True)
+class PowFloor:
+    """base ** (floor(delta * e / 12) * f)"""
+
+    base: Fraction
+    delta: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", Fraction(self.base))
+        if not self.base:
+            raise ValueError("base must be nonzero")
+
+
+@dataclass(frozen=True)
+class PowHalf:
+    """base ** (floor(e / 2) * f)"""
+
+    base: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", Fraction(self.base))
+        if not self.base:
+            raise ValueError("base must be nonzero")
+
+
+@dataclass(frozen=True)
+class CondDivides:
+    """alpha when k divides f, beta otherwise."""
+
+    k: int
+    alpha: Fraction
+    beta: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
+        if self.k < 1 or not self.alpha or not self.beta:
+            raise ValueError("need k >= 1 and nonzero branches")
+
+
+@dataclass(frozen=True)
+class Product:
+    parts: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+
+
+PsiExpr = Union[Const, E, F, EF, PowFloor, PowHalf, CondDivides, Product]
+
+
+def _psi_value(psi: PsiExpr, e: int, f: int) -> Fraction:
+    match psi:
+        case Const(value=a):
+            return a
+        case E():
+            return Fraction(e)
+        case F():
+            return Fraction(f)
+        case EF():
+            return Fraction(e * f)
+        case PowFloor(base=q, delta=delta):
+            return q ** ((delta * e // 12) * f)
+        case PowHalf(base=q):
+            return q ** ((e // 2) * f)
+        case CondDivides(k=k, alpha=a, beta=b):
+            return a if f % k == 0 else b
+        case Product(parts=parts):
+            out = Fraction(1)
+            for p in parts:
+                out *= _psi_value(p, e, f)
+            return out
+    raise TypeError(f"not a psi expression: {psi!r}")
+
+
+def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
+                     isub: frozenset[int]) -> bool:
+    index = len(dsub) // len(isub)
+    if index == 1:
+        return True
+    for x in sorted(dsub):
+        t, y = 1, x
+        while y not in isub:
+            y = G.mul(y, x)
+            t += 1
+        if t == index:
+            return True
+    return False
+
+
+@dataclass(eq=False)
+class LocalFn:
+    """A function H -> prod over H\\G/D of psi(e, f).
+
+    Here e is the ramification-like part |I| / |H ∩ xIx^-1| and f the
+    residue-like part [D:I] / [H ∩ xDx^-1 : H ∩ xIx^-1], one factor per
+    double coset representative x.
+    """
+
+    group: PermGroup
+    dsub: frozenset
+    isub: frozenset
+    psi: PsiExpr
+
+    def __post_init__(self):
+        G = self.group
+        self.dsub = frozenset(self.dsub)
+        self.isub = frozenset(self.isub)
+        if G.closure(self.dsub) != self.dsub:
+            raise ValueError("D is not a subgroup")
+        if not self.isub <= self.dsub or G.closure(self.isub) != self.isub:
+            raise ValueError("I is not a subgroup of D")
+        for g in G.generating_indices(self.dsub):
+            if G.conjugate_subgroup(self.isub, g) != self.isub:
+                raise ValueError("I is not normal in D")
+        if not _cyclic_quotient(G, self.dsub, self.isub):
+            raise ValueError("D/I is not cyclic")
+
+
+def coset_profile(G: PermGroup, dsub: frozenset[int], isub: frozenset[int],
+                  hsub: frozenset[int]) -> list[tuple[int, int]]:
+    """The pairs (e, f), one per H\\G/D double coset."""
+    dn, inn = len(dsub), len(isub)
+    out = []
+    for x, hd in G.double_cosets(hsub, dsub):
+        xinv = G.inv(x)
+        hi = sum(1 for h in hsub if G.mul(G.mul(xinv, h), x) in isub)
+        e, re = divmod(inn, hi)
+        f, rf = divmod(dn * hi, inn * hd)
+        assert re == 0 and rf == 0
+        out.append((e, f))
+    return out
+
+
+def eval_localfn(fn: LocalFn, h) -> Fraction:
+    """Evaluate at a subgroup (frozenset, SubgroupClass, or class id)."""
+    rep = subgroup_rep(fn.group, h)
+    val = Fraction(1)
+    for e, f in coset_profile(fn.group, fn.dsub, fn.isub, rep):
+        val *= _psi_value(fn.psi, e, f)
+    return val
+
+
+def eval_on_theta(f, G: PermGroup, theta: dict[str, int]) -> Fraction:
+    """Multiplicative extension of a subgroup function to virtual sums."""
+    fval = _as_subgroup_function(f, G)
+    val = Fraction(1)
+    for cid, coeff in theta.items():
+        if coeff:
+            val *= Fraction(fval(G.subgroup_class_by_id(cid).representative)) ** coeff
+    return val
+
+
+def _as_subgroup_function(f, G: PermGroup) -> Callable[[frozenset], Fraction]:
+    if isinstance(f, LocalFn):
+        if f.group is not G:
+            raise ValueError("local function lives on a different group")
+        return lambda rep: eval_localfn(f, rep)
+    return f
+
+
+@dataclass
+class TrivialityReport:
+    trivial: bool
+    certificate: dict[str, int] | None = None
+    value: Fraction | None = None
+
+    def __bool__(self) -> bool:
+        return self.trivial
+
+
+def is_trivial_on_k_relations(f, G: PermGroup, d: int,
+                              lattice: KRelationLattice | None = None,
+                              ) -> TrivialityReport:
+    """Certificate test for f(theta) being a norm on every K-relation.
+
+    f is a LocalFn or any callable on subgroup representatives that is
+    constant on conjugacy classes.  Values of f land in the group
+    Q^x / N(K^x) of exponent two, so checking a lattice basis settles the
+    whole lattice; a failing basis element is returned as certificate.
+    """
+    _check_quadratic(d)
+    if lattice is None:
+        lattice = k_relation_basis(G, d)
+    elif lattice.d != d or lattice.group is not G:
+        raise ValueError("lattice does not match the requested field")
+    fval = _as_subgroup_function(f, G)
+    values = {cls.id: Fraction(fval(cls.representative))
+              for cls in G.subgroup_classes()}
+    for theta in lattice.basis:
+        val = Fraction(1)
+        for cid, coeff in theta.items():
+            val *= values[cid] ** coeff
+        if not is_norm_from_quadratic(val, d):
+            return TrivialityReport(False, dict(theta), val)
+    return TrivialityReport(True)
+
+
+# ---------------------------------------------------------------------------
+# Reporting helpers
+
+
+def _id_key(cid: str) -> tuple[int, int]:
+    order, j = cid.split(".")
+    return int(order), int(j)
+
+
+def theta_pairs(theta: dict[str, int]) -> list[tuple[str, int]]:
+    """(class id, coefficient) pairs: positive terms first, by subgroup size."""
+    items = [(cid, c) for cid, c in theta.items() if c]
+    pos = sorted((p for p in items if p[1] > 0), key=lambda p: _id_key(p[0]))
+    neg = sorted((p for p in items if p[1] < 0), key=lambda p: _id_key(p[0]))
+    return pos + neg
+
+
+def format_theta(theta: dict[str, int]) -> str:
+    items = sorted(((cid, c) for cid, c in theta.items() if c),
+                   key=lambda p: _id_key(p[0]))
+    if not items:
+        return "0"
+    parts = []
+    for k, (cid, coeff) in enumerate(items):
+        term = f"[{cid}]" if abs(coeff) == 1 else f"{abs(coeff)}*[{cid}]"
+        if k == 0:
+            parts.append(term if coeff > 0 else f"-{term}")
+        else:
+            parts.append(f"{'+' if coeff > 0 else '-'} {term}")
+    return " ".join(parts)
