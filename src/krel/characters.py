@@ -10,12 +10,25 @@ verify orthogonality exactly before returning anything.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from sympy import isprime, primitive_root
 
-from .exactmath import CycNumber, kronecker_symbol
+from .exactmath import (
+    CycNumber,
+    ExactCheckError,
+    SmithForm,
+    euler_phi,
+    exact_quotient,
+    kronecker_symbol,
+    mobius,
+    reduce_by_kernel,
+    smith_normal_form,
+    snf_solve,
+)
 from .groups import PermGroup
 
 PRIME_SEARCH_BOUND = 10**7
@@ -101,6 +114,7 @@ class RationalCharacter:
     constituent: ClassFunction
     constituent_index: int
     orbit_indices: tuple[int, ...]
+    indicator: int  # Frobenius-Schur indicator of the constituent
 
 
 @dataclass
@@ -291,9 +305,10 @@ def _structure_constants(G: PermGroup):
 
 
 def character_table(G: PermGroup) -> CharacterTable:
-    cached = getattr(G, "_character_table", None)
-    if cached is not None:
-        return cached
+    return G.data.table
+
+
+def _compute_character_table(G: PermGroup) -> CharacterTable:
     classes = G.conjugacy_classes()
     r = len(classes)
     sizes = tuple(len(c) for c in classes)
@@ -389,23 +404,12 @@ def character_table(G: PermGroup) -> CharacterTable:
     if sum(deg * deg for deg, _ in rows) != G.order:
         raise ModularMethodError("degree check failed")
 
-    units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
-    orbit_rep = [-1] * r
-    orbit_count = [0] * r
-    for i in range(r):
-        if orbit_rep[i] >= 0:
-            continue
-        prow = G.power_class_row(i)
-        members = sorted({prow[k % orders[i]] for k in units})
-        for j in members:
-            orbit_rep[j] = i
-            orbit_count[i] = len(members)
+    units = G.data.units
 
     def exact_inner(sa, sb) -> Fraction:
         total = Fraction(0)
-        for i in range(r):
-            if orbit_rep[i] != i:
-                continue
+        for orbit in G.data.rational_classes:
+            i = orbit[0]
             n, da = sa[i]
             _, db = sb[inv_class[i]]
             tr = 0
@@ -413,8 +417,8 @@ def character_table(G: PermGroup) -> CharacterTable:
                 for mb, cb in db.items():
                     m = (ma + mb) % n
                     d = n // math.gcd(n, m)
-                    tr += ca * cb * _MOBIUS(d) * (_PHI(n) // _PHI(d))
-            total += Fraction(sizes[i] * orbit_count[i] * tr, _PHI(n))
+                    tr += ca * cb * mobius(d) * (euler_phi(n) // euler_phi(d))
+            total += Fraction(sizes[i] * len(orbit) * tr, euler_phi(n))
         return total / G.order
 
     for a, (da, sa) in enumerate(rows):
@@ -443,25 +447,7 @@ def character_table(G: PermGroup) -> CharacterTable:
                        tuple(tuple(-c for c in cs) for cs in value_keys[a])))
     irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}")
             for k, a in enumerate(order_idx)]
-    table = CharacterTable(G, irrs, sizes, p)
-    G._character_table = table
-    return table
-
-
-def _MOBIUS(n: int) -> int:
-    from .groups import sympy_factorint_cache
-    fac = sympy_factorint_cache(n)
-    if any(v > 1 for v in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def _PHI(n: int) -> int:
-    from .groups import sympy_factorint_cache
-    out = 1
-    for q, v in sympy_factorint_cache(n).items():
-        out *= (q - 1) * q ** (v - 1)
-    return out
+    return CharacterTable(G, irrs, sizes, p)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +473,12 @@ def perm_character(G: PermGroup, hsub: frozenset[int]) -> ClassFunction:
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    """<a, b>, summed class by class in cyclotomic arithmetic.
+
+    The engine's own multiplicities come from the integer class weights of
+    :class:`GroupData`; this direct sum is the reference they are tested
+    against.
+    """
     if a.group is not b.group:
         raise ValueError("different groups")
     G = a.group
@@ -497,13 +489,35 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     return tot.rational_value() / G.order
 
 
-def fs_indicator(chi: ClassFunction) -> int:
+def rational_inner_product(chi: ClassFunction, v: ClassFunction) -> Fraction:
+    """<chi, v> for a character chi and a rational virtual character v.
+
+    v is constant on rational classes, so the sum splits into the rational
+    class sums of chi (see :meth:`GroupData.class_sums`).
+    """
     G = chi.group
-    sizes = [len(c) for c in G.conjugacy_classes()]
-    tot = CycNumber.from_rational(0)
-    for i, s in enumerate(sizes):
-        tot = tot + s * chi.values[G.power_class(i, 2)]
-    val = tot.rational_value() / G.order
+    if v.group is not G:
+        raise ValueError("different groups")
+    if not v.is_rational():
+        raise ValueError("character values must be rational")
+    vals = [x.rational_value() for x in v.values]
+    orbits = G.data.rational_classes
+    if any(vals[c] != vals[orbit[0]] for orbit in orbits for c in orbit):
+        raise ValueError("not a virtual character: not constant on a "
+                         "rational class")
+    sums = G.data.class_sums(chi.values)
+    return sum(vals[orbit[0]] * s for orbit, s in zip(orbits, sums)) / G.order
+
+
+def fs_indicator(chi: ClassFunction) -> int:
+    """Frobenius-Schur indicator (1/|G|) * sum of chi(g^2) of a character.
+
+    g -> chi(g^2) is a virtual character, so the sum is over its rational
+    class sums (see :meth:`GroupData.class_sums`).
+    """
+    G = chi.group
+    squares = [chi.values[G.power_class(i, 2)] for i in range(len(chi.values))]
+    val = sum(G.data.class_sums(squares)) / G.order
     if val not in (-1, 0, 1):
         raise ValueError(f"indicator {val} is not in {{-1, 0, 1}}")
     return int(val)
@@ -516,14 +530,11 @@ def _value_keys(cf: ClassFunction) -> list[tuple]:
 
 def galois_orbit(chi: ClassFunction) -> list[ClassFunction]:
     G = chi.group
-    e = G.exponent()
     r = len(chi.values)
     base = _value_keys(chi)
     seen = set()
     out: list[ClassFunction] = []
-    for k in range(1, e + 1):
-        if math.gcd(k, e) != 1:
-            continue
+    for k in G.data.units:
         key = tuple(base[G.power_class(i, k)] for i in range(r))
         if key not in seen:
             seen.add(key)
@@ -532,10 +543,13 @@ def galois_orbit(chi: ClassFunction) -> list[ClassFunction]:
 
 
 def rational_irreducibles(G: PermGroup) -> list[RationalCharacter]:
+    return list(G.data.rational_irreducibles)
+
+
+def _compute_rational_irreducibles(G: PermGroup) -> list[RationalCharacter]:
     table = character_table(G)
     r = len(table.class_sizes)
-    e = G.exponent()
-    units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
+    units = G.data.units
     keys = [_value_keys(chi) for chi in table.irreducibles]
     key_to_idx = {tuple(k): i for i, k in enumerate(keys)}
     used: set[int] = set()
@@ -556,6 +570,7 @@ def rational_irreducibles(G: PermGroup) -> list[RationalCharacter]:
             constituent=chi,
             constituent_index=idx,
             orbit_indices=tuple(members),
+            indicator=fs_indicator(chi),
         ))
     return out
 
@@ -569,13 +584,9 @@ def char_field_data(chi: ClassFunction) -> CharFieldData:
     e = G.exponent()
     r = len(G.conjugacy_classes())
     keys = _value_keys(chi)
-    stab = []
-    for k in range(1, e + 1):
-        if math.gcd(k, e) != 1:
-            continue
-        if all(keys[G.power_class(i, k)] == keys[i] for i in range(r)):
-            stab.append(k)
-    units = sum(1 for k in range(1, e + 1) if math.gcd(k, e) == 1)
+    units = G.data.units
+    stab = [k for k in units
+            if all(keys[G.power_class(i, k)] == keys[i] for i in range(r))]
     subfields = []
     for d in range(-e, e + 1):
         if d in (0, 1):
@@ -590,9 +601,157 @@ def char_field_data(chi: ClassFunction) -> CharFieldData:
     subfields.sort(key=lambda d: (abs(d), d))
     return CharFieldData(stabilizer=tuple(stab),
                          quadratic_subfields=tuple(subfields),
-                         field_degree=units // len(stab))
+                         field_degree=len(units) // len(stab))
 
 
 def _squarefree_exps(n: int):
     from .groups import sympy_factorint_cache
     return sympy_factorint_cache(n).values()
+
+
+# ---------------------------------------------------------------------------
+# The per-group record
+
+
+class GroupData:
+    """The invariants of one group, each computed on first use and kept.
+
+    Reached as ``G.data``.  Nothing is computed at construction, so a group
+    that is used briefly pays only for what it asks for.  Returned lists
+    are shared: callers must not mutate them.
+    """
+
+    def __init__(self, group: PermGroup):
+        self.group = group
+        self._perm_multiples: dict[tuple[int, ...],
+                                   tuple[int, tuple[int, ...]]] = {}
+
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        """The units k modulo exp G, acting on classes by x -> x^k."""
+        e = self.group.exponent()
+        return tuple(k for k in range(1, e + 1) if math.gcd(k, e) == 1)
+
+    @cached_property
+    def rational_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the power maps x -> x^k, k in ``units``, on conjugacy
+        classes; each orbit is sorted and the orbits are ordered by their
+        least class."""
+        G = self.group
+        seen: set[int] = set()
+        out = []
+        for i in range(len(G.conjugacy_classes())):
+            if i in seen:
+                continue
+            prow = G.power_class_row(i)
+            members = tuple(sorted({prow[k % len(prow)] for k in self.units}))
+            seen.update(members)
+            out.append(members)
+        return tuple(out)
+
+    def class_sums(self, values) -> list[Fraction]:
+        """Sum of |c| * value(c) over the classes c of each rational class,
+        for the class values of a virtual character.
+
+        On a rational class o the values are the Galois conjugates of the
+        value at its first class, each equally often, so the sum is
+        |c| * |o| times their mean: no cyclotomic arithmetic is needed.
+        """
+        classes = self.group.conjugacy_classes()
+        return [len(classes[o[0]]) * len(o) * values[o[0]].galois_mean()
+                for o in self.rational_classes]
+
+    @cached_property
+    def table(self) -> CharacterTable:
+        """Read through :func:`character_table`, like every other use."""
+        return _compute_character_table(self.group)
+
+    @cached_property
+    def class_weights(self) -> list[list[int]]:
+        """w[j][o]: the rational class sums of chi_j, integers."""
+        out = []
+        for j, chi in enumerate(character_table(self.group).irreducibles):
+            row = self.class_sums(chi.values)
+            if any(w.denominator != 1 for w in row):
+                raise ExactCheckError(
+                    f"class weights {row} of chi_{j + 1} are not integers")
+            out.append([int(w) for w in row])
+        return out
+
+    @cached_property
+    def multiplicity_rows(self) -> list[list[int]]:
+        """mult[i][j]: the multiplicity of chi_j in C[G/H_i].
+
+        An element g fixes |C_G(g)| * |g^G ∩ H| / |H| cosets of H, a
+        number constant on rational classes, so |G| * mult[i][j] is the
+        dot product of these counts with the class weights of chi_j.
+        """
+        G = self.group
+        classes = G.conjugacy_classes()
+        reps = [orbit[0] for orbit in self.rational_classes]
+        weights = self.class_weights
+        rows = []
+        for cls in G.subgroup_classes():
+            hits = Counter(G.class_of(h) for h in cls.representative)
+            fixed = [exact_quotient(G.order * hits[c],
+                                    len(classes[c]) * cls.order,
+                                    "fixed-coset count") for c in reps]
+            what = f"multiplicity in [{cls.id}]"
+            rows.append([exact_quotient(sum(f * w for f, w in zip(fixed, wj)),
+                                        G.order, what) for wj in weights])
+        return rows
+
+    @cached_property
+    def multiplicity_matrix(self) -> list[list[int]]:
+        """a[j][i] = mult[i][j]: a times a coefficient vector over the
+        subgroup classes gives the irreducible multiplicities."""
+        return [list(col) for col in zip(*self.multiplicity_rows)]
+
+    @cached_property
+    def multiplicity_smith(self) -> SmithForm:
+        return smith_normal_form(self.multiplicity_matrix)
+
+    @cached_property
+    def rational_irreducibles(self) -> tuple[RationalCharacter, ...]:
+        return tuple(_compute_rational_irreducibles(self.group))
+
+    @cached_property
+    def field_data(self) -> list[CharFieldData]:
+        return [char_field_data(chi)
+                for chi in character_table(self.group).irreducibles]
+
+    def irreducible_index(self, chi: ClassFunction) -> int | None:
+        """Position of chi in the table, or None."""
+        irrs = character_table(self.group).irreducibles
+        j = next((j for j, c in enumerate(irrs) if c is chi), None)
+        if j is None:
+            j = next((j for j, c in enumerate(irrs) if c == chi), None)
+        return j
+
+    def orbit_target(self, j: int) -> tuple[int, ...]:
+        """Indicator vector of the Galois orbit of chi_j."""
+        orbit = next(tau.orbit_indices for tau in self.rational_irreducibles
+                     if j in tau.orbit_indices)
+        count = len(character_table(self.group).irreducibles)
+        return tuple(int(k in orbit) for k in range(count))
+
+    def perm_multiple(self, target: tuple[int, ...]
+                      ) -> tuple[int, tuple[int, ...]]:
+        """Least m >= 1 and a reduced x with a*x = m*target, for a the
+        multiplicity matrix; memoised by target.
+
+        x is the SNF witness reduced modulo the kernel of a, the Brauer
+        relations (see :func:`krel.exactmath.reduce_by_kernel`).
+        """
+        got = self._perm_multiples.get(target)
+        if got is None:
+            a = self.multiplicity_matrix
+            sol = snf_solve(a, target, self.multiplicity_smith)
+            x = reduce_by_kernel(sol.witness, sol.kernel_basis)
+            m = sol.minimal_m
+            if any(sum(c * v for c, v in zip(row, x)) != m * t
+                   for row, t in zip(a, target)):
+                raise ExactCheckError("reduced witness does not solve "
+                                      "a*x = m*target")
+            got = self._perm_multiples[target] = (m, tuple(x))
+        return got

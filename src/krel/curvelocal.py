@@ -15,7 +15,7 @@ from math import gcd
 
 from sympy import isprime
 
-from .characters import ClassFunction, character_table, inner_product
+from .characters import ClassFunction, character_table, rational_inner_product
 from .exactmath import kronecker_symbol
 from .groups import PermGroup, subgroup_as_group
 
@@ -466,7 +466,7 @@ def local_u_contribution(p: PlaceDescriptor, chi: ClassFunction) -> int:
     pairing = 0
     if rd.v_char is not None:
         res = restrict_to_carrier(chi, rd.carrier, rd.to_carrier)
-        m = inner_product(res, rd.v_char)
+        m = rational_inner_product(res, rd.v_char)
         if m.denominator != 1:
             raise ValueError("character does not restrict integrally")
         pairing = int(m)

@@ -7,6 +7,7 @@ Everything here is exact; there is no floating point anywhere in the engine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -29,20 +30,81 @@ class FactorBoundError(ValueError):
 def factor_bounded(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """Factor |n| into primes, refusing any prime factor above ``bound``.
 
-    The decision surface is that of trial division up to ``bound``: inputs
+    Trial division by the primes up to min(sqrt(cofactor), bound): inputs
     whose prime factors all lie within the bound succeed, anything else
-    raises FactorBoundError.
+    raises FactorBoundError after at most that much work.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
-    if n == 1:
-        return {}
-    fac = sympy.factorint(n)
-    worst = max(fac)
-    if worst > bound:
-        raise FactorBoundError(f"prime factor {worst} exceeds bound {bound}")
-    return {int(p): int(e) for p, e in sorted(fac.items())}
+    fac: dict[int, int] = {}
+    k = 0
+    while n > 1:
+        if k == len(_PRIMES):
+            _extend_primes(min(math.isqrt(n), bound))
+            if k == len(_PRIMES):
+                break
+        p = _PRIMES[k]
+        if p * p > n or p > bound:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            fac[p] = e
+        k += 1
+    if n > 1:
+        # no prime <= min(sqrt(n), bound) divides n: n is a prime or has one
+        # beyond the bound
+        if n > bound:
+            raise FactorBoundError(
+                f"{n} has a prime factor above bound {bound}")
+        fac[n] = 1
+    return fac
+
+
+#: Every prime up to _PRIMES[-1], in order; grown on demand, never sieved
+#: ahead of need.
+_PRIMES = [2, 3, 5, 7]
+
+
+def _extend_primes(limit: int) -> None:
+    """Append the primes up to ``limit`` by sieving one segment."""
+    if limit <= _PRIMES[-1]:
+        return
+    _extend_primes(math.isqrt(limit))
+    lo = _PRIMES[-1] + 1
+    seg = bytearray([1]) * (limit - lo + 1)
+    for p in _PRIMES:
+        if p * p > limit:
+            break
+        start = max(p * p, -(-lo // p) * p) - lo
+        seg[start::p] = bytes(len(range(start, len(seg), p)))
+    _PRIMES.extend(lo + i for i, flag in enumerate(seg) if flag)
+
+
+@functools.cache
+def euler_phi(n: int) -> int:
+    return int(sympy.totient(n))
+
+
+@functools.cache
+def mobius(n: int) -> int:
+    return int(sympy.mobius(n))
+
+
+class ExactCheckError(ArithmeticError):
+    """An exact postcondition failed: a defect in the engine or in data it
+    was handed, never a property of a valid input."""
+
+
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise ExactCheckError(f"{what}: {num}/{den} is not an integer")
+    return q
 
 
 def _as_fraction(x) -> Fraction:
@@ -231,11 +293,19 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
             for i in range(rows)]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]):
+class SmithForm(NamedTuple):
+    """u*a*v = d with d diagonal and u, v unimodular."""
+
+    d: list[list[int]]
+    u: list[list[int]]
+    v: list[list[int]]
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     """Return (d, u, v) with u*a*v = d diagonal, u and v unimodular.
 
     Diagonal entries d_1 | d_2 | ... are nonnegative. The postcondition is
-    re-verified by multiplication on every call (assert, stripped with -O).
+    re-verified by multiplication on every call.
     """
     m = [list(row) for row in a]
     rows = len(m)
@@ -307,8 +377,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
             u[k] = [-x for x in u[k]]
         k += 1
 
-    assert mat_mul(mat_mul(u, [list(r) for r in a]), v) == m, "SNF postcondition"
-    return m, u, v
+    if mat_mul(mat_mul(u, [list(r) for r in a]), v) != m:
+        raise ExactCheckError("Smith form postcondition u*a*v = d fails")
+    return SmithForm(m, u, v)
 
 
 class SnfSolution(NamedTuple):
@@ -322,16 +393,19 @@ class NoMultipleError(ValueError):
     """No positive multiple of the target lies in the column lattice."""
 
 
-def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int]) -> SnfSolution:
+def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int],
+              smith: SmithForm | None = None) -> SnfSolution:
     """Solve a*x = m*t over the integers with m >= 1 minimal.
 
-    Also returns a basis of the integer kernel {x : a*x = 0}.
+    Also returns a basis of the integer kernel {x : a*x = 0}.  ``smith`` is
+    the Smith form of ``a`` when the caller already holds it; otherwise it
+    is computed here.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(t) != rows:
         raise ValueError("dimension mismatch")
-    d, u, v = smith_normal_form(a)
+    d, u, v = smith if smith is not None else smith_normal_form(a)
     rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
     kernel = [[v[r][j] for r in range(cols)] for j in range(rank, cols)]
     s = [sum(u[i][k] * t[k] for k in range(rows)) for i in range(rows)]
@@ -345,7 +419,9 @@ def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int]) -> SnfSolution:
             m = math.lcm(m, di // math.gcd(di, s[i]))
     y = [m * s[i] // d[i][i] if i < rank else 0 for i in range(cols)]
     x = [sum(v[r][j] * y[j] for j in range(cols)) for r in range(cols)]
-    assert [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)] == [m * ti for ti in t]
+    if [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)] \
+            != [m * ti for ti in t]:
+        raise ExactCheckError("snf_solve witness does not solve a*x = m*t")
     return SnfSolution(kernel, m, x, x if m == 1 else None)
 
 
@@ -389,10 +465,12 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 
 def reduce_by_kernel(x: Sequence[int],
                      kernel: Iterable[Sequence[int]]) -> list[int]:
-    """Smallest (L1 norm, then lexicographic) vector in x + span(kernel).
+    """A reduced vector of x + span(kernel), deterministically.
 
-    Searches a bounded window of kernel combinations when the rank is small
-    and falls back to greedy sweeps otherwise; deterministic either way.
+    The key is (L1 norm, then lexicographic).  When 7**rank <= 20000 the
+    smallest key over kernel coefficients in [-3, 3] is taken; otherwise
+    greedy sweeps along each basis row.  Neither is proven to reach the
+    global minimum.
     """
     kb = hermite_row_basis(kernel)
     if not kb:
@@ -505,8 +583,14 @@ def _cyclo_tables(n: int):
     return _CYCLO_CACHE[n]
 
 
-def _euler_phi(n: int) -> int:
-    return int(sympy.totient(n))
+@functools.cache
+def _galois_mean_row(n: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_n^j) / phi(n) = mu(d) / phi(d), d = n / gcd(n, j), j < phi."""
+    out = []
+    for j in range(euler_phi(n)):
+        d = n // math.gcd(n, j)
+        out.append(Fraction(mobius(d), euler_phi(d)))
+    return tuple(out)
 
 
 class CycNumber:
@@ -520,7 +604,7 @@ class CycNumber:
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, level: int, coeffs: Sequence[Rational]):
-        phi = _euler_phi(level)
+        phi = euler_phi(level)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients at level {level}")
         object.__setattr__(self, "level", level)
@@ -533,7 +617,7 @@ class CycNumber:
 
     @staticmethod
     def from_rational(x: Rational, level: int = 1) -> "CycNumber":
-        vec = [Fraction(0)] * _euler_phi(level)
+        vec = [Fraction(0)] * euler_phi(level)
         vec[0] = _as_fraction(x)
         return CycNumber(level, vec)
 
@@ -544,7 +628,7 @@ class CycNumber:
     @staticmethod
     def from_powers(n: int, powers: dict[int, Rational]) -> "CycNumber":
         _, table = _cyclo_tables(n)
-        phi = _euler_phi(n)
+        phi = euler_phi(n)
         vec = [Fraction(0)] * phi
         for e, c in powers.items():
             c = _as_fraction(c)
@@ -638,6 +722,16 @@ class CycNumber:
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
         return self.coeffs[0]
+
+    def galois_mean(self) -> Fraction:
+        """Mean of the Galois conjugates of self, Tr(self) / phi(level).
+
+        It does not depend on the level self is written at, and equals
+        self when self is rational.
+        """
+        return sum((c * w for c, w in zip(self.coeffs,
+                                          _galois_mean_row(self.level)) if c),
+                   Fraction(0))
 
     def galois(self, k: int) -> "CycNumber":
         return cyclotomic_galois_apply(self, k)

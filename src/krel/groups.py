@@ -139,6 +139,16 @@ class PermGroup:
         self._subgroup_lookup: dict[frozenset[int], int] = {}
         self._gen_sets: dict[frozenset[int], tuple[int, ...]] = {}
         self._sub_lattices: dict[frozenset[int], list[SubgroupClass]] = {}
+        self._data = None  # krel.characters.GroupData, built by .data
+
+    @property
+    def data(self):
+        """The per-group invariant record (:class:`krel.characters.GroupData`),
+        created on first use and filled lazily."""
+        if self._data is None:
+            from .characters import GroupData
+            self._data = GroupData(self)
+        return self._data
 
     # -- elementary queries ------------------------------------------------
 

@@ -15,20 +15,18 @@ from fractions import Fraction
 
 from .characters import (
     ClassFunction,
+    RationalCharacter,
     character_table,
-    fs_indicator,
-    inner_product,
+    rational_inner_product,
 )
 from .exactmath import (
     SquareClass,
     is_norm_from_quadratic,
     rat_det,
-    reduce_by_kernel,
-    snf_solve,
     squarefree_class,
 )
 from .groups import PermGroup, subgroup_rep
-from .relations import _multiplicity_rows, is_k_relation
+from .relations import is_k_relation
 
 Matrix = list[list[Fraction]]
 
@@ -125,26 +123,30 @@ def minimal_perm_multiple(G: PermGroup,
     """Least k >= 1 with k*tau a virtual permutation character, plus witness.
 
     tau may be a rational-valued ClassFunction or a RationalCharacter; the
-    witness expansion is the smallest (L1, lex) solution.
+    witness expansion is a reduced (deterministic) solution.
     """
-    cf = tau.sum_values if hasattr(tau, "sum_values") else tau
-    if not cf.is_rational():
-        raise ValueError("character values must be rational")
-    table = character_table(G)
+    data = G.data
+    if isinstance(tau, RationalCharacter):
+        if tau.constituent.group is not G:
+            raise ValueError("tau lives on a different group")
+        target = data.orbit_target(tau.constituent_index)
+    else:
+        target = _rational_multiplicities(G, tau)
+    k, x = data.perm_multiple(target)
     classes = G.subgroup_classes()
-    mult = _multiplicity_rows(G)
-    t = []
-    for chi in table.irreducibles:
-        m = inner_product(cf, chi)
+    return k, PermVirtualRep({classes[i].id: v for i, v in enumerate(x) if v})
+
+
+def _rational_multiplicities(G: PermGroup,
+                             cf: ClassFunction) -> tuple[int, ...]:
+    """<chi_j, cf> for every irreducible chi_j, for a rational cf."""
+    out = []
+    for chi in character_table(G).irreducibles:
+        m = rational_inner_product(chi, cf)
         if m.denominator != 1:
             raise ValueError("not a virtual character")
-        t.append(int(m))
-    a = [[mult[i][j] for i in range(len(classes))]
-         for j in range(len(table.irreducibles))]
-    sol = snf_solve(a, t)
-    x = reduce_by_kernel(sol.witness, sol.kernel_basis)
-    coeffs = {classes[i].id: v for i, v in enumerate(x) if v}
-    return sol.minimal_m, PermVirtualRep(coeffs)
+        out.append(int(m))
+    return tuple(out)
 
 
 def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
@@ -161,13 +163,12 @@ def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
     k, expansion = minimal_perm_multiple(G, tau)
     if k % 2 == 1:
         return reg_const_perm(G, theta, expansion, d)
-    chi = getattr(tau, "constituent", None)
-    if chi is None:
+    if not isinstance(tau, RationalCharacter):
         raise ValueError("self-duality check needs a rational irreducible")
-    if fs_indicator(chi) in (0, -1):
+    if tau.indicator in (0, -1):
         return _value(Fraction(1), d)
     raise NeedsMatrixModel(
-        f"{getattr(tau, 'label', 'tau')} has no odd permutation multiple "
+        f"{tau.label} has no odd permutation multiple "
         "and an orthogonal constituent")
 
 

@@ -16,19 +16,12 @@ from typing import Callable, Union
 
 from sympy import divisors, mobius
 
-from .characters import (
-    ClassFunction,
-    char_field_data,
-    character_table,
-    inner_product,
-    perm_character,
-    rational_irreducibles,
-)
+from .characters import ClassFunction
 from .exactmath import (
+    ExactCheckError,
     hermite_row_basis,
     is_norm_from_quadratic,
     is_squarefree,
-    reduce_by_kernel,
     snf_solve,
 )
 from .groups import PermGroup, SubgroupClass, subgroup_rep
@@ -61,30 +54,7 @@ def _vector_theta(classes: list[SubgroupClass],
 
 def _multiplicity_rows(G: PermGroup) -> list[list[int]]:
     """mult[i][j] = multiplicity of the j-th irreducible in C[G/H_i]."""
-    cached = getattr(G, "_perm_mult_rows", None)
-    if cached is not None:
-        return cached
-    table = character_table(G)
-    rows = []
-    for cls in G.subgroup_classes():
-        pc = perm_character(G, cls.representative)
-        row = []
-        for chi in table.irreducibles:
-            val = inner_product(pc, chi)
-            assert val.denominator == 1
-            row.append(int(val))
-        rows.append(row)
-    G._perm_mult_rows = rows
-    return rows
-
-
-def _field_data(G: PermGroup) -> list:
-    cached = getattr(G, "_char_field_list", None)
-    if cached is None:
-        cached = [char_field_data(chi)
-                  for chi in character_table(G).irreducibles]
-        G._char_field_list = cached
-    return cached
+    return G.data.multiplicity_rows
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +101,7 @@ def is_k_relation(G: PermGroup, theta: dict[str, int],
     _check_quadratic(d)
     mult = _multiplicity_rows(G)
     vec = _theta_vector(G, theta)
-    fields = _field_data(G)
+    fields = G.data.field_data
     for j, fdata in enumerate(fields):
         m = sum(vec[i] * mult[i][j] for i in range(len(vec)))
         if m % fdata.degree_factor(d):
@@ -159,15 +129,17 @@ class KRelationLattice:
 def brauer_basis(G: PermGroup) -> KRelationLattice:
     """Integer kernel of the permutation character map, in Hermite form."""
     classes = G.subgroup_classes()
-    mult = _multiplicity_rows(G)
-    ncols = len(mult[0]) if mult else 0
-    a = [[mult[i][j] for i in range(len(classes))] for j in range(ncols)]
-    sol = snf_solve(a, [0] * ncols)
+    data = G.data
+    a = data.multiplicity_matrix
+    sol = snf_solve(a, [0] * len(a), data.multiplicity_smith)
     rows = hermite_row_basis(sol.kernel_basis)
     lat = KRelationLattice(G, BRAUER,
                            [_vector_theta(classes, v) for v in rows])
-    assert lat.rank == sum(1 for c in classes if not c.is_cyclic)
-    assert all(is_brauer_relation(G, b) for b in lat.basis)
+    # Artin's induction theorem: the rank is the number of non-cyclic classes
+    if lat.rank != sum(1 for c in classes if not c.is_cyclic):
+        raise ExactCheckError(f"Brauer lattice has rank {lat.rank}")
+    if not all(is_brauer_relation(G, b) for b in lat.basis):
+        raise ExactCheckError("Brauer basis element is not a relation")
     return lat
 
 
@@ -211,15 +183,17 @@ def k_relation_basis(G: PermGroup, d: QuadraticField) -> KRelationLattice:
     classes = G.subgroup_classes()
     s = len(classes)
     mult = _multiplicity_rows(G)
-    fields = _field_data(G)
+    fields = G.data.field_data
     cond = [[mult[i][j] % 2 for i in range(s)]
             for j, fd in enumerate(fields) if fd.degree_factor(d) == 2]
     gens = _gf2_kernel(cond, s)
     gens += [[2 if i == k else 0 for i in range(s)] for k in range(s)]
     rows = hermite_row_basis(gens)
-    assert len(rows) == s
+    if len(rows) != s:
+        raise ExactCheckError(f"K-relation lattice has rank {len(rows)} < {s}")
     basis = [_vector_theta(classes, v) for v in rows]
-    assert all(is_k_relation(G, b, d) for b in basis)
+    if not all(is_k_relation(G, b, d) for b in basis):
+        raise ExactCheckError("K-relation basis element fails the parity test")
     return KRelationLattice(G, d, basis)
 
 
@@ -228,27 +202,16 @@ def find_norm_relation(G: PermGroup,
     """Minimal m >= 1 and theta whose permutation character is m times the
     Galois orbit sum of chi.
 
-    Artin induction guarantees a solution for some m.  The witness is the
-    smallest (L1, lex) solution, obtained by reducing one solution modulo
-    the kernel of the multiplicity matrix (the Brauer relations).
+    Artin induction guarantees a solution for some m.  The witness is a
+    reduced (deterministic) solution: one solution reduced modulo the
+    kernel of the multiplicity matrix, the Brauer relations.
     """
-    table = character_table(G)
-    idx = next((j for j, c in enumerate(table.irreducibles) if c == chi), None)
+    data = G.data
+    idx = data.irreducible_index(chi)
     if idx is None:
         raise ValueError("chi does not match an irreducible of the table")
-    orbit = next(tau.orbit_indices for tau in rational_irreducibles(G)
-                 if idx in tau.orbit_indices)
-    classes = G.subgroup_classes()
-    mult = _multiplicity_rows(G)
-    nrows = len(table.irreducibles)
-    a = [[mult[i][j] for i in range(len(classes))] for j in range(nrows)]
-    t = [1 if j in orbit else 0 for j in range(nrows)]
-    sol = snf_solve(a, t)
-    x = reduce_by_kernel(sol.witness, sol.kernel_basis)
-    assert all(
-        sum(a[j][i] * x[i] for i in range(len(x))) == sol.minimal_m * t[j]
-        for j in range(nrows))
-    return sol.minimal_m, _vector_theta(classes, x)
+    m, x = data.perm_multiple(data.orbit_target(idx))
+    return m, _vector_theta(G.subgroup_classes(), x)
 
 
 # ---------------------------------------------------------------------------

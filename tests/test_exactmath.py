@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from krel.exactmath import (
     PLACE_INF,
     CycNumber,
+    ExactCheckError,
     FactorBoundError,
     NoMultipleError,
     SquareClass,
@@ -36,14 +39,24 @@ from krel.exactmath import (
 # above the Hensel threshold; at infinity the sign condition decides.
 
 
+def _square_residues(pk, p):
+    """The distinct pairs (z^2 mod pk, p does not divide z).
+
+    The oracle's congruence sees b and c only through these pairs, so
+    looping over them decides exactly what looping over all residues does.
+    """
+    return sorted({((z * z) % pk, z % p != 0) for z in range(pk)})
+
+
 def _odd_local_solvable(D, x, p):
     pk = p * p
-    sq = sorted({(z * z) % pk for z in range(pk)})
+    sq = {(z * z) % pk for z in range(pk)}
     sq_unit = {(z * z) % pk for z in range(pk) if z % p}
-    for b in range(pk):
-        for c in range(pk):
-            t = (D * b * b + x * c * c) % pk
-            if b % p or c % p:
+    residues = _square_residues(pk, p)
+    for b2, b_unit in residues:
+        for c2, c_unit in residues:
+            t = (D * b2 + x * c2) % pk
+            if b_unit or c_unit:
                 if t in sq:
                     return True
             elif t in sq_unit:
@@ -55,10 +68,11 @@ def _two_local_solvable(D, x):
     mod = 2**8
     sq = {(z * z) % mod for z in range(mod)}
     sq_odd = {(z * z) % mod for z in range(1, mod, 2)}
-    for b in range(mod):
-        for c in range(mod):
-            t = (D * b * b + x * c * c) % mod
-            if b % 2 or c % 2:
+    residues = _square_residues(mod, 2)
+    for b2, b_odd in residues:
+        for c2, c_odd in residues:
+            t = (D * b2 + x * c2) % mod
+            if b_odd or c_odd:
                 if t in sq:
                     return True
             elif t in sq_odd:
@@ -68,7 +82,11 @@ def _two_local_solvable(D, x):
 
 def oracle_is_norm(x, D):
     """Two-sided oracle: complete local solvability check at every relevant place."""
-    xs = squarefree_class(Fraction(x)).value
+    return _oracle_is_norm(squarefree_class(Fraction(x)).value, D)
+
+
+@functools.cache
+def _oracle_is_norm(xs, D):
     if D < 0 and xs < 0:
         return False
     primes = set(factor_bounded(abs(xs * D)))
@@ -116,6 +134,20 @@ def test_factor_bound_error():
     with pytest.raises(FactorBoundError):
         factor_bounded(1000003, bound=10**6)  # prime just over the bound
     assert factor_bounded(999983, bound=10**6) == {999983: 1}
+
+
+def test_factor_bounded_fails_fast_on_large_prime_factors():
+    p27 = 100000000000000000000000067
+    # a 40-digit semiprime: full factorisation takes tens of seconds
+    p20, q20 = 16148330015722618271, 43199337810208087973
+    for n in (6 * p27, 6 * p20 * q20):
+        start = time.perf_counter()
+        with pytest.raises(FactorBoundError):
+            factor_bounded(n)
+        assert time.perf_counter() - start < 1.0
+    assert factor_bounded(2**5 * 999983**2) == {2: 5, 999983: 2}
+    with pytest.raises(FactorBoundError):
+        factor_bounded(999983 * 1000003)
 
 
 @given(st.integers(min_value=-300, max_value=300).filter(bool),
@@ -268,6 +300,19 @@ def test_snf_small_example():
     diag = [d[i][i] for i in range(3)]
     assert diag == [2, 2, 156] or all(
         diag[i] and diag[i + 1] % diag[i] == 0 for i in range(2))
+
+
+def test_snf_postcondition_failure_raises(monkeypatch):
+    import krel.exactmath as em
+
+    def wrong_product(a, b):
+        out = mat_mul(a, b)
+        out[0][0] += 1
+        return out
+
+    monkeypatch.setattr(em, "mat_mul", wrong_product)
+    with pytest.raises(ExactCheckError):
+        smith_normal_form([[2, 4], [6, 8]])
 
 
 @settings(max_examples=60)

@@ -1,0 +1,125 @@
+"""The per-group invariant record: integer multiplicity rows against the
+cyclotomic inner-product oracle, the memoised permutation multiples, and
+the exact checks that guard them."""
+
+from fractions import Fraction
+
+import pytest
+
+from krel.characters import (
+    ClassFunction,
+    character_table,
+    fs_indicator,
+    inner_product,
+    perm_character,
+    rational_inner_product,
+    rational_irreducibles,
+)
+from krel.exactmath import (
+    CycNumber,
+    ExactCheckError,
+    reduce_by_kernel,
+    snf_solve,
+)
+from krel.groups import (
+    alternating4_group,
+    dihedral_group,
+    group_from_cycles,
+    metacyclic_group,
+    quaternion_group,
+)
+from krel.harness import MetacyclicSpec, build_metacyclic
+from krel.regconst import minimal_perm_multiple
+from krel.relations import _multiplicity_rows, find_norm_relation
+
+
+def metacyclic_specs(max_order):
+    for e in (2, 3, 4, 6):
+        k = 0
+        while e << k <= max_order:
+            for sign in (1, -1):
+                if not (sign == -1 and k == 0 and e > 2):
+                    yield MetacyclicSpec(e, k, sign)
+            k += 1
+
+
+GROUPS = {
+    "S3": lambda: dihedral_group(3, name="S3"),
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+    "A4": alternating4_group,
+    "C3:C4": lambda: metacyclic_group(3, 4, 2),
+    "S4": lambda: group_from_cycles(4, ["(1 2 3 4)", "(1 2)"], name="S4"),
+    "D21": lambda: dihedral_group(21),
+    "C12:C4": lambda: metacyclic_group(12, 4, 5),
+}
+GROUPS.update({f"spec{s.e}.{s.k}.{s.sign:+d}": (lambda s=s: build_metacyclic(s))
+               for s in metacyclic_specs(16)})
+
+
+def indicator_oracle(chi):
+    G = chi.group
+    tot = CycNumber.from_rational(0)
+    for i, cls in enumerate(G.conjugacy_classes()):
+        tot = tot + len(cls) * chi.values[G.power_class(i, 2)]
+    return tot.rational_value() / G.order
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_integer_rows_match_inner_products(name):
+    G = GROUPS[name]()
+    irrs = character_table(G).irreducibles
+    perms = [perm_character(G, c.representative) for c in G.subgroup_classes()]
+    oracle = [[inner_product(pc, chi) for chi in irrs] for pc in perms]
+    assert _multiplicity_rows(G) == oracle
+    for pc, row in zip(perms, oracle):
+        assert [rational_inner_product(chi, pc) for chi in irrs] == row
+    for chi in irrs:
+        assert fs_indicator(chi) == indicator_oracle(chi)
+    for tau in rational_irreducibles(G):
+        assert tau.indicator == indicator_oracle(tau.constituent)
+
+
+@pytest.mark.parametrize("name", ["Q8", "D21", "C12:C4"])
+def test_memoised_multiples_are_fresh_and_agree(name):
+    G = GROUPS[name]()
+    data = G.data
+    for tau in rational_irreducibles(G):
+        k, rep = minimal_perm_multiple(G, tau)
+        want = dict(rep.coeffs)
+        rep.coeffs.clear()
+        again = minimal_perm_multiple(G, tau)
+        assert (again[0], again[1].coeffs) == (k, want)
+        # a plain rational class function takes the same route
+        plain = minimal_perm_multiple(G, tau.sum_values)
+        assert (plain[0], plain[1].coeffs) == (k, want)
+        m, theta = find_norm_relation(G, tau.constituent)
+        assert (m, theta) == (k, want)
+        theta["1.1"] = theta.get("1.1", 0) + 7
+        assert find_norm_relation(G, tau.constituent) == (k, want)
+        # the cached Smith form gives what a fresh factorisation gives
+        target = data.orbit_target(tau.constituent_index)
+        sol = snf_solve(data.multiplicity_matrix, target)
+        x = reduce_by_kernel(sol.witness, sol.kernel_basis)
+        assert data.perm_multiple(target) == (sol.minimal_m, tuple(x))
+
+
+def corrupt_last_irreducible(G, factor):
+    table = character_table(G)
+    chi = table.irreducibles[-1]
+    table.irreducibles[-1] = ClassFunction(
+        G, tuple(v * factor for v in chi.values))
+
+
+def test_non_integral_class_weight_raises():
+    G = dihedral_group(3)
+    corrupt_last_irreducible(G, Fraction(1, 3))
+    with pytest.raises(ExactCheckError, match="class weight"):
+        _multiplicity_rows(G)
+
+
+def test_non_integral_multiplicity_raises():
+    G = dihedral_group(3)
+    corrupt_last_irreducible(G, Fraction(1, 2))
+    with pytest.raises(ExactCheckError, match="multiplicity"):
+        _multiplicity_rows(G)
