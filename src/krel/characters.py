@@ -1,15 +1,23 @@
 """Exact complex character tables and rational character data.
 
-Tables are computed by the modular class-algebra method: split the class-sum
-matrices into common eigenvectors over a prime field GF(p) with
-p ≡ 1 (mod exp G) and p > 2·sqrt(|G|), read off degrees and eigenvalue
-multiplicities, lift roots of unity through one fixed primitive root, and
-verify orthogonality exactly before returning anything.
+Tables are computed by the modular class-algebra method (Dixon-Schneider):
+split the sparse class-sum matrices into common eigenvectors over a prime
+field GF(p) with p ≡ 1 (mod exp G) and p > 2·sqrt(|G|), read off degrees
+and eigenvalue multiplicities, lift roots of unity through one fixed
+primitive root, and verify orthogonality exactly before returning anything.
+
+The multiplicities are lifted once per rational class, at its first class
+g: the other classes hold the unit powers g^k, and rho(g^k) has the
+eigenvalues of rho(g) raised to the k-th power, so their multisets are
+relabellings, exact with no further lift.  The orthogonality check, the
+field degrees, the values and their sort keys are all integer arithmetic;
+each value becomes a :class:`CycNumber` once, at the end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +29,7 @@ from .exactmath import (
     CycNumber,
     ExactCheckError,
     SmithForm,
+    cyclotomic_reduction_table,
     euler_phi,
     exact_quotient,
     kronecker_symbol,
@@ -212,7 +221,7 @@ def _min_poly(mat: list[list[int]], p: int) -> list[int]:
             inv = pow(vec[piv], -1, p)
             rows.append((piv, [(x * inv) % p for x in vec],
                          [(c * inv) % p for c in coeffs]))
-            w = [sum(mat[i][j] * w[j] for j in range(n)) % p for i in range(n)]
+            w = [sum(map(operator.mul, row, w)) % p for row in mat]
             deg += 1
     return result
 
@@ -257,7 +266,8 @@ def _poly_mul(a, b, p):
 def _poly_lcm(a, b, p):
     g = _poly_gcd(a, b, p)
     q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
-    assert r == [0]
+    if r != [0]:
+        raise ModularMethodError(f"gcd {g} does not divide {a} * {b} mod {p}")
     return q
 
 
@@ -283,25 +293,47 @@ def admissible_prime(G: PermGroup) -> int:
         f"no prime ≡ 1 mod {e} above 2*sqrt({G.order}) below {PRIME_SEARCH_BOUND}")
 
 
-def _structure_constants(G: PermGroup):
+def _structure_constants(G: PermGroup, cls) -> dict[tuple[int, int], int]:
+    """The class-sum matrix of ``cls``, sparse: {(j, k): a} for a != 0.
+
+    a is the number of pairs (x, y) with x in cls, y in class j and xy = z,
+    for any fixed z in class k.  The pairs are counted over all of class k
+    at once, so each count must be a multiple of |class k|; when cls is not
+    a union of conjugacy classes it need not be, and
+    :class:`ModularMethodError` is raised.
+    """
     classes = G.conjugacy_classes()
-    r = len(classes)
-    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
     class_of = [G.class_of(x) for x in range(G.order)]
-    for i, ci in enumerate(classes):
-        for x in ci:
-            row = G._mul[x]
-            for y in range(G.order):
-                counts[i][class_of[y]][class_of[row[y]]] += 1
-    sizes = [len(c) for c in classes]
-    # counts[i][j][k] aggregates over the whole class C_k; normalize
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                q, rem = divmod(counts[i][j][k], sizes[k])
-                assert rem == 0
-                counts[i][j][k] = q
-    return counts
+    counts: Counter = Counter()
+    for x in cls:
+        counts.update(zip(class_of, [class_of[z] for z in G._mul[x]]))
+    out = {}
+    for (j, k), c in counts.items():
+        q, rem = divmod(c, len(classes[k]))
+        if rem:
+            raise ModularMethodError(
+                f"{c} products land in class {k} of size {len(classes[k])}: "
+                "not a union of conjugacy classes")
+        out[j, k] = q
+    return out
+
+
+def _field_degree(G: PermGroup, multisets: list[dict[int, int]]) -> int:
+    """[Q(chi) : Q] from the eigenvalue multisets of chi, one {j: c_j} per
+    class (rho(g) has the eigenvalue zeta_n^j c_j times, n = ord g).
+
+    sigma_k chi = chi exactly when every class keeps its multiset under
+    j -> jk, and the first class of each rational class suffices: the
+    other classes hold its unit powers, whose multisets are relabellings
+    of it that commute with j -> jk.
+    """
+    units = G.data.units
+    firsts = [(orbit[0], len(G.power_class_row(orbit[0])))
+              for orbit in G.data.rational_classes]
+    stab = sum(1 for k in units
+               if all({j * k % n: c for j, c in multisets[i].items()}
+                      == multisets[i] for i, n in firsts))
+    return len(units) // stab
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -315,16 +347,17 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     reps = [c[0] for c in classes]
     e = G.exponent()
     p = admissible_prime(G)
-    const = _structure_constants(G)
-    mats = [[[const[i][j][k] % p for k in range(r)] for j in range(r)]
-            for i in range(r)]
 
-    # split GF(p)^r into common eigenspaces of the class-sum matrices
+    # split GF(p)^r into common eigenspaces of the class-sum matrices,
+    # each built sparse when the split first needs it
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
     for i in range(1, r):
         if all(len(b) == 1 for b in spaces):
             break
-        mat = mats[i]
+        mat: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+        for (j, k), a in _structure_constants(G, classes[i]).items():
+            if a % p:
+                mat[j].append((k, a % p))
         nxt = []
         for basis in spaces:
             if len(basis) == 1:
@@ -333,8 +366,8 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             rref_rows, pivots = _rref(basis, p)
             basis = rref_rows
             d = len(basis)
-            images = [[sum(mat[a][b] * vec[b] for b in range(r)) % p
-                       for a in range(r)] for vec in basis]
+            images = [[sum(a * vec[k] for k, a in row) % p for row in mat]
+                      for vec in basis]
             cols = [_coords(rref_rows, pivots, img, p) for img in images]
             restr = [[cols[j][a] for j in range(d)] for a in range(d)]
             mp = _min_poly(restr, p)
@@ -345,8 +378,13 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                             for b in range(d)] for a in range(d)]
                 kern = _kernel(shifted, p)
                 covered += len(kern)
-                sub = [[sum(kv[j] * basis[j][b] for j in range(d)) % p
-                        for b in range(r)] for kv in kern]
+                sub = []
+                for kv in kern:
+                    acc = [0] * r
+                    for c, row in zip(kv, basis):
+                        if c:
+                            acc = [x + c * y for x, y in zip(acc, row)]
+                    sub.append([x % p for x in acc])
                 nxt.append(sub)
             if covered != d:
                 raise ModularMethodError("class-sum matrix is not "
@@ -360,10 +398,28 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     omega_e = pow(gp, (p - 1) // e, p)
     size_inv = [pow(s, -1, p) for s in sizes]
     orders = [G.element_order(reps[i]) for i in range(r)]
-    theta_inv_pows: dict[int, list[int]] = {}
-    for n in set(orders):
-        t = pow(omega_e, -(e // n), p)
-        theta_inv_pows[n] = [pow(t, m, p) for m in range(n)]
+
+    # The eigenvalue multiplicities are lifted once per rational class, at
+    # its first class g.  Every other class of it holds some g^k with k a
+    # unit mod n = ord g; where rho(g) has the eigenvalue zeta_n^j c_j
+    # times, rho(g^k) has zeta_n^(jk) c_j times, so its multiset is
+    # {jk mod n: c_j}: exactly what a lift there would give.
+    # dft[n][j][t] = theta^(-jt) for theta the image of zeta_n in GF(p).
+    lifts = []  # (first class, its order, [(member class, unit k)])
+    dft: dict[int, list[list[int]]] = {}
+    for orbit in G.data.rational_classes:
+        i = orbit[0]
+        prow = G.power_class_row(i)
+        n = len(prow)
+        unit_of: dict[int, int] = {}
+        for k in range(n):
+            if math.gcd(k, n) == 1:
+                unit_of.setdefault(prow[k], k)
+        lifts.append((i, n, [(c, unit_of[c]) for c in orbit]))
+        if n not in dft:
+            tpow = [pow(omega_e, -(e // n) * m, p) for m in range(n)]
+            dft[n] = [[tpow[(j * t) % n] for t in range(n)]
+                      for j in range(n)]
 
     rows = []
     for (vec,) in spaces:
@@ -378,73 +434,82 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
         if deg is None:
             raise ModularMethodError("no integer degree matches the eigenvector")
         chi_mod = [(deg * om[i] * size_inv[i]) % p for i in range(r)]
-        sparse = []
-        for i in range(r):
-            n = orders[i]
-            prow = G.power_class_row(i)
-            tpow = theta_inv_pows[n]
+        multisets: list[dict[int, int]] = [{}] * r
+        for i, n, members in lifts:
+            vals = [chi_mod[c] for c in G.power_class_row(i)]
             n_inv = pow(n, -1, p)
             powers = {}
-            for j in range(n):
-                cj = sum(chi_mod[prow[t]] * tpow[(j * t) % n]
-                         for t in range(n)) * n_inv % p
+            for j, w in enumerate(dft[n]):
+                cj = sum(map(operator.mul, vals, w)) * n_inv % p
                 if cj:
                     if cj > deg:
                         raise ModularMethodError("eigenvalue multiplicity lift "
                                                  "out of range")
                     powers[j] = cj
-            sparse.append((n, powers))
-        rows.append((deg, sparse))
+            for c, k in members:
+                multisets[c] = {j * k % n: cj for j, cj in powers.items()}
+        rows.append((deg, multisets))
 
     # verify the table exactly before trusting it.  Inner products are
     # computed through traces of roots of unity: classes group into
-    # power-map orbits, and on each orbit the summands are a full Galois
-    # orbit, so Tr(ζ_n^m) = μ(d)·φ(n)/φ(d), d = n/gcd(n, m), gives the
-    # exact rational value with no cyclotomic arithmetic at all.
+    # rational classes, and on each the summands are a full Galois orbit,
+    # so Tr(zeta_n^m) = mu(d)*phi(n)/phi(d), d = n/gcd(n, m), gives the
+    # exact value.  <a, b> = 1/|G| * sum over rational classes o of
+    # |c|*|o|*tr/phi(n); scaled by |G|*L, L = lcm of the phi(n), every
+    # term is an integer, so comparing the integer sum with |G|*L*delta_ab
+    # is the same check with no fractions.
     if sum(deg * deg for deg, _ in rows) != G.order:
         raise ModularMethodError("degree check failed")
-
-    units = G.data.units
-
-    def exact_inner(sa, sb) -> Fraction:
-        total = Fraction(0)
-        for orbit in G.data.rational_classes:
-            i = orbit[0]
-            n, da = sa[i]
-            _, db = sb[inv_class[i]]
-            tr = 0
-            for ma, ca in da.items():
-                for mb, cb in db.items():
-                    m = (ma + mb) % n
-                    d = n // math.gcd(n, m)
-                    tr += ca * cb * mobius(d) * (euler_phi(n) // euler_phi(d))
-            total += Fraction(sizes[i] * len(orbit) * tr, euler_phi(n))
-        return total / G.order
-
-    for a, (da, sa) in enumerate(rows):
-        for b, (db, sb) in enumerate(rows):
-            if b < a:
-                continue
-            want = Fraction(1) if a == b else Fraction(0)
-            if exact_inner(sa, sb) != want:
+    lcm_phi = math.lcm(*(euler_phi(n) for n in dft))
+    traces = {}
+    for n in dft:
+        traces[n] = []
+        for m in range(n):
+            d = n // math.gcd(n, m)
+            traces[n].append(mobius(d) * (euler_phi(n) // euler_phi(d)))
+    weights = [(i, n, sizes[i] * len(members) * (lcm_phi // euler_phi(n)))
+               for i, n, members in lifts]
+    for a, (_, sa) in enumerate(rows):
+        for b in range(a, len(rows)):
+            sb = rows[b][1]
+            total = 0
+            for i, n, w in weights:
+                tr = traces[n]
+                db = sb[inv_class[i]]
+                total += w * sum(ca * cb * tr[(ma + mb) % n]
+                                 for ma, ca in sa[i].items()
+                                 for mb, cb in db.items())
+            if total != (G.order * lcm_phi if a == b else 0):
                 raise ModularMethodError("orthogonality check failed")
 
-    values_of = [tuple(CycNumber.from_powers(n, powers) for n, powers in sparse)
-                 for _, sparse in rows]
-    value_keys = [[tuple(v.raised(e).coeffs) for v in vals]
-                  for vals in values_of]
-
-    def field_degree(a):
-        keys = value_keys[a]
-        stab = sum(1 for k in units
-                   if all(keys[G.power_class(i, k)] == keys[i]
-                          for i in range(r)))
-        return len(units) // stab
+    # values and sort keys from integer coefficient vectors: the value at
+    # level n, and minus the value raised to level e for the key
+    values_of, keys_of = [], []
+    converted: dict[tuple, tuple[CycNumber, tuple[int, ...]]] = {}
+    key_table = cyclotomic_reduction_table(e)
+    for _, multisets in rows:
+        vals, keys = [], []
+        for i, powers in enumerate(multisets):
+            n = orders[i]
+            memo = (n, tuple(sorted(powers.items())))
+            got = converted.get(memo)
+            if got is None:
+                table = cyclotomic_reduction_table(n)
+                vec = [0] * euler_phi(n)
+                key = [0] * euler_phi(e)
+                for j, c in powers.items():
+                    vec = [v + c * t for v, t in zip(vec, table[j])]
+                    key = [v - c * t
+                           for v, t in zip(key, key_table[j * (e // n)])]
+                got = converted[memo] = (CycNumber(n, vec), tuple(key))
+            vals.append(got[0])
+            keys.append(got[1])
+        values_of.append(tuple(vals))
+        keys_of.append(tuple(keys))
 
     order_idx = sorted(
         range(len(rows)),
-        key=lambda a: (rows[a][0], field_degree(a),
-                       tuple(tuple(-c for c in cs) for cs in value_keys[a])))
+        key=lambda a: (rows[a][0], _field_degree(G, rows[a][1]), keys_of[a]))
     irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}")
             for k, a in enumerate(order_idx)]
     return CharacterTable(G, irrs, sizes, p)
@@ -660,6 +725,11 @@ class GroupData:
         classes = self.group.conjugacy_classes()
         return [len(classes[o[0]]) * len(o) * values[o[0]].galois_mean()
                 for o in self.rational_classes]
+
+    @cached_property
+    def subgroup_positions(self) -> dict[str, int]:
+        """Subgroup class id -> its index in ``subgroup_classes()``."""
+        return {c.id: c.index for c in self.group.subgroup_classes()}
 
     @cached_property
     def table(self) -> CharacterTable:

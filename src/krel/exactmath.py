@@ -101,6 +101,8 @@ class ExactCheckError(ArithmeticError):
 
 def exact_quotient(num: int, den: int, what: str) -> int:
     """num / den, which must be an integer."""
+    if den == 0:
+        raise ExactCheckError(f"{what}: {num}/0 is not an integer")
     q, r = divmod(num, den)
     if r:
         raise ExactCheckError(f"{what}: {num}/{den} is not an integer")
@@ -245,11 +247,17 @@ def is_norm_from_quadratic(x: Rational, d: int) -> bool:
     """Decide x in N(Q(sqrt(d))^*) via Hilbert symbols at the relevant places.
 
     (x, d)_v = 1 automatically at odd primes dividing neither x nor d, so it
-    is enough to look at infinity, 2, and the primes of x and d.
+    is enough to look at infinity, 2, and the primes of x and d.  Verdicts
+    are memoised on (x, d); invalid arguments raise and are not cached.
     """
     x = _as_fraction(x)
     if x == 0:
         raise ValueError("zero is not in the multiplicative group")
+    return _is_norm(x, d)
+
+
+@functools.lru_cache(maxsize=4096)
+def _is_norm(x: Fraction, d: int) -> bool:
     if d == 1 or not is_squarefree(d):
         raise ValueError(f"d must be squarefree and != 1, got {d}")
     places: set = {PLACE_INF, 2}
@@ -581,6 +589,13 @@ def _cyclo_tables(n: int):
         table.append(shifted)
     _CYCLO_CACHE[n] = (coeffs, table)
     return _CYCLO_CACHE[n]
+
+
+@functools.cache
+def cyclotomic_reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row e: zeta_n^e over the power basis 1 .. zeta_n^(phi(n)-1), for e in
+    [0, n); integers, since Phi_n is monic with integer coefficients."""
+    return tuple(tuple(int(c) for c in row) for row in _cyclo_tables(n)[1])
 
 
 @functools.cache

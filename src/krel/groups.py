@@ -13,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .exactmath import ExactCheckError
+
 Perm = tuple[int, ...]
 
 GROUP_ORDER_BOUND = 512
@@ -124,7 +126,8 @@ class PermGroup:
         self.elements: list[Perm] = sorted(elems)
         self.order = len(self.elements)
         self._index = {p: i for i, p in enumerate(self.elements)}
-        assert self.elements[0] == ident
+        if self.elements[0] != ident:
+            raise ExactCheckError("the identity is not the least element")
         self.generator_indices = tuple(sorted({self._index[g] for g in gens}))
         n = self.order
         idx = self._index

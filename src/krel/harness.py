@@ -17,6 +17,7 @@ coherent valuation parities and validated before use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -262,6 +263,7 @@ def _unscaled_fixed_det(rep: MatrixRep, pairing, traces, h: frozenset[int]):
 
 
 def _check_function(case, spec, G, q, flags, fn, fields, lattices, rows):
+    fn = functools.cache(fn)  # one value per subgroup, shared by every d
     for d in fields:
         rep = is_trivial_on_k_relations(fn, G, d, lattice=lattices[d])
         detail = ""

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from sympy import divisors, mobius
 
 from .characters import ClassFunction
 from .exactmath import (
     ExactCheckError,
+    exact_quotient,
     hermite_row_basis,
     is_norm_from_quadratic,
     is_squarefree,
@@ -39,9 +40,8 @@ def _check_quadratic(d: int) -> None:
 
 
 def _theta_vector(G: PermGroup, theta: dict[str, int]) -> list[int]:
-    classes = G.subgroup_classes()
-    pos = {c.id: c.index for c in classes}
-    vec = [0] * len(classes)
+    pos = G.data.subgroup_positions
+    vec = [0] * len(pos)
     for cid, coeff in theta.items():
         vec[pos[cid]] += coeff
     return vec
@@ -77,14 +77,20 @@ def psi_d(n: int, d: int) -> dict[str, int]:
     return out
 
 
+def _multiplicities(G: PermGroup, theta: dict[str, int],
+                    js: Iterable[int]) -> list[int]:
+    """Multiplicities of the irreducibles chi_j, j in js, in the permutation
+    character of theta, summed over its nonzero terms only."""
+    mult = _multiplicity_rows(G)
+    pos = G.data.subgroup_positions
+    terms = [(mult[pos[cid]], c) for cid, c in theta.items() if c]
+    return [sum(c * row[j] for row, c in terms) for j in js]
+
+
 def is_brauer_relation(G: PermGroup, theta: dict[str, int]) -> bool:
     """True when the permutation character of theta vanishes."""
     mult = _multiplicity_rows(G)
-    vec = _theta_vector(G, theta)
-    ncols = len(mult[0]) if mult else 0
-    return all(
-        sum(vec[i] * mult[i][j] for i in range(len(vec))) == 0
-        for j in range(ncols))
+    return not any(_multiplicities(G, theta, range(len(mult[0]))))
 
 
 def is_k_relation(G: PermGroup, theta: dict[str, int],
@@ -99,14 +105,9 @@ def is_k_relation(G: PermGroup, theta: dict[str, int],
     if d == BRAUER:
         return is_brauer_relation(G, theta)
     _check_quadratic(d)
-    mult = _multiplicity_rows(G)
-    vec = _theta_vector(G, theta)
-    fields = G.data.field_data
-    for j, fdata in enumerate(fields):
-        m = sum(vec[i] * mult[i][j] for i in range(len(vec)))
-        if m % fdata.degree_factor(d):
-            return False
-    return True
+    odd = [j for j, fd in enumerate(G.data.field_data)
+           if fd.degree_factor(d) == 2]
+    return not any(m % 2 for m in _multiplicities(G, theta, odd))
 
 
 @dataclass
@@ -143,39 +144,50 @@ def brauer_basis(G: PermGroup) -> KRelationLattice:
     return lat
 
 
-def _gf2_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    reduced: list[tuple[int, list[int]]] = []  # (pivot column, row), RREF
-    for row in rows:
-        row = list(row)
-        for pc, r in reduced:
-            if row[pc]:
-                row = [a ^ b for a, b in zip(row, r)]
-        pc = next((c for c in range(ncols) if row[c]), None)
-        if pc is None:
-            continue
-        reduced = [(p, [a ^ b for a, b in zip(r, row)] if r[pc] else r)
-                   for p, r in reduced]
-        reduced.append((pc, row))
-    pivots = {p for p, _ in reduced}
+def gf2_relation_lattice(cond: Iterable[int], s: int) -> list[dict[int, int]]:
+    """Hermite form of lift(V) + 2Z^s, for V the vectors of GF(2)^s
+    orthogonal to every row of ``cond`` (bit i of a row is column i).
+
+    Rows are returned sparse, {column: entry} without zeros, one leading at
+    each column c in turn.  With the rows of cond reduced so that each has
+    its pivot at its highest bit and no other row has a bit there, V has
+    the basis v_c = e_c + (e_q for each pivot q whose row has bit c), one
+    for each non-pivot c, and v_c leads at c because q > c.  The v_c read
+    as 0/1 vectors, and 2*e_q for the pivots q, form an upper triangular
+    basis of the lattice with diagonal 1 or 2, whose entries above a 1 are
+    0 and above a 2 are 0 or 1: that is the unique row Hermite form.
+    """
+    reduced: dict[int, int] = {}  # pivot column -> row
+    for row in cond:
+        for q, r in reduced.items():
+            if row >> q & 1:
+                row ^= r
+        if row:
+            top = row.bit_length() - 1
+            for q, r in reduced.items():
+                if r >> top & 1:
+                    reduced[q] = r ^ row
+            reduced[top] = row
     out = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [0] * ncols
-        v[c] = 1
-        for pc, r in reduced:
-            if r[c]:
-                v[pc] = 1
-        out.append(v)
+    for c in range(s):
+        if c in reduced:
+            out.append({c: 2})
+        else:
+            v = {c: 1}
+            for q, r in reduced.items():
+                if r >> c & 1:
+                    v[q] = 1
+            out.append(dict(sorted(v.items())))
     return out
 
 
 def k_relation_basis(G: PermGroup, d: QuadraticField) -> KRelationLattice:
     """Basis of the full-rank lattice of K-relations for K = Q(sqrt(d)).
 
-    The parity conditions of :func:`is_k_relation` cut out a sublattice of
-    finite index in Z^s, so a basis is obtained by lifting a GF(2) kernel
-    and saturating with twice the standard basis vectors.
+    The parity conditions of :func:`is_k_relation` cut out
+    L = lift(V) + 2Z^s, V their GF(2) kernel; the basis is the Hermite form
+    of L, written straight from the reduced echelon form of V (see
+    :func:`gf2_relation_lattice`).
     """
     if d == BRAUER:
         return brauer_basis(G)
@@ -183,15 +195,14 @@ def k_relation_basis(G: PermGroup, d: QuadraticField) -> KRelationLattice:
     classes = G.subgroup_classes()
     s = len(classes)
     mult = _multiplicity_rows(G)
-    fields = G.data.field_data
-    cond = [[mult[i][j] % 2 for i in range(s)]
-            for j, fd in enumerate(fields) if fd.degree_factor(d) == 2]
-    gens = _gf2_kernel(cond, s)
-    gens += [[2 if i == k else 0 for i in range(s)] for k in range(s)]
-    rows = hermite_row_basis(gens)
-    if len(rows) != s:
-        raise ExactCheckError(f"K-relation lattice has rank {len(rows)} < {s}")
-    basis = [_vector_theta(classes, v) for v in rows]
+    cond = {int("".join(str(mult[i][j] & 1) for i in reversed(range(s))), 2)
+            for j, fd in enumerate(G.data.field_data)
+            if fd.degree_factor(d) == 2}
+    rows = gf2_relation_lattice(cond, s)
+    # rank: s rows with distinct leading columns
+    if len({min(v) for v in rows}) != s:
+        raise ExactCheckError(f"K-relation lattice has rank < {s}")
+    basis = [{classes[i].id: c for i, c in v.items()} for v in rows]
     if not all(is_k_relation(G, b, d) for b in basis):
         raise ExactCheckError("K-relation basis element fails the parity test")
     return KRelationLattice(G, d, basis)
@@ -370,9 +381,9 @@ def coset_profile(G: PermGroup, dsub: frozenset[int], isub: frozenset[int],
     for x, hd in G.double_cosets(hsub, dsub):
         xinv = G.inv(x)
         hi = sum(1 for h in hsub if G.mul(G.mul(xinv, h), x) in isub)
-        e, re = divmod(inn, hi)
-        f, rf = divmod(dn * hi, inn * hd)
-        assert re == 0 and rf == 0
+        what = f"(e, f) at double coset of {x}"
+        e = exact_quotient(inn, hi, what)
+        f = exact_quotient(dn * hi, inn * hd, what)
         out.append((e, f))
     return out
 

@@ -255,10 +255,16 @@ def test_norm_examples():
 
 
 def test_norm_rejects_bad_field():
-    with pytest.raises(ValueError):
-        is_norm_from_quadratic(5, 1)
-    with pytest.raises(ValueError):
-        is_norm_from_quadratic(5, 12)
+    # verdicts are memoised, rejections are not: each call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_norm_from_quadratic(5, 1)
+        with pytest.raises(ValueError):
+            is_norm_from_quadratic(5, 12)
+        with pytest.raises(ValueError):
+            is_norm_from_quadratic(0, 21)
+    assert is_norm_from_quadratic(Fraction(7), 21) is True
+    assert is_norm_from_quadratic(Fraction(7, 9), 21) is True
 
 
 def test_norm_witness_examples():
