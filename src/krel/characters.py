@@ -32,6 +32,7 @@ from .exactmath import (
     cyclotomic_reduction_table,
     euler_phi,
     exact_quotient,
+    is_squarefree,
     kronecker_symbol,
     mobius,
     reduce_by_kernel,
@@ -656,7 +657,7 @@ def char_field_data(chi: ClassFunction) -> CharFieldData:
     for d in range(-e, e + 1):
         if d in (0, 1):
             continue
-        if any(v > 1 for v in _squarefree_exps(abs(d))):
+        if not is_squarefree(d):
             continue
         disc = _fundamental_discriminant(d)
         if e % abs(disc) != 0:
@@ -667,11 +668,6 @@ def char_field_data(chi: ClassFunction) -> CharFieldData:
     return CharFieldData(stabilizer=tuple(stab),
                          quadratic_subfields=tuple(subfields),
                          field_degree=len(units) // len(stab))
-
-
-def _squarefree_exps(n: int):
-    from .groups import sympy_factorint_cache
-    return sympy_factorint_cache(n).values()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from sympy import isprime
 from .characters import ClassFunction, character_table, rational_inner_product
 from .exactmath import kronecker_symbol
 from .groups import PermGroup, subgroup_as_group
+from .relations import (PowFloor, PowHalf, _cyclic_quotient, _psi_value,
+                        local_ef)
 
 CASE_GOOD = "1G"
 CASE_SPLIT = "1S"
@@ -130,15 +132,6 @@ def is_square_in_ext(x: SquareClassLocal, e: int, f: int) -> bool:
     square exactly in even residue degree (odd residue characteristic).
     """
     return (x.val_parity * e) % 2 == 0 and (x.unit_is_square or f % 2 == 0)
-
-
-def _ef(p: PlaceDescriptor, h: frozenset[int]) -> tuple[int, int]:
-    if not h <= p.dsub:
-        raise ValueError("H must be a subgroup of D_v")
-    hi = len(h & p.isub)
-    e = len(p.isub) // hi
-    f = len(p.dsub) * hi // (len(h) * len(p.isub))
-    return e, f
 
 
 def _is_prime_power(q: int, l: int) -> bool:
@@ -264,18 +257,6 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
     return out
 
 
-def _cyclic_quotient(G: PermGroup, dsub, isub) -> bool:
-    f = len(dsub) // len(isub)
-    for x in dsub:
-        k, y = 1, x
-        while y not in isub:
-            y = G.mul(y, x)
-            k += 1
-        if k == f:
-            return True
-    return False
-
-
 def _check_dihedral_dprime(p: PlaceDescriptor, dprime, fe) -> list[Diagnostic]:
     G = p.group
     if dprime is None:
@@ -290,8 +271,8 @@ def _check_dihedral_dprime(p: PlaceDescriptor, dprime, fe) -> list[Diagnostic]:
     dp = frozenset(to_carrier[x] for x in dprime)
     if not carrier.is_normal_subgroup(dp):
         return [Diagnostic("d-prime-normality", "D' is not normal in D_v")]
-    q = carrier.quotient_group(dp)
-    rot = frozenset(q.proj[to_carrier[x]] for x in p.isub)
+    q, proj = carrier.quotient_group(dp)
+    rot = frozenset(proj[to_carrier[x]] for x in p.isub)
     if len(rot) != fe:
         return [Diagnostic("inertia-image",
                            "inertia must map onto the rotation subgroup")]
@@ -333,7 +314,10 @@ def tamagawa(p: PlaceDescriptor, h: frozenset[int]) -> int:
     red = p.reduction
     if isinstance(red, Good):
         return 1
-    e, f = _ef(p, frozenset(h))
+    h = frozenset(h)
+    if not h <= p.dsub:
+        raise ValueError("H must be a subgroup of D_v")
+    e, f = local_ef(p.dsub, p.isub, h)
     if isinstance(red, SplitMult):
         return e * red.n
     if isinstance(red, NonsplitMult):
@@ -360,18 +344,21 @@ def tamagawa(p: PlaceDescriptor, h: frozenset[int]) -> int:
 
 
 def fudge_C(p: PlaceDescriptor, h: frozenset[int]) -> Fraction:
-    """Tamagawa number times the minimal-differential term."""
-    _require_validated(p)
+    """Tamagawa number times the minimal-differential term.
+
+    The differential term is the local function PowFloor(q, delta) for
+    potentially good reduction, PowHalf(q) for potentially multiplicative
+    reduction, and 1 otherwise.
+    """
     c = Fraction(tamagawa(p, h))
     red = p.reduction
-    if isinstance(red, (AddPotGood, AddPotMult)):
-        e, f = _ef(p, frozenset(h))
-        if isinstance(red, AddPotGood):
-            exponent = (red.delta * e // 12) * f
-        else:
-            exponent = (e // 2) * f
-        c *= Fraction(p.q) ** exponent
-    return c
+    if isinstance(red, AddPotGood):
+        psi = PowFloor(p.q, red.delta)
+    elif isinstance(red, AddPotMult):
+        psi = PowHalf(p.q)
+    else:
+        return c
+    return c * _psi_value(psi, *local_ef(p.dsub, p.isub, frozenset(h)))
 
 
 def default_additive_lambda(fe: int, q: int, dihedral: bool) -> int:
@@ -405,9 +392,9 @@ def root_datum(p: PlaceDescriptor) -> RootDatum:
         if f % 2 == 1:
             return RootDatum(1, None, carrier, to_carrier)
         isub_c = frozenset(to_carrier[x] for x in p.isub)
-        q = carrier.quotient_group(isub_c)
+        q, proj = carrier.quotient_group(isub_c)
         squares = frozenset(q.mul(y, y) for y in range(q.order))
-        vals = [1 if q.proj[cls[0]] in squares else -1
+        vals = [1 if proj[cls[0]] in squares else -1
                 for cls in carrier.conjugacy_classes()]
         return RootDatum(1, ClassFunction(carrier, tuple(vals)),
                          carrier, to_carrier)
@@ -420,12 +407,12 @@ def root_datum(p: PlaceDescriptor) -> RootDatum:
         if not dihedral:
             return RootDatum(lam, None, carrier, to_carrier)
         dp = frozenset(to_carrier[x] for x in red.dprime)
-        q = carrier.quotient_group(dp)
-        rot = frozenset(q.proj[to_carrier[x]] for x in p.isub)
+        q, proj = carrier.quotient_group(dp)
+        rot = frozenset(proj[to_carrier[x]] for x in p.isub)
         sigma = _faithful_two_dim(q)
         vals = []
         for cls in carrier.conjugacy_classes():
-            y = q.proj[cls[0]]
+            y = proj[cls[0]]
             eta = 1 if y in rot else -1
             sig = sigma.values[q.class_of(y)].rational_value()
             vals.append(1 + eta + sig)

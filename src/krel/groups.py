@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .exactmath import ExactCheckError
+from .exactmath import ExactCheckError, factor_bounded
 
 Perm = tuple[int, ...]
 
@@ -98,6 +98,12 @@ class SubgroupClass:
 
 
 class PermGroup:
+    # a fixed attribute set: per-group invariants belong in `data`
+    __slots__ = ("degree", "name", "elements", "order", "_index",
+                 "generator_indices", "_mul", "_inv", "_order_of", "_classes",
+                 "_class_of", "_power_rows", "_subgroup_classes",
+                 "_subgroup_lookup", "_gen_sets", "_sub_lattices", "_data")
+
     def __init__(self, degree: int, generators: list[Perm], name: str | None = None,
                  order_bound: int = GROUP_ORDER_BOUND):
         self.degree = degree
@@ -333,7 +339,7 @@ class PermGroup:
         admit(frozenset({0}))
         # prime-power-order elements suffice as extension seeds
         seeds = [i for i in range(1, self.order)
-                 if len(sympy_factorint_cache(self._order_of[i])) == 1]
+                 if len(factor_bounded(self._order_of[i])) == 1]
         frontier: list[frozenset[int]] = []
         for i in seeds:
             sub = self.closure([i])
@@ -448,11 +454,19 @@ class PermGroup:
 
     # -- double cosets -------------------------------------------------------
 
-    def double_cosets(self, hsub: frozenset[int],
-                      dsub: frozenset[int]) -> list[tuple[int, int]]:
-        """Representatives x of H\\G/D with |H ∩ x D x^{-1}|, ascending x."""
-        hgens = self.generating_indices(frozenset(hsub))
-        dgens = self.generating_indices(frozenset(dsub))
+    def double_cosets(self, hsub: frozenset[int], dsub: frozenset[int]
+                      ) -> list[tuple[int, frozenset[int]]]:
+        """Representatives x of H\\G/D, ascending, each with its local
+        subgroup D ∩ x^{-1} H x, of order |H ∩ x D x^{-1}|.
+
+        For D the decomposition group of a place, the double coset of x is
+        one place of the fixed field of H above it, and the local subgroup
+        is the decomposition group there.  This is the only walk over H\\G/D:
+        callers read the local subgroup and never conjugate H themselves.
+        """
+        hsub, dsub = frozenset(hsub), frozenset(dsub)
+        hgens = self.generating_indices(hsub)
+        dgens = self.generating_indices(dsub)
         seen = [False] * self.order
         out = []
         for x in range(self.order):
@@ -478,19 +492,19 @@ class PermGroup:
             for y in orbit:
                 seen[y] = True
             xinv = self._inv[x]
-            inter = sum(1 for h in hsub
-                        if self._mul[self._mul[xinv][h]][x] in dsub)
-            out.append((x, inter))
+            local = dsub.intersection(self._mul[self._mul[xinv][h]][x]
+                                      for h in hsub)
+            out.append((x, local))
         return out
 
     # -- quotients -------------------------------------------------------------
 
-    def quotient_group(self, nsub: frozenset[int]) -> "PermGroup":
+    def quotient_group(self, nsub: frozenset[int]
+                       ) -> tuple["PermGroup", tuple[int, ...]]:
         """Permutation action on cosets of a normal subgroup.
 
-        The result carries a `proj` attribute: a tuple mapping each element
-        index of this group to the element index of its image coset
-        permutation in the quotient.
+        Returns (Q, proj): proj maps each element index of this group to the
+        element index of its image coset permutation in Q.
         """
         nsub = frozenset(nsub)
         if not self.is_normal_subgroup(nsub):
@@ -512,19 +526,7 @@ class PermGroup:
 
         q = PermGroup(deg, [act(g) for g in self.generator_indices],
                       name=f"{self.name or 'G'}/N")
-        q.proj = tuple(q.element_index(act(g)) for g in range(self.order))
-        return q
-
-
-def sympy_factorint_cache(n: int) -> dict[int, int]:
-    got = _FACTOR_CACHE.get(n)
-    if got is None:
-        from sympy import factorint
-        got = _FACTOR_CACHE[n] = dict(factorint(n))
-    return got
-
-
-_FACTOR_CACHE: dict[int, dict[int, int]] = {}
+        return q, tuple(q.element_index(act(g)) for g in range(self.order))
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +554,8 @@ def burnside_res(G: PermGroup, theta: dict[str, int],
         if not coeff:
             continue
         hsub = G.subgroup_class_by_id(cid).representative
-        for x, _ in G.double_cosets(hsub, dsub):
-            xinv = G.inv(x)
-            inter = frozenset(d for d in dsub
-                              if G.mul(G.mul(x, d), xinv) in hsub)
-            key = G.classify_in_lattice(dsub, inter).id
+        for _, local in G.double_cosets(hsub, dsub):
+            key = G.classify_in_lattice(dsub, local).id
             out[key] = out.get(key, 0) + coeff
     return {k: v for k, v in out.items() if v}
 
@@ -578,13 +577,13 @@ def burnside_ind(G: PermGroup, dsub: frozenset[int],
 def burnside_project(G: PermGroup, theta: dict[str, int],
                      nsub: frozenset[int]) -> tuple["PermGroup", dict[str, int]]:
     """Push forward along G -> G/N, sending [H] to [HN/N]."""
-    q = G.quotient_group(nsub)
+    q, proj = G.quotient_group(nsub)
     out: dict[str, int] = {}
     for cid, coeff in theta.items():
         if not coeff:
             continue
         rep = G.subgroup_class_by_id(cid).representative
-        image = frozenset(q.proj[h] for h in rep)
+        image = frozenset(proj[h] for h in rep)
         key = q.classify_subgroup(image).id
         out[key] = out.get(key, 0) + coeff
     return q, {k: v for k, v in out.items() if v}
@@ -676,11 +675,11 @@ def alternating4_group(name: str | None = None) -> PermGroup:
                          perm_from_cycles("(1 2)(3 4)", 4)], name or "A4")
 
 
-def metacyclic_group(n: int, m: int, q: int, name: str | None = None) -> PermGroup:
-    """C_n ⋊ C_m with the C_m generator acting by x -> x^q on C_n.
+def metacyclic_generators(n: int, m: int, q: int) -> tuple[Perm, Perm]:
+    """The generators (sigma, phi) of C_n ⋊ C_m on n + m points.
 
-    Requires gcd(q, n) = 1 and q^m ≡ 1 (mod n); the group has order n*m and
-    acts on n + m points.
+    sigma rotates the first n points; phi acts on them by x -> x^q and
+    rotates the last m.  Requires gcd(q, n) = 1 and q^m ≡ 1 (mod n).
     """
     if n < 1 or m < 1:
         raise ValueError("n, m must be positive")
@@ -692,7 +691,17 @@ def metacyclic_group(n: int, m: int, q: int, name: str | None = None) -> PermGro
     sigma = tuple((i + 1) % n for i in range(n)) + tuple(range(n, deg))
     phi = tuple((q * i) % n for i in range(n)) + tuple(
         n + ((i - n + 1) % m) for i in range(n, deg))
-    return PermGroup(deg, [sigma, phi], name or f"C{n}:C{m}")
+    return sigma, phi
+
+
+def metacyclic_group(n: int, m: int, q: int, name: str | None = None) -> PermGroup:
+    """C_n ⋊ C_m with the C_m generator acting by x -> x^q on C_n.
+
+    The generators are those of :func:`metacyclic_generators`; the group
+    has order n*m and acts on n + m points.
+    """
+    return PermGroup(n + m, list(metacyclic_generators(n, m, q)),
+                     name or f"C{n}:C{m}")
 
 
 def group_from_cycles(degree: int, gen_strings: list[str],

@@ -24,19 +24,20 @@ from fractions import Fraction
 
 from sympy import divisors, factorint, isprime, mobius, primerange
 
+from .characters import _fundamental_discriminant
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
-                         _cyclic_quotient, is_square_in_ext, ram_degree,
-                         validate_place)
+                         is_square_in_ext, ram_degree, validate_place)
 from .exactmath import is_norm_from_quadratic, is_squarefree, kronecker_symbol
-from .groups import PermGroup, metacyclic_group
+from .groups import PermGroup, metacyclic_generators
 from .parity import CurveLocalModel
 from .regconst import MatrixRep, invariant_pairing, matrix_fixed_det
-from .relations import is_trivial_on_k_relations, k_relation_basis
+from .relations import (_cyclic_quotient, is_trivial_on_k_relations,
+                        k_relation_basis)
 
 __all__ = [
-    "MetacyclicSpec", "build_metacyclic", "group_exponent",
-    "quadratic_probe_fields", "TamagawaCheckRow", "appendix_tamagawa_check",
+    "MetacyclicSpec", "build_metacyclic", "quadratic_probe_fields",
+    "TamagawaCheckRow", "appendix_tamagawa_check",
     "DifferentialReport", "appendix_differential_check",
     "SplitNormReport", "lemma_b3_check", "synthetic_model",
 ]
@@ -69,36 +70,19 @@ class MetacyclicSpec:
         return self.e << self.k
 
 
-def build_metacyclic(spec: MetacyclicSpec) -> PermGroup:
-    """Permutation model of the spec, with the rotation subgroup attached.
+def build_metacyclic(spec: MetacyclicSpec) -> tuple[PermGroup, int, int]:
+    """Permutation model of the spec: (G, rotation, frobenius).
 
-    The returned group carries two extra attributes: `inertia`, the cyclic
-    normal subgroup generated by the rotation x (order spec.e), and
-    `frobenius`, the element index of the acting generator y.
+    rotation is the element index of x, which generates the cyclic normal
+    inertia subgroup of order spec.e, and frobenius that of the acting
+    generator y.
     """
     e, m = spec.e, 1 << spec.k
     q = 1 if spec.sign == 1 or spec.k == 0 else e - 1
     sgn = "" if spec.sign == 1 or spec.e <= 2 else "-"
-    G = metacyclic_group(e, m, q, name=f"C{e}:C{m}{sgn}")
-    deg = e + m
-    sigma = tuple((i + 1) % e for i in range(e)) + tuple(range(e, deg))
-    phi = tuple((q * i) % e for i in range(e)) + tuple(
-        e + ((i - e + 1) % m) for i in range(e, deg))
-    G.rotation = G.elements.index(sigma)
-    G.frobenius = G.elements.index(phi)
-    G.inertia = G.closure([G.rotation])
-    return G
-
-
-def group_exponent(G: PermGroup) -> int:
-    out = 1
-    for x in range(G.order):
-        out = math.lcm(out, G.element_order(x))
-    return out
-
-
-def _conductor(m: int) -> int:
-    return abs(m) if m % 4 == 1 else 4 * abs(m)
+    sigma, phi = metacyclic_generators(e, m, q)
+    G = PermGroup(e + m, [sigma, phi], name=f"C{e}:C{m}{sgn}")
+    return G, G.element_index(sigma), G.element_index(phi)
 
 
 def quadratic_probe_fields(G: PermGroup, extra=()) -> tuple[int, ...]:
@@ -109,11 +93,12 @@ def quadratic_probe_fields(G: PermGroup, extra=()) -> tuple[int, ...]:
     together with a fixed generic batch, so that both special and generic
     behaviour get exercised.
     """
-    n = group_exponent(G)
+    n = G.exponent()
     cands = {-1, 2, -2, 3, -3, 5, -5}
     cands.update(extra)
     for m in range(-n, n + 1):
-        if m not in (0, 1) and is_squarefree(m) and n % _conductor(m) == 0:
+        if m not in (0, 1) and is_squarefree(m) \
+                and n % abs(_fundamental_discriminant(m)) == 0:
             cands.add(m)
     return tuple(sorted(cands, key=lambda m: (abs(m), m)))
 
@@ -136,7 +121,7 @@ def _ef_of(G, isub, h):
     return len(isub) // hi, (G.order * hi) // (len(h) * len(isub))
 
 
-def _sqrt_field_subgroup(G) -> frozenset[int]:
+def _sqrt_field_subgroup(G, rotation, frobenius) -> frozenset[int]:
     """Fixed group of the distinguished ramified quadratic inside F.
 
     The tower is normalized so that the square roots of ramified invariants
@@ -144,7 +129,7 @@ def _sqrt_field_subgroup(G) -> frozenset[int]:
     the fixed field of <x^2, y>.  The other labeling is carried over to this
     one by the automorphism y -> xy, so no generality is lost.
     """
-    return G.closure([G.mul(G.rotation, G.rotation), G.frobenius])
+    return G.closure([G.mul(rotation, rotation), frobenius])
 
 
 def _fine_potgood(G, isub, wsub, delta, du, bu, dihedral, h) -> int:
@@ -233,7 +218,8 @@ def _whole_group_place(G, isub, l, q, red, name="w") -> PlaceDescriptor:
     return p
 
 
-def _dihedral_v_rep(G: PermGroup, e: int) -> MatrixRep:
+def _dihedral_v_rep(G: PermGroup, e: int, rotation: int,
+                    frobenius: int) -> MatrixRep:
     """The four-dimensional reference module 1 + eta + sigma on the group.
 
     sigma is realized by the integral rotation matrix of trace 2cos(2pi/e)
@@ -252,8 +238,8 @@ def _dihedral_v_rep(G: PermGroup, e: int) -> MatrixRep:
                 out[2 + i][2 + j] = Fraction(m[i][j])
         return out
 
-    by_gen = {G.rotation: block(1, [[0, -1], [1, c]]),
-              G.frobenius: block(-1, [[0, 1], [1, 0]])}
+    by_gen = {rotation: block(1, [[0, -1], [1, c]]),
+              frobenius: block(-1, [[0, 1], [1, 0]])}
     return MatrixRep(G, [by_gen[g] for g in G.generator_indices])
 
 
@@ -293,8 +279,8 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
     if case == "2D" and (spec.sign != -1 or spec.e == 2 or spec.k == 0):
         raise ValueError("case 2D needs sign -1, e > 2 and k >= 1")
 
-    G = build_metacyclic(spec)
-    isub = G.inertia
+    G, rotation, frobenius = build_metacyclic(spec)
+    isub = G.closure([rotation])
     whole = frozenset(range(G.order))
     if fields is None:
         fields = quadratic_probe_fields(G)
@@ -304,14 +290,13 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
     if case in ("2C", "2D"):
         residue = 1 if case == "2C" else -1
         pool = qs or _residue_powers(ram_degree(_DELTAS[spec.e][0]), residue)
-        wsub = _sqrt_field_subgroup(G)
+        wsub = _sqrt_field_subgroup(G, rotation, frobenius)
         if case == "2D":
-            vrep = _dihedral_v_rep(G, spec.e)
+            vrep = _dihedral_v_rep(G, spec.e, rotation, frobenius)
             pairing = invariant_pairing(vrep, seed=0)
             traces = [sum(vrep.at(i)[j][j] for j in range(4))
                       for i in range(G.order)]
-            y = G.frobenius
-            dprime = G.closure([G.mul(y, y)])
+            dprime = G.closure([G.mul(frobenius, frobenius)])
         for delta in _DELTAS[spec.e]:
             fe = ram_degree(delta)
             for l, q in pool:
@@ -408,9 +393,11 @@ def quadratic_subfields_of_fixed_field(n: int, q: int) -> tuple[int, ...]:
         raise ValueError("q must be invertible mod n")
     out = []
     for m in range(-n, n + 1):
-        if m in (0, 1) or not is_squarefree(m) or n % _conductor(m):
+        if m in (0, 1) or not is_squarefree(m):
             continue
-        disc = m if m % 4 == 1 else 4 * m
+        disc = _fundamental_discriminant(m)
+        if n % disc:
+            continue
         if kronecker_symbol(disc, q) == 1:
             out.append(m)
     return tuple(sorted(out, key=lambda m: (abs(m), m)))
@@ -572,7 +559,7 @@ def lemma_b3_check(d: int, ls=None) -> SplitNormReport:
     starred = d % 4 == 1 and is_squarefree(d) and isprime(abs(d))
     if not (special or starred):
         raise ValueError(f"d = {d} is not of genus-trivial shape")
-    disc = d if d % 4 == 1 else 4 * d
+    disc = _fundamental_discriminant(d)
     if ls is None:
         ls = tuple(l for l in primerange(2, 200)
                    if disc % l and kronecker_symbol(disc, l) == 1)

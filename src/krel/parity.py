@@ -67,9 +67,9 @@ def global_C_product(model: CurveLocalModel, theta: dict[str, int]) -> Fraction:
     """Product over the relation of all local fudge factors.
 
     For each finite place and each subgroup H in the relation, the places of
-    the fixed field above it are indexed by double cosets H\\G/D_v; the local
-    subgroup at the coset of x is D_v intersected with the conjugate of H by
-    x^-1.
+    the fixed field above it are indexed by double cosets H\\G/D_v, and each
+    one contributes the fudge factor of its local subgroup D_v ∩ x^-1 H x,
+    as :meth:`PermGroup.double_cosets` returns it.
     """
     _require_model(model)
     G = model.group
@@ -81,10 +81,8 @@ def global_C_product(model: CurveLocalModel, theta: dict[str, int]) -> Fraction:
             if not coeff:
                 continue
             hrep = G.subgroup_class_by_id(cid).representative
-            for x, _ in G.double_cosets(hrep, p.dsub):
-                xinv = G.inv(x)
-                hx = frozenset(G.mul(G.mul(xinv, h), x) for h in hrep) & p.dsub
-                val *= fudge_C(p, hx) ** coeff
+            for _, local in G.double_cosets(hrep, p.dsub):
+                val *= fudge_C(p, local) ** coeff
     return val
 
 
@@ -143,21 +141,13 @@ def quadratic_subfields(chi: ClassFunction) -> tuple[int, ...]:
     return char_field_data(chi).quadratic_subfields
 
 
-def _is_cyclic(G: PermGroup) -> bool:
-    return any(G.element_order(x) == G.order for x in range(G.order))
-
-
-def _subgroup_is_cyclic(G: PermGroup, sub: frozenset[int]) -> bool:
-    return any(G.element_order(x) == len(sub) for x in sub)
-
-
 def nrt_obstructions(model: CurveLocalModel) -> list[Diagnostic]:
     """Structural reasons the norm relations test cannot predict anything."""
     G = model.group
     out = []
     if G.order % 2 == 1:
         out.append(Diagnostic("odd-order", "the group has odd order"))
-    if _is_cyclic(G):
+    if G.classify_subgroup(frozenset(range(G.order))).is_cyclic:
         out.append(Diagnostic("cyclic", "the group is cyclic"))
     finite = model.finite_places()
     ramified = [p for p in finite if len(p.isub) > 1]
@@ -166,7 +156,7 @@ def nrt_obstructions(model: CurveLocalModel) -> list[Diagnostic]:
             "good-at-ramified",
             "the curve has good reduction at every ramified place"))
     bad = [p for p in finite if not isinstance(p.reduction, Good)]
-    if all(_subgroup_is_cyclic(G, p.dsub) or len(p.dsub) % 2 == 1
+    if all(G.classify_subgroup(p.dsub).is_cyclic or len(p.dsub) % 2 == 1
            for p in bad):
         out.append(Diagnostic(
             "local-decomposition",

@@ -22,6 +22,7 @@ from .characters import (
 from .exactmath import (
     SquareClass,
     is_norm_from_quadratic,
+    mat_mul,
     rat_det,
     squarefree_class,
 )
@@ -92,13 +93,14 @@ def perm_fixed_det(G: PermGroup, hsub, dsub) -> Fraction:
 
     The H-orbit sums of cosets give an orthogonal basis whose scaled Gram
     determinant telescopes to the product of 1/|H ∩ wDw^-1| over double
-    cosets.
+    cosets: 1/|L| for each local subgroup L = D ∩ w^-1 H w that
+    :meth:`PermGroup.double_cosets` returns.
     """
     hrep = subgroup_rep(G, hsub)
     drep = subgroup_rep(G, dsub)
     val = Fraction(1)
-    for _, stab in G.double_cosets(hrep, drep):
-        val /= stab
+    for _, local in G.double_cosets(hrep, drep):
+        val /= len(local)
     return val
 
 
@@ -176,12 +178,6 @@ def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
 # Matrix route
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 def _transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
@@ -218,7 +214,7 @@ class MatrixRep:
             for x in frontier:
                 for g, img in zip(gens, imgs):
                     y = G.mul(g, x)
-                    prod = _mat_mul(img, mats[x])
+                    prod = mat_mul(img, mats[x])
                     if mats[y] is None:
                         mats[y] = prod
                         nxt.append(y)
@@ -278,7 +274,7 @@ def invariant_pairing(rep: MatrixRep, seed: int = 0,
         total = [[Fraction(0)] * n for _ in range(n)]
         for g in range(G.order):
             m = rep.at(g)
-            part = _mat_mul(_transpose(m), _mat_mul(seed_form, m))
+            part = mat_mul(_transpose(m), mat_mul(seed_form, m))
             for i in range(n):
                 row = total[i]
                 prow = part[i]
@@ -299,7 +295,7 @@ def _check_pairing(rep: MatrixRep, pairing: Matrix) -> Matrix:
     if rat_det(q) == 0:
         raise DegeneratePairingError("pairing is degenerate")
     for img in rep.images:
-        if _mat_mul(_transpose(img), _mat_mul(q, img)) != q:
+        if mat_mul(_transpose(img), mat_mul(q, img)) != q:
             raise ValueError("pairing is not invariant")
     return q
 

@@ -331,10 +331,11 @@ def _psi_value(psi: PsiExpr, e: int, f: int) -> Fraction:
 
 def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
                      isub: frozenset[int]) -> bool:
+    """Is D/I cyclic, for I normal in D?"""
     index = len(dsub) // len(isub)
     if index == 1:
         return True
-    for x in sorted(dsub):
+    for x in dsub:
         t, y = 1, x
         while y not in isub:
             y = G.mul(y, x)
@@ -373,19 +374,27 @@ class LocalFn:
             raise ValueError("D/I is not cyclic")
 
 
+def local_ef(dsub: frozenset[int], isub: frozenset[int],
+             lsub: frozenset[int]) -> tuple[int, int]:
+    """(e, f) of the place with local subgroup L, a subgroup of D.
+
+    D and I are the decomposition and inertia groups below; the fixed field
+    of L has ramification degree e = |I| / |L ∩ I| and residue degree
+    f = [D : I] / [L : L ∩ I] over the base.
+    """
+    li = len(lsub & isub)
+    what = f"(e, f) of a local subgroup of order {len(lsub)}"
+    e = exact_quotient(len(isub), li, what)
+    f = exact_quotient(len(dsub) * li, len(isub) * len(lsub), what)
+    return e, f
+
+
 def coset_profile(G: PermGroup, dsub: frozenset[int], isub: frozenset[int],
                   hsub: frozenset[int]) -> list[tuple[int, int]]:
-    """The pairs (e, f), one per H\\G/D double coset."""
-    dn, inn = len(dsub), len(isub)
-    out = []
-    for x, hd in G.double_cosets(hsub, dsub):
-        xinv = G.inv(x)
-        hi = sum(1 for h in hsub if G.mul(G.mul(xinv, h), x) in isub)
-        what = f"(e, f) at double coset of {x}"
-        e = exact_quotient(inn, hi, what)
-        f = exact_quotient(dn * hi, inn * hd, what)
-        out.append((e, f))
-    return out
+    """The pairs (e, f), one per H\\G/D double coset, read off its local
+    subgroup D ∩ x^-1 H x."""
+    return [local_ef(dsub, isub, local)
+            for _, local in G.double_cosets(hsub, dsub)]
 
 
 def eval_localfn(fn: LocalFn, h) -> Fraction:

@@ -536,6 +536,11 @@ def test_fudge_additive_exponent():
     assert fudge_C(p, frozenset([0])) == tamagawa(p, frozenset([0])) * 7**3
     assert fudge_C(p, frozenset([0, 3])) == tamagawa(p, frozenset([0, 3])) * 7
     assert fudge_C(p, w6) == tamagawa(p, w6)
+    # delta = 4, where floor(delta * e / 12) and floor(e / 2) differ at e = 6, 2
+    p4 = finite_place(C6, w6, w6, AddPotGood(4, SQ_TRIV, SQ_TRIV), l=7, q=7)
+    c3 = C6.subgroup_class_by_id("3.1").representative
+    assert fudge_C(p4, frozenset([0])) == tamagawa(p4, frozenset([0])) * 7**2
+    assert fudge_C(p4, c3) == tamagawa(p4, c3)
 
 
 def test_fudge_potentially_multiplicative_exponent():

@@ -53,7 +53,7 @@ GROUPS = {
     "D21": lambda: dihedral_group(21),
     "C12:C4": lambda: metacyclic_group(12, 4, 5),
 }
-GROUPS.update({f"spec{s.e}.{s.k}.{s.sign:+d}": (lambda s=s: build_metacyclic(s))
+GROUPS.update({f"spec{s.e}.{s.k}.{s.sign:+d}": (lambda s=s: build_metacyclic(s)[0])
                for s in metacyclic_specs(16)})
 
 

@@ -219,16 +219,28 @@ def test_double_cosets_s3_transposition():
     G = s3()
     h = G.closure([G.element_index(perm_from_cycles("(1 2)", 3))])
     out = G.double_cosets(h, h)
-    assert sorted(i for _, i in out) == [1, 2]
+    assert sorted(len(local) for _, local in out) == [1, 2]
+    # the identity coset keeps all of H; the other one meets H trivially
+    assert out[0] == (0, h)
+    assert [local for _, local in out[1:]] == [frozenset({0})]
 
 
 def test_double_cosets_trivial_cases():
     G = s3()
     full = frozenset(range(G.order))
     triv = frozenset({0})
-    assert G.double_cosets(full, full) == [(0, G.order)]
+    assert G.double_cosets(full, full) == [(0, full)]
     out = G.double_cosets(triv, triv)
-    assert len(out) == G.order and all(i == 1 for _, i in out)
+    assert out == [(x, triv) for x in range(G.order)]
+
+
+def brute_local_subgroup(G, h, d, x):
+    """{x^-1 k x : k in H} ∩ D from the permutations themselves."""
+    px = G.elements[x]
+    pxinv = perm_inv(px)
+    conj = {G.element_index(perm_mul(perm_mul(pxinv, G.elements[k]), px))
+            for k in h}
+    return frozenset(conj) & d
 
 
 def test_double_coset_mass_formula():
@@ -239,8 +251,21 @@ def test_double_coset_mass_formula():
             h = rng.choice(rng.choice(classes).conjugates)
             d = rng.choice(rng.choice(classes).conjugates)
             out = G.double_cosets(h, d)
-            total = sum(len(h) * len(d) // i for _, i in out)
+            assert [x for x, _ in out] == sorted({x for x, _ in out})
+            for x, local in out:
+                assert local == brute_local_subgroup(G, h, d, x)
+                assert (len(h) * len(d)) % len(local) == 0
+            total = sum(len(h) * len(d) // len(local) for _, local in out)
             assert total == G.order
+
+
+def test_perm_group_takes_no_ad_hoc_attributes():
+    G = s3()
+    with pytest.raises(AttributeError):
+        G.anything = 1
+    q, _ = G.quotient_group(frozenset(range(G.order)))
+    with pytest.raises(AttributeError):
+        q.proj = ()
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +317,23 @@ def test_mackey_restriction_matches_fixed_points():
 def test_quotient_q8_center():
     G = quaternion_group()
     center = G.subgroup_class_by_id("2.1").representative
-    q = G.quotient_group(center)
+    q, proj = G.quotient_group(center)
     assert q.order == 4
     assert q.exponent() == 2
+    assert len(proj) == G.order
+    assert frozenset(g for g in range(G.order) if proj[g] == 0) == center
+    assert all(proj[G.mul(a, b)] == q.mul(proj[a], proj[b])
+               for a in range(G.order) for b in range(G.order))
 
 
 def test_quotient_extremes():
     G = s3()
-    q1 = G.quotient_group(frozenset({0}))
+    q1, proj1 = G.quotient_group(frozenset({0}))
     assert q1.order == 6
-    qg = G.quotient_group(frozenset(range(6)))
+    assert sorted(proj1) == list(range(6))
+    qg, projg = G.quotient_group(frozenset(range(6)))
     assert qg.order == 1
+    assert projg == (0,) * 6
 
 
 def test_quotient_rejects_non_normal():
@@ -332,13 +363,13 @@ def test_project_commutes_with_perm_characters():
     """Fixed points of HN/N on G/N-cosets pull back to those of HN."""
     G = sample_groups()["D21"]
     nsub = G.subgroup_class_by_id("7.1").representative
-    q = G.quotient_group(nsub)
+    q, proj = G.quotient_group(nsub)
     for c in G.subgroup_classes():
         hn = G.closure(G.generating_indices(c.representative) +
                        G.generating_indices(nsub))
-        image = frozenset(q.proj[h] for h in hn)
+        image = frozenset(proj[h] for h in hn)
         for g in range(G.order):
-            assert fixed_cosets(q, image, q.proj[g]) == fixed_cosets(G, hn, g)
+            assert fixed_cosets(q, image, proj[g]) == fixed_cosets(G, hn, g)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 relations test's multiplier and relation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from krel.characters import character_table, perm_character, \
     rational_irreducibles
-from krel.groups import dihedral_group, quaternion_group
+from krel.curvelocal import AddPotGood, AddPotMult, Good, tamagawa
+from krel.groups import (alternating4_group, dihedral_group,
+                         group_from_cycles, metacyclic_group,
+                         quaternion_group)
 from krel.harness import synthetic_model
-from krel.parity import nrt_run, theorem_main_check
-from krel.relations import k_relation_basis
+from krel.parity import global_C_product, nrt_run, theorem_main_check
+from krel.relations import k_relation_basis, local_ef
 
 GROUPS = {
     "S3": lambda: dihedral_group(3, name="S3"),
@@ -59,3 +63,76 @@ def test_nrt_relation_realises_m_times_the_orbit_sum(name):
             failed = any(not ok for ok in report.norm_verdicts.values())
             assert report.prediction == (failed or report.square_ok is False)
             assert (report.square_ok is None) == (report.m % 2 == 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the fudge product with H conjugated by each double-coset
+# representative here, (e, f) from the place directly, and the differential
+# exponent written out by hand.
+
+
+def reference_ef(p, h):
+    if not h <= p.dsub:
+        raise ValueError("H must be a subgroup of D_v")
+    hi = len(h & p.isub)
+    e = len(p.isub) // hi
+    f = len(p.dsub) * hi // (len(h) * len(p.isub))
+    return e, f
+
+
+def reference_fudge(p, h):
+    e, f = reference_ef(p, h)
+    assert local_ef(p.dsub, p.isub, h) == (e, f)
+    c = Fraction(tamagawa(p, h))
+    red = p.reduction
+    if isinstance(red, AddPotGood):
+        c *= Fraction(p.q) ** ((red.delta * e // 12) * f)
+    elif isinstance(red, AddPotMult):
+        c *= Fraction(p.q) ** ((e // 2) * f)
+    return c
+
+
+def reference_global_C_product(model, theta):
+    G = model.group
+    val = Fraction(1)
+    for p in model.finite_places():
+        if isinstance(p.reduction, Good):
+            continue
+        for cid, coeff in theta.items():
+            if not coeff:
+                continue
+            hrep = G.subgroup_class_by_id(cid).representative
+            for x, _ in G.double_cosets(hrep, p.dsub):
+                xinv = G.inv(x)
+                hx = frozenset(G.mul(G.mul(xinv, h), x) for h in hrep) & p.dsub
+                val *= reference_fudge(p, hx) ** coeff
+    return val
+
+
+WALK_GROUPS = {
+    "S3": lambda: dihedral_group(3, name="S3"),
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+    "D6": lambda: dihedral_group(6),
+    "A4": alternating4_group,
+    "D21": lambda: dihedral_group(21),
+    "C3:C4": lambda: metacyclic_group(3, 4, 2),
+    "S4": lambda: group_from_cycles(4, ["(1 2 3 4)", "(1 2)"], name="S4"),
+    "C12:C4": lambda: metacyclic_group(12, 4, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GROUPS))
+def test_global_C_product_matches_reference_walk(name):
+    G = WALK_GROUPS[name]()
+    rng = random.Random(f"walk/{name}")
+    basis = k_relation_basis(G, -1).basis
+    everything = {c.id: 1 for c in G.subgroup_classes()}
+    for semistable in (True, False):
+        for _ in range(3):
+            model = synthetic_model(G, rng, semistable=semistable)
+            thetas = rng.sample(basis, min(4, len(basis))) + [everything]
+            for theta in thetas:
+                assert global_C_product(model, theta) \
+                    == reference_global_C_product(model, theta), \
+                    (model.places, theta)

@@ -578,7 +578,7 @@ def test_k_relations_close_under_res_ind_proj(name, d, did, nid):
         res = burnside_res(G, theta, dsub)
         assert is_k_relation(sub, push_to_standalone(G, dsub, sub, to_sub, res), d)
         _, proj = burnside_project(G, theta, nsub)
-        q = G.quotient_group(nsub)
+        q, _ = G.quotient_group(nsub)
         assert is_k_relation(q, proj, d)
     # induction goes the other way: start from relations of the subgroup
     for theta_s in k_relation_basis(sub, d).basis:
