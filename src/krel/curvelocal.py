@@ -314,10 +314,18 @@ def tamagawa(p: PlaceDescriptor, h: frozenset[int]) -> int:
     red = p.reduction
     if isinstance(red, Good):
         return 1
+    return _tamagawa_ef(red, *_place_ef(p, h))
+
+
+def _place_ef(p: PlaceDescriptor, h: frozenset[int]) -> tuple[int, int]:
     h = frozenset(h)
     if not h <= p.dsub:
         raise ValueError("H must be a subgroup of D_v")
-    e, f = local_ef(p.dsub, p.isub, h)
+    return local_ef(p.dsub, p.isub, h)
+
+
+def _tamagawa_ef(red: ReductionData, e: int, f: int) -> int:
+    """Tamagawa number of a bad reduction type over a field with (e, f)."""
     if isinstance(red, SplitMult):
         return e * red.n
     if isinstance(red, NonsplitMult):
@@ -350,15 +358,16 @@ def fudge_C(p: PlaceDescriptor, h: frozenset[int]) -> Fraction:
     potentially good reduction, PowHalf(q) for potentially multiplicative
     reduction, and 1 otherwise.
     """
-    c = Fraction(tamagawa(p, h))
+    _require_validated(p)
     red = p.reduction
     if isinstance(red, AddPotGood):
         psi = PowFloor(p.q, red.delta)
     elif isinstance(red, AddPotMult):
         psi = PowHalf(p.q)
     else:
-        return c
-    return c * _psi_value(psi, *local_ef(p.dsub, p.isub, frozenset(h)))
+        return Fraction(tamagawa(p, h))
+    e, f = _place_ef(p, h)
+    return _tamagawa_ef(red, e, f) * _psi_value(psi, e, f)
 
 
 def default_additive_lambda(fe: int, q: int, dihedral: bool) -> int:

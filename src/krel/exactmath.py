@@ -244,27 +244,39 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
 
 
 def is_norm_from_quadratic(x: Rational, d: int) -> bool:
-    """Decide x in N(Q(sqrt(d))^*) via Hilbert symbols at the relevant places.
+    """Decide x in N(Q(sqrt(d))^*): true exactly when x has no local
+    obstruction (see :func:`norm_obstruction`)."""
+    return not norm_obstruction(x, d)
 
-    (x, d)_v = 1 automatically at odd primes dividing neither x nor d, so it
-    is enough to look at infinity, 2, and the primes of x and d.  Verdicts
-    are memoised on (x, d); invalid arguments raise and are not cached.
+
+def norm_obstruction(x: Rational, d: int) -> frozenset:
+    """The places v with (x, d)_v = -1, as a set of primes and ``PLACE_INF``.
+
+    By Hasse's norm theorem x is a norm from Q(sqrt(d)) exactly when this
+    set is empty, and since each (., d)_v is a character of exponent two,
+    x -> norm_obstruction(x, d) is an injective F2-linear map from
+    Q^x / N(K^x) into the sets of places under symmetric difference:
+    obstruction(xy) = obstruction(x) ^ obstruction(y).  By Hilbert
+    reciprocity every obstruction set has even size.  (x, d)_v = 1
+    automatically at odd primes dividing neither x nor d, so only infinity,
+    2, and the primes of x and d are examined.  Results are memoised on
+    (x, d); invalid arguments raise and are not cached.
     """
     x = _as_fraction(x)
     if x == 0:
         raise ValueError("zero is not in the multiplicative group")
-    return _is_norm(x, d)
+    return _norm_obstruction(x.numerator, x.denominator, d)
 
 
 @functools.lru_cache(maxsize=4096)
-def _is_norm(x: Fraction, d: int) -> bool:
+def _norm_obstruction(num: int, den: int, d: int) -> frozenset:
     if d == 1 or not is_squarefree(d):
         raise ValueError(f"d must be squarefree and != 1, got {d}")
     places: set = {PLACE_INF, 2}
-    places.update(factor_bounded(x.numerator * x.denominator or 1))
+    places.update(factor_bounded(num * den))
     places.update(factor_bounded(d))
-    places.discard(1)
-    return all(hilbert_symbol(x, d, v) == 1 for v in sorted(places, key=str))
+    x = Fraction(num, den)
+    return frozenset(v for v in places if hilbert_symbol(x, d, v) == -1)
 
 
 class NormClass(NamedTuple):

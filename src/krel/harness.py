@@ -28,7 +28,8 @@ from .characters import _fundamental_discriminant
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
                          is_square_in_ext, ram_degree, validate_place)
-from .exactmath import is_norm_from_quadratic, is_squarefree, kronecker_symbol
+from .exactmath import (PLACE_INF, is_norm_from_quadratic, is_squarefree,
+                        kronecker_symbol)
 from .groups import PermGroup, metacyclic_generators
 from .parity import CurveLocalModel
 from .regconst import MatrixRep, invariant_pairing, matrix_fixed_det
@@ -254,9 +255,13 @@ def _check_function(case, spec, G, q, flags, fn, fields, lattices, rows):
         rep = is_trivial_on_k_relations(fn, G, d, lattice=lattices[d])
         detail = ""
         if not rep.trivial:
+            places = ", ".join(str(v) for v in sorted(
+                rep.obstruction,
+                key=lambda v: (v == PLACE_INF, 0 if v == PLACE_INF else v)))
             detail = (f"value {rep.value} on {rep.certificate} is not a norm "
-                      f"from Q(sqrt {d}); the case-{case} local ratio must "
-                      "be trivial on K-relations")
+                      f"from Q(sqrt {d}), with local obstruction at {places}; "
+                      f"the case-{case} local ratio must be trivial on "
+                      "K-relations")
         rows.append(TamagawaCheckRow(case, spec.e, spec.k, spec.sign, q,
                                      flags, d, rep.trivial, detail))
 
@@ -297,6 +302,10 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
             traces = [sum(vrep.at(i)[j][j] for j in range(4))
                       for i in range(G.order)]
             dprime = G.closure([G.mul(frobenius, frobenius)])
+            # depends on h alone: one determinant per subgroup, shared by
+            # every (delta, q, flags) below
+            fixed_det = functools.cache(functools.partial(
+                _unscaled_fixed_det, vrep, pairing, traces))
         for delta in _DELTAS[spec.e]:
             fe = ram_degree(delta)
             for l, q in pool:
@@ -320,10 +329,10 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
                         _whole_group_place(G, isub, l, q, red)
                         flags = f"delta={delta} dsq={du:d} bsq={bu:d}"
                         if dihedral:
-                            fn = (lambda h, delta=delta, du=du, bu=bu: Fraction(
-                                _unscaled_fixed_det(vrep, pairing, traces, h))
-                                / _fine_potgood(G, isub, wsub, delta, du, bu,
-                                                True, h))
+                            fn = (lambda h, delta=delta, du=du, bu=bu:
+                                  fixed_det(h)
+                                  / _fine_potgood(G, isub, wsub, delta, du, bu,
+                                                  True, h))
                         else:
                             fn = (lambda h, delta=delta, du=du, bu=bu: Fraction(
                                 _fine_potgood(G, isub, wsub, delta, du, bu,

@@ -21,8 +21,8 @@ from .exactmath import (
     ExactCheckError,
     exact_quotient,
     hermite_row_basis,
-    is_norm_from_quadratic,
     is_squarefree,
+    norm_obstruction,
     snf_solve,
 )
 from .groups import PermGroup, SubgroupClass, subgroup_rep
@@ -426,9 +426,14 @@ def _as_subgroup_function(f, G: PermGroup) -> Callable[[frozenset], Fraction]:
 
 @dataclass
 class TrivialityReport:
+    """Verdict of :func:`is_trivial_on_k_relations`.  On failure it names the
+    first failing basis element, the value there, and the places where
+    that value is not a local norm."""
+
     trivial: bool
     certificate: dict[str, int] | None = None
     value: Fraction | None = None
+    obstruction: frozenset | None = None
 
     def __bool__(self) -> bool:
         return self.trivial
@@ -443,6 +448,16 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
     constant on conjugacy classes.  Values of f land in the group
     Q^x / N(K^x) of exponent two, so checking a lattice basis settles the
     whole lattice; a failing basis element is returned as certificate.
+
+    By Hasse's norm theorem that group embeds F2-linearly into the sets of
+    places under symmetric difference, x -> norm_obstruction(x, d).  So
+    f(theta) is a norm exactly when the symmetric difference of the
+    obstruction sets of the classes with odd coefficient in theta is
+    empty; even coefficients contribute nothing.  Each class value is
+    norm-tested once, and the rational f(theta) is formed only for the
+    failing basis element.  Every class value must therefore be nonzero
+    with all prime factors within the factoring bound, whichever basis
+    elements it enters.
     """
     _check_quadratic(d)
     if lattice is None:
@@ -450,14 +465,17 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
     elif lattice.d != d or lattice.group is not G:
         raise ValueError("lattice does not match the requested field")
     fval = _as_subgroup_function(f, G)
-    values = {cls.id: Fraction(fval(cls.representative))
-              for cls in G.subgroup_classes()}
+    obstruction = {
+        cls.id: norm_obstruction(Fraction(fval(cls.representative)), d)
+        for cls in G.subgroup_classes()}
     for theta in lattice.basis:
-        val = Fraction(1)
+        places = frozenset()
         for cid, coeff in theta.items():
-            val *= values[cid] ** coeff
-        if not is_norm_from_quadratic(val, d):
-            return TrivialityReport(False, dict(theta), val)
+            if coeff % 2:
+                places ^= obstruction[cid]
+        if places:
+            return TrivialityReport(False, dict(theta),
+                                    eval_on_theta(fval, G, theta), places)
     return TrivialityReport(True)
 
 

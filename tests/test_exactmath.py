@@ -20,9 +20,11 @@ from krel.exactmath import (
     hermite_row_basis,
     hilbert_symbol,
     is_norm_from_quadratic,
+    is_squarefree,
     kronecker_symbol,
     mat_mul,
     norm_class,
+    norm_obstruction,
     rat_det,
     rat_solve,
     smith_normal_form,
@@ -99,6 +101,21 @@ def _oracle_is_norm(xs, D):
     if 2 not in primes and not _two_local_solvable(D, xs):
         return False
     return True
+
+
+@functools.cache
+def oracle_obstruction(xs, D):
+    """Places where a^2 - D*b^2 = xs*c^2 has no nontrivial local solution,
+    xs squarefree, decided by the congruence oracle place by place."""
+    bad = set()
+    if D < 0 and xs < 0:
+        bad.add(PLACE_INF)
+    if not _two_local_solvable(D, xs):
+        bad.add(2)
+    for p in factor_bounded(abs(xs * D)):
+        if p != 2 and not _odd_local_solvable(D, xs, p):
+            bad.add(p)
+    return frozenset(bad)
 
 
 def witness_search(x, D, bound=500):
@@ -252,6 +269,9 @@ def test_norm_examples():
     assert is_norm_from_quadratic(7, 21) is True
     assert is_norm_from_quadratic(3, 21) is False
     assert is_norm_from_quadratic(-21, 21) is True
+    assert norm_obstruction(7, 21) == frozenset()
+    assert norm_obstruction(3, 21) == frozenset({3, 7})
+    assert norm_obstruction(-1, -1) == frozenset({PLACE_INF, 2})
 
 
 def test_norm_rejects_bad_field():
@@ -263,6 +283,9 @@ def test_norm_rejects_bad_field():
             is_norm_from_quadratic(5, 12)
         with pytest.raises(ValueError):
             is_norm_from_quadratic(0, 21)
+        for bad_x, bad_d in ((5, 1), (5, 12), (0, 21), (Fraction(0), 5)):
+            with pytest.raises(ValueError):
+                norm_obstruction(bad_x, bad_d)
     assert is_norm_from_quadratic(Fraction(7), 21) is True
     assert is_norm_from_quadratic(Fraction(7, 9), 21) is True
 
@@ -282,11 +305,35 @@ def test_norm_agrees_with_local_solvability_oracle():
                 continue
             got = is_norm_from_quadratic(x, D)
             assert got == oracle_is_norm(x, D), (x, D)
+            obs = norm_obstruction(x, D)
+            assert (not obs) == got, (x, D)
+            assert len(obs) % 2 == 0, (x, D, obs)  # Hilbert reciprocity
+            # the oracle's odd-prime search is quadratic in p^2, so the
+            # place-by-place comparison keeps to the small corner
+            if abs(x) <= 15 and abs(D) <= 15:
+                xs = squarefree_class(x).value
+                assert obs == oracle_obstruction(xs, D), (x, D)
             if got:
                 w = witness_search(x, D)
                 if w is not None:
                     a, b, c = w
                     assert a * a - D * b * b == x * c * c
+
+
+_GRID_DS = [d for d in range(-30, 31) if d not in (0, 1) and is_squarefree(d)]
+_NONZERO = st.one_of(
+    st.integers(min_value=-200, max_value=200).filter(bool),
+    st.builds(Fraction, st.integers(min_value=-60, max_value=60).filter(bool),
+              st.integers(min_value=1, max_value=60)))
+
+
+@given(_NONZERO, _NONZERO, st.sampled_from(_GRID_DS))
+def test_norm_obstruction_is_multiplicative_and_even(x, y, d):
+    ox, oy = norm_obstruction(x, d), norm_obstruction(y, d)
+    assert norm_obstruction(Fraction(x) * y, d) == ox ^ oy
+    # Hilbert reciprocity: the symbols multiply to 1 over all places
+    assert len(ox) % 2 == 0 and len(oy) % 2 == 0
+    assert all(hilbert_symbol(x, d, v) == -1 for v in ox)
 
 
 def test_norm_class_reduction():

@@ -1,12 +1,18 @@
 """The appendix sweeps and their helpers: every row of a small sweep per
 reduction case passes, and the probe fields are pinned to literal tuples."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from krel.groups import cyclic_group, dihedral_group, metacyclic_group
-from krel.harness import (MetacyclicSpec, appendix_tamagawa_check,
-                          build_metacyclic, quadratic_probe_fields,
+from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
+                          appendix_differential_check,
+                          appendix_tamagawa_check, build_metacyclic,
+                          lemma_b3_check, quadratic_probe_fields,
                           quadratic_subfields_of_fixed_field)
+from krel.relations import k_relation_basis
 
 FIELDS = (-5, -3, -2, -1, 2, 3, 5)
 
@@ -76,3 +82,86 @@ def test_quadratic_probe_fields_extra_and_fixed_subfields():
     assert quadratic_subfields_of_fixed_field(24, 5) == (-1, -6, 6)
     assert quadratic_subfields_of_fixed_field(21, 2) == (-7,)
     assert quadratic_subfields_of_fixed_field(60, 7) == (-3, -5, 15)
+
+
+def admissible_appendix_calls(max_order):
+    """Every (case, spec) that appendix_tamagawa_check accepts, over the
+    metacyclic specs of order at most max_order."""
+    calls = []
+    for e in (2, 3, 4, 6):
+        for k in range(max_order.bit_length()):
+            if e << k > max_order:
+                break
+            for sign in (1, -1):
+                if sign == -1 and k == 0 and e > 2:
+                    continue
+                spec = MetacyclicSpec(e, k, sign)
+                for case in ("2C", "2D", "2M"):
+                    if case == "2C" and sign != 1:
+                        continue
+                    if case == "2D" and (sign != -1 or e == 2 or k == 0):
+                        continue
+                    calls.append((case, spec))
+    return calls
+
+
+def test_every_appendix_row_of_order_at_most_32_passes():
+    calls = admissible_appendix_calls(32)
+    assert len(calls) == 53
+    assert len({spec for _, spec in calls}) == 29
+    total = 0
+    for case, spec in calls:
+        rows = appendix_tamagawa_check(case, spec)
+        assert rows, (case, spec)
+        for r in rows:
+            assert r.passed, r.detail
+        total += len(rows)
+    assert total == 9372
+
+
+@pytest.mark.parametrize("d", [-1, 2, -2, 5, 13, -3, 17])
+def test_lemma_b3_split_primes_are_norms(d):
+    report = lemma_b3_check(d)
+    assert report.tested and not report.failures
+    assert report.passed
+
+
+def test_lemma_b3_rejects_fields_of_other_shape():
+    with pytest.raises(ValueError):
+        lemma_b3_check(3)
+
+
+def test_differential_check_passes_for_every_delta_and_residue_size():
+    checked = 0
+    for e, deltas in _DELTAS.items():
+        for delta in deltas:
+            for q in (5, 7, 11, 13):
+                if e > 2 and q % e not in (1, e - 1):
+                    continue
+                r = 8 * 9 * (7 if q == 5 else 5)
+                assert math.gcd(q, r) == 1
+                report = appendix_differential_check(e, delta, q, q, r)
+                assert report.table_ok, (e, delta, q, report.nonsquare,
+                                         report.expected_nonsquare)
+                assert not report.norm_failures, (e, delta, q)
+                assert report.passed
+                checked += 1
+    # every pair (e, delta) with every q in {5, 7, 11, 13}
+    assert checked == 28
+
+
+def test_failure_detail_names_the_obstructed_places():
+    G = dihedral_group(21)
+    lattice = k_relation_basis(G, 21)
+
+    def three_on_reflections(rep):
+        return Fraction(3) if G.classify_subgroup(frozenset(rep)).id == "2.1" \
+            else Fraction(1)
+
+    rows = []
+    _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags",
+                    three_on_reflections, (21,), {21: lattice}, rows)
+    (row,) = rows
+    assert not row.passed
+    assert "not a norm from Q(sqrt 21), with local obstruction at 3, 7;" \
+        in row.detail

@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import cyclotomic_poly, divisors
 
 from krel.characters import (
@@ -12,7 +15,8 @@ from krel.characters import (
     perm_character,
     rational_irreducibles,
 )
-from krel.exactmath import CycNumber, is_norm_from_quadratic, snf_solve
+from krel.exactmath import (CycNumber, FactorBoundError, is_norm_from_quadratic,
+                            norm_obstruction, snf_solve)
 from krel.groups import (
     alternating4_group,
     burnside_ind,
@@ -21,6 +25,7 @@ from krel.groups import (
     cyclic_group,
     dihedral_group,
     group_from_cycles,
+    metacyclic_group,
     quaternion_group,
     subgroup_as_group,
 )
@@ -504,10 +509,87 @@ def test_certificate_for_a_nontrivial_function():
     assert lat.contains(report.certificate)
     assert is_k_relation(D21, report.certificate, 21)
     assert not is_norm_from_quadratic(report.value, 21)
+    # the failing value is not a local norm at 3 and at 7
+    assert report.obstruction == norm_obstruction(report.value, 21)
+    assert report.obstruction == frozenset({3, 7})
     # the motivating value: 3 on the main theta is not a norm from Q(sqrt 21)
     val = eval_on_theta(three_on_reflections, D21, D21_THETA)
     assert val == 3
     assert not is_norm_from_quadratic(val, 21)
+
+
+def reference_triviality(f, G, d, lattice):
+    """The triviality test as one rational product per basis element,
+    norm-tested as a whole: the oracle for the per-class obstruction sets."""
+    values = {cls.id: Fraction(f(cls.representative))
+              for cls in G.subgroup_classes()}
+    for theta in lattice.basis:
+        val = Fraction(1)
+        for cid, coeff in theta.items():
+            val *= values[cid] ** coeff
+        if not is_norm_from_quadratic(val, d):
+            return False, dict(theta), val
+    return True, None, None
+
+
+REFERENCE_GROUPS = {
+    "S3": lambda: sample("S3"),
+    "D4": functools.cache(lambda: dihedral_group(4)),
+    "Q8": lambda: sample("Q8"),
+    "D21": lambda: sample("D21"),
+    "C12:C4": functools.cache(lambda: metacyclic_group(12, 4, 5)),
+}
+
+
+@functools.cache
+def reference_lattice(name, d):
+    G = REFERENCE_GROUPS[name]()
+    return G, k_relation_basis(G, d)
+
+
+VALUE_POOL = tuple(Fraction(v) for v in (1, -1, 2, -2, 3, -3, 5, 7, 6, -21, 13)) \
+    + (Fraction(1, 2), Fraction(-2, 3), Fraction(10, 7), Fraction(9, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(REFERENCE_GROUPS)),
+       st.sampled_from((-1, 2, -3, 5, 21)), st.booleans(), st.data())
+def test_obstruction_sets_agree_with_the_rational_products(name, d, norms_only,
+                                                           data):
+    G, lat = reference_lattice(name, d)
+    pool = [v for v in VALUE_POOL
+            if not norms_only or is_norm_from_quadratic(v, d)]
+    ids = [cls.id for cls in G.subgroup_classes()]
+    table = dict(zip(ids, data.draw(st.lists(st.sampled_from(pool),
+                                             min_size=len(ids),
+                                             max_size=len(ids)))))
+
+    def f(rep):
+        return table[G.classify_subgroup(frozenset(rep)).id]
+
+    report = is_trivial_on_k_relations(f, G, d, lat)
+    trivial, certificate, value = reference_triviality(f, G, d, lat)
+    assert (report.trivial, report.certificate, report.value) == (
+        trivial, certificate, value)
+    if norms_only:
+        assert report.trivial
+    if not trivial:
+        assert report.obstruction == norm_obstruction(value, d)
+    else:
+        assert report.obstruction is None
+
+
+def test_class_values_are_norm_tested_before_any_theta():
+    # every class value is norm-tested on its own, so a zero value or one
+    # with a prime beyond the factoring bound raises its named error
+    C6 = sample("C6")
+    lat = k_relation_basis(C6, -3)
+    for bad, error in ((Fraction(0), ValueError),
+                       (Fraction(1000003), FactorBoundError)):
+        def f(rep, bad=bad):
+            return bad if len(rep) == 6 else Fraction(1)
+        with pytest.raises(error):
+            is_trivial_on_k_relations(f, C6, -3, lat)
 
 
 def test_triviality_report_validates_inputs():
