@@ -304,7 +304,7 @@ def _structure_constants(G: PermGroup, cls) -> dict[tuple[int, int], int]:
     :class:`ModularMethodError` is raised.
     """
     classes = G.conjugacy_classes()
-    class_of = [G.class_of(x) for x in range(G.order)]
+    class_of = G._class_of
     counts: Counter = Counter()
     for x in cls:
         counts.update(zip(class_of, [class_of[z] for z in G._mul[x]]))
@@ -350,26 +350,38 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     p = admissible_prime(G)
 
     # split GF(p)^r into common eigenspaces of the class-sum matrices,
-    # each built sparse when the split first needs it
-    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+    # each built sparse when the split first needs it.  A space is kept as
+    # (rows, pivots) of its reduced echelon form, made once when the space
+    # is made.
+    spaces = [([[1 if i == j else 0 for j in range(r)] for i in range(r)],
+               list(range(r)))]
     for i in range(1, r):
-        if all(len(b) == 1 for b in spaces):
+        if all(len(b) == 1 for b, _ in spaces):
             break
         mat: list[list[tuple[int, int]]] = [[] for _ in range(r)]
         for (j, k), a in _structure_constants(G, classes[i]).items():
             if a % p:
                 mat[j].append((k, a % p))
         nxt = []
-        for basis in spaces:
+        for space in spaces:
+            basis, pivots = space
             if len(basis) == 1:
-                nxt.append(basis)
+                nxt.append(space)
                 continue
-            rref_rows, pivots = _rref(basis, p)
-            basis = rref_rows
             d = len(basis)
             images = [[sum(a * vec[k] for k, a in row) % p for row in mat]
                       for vec in basis]
-            cols = [_coords(rref_rows, pivots, img, p) for img in images]
+            # Most steps find the class sum acting on the space as a scalar
+            # lam.  The general path below would then find the minimal
+            # polynomial x - lam and one kernel, the whole space, so keep
+            # the space as it is.  Each echelon row has a 1 at its pivot,
+            # which is where lam is read.
+            lam = images[0][pivots[0]]
+            if all(img == [lam * x % p for x in vec]
+                   for img, vec in zip(images, basis)):
+                nxt.append(space)
+                continue
+            cols = [_coords(basis, pivots, img, p) for img in images]
             restr = [[cols[j][a] for j in range(d)] for a in range(d)]
             mp = _min_poly(restr, p)
             roots = [lam for lam in range(p) if _poly_eval(mp, lam, p) == 0]
@@ -386,12 +398,12 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                         if c:
                             acc = [x + c * y for x, y in zip(acc, row)]
                     sub.append([x % p for x in acc])
-                nxt.append(sub)
+                nxt.append(_rref(sub, p))
             if covered != d:
                 raise ModularMethodError("class-sum matrix is not "
                                          "diagonalizable on a subspace")
         spaces = nxt
-    if any(len(b) != 1 for b in spaces) or len(spaces) != r:
+    if any(len(b) != 1 for b, _ in spaces) or len(spaces) != r:
         raise ModularMethodError("class algebra did not split into lines")
 
     inv_class = [G.class_of(G.inv(reps[i])) for i in range(r)]
@@ -423,7 +435,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                       for j in range(n)]
 
     rows = []
-    for (vec,) in spaces:
+    for (vec,), _ in spaces:
         if vec[0] % p == 0:
             raise ModularMethodError("eigenvector vanishes on the identity class")
         norm = pow(vec[0], -1, p)

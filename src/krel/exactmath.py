@@ -526,10 +526,6 @@ def reduce_by_kernel(x: Sequence[int],
 # Rational dense linear algebra (small matrices)
 
 
-def rat_matrix(entries) -> list[list[Fraction]]:
-    return [[_as_fraction(x) for x in row] for row in entries]
-
-
 def rat_det(a: Sequence[Sequence[Rational]]) -> Fraction:
     """Determinant by fraction-free-ish Gaussian elimination over Q."""
     n = len(a)

@@ -5,6 +5,15 @@ regulator-constant machinery) works on element indices into a group's
 sorted element list, so hot loops reduce to integer table lookups.
 Subgroups are frozensets of indices; subgroup conjugacy classes carry
 stable string ids of the form "order.j".
+
+The multiplication table is written from the closure walk, not from |G|²
+compositions.  The breadth-first closure composes each element with each
+generator once, |G|·|gens| compositions, and records for each element x_t
+the element x_j and generator g it was first reached from, x_t = x_j∘g.
+Then column t of the table is column j read through right multiplication
+by g: x_i∘x_t = (x_i∘x_j)∘g, one integer lookup per entry.  A generator
+whose order, the lcm of its cycle lengths, exceeds the order bound is
+rejected before the closure starts.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ GROUP_ORDER_BOUND = 512
 
 
 class GroupTooLargeError(ValueError):
-    """Raised when closure exceeds the configured order bound."""
+    """Raised when the group, or the cyclic group of one generator, exceeds
+    the configured order bound."""
 
 
 def identity_perm(degree: int) -> Perm:
@@ -38,6 +48,21 @@ def perm_inv(p: Perm) -> Perm:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
+
+
+def perm_order(p: Perm) -> int:
+    """The order of p, the lcm of its cycle lengths."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        k, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            k += 1
+        if k:
+            lengths.append(k)
+    return math.lcm(*lengths)
 
 
 def perm_from_cycles(text: str, degree: int) -> Perm:
@@ -113,33 +138,49 @@ class PermGroup:
             g = tuple(g)
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g}")
+            k = perm_order(g)
+            if k > order_bound:
+                raise GroupTooLargeError(
+                    f"a generator has order {k}, above the group order "
+                    f"bound {order_bound}")
             gens.append(g)
+        # breadth-first closure, keeping every product p∘g: found[k] was
+        # first reached as found[j]∘gens[gi] with (j, gi) = parent[k]
         ident = identity_perm(degree)
-        elems = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = perm_mul(p, g)
-                    if q not in elems:
-                        if len(elems) >= order_bound:
-                            raise GroupTooLargeError(
-                                f"group order exceeds bound {order_bound}")
-                        elems.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        self.elements: list[Perm] = sorted(elems)
-        self.order = len(self.elements)
-        self._index = {p: i for i, p in enumerate(self.elements)}
+        found = [ident]
+        seen = {ident}
+        parent: list[tuple[int, int]] = [(0, 0)]
+        products: list[list[Perm]] = []
+        for j, p in enumerate(found):
+            row = [perm_mul(p, g) for g in gens]
+            for gi, q in enumerate(row):
+                if q not in seen:
+                    if len(seen) >= order_bound:
+                        raise GroupTooLargeError(
+                            f"group order exceeds bound {order_bound}")
+                    seen.add(q)
+                    found.append(q)
+                    parent.append((j, gi))
+            products.append(row)
+        self.elements: list[Perm] = sorted(found)
+        self.order = n = len(self.elements)
+        self._index = idx = {p: i for i, p in enumerate(self.elements)}
         if self.elements[0] != ident:
             raise ExactCheckError("the identity is not the least element")
-        self.generator_indices = tuple(sorted({self._index[g] for g in gens}))
-        n = self.order
-        idx = self._index
-        self._mul = [[idx[perm_mul(p, q)] for q in self.elements]
-                     for p in self.elements]
-        self._inv = [idx[perm_inv(p)] for p in self.elements]
+        self.generator_indices = tuple(sorted({idx[g] for g in gens}))
+        pos = [idx[p] for p in found]
+        right = [[0] * n for _ in gens]  # right[gi][i] = index of x_i∘g
+        for j, row in enumerate(products):
+            for gi, q in enumerate(row):
+                right[gi][pos[j]] = idx[q]
+        # x_t = x_j∘g, so column t is column j read through right[g]
+        cols: list[list[int]] = [[]] * n
+        cols[0] = list(range(n))
+        for k in range(1, n):
+            j, gi = parent[k]
+            cols[pos[k]] = list(map(right[gi].__getitem__, cols[pos[j]]))
+        self._mul = [list(row) for row in zip(*cols)]
+        self._inv = [row.index(0) for row in self._mul]
         self._order_of = [self._element_order(i) for i in range(n)]
         self._classes: list[tuple[int, ...]] | None = None
         self._class_of: list[int] | None = None
@@ -539,10 +580,6 @@ def burnside_add(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
     for k, v in b.items():
         out[k] = out.get(k, 0) + v
     return {k: v for k, v in out.items() if v}
-
-
-def burnside_scale(c: int, a: dict[str, int]) -> dict[str, int]:
-    return {k: c * v for k, v in a.items() if c * v}
 
 
 def burnside_res(G: PermGroup, theta: dict[str, int],

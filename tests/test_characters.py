@@ -1,9 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from krel import characters
 from krel.characters import (
+    _min_poly,
     char_field_data,
     character_table,
     fs_indicator,
@@ -14,6 +17,7 @@ from krel.characters import (
 )
 from krel.exactmath import CycNumber
 from krel.groups import (
+    PermGroup,
     alternating4_group,
     cyclic_group,
     dihedral_group,
@@ -293,3 +297,127 @@ def test_galois_orbit_sum_rational():
             for o in orbit[1:]:
                 total = total + o
             assert total.is_rational()
+
+
+# ---------------------------------------------------------------------------
+# Closed forms that do not use the modular method, on large dihedral and
+# elementary abelian groups; and what the eigenspace split asks of _min_poly
+
+
+ORACLE_DIHEDRAL = (3, 4, 5, 6, 8, 15, 16, 32, 77, 128)
+ORACLE_C2_RANKS = (1, 2, 3, 4, 5, 6)
+
+
+def elementary_abelian_2(k):
+    gens = []
+    for i in range(k):
+        g = list(range(2 * k))
+        g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(g))
+    return PermGroup(2 * k, gens, name=f"C2^{k}")
+
+
+@pytest.fixture(scope="module")
+def oracle_tables():
+    """name -> (group, table, [is the matrix scalar, per _min_poly call]),
+    each table computed fresh while _min_poly is watched."""
+    groups = ([(f"D{n}", dihedral_group(n)) for n in ORACLE_DIHEDRAL]
+              + [(f"C2^{k}", elementary_abelian_2(k)) for k in ORACLE_C2_RANKS])
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, group in groups:
+            calls = []
+
+            def watched(mat, p, calls=calls):
+                lam = mat[0][0]
+                calls.append(all(x == (lam if a == b else 0)
+                                 for a, row in enumerate(mat)
+                                 for b, x in enumerate(row)))
+                return _min_poly(mat, p)
+
+            mp.setattr(characters, "_min_poly", watched)
+            out[name] = (group, character_table(group), calls)
+    return out
+
+
+def exact_key(value, level):
+    """The coefficients of value written at the given level, as integer
+    pairs, which hash much faster than Fractions."""
+    return tuple((c.numerator, c.denominator) for c in value.raised(level).coeffs)
+
+
+def table_rows(group, table):
+    """The table's value rows as a multiset, each value at its class's level."""
+    levels = [group.element_order(c[0]) for c in group.conjugacy_classes()]
+    return Counter(tuple(exact_key(v, n) for v, n in zip(chi.values, levels))
+                   for chi in table.irreducibles)
+
+
+def closed_form_rows(group, value_of, characters_):
+    """The rows of value_of(chi, element, level) -> {power of zeta_level: c}
+    over the given characters, as a multiset."""
+    memo = {}
+    out = Counter()
+    reps = [(group.elements[c[0]], group.element_order(c[0]))
+            for c in group.conjugacy_classes()]
+    for chi in characters_:
+        row = []
+        for perm, level in reps:
+            powers = value_of(chi, perm, level)
+            key = (level, tuple(sorted(powers.items())))
+            if key not in memo:
+                memo[key] = exact_key(CycNumber.from_powers(level, powers),
+                                      level)
+            row.append(memo[key])
+        out[tuple(row)] += 1
+    return out
+
+
+def dihedral_value(n):
+    """chi(x) for D_n on Z/n: r is x -> x + 1 and x -> k - x is r^k s.
+
+    chi is ("linear", a, b) with chi(r) = a, chi(s) = b, or ("2", h) with
+    chi(r^k) = zeta_n^(hk) + zeta_n^(-hk) and chi = 0 on reflections."""
+    def value(chi, perm, level):
+        k = perm[0]
+        rotation = (perm[1] - perm[0]) % n == 1
+        if chi[0] == "linear":
+            _, a, b = chi
+            return {0: a ** k * (1 if rotation else b)}
+        if not rotation:
+            return {}
+        # zeta_n^(hk) is zeta_level^(hk/g), g = n/level = gcd(n, k)
+        j = chi[1] * (k // (n // level))
+        return dict(Counter([j % level, -j % level]))
+    return value
+
+
+@pytest.mark.parametrize("n", ORACLE_DIHEDRAL)
+def test_dihedral_table_matches_closed_form(oracle_tables, n):
+    group, table, _ = oracle_tables[f"D{n}"]
+    signs = [(1, 1), (1, -1)] + ([(-1, 1), (-1, -1)] if n % 2 == 0 else [])
+    chars = ([("linear", a, b) for a, b in signs]
+             + [("2", h) for h in range(1, (n - 1) // 2 + 1)])
+    assert len(chars) == len(table.irreducibles)
+    assert table_rows(group, table) == closed_form_rows(
+        group, dihedral_value(n), chars)
+
+
+@pytest.mark.parametrize("k", ORACLE_C2_RANKS)
+def test_elementary_abelian_table_is_every_sign_vector(oracle_tables, k):
+    group, table, _ = oracle_tables[f"C2^{k}"]
+
+    def value(subset, perm, level):
+        flips = sum(1 for i in range(k) if subset >> i & 1 and perm[2 * i] != 2 * i)
+        return {0: (-1) ** flips}
+
+    assert table_rows(group, table) == closed_form_rows(
+        group, value, range(2 ** k))
+
+
+@pytest.mark.parametrize("name, most", [("D128", 70), ("C2^6", 70)])
+def test_split_hands_min_poly_no_scalar_matrix(oracle_tables, name, most):
+    _, _, calls = oracle_tables[name]
+    # 680 calls on D128 and 683 on C2^6 when every step took the general path
+    assert calls and len(calls) <= most
+    assert not any(calls)
