@@ -12,6 +12,17 @@ eigenvalues of rho(g) raised to the k-th power, so their multisets are
 relabellings, exact with no further lift.  The orthogonality check, the
 field degrees, the values and their sort keys are all integer arithmetic;
 each value becomes a :class:`CycNumber` once, at the end.
+
+The table keeps each irreducible's multisets at the first classes
+(``CharacterTable.multisets``), and the Galois action is read from them:
+sigma_k relabels j -> jk.  That gives each irreducible's stabiliser in
+(Z/exp G)^x, so its character field (``GroupData.field_data``) and the
+field-degree sort key, and the Galois orbits of ``rational_irreducibles``.
+Every rational reduction of character values instead reads the Galois
+means Tr(chi(g))/phi, one cached tuple per class function
+(``ClassFunction.galois_means``): class weights, Frobenius-Schur
+indicators, rational inner products, the orbit sums (|orbit| times the
+means) and the local root-number pairings of ``curvelocal``.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from .exactmath import (
     cyclotomic_reduction_table,
     euler_phi,
     exact_quotient,
+    fraction_sum,
     is_squarefree,
     kronecker_symbol,
     mobius,
@@ -64,6 +76,20 @@ class ClassFunction:
 
     def degree(self) -> Fraction:
         return self.values[0].rational_value()
+
+    @cached_property
+    def galois_means(self) -> tuple[Fraction, ...]:
+        """Tr(v) / phi at each class: the mean of the Galois conjugates of
+        the value there (see :meth:`CycNumber.galois_mean`).
+
+        Every rational reduction of a character's values reads these: on a
+        rational class o the values are the conjugates of the value at its
+        first class, each equally often, so they sum to |o| times its mean.
+        Computed once per class function; equal means are one object.
+        """
+        shared: dict[Fraction, Fraction] = {}
+        return tuple(shared.setdefault(m, m)
+                     for m in map(CycNumber.galois_mean, self.values))
 
     def is_rational(self) -> bool:
         return all(v.is_rational() for v in self.values)
@@ -115,6 +141,10 @@ class CharacterTable:
     irreducibles: list[ClassFunction]
     class_sizes: tuple[int, ...]
     prime: int
+    # multisets[j][o]: the eigenvalue multiset of chi_j at the first class
+    # of the o-th rational class, as sorted (j, c_j) pairs; equal multisets
+    # are one shared tuple
+    multisets: list[tuple[tuple[tuple[int, int], ...], ...]]
 
 
 @dataclass
@@ -319,22 +349,45 @@ def _structure_constants(G: PermGroup, cls) -> dict[tuple[int, int], int]:
     return out
 
 
-def _field_degree(G: PermGroup, multisets: list[dict[int, int]]) -> int:
-    """[Q(chi) : Q] from the eigenvalue multisets of chi, one {j: c_j} per
-    class (rho(g) has the eigenvalue zeta_n^j c_j times, n = ord g).
+def _galois_stabiliser(G: PermGroup, multisets, memo=None) -> tuple[int, ...]:
+    """The units k mod exp G with sigma_k chi = chi, from the eigenvalue
+    multisets of chi at the first class of each rational class, in the
+    order of ``G.data.rational_classes``: sorted (j, c_j) pairs, rho(g)
+    having the eigenvalue zeta_n^j c_j times, n = ord g.
 
     sigma_k chi = chi exactly when every class keeps its multiset under
     j -> jk, and the first class of each rational class suffices: the
     other classes hold its unit powers, whose multisets are relabellings
-    of it that commute with j -> jk.
+    of it that commute with j -> jk.  The units mod n keeping one multiset
+    are kept in ``memo`` by (n, multiset).
     """
-    units = G.data.units
-    firsts = [(orbit[0], len(G.power_class_row(orbit[0])))
+    memo = {} if memo is None else memo
+    stab = G.data.units
+    for ms, n in zip(multisets, G.data.rational_class_orders):
+        fixed = memo.get((n, ms))
+        if fixed is None:
+            d = dict(ms)
+            fixed = memo[n, ms] = frozenset(
+                k for k in range(n) if math.gcd(k, n) == 1
+                and all(d.get(j * k % n) == c for j, c in ms))
+        if len(fixed) < euler_phi(n):
+            stab = tuple(k for k in stab if k % n in fixed)
+    return stab
+
+
+def _relabel(multisets, k: int, orders) -> tuple:
+    """The multisets of sigma_k chi from those of chi: j -> jk mod n."""
+    return tuple(tuple(sorted((j * k % n, c) for j, c in ms))
+                 for ms, n in zip(multisets, orders))
+
+
+def _field_degree(G: PermGroup, multisets: list[dict[int, int]],
+                  memo=None) -> int:
+    """[Q(chi) : Q] from the eigenvalue multisets of chi, one {j: c_j} per
+    class (see :func:`_galois_stabiliser`)."""
+    firsts = [tuple(sorted(multisets[orbit[0]].items()))
               for orbit in G.data.rational_classes]
-    stab = sum(1 for k in units
-               if all({j * k % n: c for j, c in multisets[i].items()}
-                      == multisets[i] for i, n in firsts))
-    return len(units) // stab
+    return len(G.data.units) // len(_galois_stabiliser(G, firsts, memo))
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -435,6 +488,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                       for j in range(n)]
 
     rows = []
+    shared: dict[tuple, tuple] = {}  # one tuple per distinct multiset
     for (vec,), _ in spaces:
         if vec[0] % p == 0:
             raise ModularMethodError("eigenvector vanishes on the identity class")
@@ -448,6 +502,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             raise ModularMethodError("no integer degree matches the eigenvector")
         chi_mod = [(deg * om[i] * size_inv[i]) % p for i in range(r)]
         multisets: list[dict[int, int]] = [{}] * r
+        firsts = []
         for i, n, members in lifts:
             vals = [chi_mod[c] for c in G.power_class_row(i)]
             n_inv = pow(n, -1, p)
@@ -461,7 +516,9 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                     powers[j] = cj
             for c, k in members:
                 multisets[c] = {j * k % n: cj for j, cj in powers.items()}
-        rows.append((deg, multisets))
+            ms = tuple(powers.items())
+            firsts.append(shared.setdefault(ms, ms))
+        rows.append((deg, multisets, tuple(firsts)))
 
     # verify the table exactly before trusting it.  Inner products are
     # computed through traces of roots of unity: classes group into
@@ -471,7 +528,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # |c|*|o|*tr/phi(n); scaled by |G|*L, L = lcm of the phi(n), every
     # term is an integer, so comparing the integer sum with |G|*L*delta_ab
     # is the same check with no fractions.
-    if sum(deg * deg for deg, _ in rows) != G.order:
+    if sum(row[0] ** 2 for row in rows) != G.order:
         raise ModularMethodError("degree check failed")
     lcm_phi = math.lcm(*(euler_phi(n) for n in dft))
     traces = {}
@@ -482,7 +539,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             traces[n].append(mobius(d) * (euler_phi(n) // euler_phi(d)))
     weights = [(i, n, sizes[i] * len(members) * (lcm_phi // euler_phi(n)))
                for i, n, members in lifts]
-    for a, (_, sa) in enumerate(rows):
+    for a, (_, sa, _) in enumerate(rows):
         for b in range(a, len(rows)):
             sb = rows[b][1]
             total = 0
@@ -500,7 +557,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     values_of, keys_of = [], []
     converted: dict[tuple, tuple[CycNumber, tuple[int, ...]]] = {}
     key_table = cyclotomic_reduction_table(e)
-    for _, multisets in rows:
+    for _, multisets, _ in rows:
         vals, keys = [], []
         for i, powers in enumerate(multisets):
             n = orders[i]
@@ -520,12 +577,15 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
         values_of.append(tuple(vals))
         keys_of.append(tuple(keys))
 
+    memo: dict = {}
     order_idx = sorted(
         range(len(rows)),
-        key=lambda a: (rows[a][0], _field_degree(G, rows[a][1]), keys_of[a]))
+        key=lambda a: (rows[a][0], _field_degree(G, rows[a][1], memo),
+                       keys_of[a]))
     irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}")
             for k, a in enumerate(order_idx)]
-    return CharacterTable(G, irrs, sizes, p)
+    return CharacterTable(G, irrs, sizes, p,
+                          [rows[a][2] for a in order_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +631,8 @@ def rational_inner_product(chi: ClassFunction, v: ClassFunction) -> Fraction:
     """<chi, v> for a character chi and a rational virtual character v.
 
     v is constant on rational classes, so the sum splits into the rational
-    class sums of chi (see :meth:`GroupData.class_sums`).
+    classes, each |o| classes of one size times the Galois mean of chi at
+    its first class (see :attr:`ClassFunction.galois_means`).
     """
     G = chi.group
     if v.group is not G:
@@ -583,88 +644,36 @@ def rational_inner_product(chi: ClassFunction, v: ClassFunction) -> Fraction:
     if any(vals[c] != vals[orbit[0]] for orbit in orbits for c in orbit):
         raise ValueError("not a virtual character: not constant on a "
                          "rational class")
-    sums = G.data.class_sums(chi.values)
-    return sum(vals[orbit[0]] * s for orbit, s in zip(orbits, sums)) / G.order
+    means = chi.galois_means
+    return sum(vals[o[0]] * s * means[o[0]] for o, s in
+               zip(orbits, G.data.rational_class_sizes)) / G.order
 
 
 def fs_indicator(chi: ClassFunction) -> int:
     """Frobenius-Schur indicator (1/|G|) * sum of chi(g^2) of a character.
 
-    g -> chi(g^2) is a virtual character, so the sum is over its rational
-    class sums (see :meth:`GroupData.class_sums`).
+    g -> chi(g^2) is a virtual character, so each class may be replaced by
+    the Galois mean of chi at the class of its squares.
     """
     G = chi.group
-    squares = [chi.values[G.power_class(i, 2)] for i in range(len(chi.values))]
-    val = sum(G.data.class_sums(squares)) / G.order
+    means = chi.galois_means
+    val = fraction_sum(((means[k], n) for k, n in G.data.square_counts),
+                       G.order)
     if val not in (-1, 0, 1):
         raise ValueError(f"indicator {val} is not in {{-1, 0, 1}}")
     return int(val)
-
-
-def _value_keys(cf: ClassFunction) -> list[tuple]:
-    e = cf.group.exponent()
-    return [tuple(v.raised(e).coeffs) for v in cf.values]
-
-
-def galois_orbit(chi: ClassFunction) -> list[ClassFunction]:
-    G = chi.group
-    r = len(chi.values)
-    base = _value_keys(chi)
-    seen = set()
-    out: list[ClassFunction] = []
-    for k in G.data.units:
-        key = tuple(base[G.power_class(i, k)] for i in range(r))
-        if key not in seen:
-            seen.add(key)
-            out.append(chi.galois(k))
-    return out
 
 
 def rational_irreducibles(G: PermGroup) -> list[RationalCharacter]:
     return list(G.data.rational_irreducibles)
 
 
-def _compute_rational_irreducibles(G: PermGroup) -> list[RationalCharacter]:
-    table = character_table(G)
-    r = len(table.class_sizes)
-    units = G.data.units
-    keys = [_value_keys(chi) for chi in table.irreducibles]
-    key_to_idx = {tuple(k): i for i, k in enumerate(keys)}
-    used: set[int] = set()
-    out = []
-    for idx, chi in enumerate(table.irreducibles):
-        if idx in used:
-            continue
-        members = sorted({
-            key_to_idx[tuple(keys[idx][G.power_class(i, k)] for i in range(r))]
-            for k in units})
-        used.update(members)
-        total = table.irreducibles[members[0]]
-        for m in members[1:]:
-            total = total + table.irreducibles[m]
-        out.append(RationalCharacter(
-            label=f"tau_{len(out) + 1}",
-            sum_values=total,
-            constituent=chi,
-            constituent_index=idx,
-            orbit_indices=tuple(members),
-            indicator=fs_indicator(chi),
-        ))
-    return out
-
-
 def _fundamental_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def char_field_data(chi: ClassFunction) -> CharFieldData:
-    G = chi.group
-    e = G.exponent()
-    r = len(G.conjugacy_classes())
-    keys = _value_keys(chi)
-    units = G.data.units
-    stab = [k for k in units
-            if all(keys[G.power_class(i, k)] == keys[i] for i in range(r))]
+def _quadratic_subfields(e: int, stab: tuple[int, ...]) -> tuple[int, ...]:
+    """Squarefree d != 1 with Q(sqrt(d)) in Q(zeta_e) fixed by ``stab``."""
     subfields = []
     for d in range(-e, e + 1):
         if d in (0, 1):
@@ -677,9 +686,17 @@ def char_field_data(chi: ClassFunction) -> CharFieldData:
         if all(kronecker_symbol(disc, k) == 1 for k in stab):
             subfields.append(d)
     subfields.sort(key=lambda d: (abs(d), d))
-    return CharFieldData(stabilizer=tuple(stab),
-                         quadratic_subfields=tuple(subfields),
-                         field_degree=len(units) // len(stab))
+    return tuple(subfields)
+
+
+def char_field_data(chi: ClassFunction) -> CharFieldData:
+    """The character field of an irreducible of the table, read from
+    :attr:`GroupData.field_data`."""
+    data = chi.group.data
+    j = data.irreducible_index(chi)
+    if j is None:
+        raise ValueError("chi does not match an irreducible of the table")
+    return data.field_data[j]
 
 
 # ---------------------------------------------------------------------------
@@ -722,17 +739,27 @@ class GroupData:
             out.append(members)
         return tuple(out)
 
-    def class_sums(self, values) -> list[Fraction]:
-        """Sum of |c| * value(c) over the classes c of each rational class,
-        for the class values of a virtual character.
-
-        On a rational class o the values are the Galois conjugates of the
-        value at its first class, each equally often, so the sum is
-        |c| * |o| times their mean: no cyclotomic arithmetic is needed.
-        """
+    @cached_property
+    def rational_class_sizes(self) -> tuple[int, ...]:
+        """The number of elements in each rational class."""
         classes = self.group.conjugacy_classes()
-        return [len(classes[o[0]]) * len(o) * values[o[0]].galois_mean()
-                for o in self.rational_classes]
+        return tuple(len(classes[o[0]]) * len(o) for o in self.rational_classes)
+
+    @cached_property
+    def rational_class_orders(self) -> tuple[int, ...]:
+        """The element order on each rational class."""
+        return tuple(len(self.group.power_class_row(o[0]))
+                     for o in self.rational_classes)
+
+    @cached_property
+    def square_counts(self) -> tuple[tuple[int, int], ...]:
+        """(k, the number of g with g^2 in class k), for each class k that
+        holds a square."""
+        G = self.group
+        counts: Counter = Counter()
+        for i, cls in enumerate(G.conjugacy_classes()):
+            counts[G.power_class(i, 2)] += len(cls)
+        return tuple(sorted(counts.items()))
 
     @cached_property
     def subgroup_positions(self) -> dict[str, int]:
@@ -746,10 +773,14 @@ class GroupData:
 
     @cached_property
     def class_weights(self) -> list[list[int]]:
-        """w[j][o]: the rational class sums of chi_j, integers."""
+        """w[j][o]: the sum of chi_j over the o-th rational class, an
+        integer: its size times the Galois mean of chi_j there."""
         out = []
+        reps = [o[0] for o in self.rational_classes]
         for j, chi in enumerate(character_table(self.group).irreducibles):
-            row = self.class_sums(chi.values)
+            means = chi.galois_means
+            row = [s * means[c]
+                   for c, s in zip(reps, self.rational_class_sizes)]
             if any(w.denominator != 1 for w in row):
                 raise ExactCheckError(
                     f"class weights {row} of chi_{j + 1} are not integers")
@@ -790,13 +821,68 @@ class GroupData:
         return smith_normal_form(self.multiplicity_matrix)
 
     @cached_property
-    def rational_irreducibles(self) -> tuple[RationalCharacter, ...]:
-        return tuple(_compute_rational_irreducibles(self.group))
+    def field_data(self) -> list[CharFieldData]:
+        """The character field of each irreducible, from its Galois
+        stabiliser (see :func:`_galois_stabiliser`); irreducibles with
+        one stabiliser share one record."""
+        G = self.group
+        memo: dict = {}
+        by_stab: dict[tuple[int, ...], CharFieldData] = {}
+        out = []
+        for ms in character_table(G).multisets:
+            stab = _galois_stabiliser(G, ms, memo)
+            fd = by_stab.get(stab)
+            if fd is None:
+                fd = by_stab[stab] = CharFieldData(
+                    stab, _quadratic_subfields(G.exponent(), stab),
+                    len(self.units) // len(stab))
+            out.append(fd)
+        return out
 
     @cached_property
-    def field_data(self) -> list[CharFieldData]:
-        return [char_field_data(chi)
-                for chi in character_table(self.group).irreducibles]
+    def rational_irreducibles(self) -> tuple[RationalCharacter, ...]:
+        """The Galois orbits on the table, in the order of their least
+        member, each with its sum and the indicator of that member.
+
+        sigma_k chi_j is the irreducible whose multisets are those of chi_j
+        relabelled by j -> jk, one k per coset of the stabiliser.  The
+        orbit sum is rational: |orbit| times the Galois means of chi_j.
+        """
+        G = self.group
+        table = character_table(G)
+        index = {ms: j for j, ms in enumerate(table.multisets)}
+        e = G.exponent()
+        placed: set[int] = set()
+        out = []
+        for idx, chi in enumerate(table.irreducibles):
+            if idx in placed:
+                continue
+            stab = self.field_data[idx].stabilizer
+            members, covered = set(), set()
+            for k in self.units:
+                if k in covered:
+                    continue
+                covered.update(k * s % e for s in stab)
+                image = _relabel(table.multisets[idx], k,
+                                 self.rational_class_orders)
+                if image not in index:
+                    raise ExactCheckError(
+                        f"sigma_{k} chi_{idx + 1} is not in the table")
+                members.add(index[image])
+            if len(members) != self.field_data[idx].field_degree:
+                raise ExactCheckError(
+                    f"orbit of chi_{idx + 1} has {len(members)} members")
+            placed.update(members)
+            out.append(RationalCharacter(
+                label=f"tau_{len(out) + 1}",
+                sum_values=ClassFunction(G, tuple(
+                    len(members) * m for m in chi.galois_means)),
+                constituent=chi,
+                constituent_index=idx,
+                orbit_indices=tuple(sorted(members)),
+                indicator=fs_indicator(chi),
+            ))
+        return tuple(out)
 
     def irreducible_index(self, chi: ClassFunction) -> int | None:
         """Position of chi in the table, or None."""

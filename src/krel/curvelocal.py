@@ -15,8 +15,8 @@ from math import gcd
 
 from sympy import isprime
 
-from .characters import ClassFunction, character_table, rational_inner_product
-from .exactmath import kronecker_symbol
+from .characters import ClassFunction, character_table
+from .exactmath import ExactCheckError, fraction_sum, kronecker_symbol
 from .groups import PermGroup, subgroup_as_group
 from .relations import (PowFloor, PowHalf, _cyclic_quotient, _psi_value,
                         local_ef)
@@ -107,6 +107,7 @@ class PlaceDescriptor:
     reduction: ReductionData | None = None
     validated: bool = field(default=False, compare=False)
     _carrier: tuple | None = field(default=None, repr=False, compare=False)
+    _root: RootDatum | None = field(default=None, repr=False, compare=False)
 
     def is_finite(self) -> bool:
         return self.kind == "finite"
@@ -118,6 +119,9 @@ class RootDatum:
     v_char: ClassFunction | None
     carrier: PermGroup | None = None
     to_carrier: dict[int, int] | None = None
+    # (class of G, |c| * V(c)) for each class c of the carrier: the terms
+    # of <Res chi, V> * |D_v| (see :func:`local_u_contribution`)
+    v_terms: tuple[tuple[int, int], ...] = ()
 
     def v_dimension(self) -> int:
         if self.v_char is None:
@@ -385,17 +389,24 @@ def _quadratic_by_membership(carrier: PermGroup, member: frozenset[int]):
 
 
 def root_datum(p: PlaceDescriptor) -> RootDatum:
-    """Local twisted-root-number data (lambda, V) for this place."""
+    """Local twisted-root-number data (lambda, V) for this place, computed
+    once and kept on it; a finite place must be validated."""
+    if p.is_finite():
+        _require_validated(p)
+    if p._root is None:
+        p._root = _root_datum(p)
+    return p._root
+
+
+def _root_datum(p: PlaceDescriptor) -> RootDatum:
     if p.kind in ("real", "complex"):
         return RootDatum(-1, None)
-    _require_validated(p)
     red = p.reduction
     carrier, to_carrier = _carrier(p)
     if isinstance(red, Good):
         return RootDatum(1, None, carrier, to_carrier)
     if isinstance(red, SplitMult):
-        ones = tuple([1] * len(carrier.conjugacy_classes()))
-        return RootDatum(1, ClassFunction(carrier, ones), carrier, to_carrier)
+        return _with_v(p, 1, [1] * len(carrier.conjugacy_classes()))
     if isinstance(red, NonsplitMult):
         f = len(p.dsub) // len(p.isub)
         if f % 2 == 1:
@@ -403,10 +414,8 @@ def root_datum(p: PlaceDescriptor) -> RootDatum:
         isub_c = frozenset(to_carrier[x] for x in p.isub)
         q, proj = carrier.quotient_group(isub_c)
         squares = frozenset(q.mul(y, y) for y in range(q.order))
-        vals = [1 if proj[cls[0]] in squares else -1
-                for cls in carrier.conjugacy_classes()]
-        return RootDatum(1, ClassFunction(carrier, tuple(vals)),
-                         carrier, to_carrier)
+        return _with_v(p, 1, [1 if proj[cls[0]] in squares else -1
+                              for cls in carrier.conjugacy_classes()])
     if isinstance(red, AddPotGood):
         fe = ram_degree(red.delta)
         dihedral = reduction_case(p) == CASE_DIHEDRAL
@@ -425,17 +434,36 @@ def root_datum(p: PlaceDescriptor) -> RootDatum:
             eta = 1 if y in rot else -1
             sig = sigma.values[q.class_of(y)].rational_value()
             vals.append(1 + eta + sig)
-        return RootDatum(lam, ClassFunction(carrier, tuple(vals)),
-                         carrier, to_carrier)
+        return _with_v(p, lam, vals)
     # potentially multiplicative
     ramified = red.minus_c6_class.val_parity == 1
     lam = kronecker_symbol(-1, p.q) if ramified else 1
     if red.dprime is None:
         return RootDatum(lam, None, carrier, to_carrier)
     dp = frozenset(to_carrier[x] for x in red.dprime)
-    vals = _quadratic_by_membership(carrier, dp)
-    return RootDatum(lam, ClassFunction(carrier, tuple(vals)),
-                     carrier, to_carrier)
+    return _with_v(p, lam, _quadratic_by_membership(carrier, dp))
+
+
+def _with_v(p: PlaceDescriptor, lam: int, vals) -> RootDatum:
+    """The datum with V given by its values on the carrier's classes.
+
+    V is a rational character, so its values are integers, constant on
+    the carrier's rational classes; that is what lets the pairing with a
+    character of G read Galois means (see :func:`local_u_contribution`).
+    """
+    carrier, to_carrier = _carrier(p)
+    classes = carrier.conjugacy_classes()
+    vals = [Fraction(v) for v in vals]
+    if any(v.denominator != 1 for v in vals) or any(
+            vals[c] != vals[o[0]] for o in carrier.data.rational_classes
+            for c in o):
+        raise ExactCheckError(f"V = {vals} at {p.name!r} is not an integer "
+                              "class function constant on rational classes")
+    back = {c: g for g, c in to_carrier.items()}
+    terms = tuple((p.group.class_of(back[cls[0]]), len(cls) * int(v))
+                  for cls, v in zip(classes, vals) if v)
+    return RootDatum(lam, ClassFunction(carrier, tuple(vals)), carrier,
+                     to_carrier, terms)
 
 
 def _faithful_two_dim(q: PermGroup) -> ClassFunction:
@@ -446,23 +474,21 @@ def _faithful_two_dim(q: PermGroup) -> ClassFunction:
     raise ValueError("no faithful 2-dimensional character")
 
 
-def restrict_to_carrier(chi: ClassFunction, carrier: PermGroup,
-                        to_carrier: dict[int, int]) -> ClassFunction:
-    """Restriction of a class function along the carrier's embedding."""
-    back = {v: k for k, v in to_carrier.items()}
-    vals = tuple(chi.at_element(back[cls[0]])
-                 for cls in carrier.conjugacy_classes())
-    return ClassFunction(carrier, vals)
-
-
 def local_u_contribution(p: PlaceDescriptor, chi: ClassFunction) -> int:
-    """Parity bit this place adds to the twisted-root-number exponent."""
+    """Parity bit this place adds to the twisted-root-number exponent.
+
+    The pairing <Res chi, V> over D_v is (1/|D_v|) * sum of |c| * V(c) *
+    chi(c) over the carrier's classes c.  V is rational and constant on
+    rational classes, so chi(c) may be replaced by its Galois mean, read
+    at the class of G that holds c.
+    """
     dim = int(chi.degree())
     rd = root_datum(p)
     pairing = 0
     if rd.v_char is not None:
-        res = restrict_to_carrier(chi, rd.carrier, rd.to_carrier)
-        m = rational_inner_product(res, rd.v_char)
+        means = chi.galois_means
+        m = fraction_sum(((means[k], w) for k, w in rd.v_terms),
+                         len(p.dsub))
         if m.denominator != 1:
             raise ValueError("character does not restrict integrally")
         pairing = int(m)

@@ -279,26 +279,6 @@ def _norm_obstruction(num: int, den: int, d: int) -> frozenset:
     return frozenset(v for v in places if hilbert_symbol(x, d, v) == -1)
 
 
-class NormClass(NamedTuple):
-    """A rational modulo norms from Q(sqrt(d)), stored as square class + d."""
-
-    square_class: SquareClass
-    d: int
-
-    def is_trivial(self) -> bool:
-        return is_norm_from_quadratic(self.square_class.value, self.d)
-
-    def same_class(self, other: "NormClass") -> bool:
-        if self.d != other.d:
-            raise ValueError("norm classes live over different fields")
-        ratio = (self.square_class / other.square_class).value
-        return is_norm_from_quadratic(ratio, self.d)
-
-
-def norm_class(x: Rational, d: int) -> NormClass:
-    return NormClass(squarefree_class(x), d)
-
-
 # ---------------------------------------------------------------------------
 # Integer matrices: Smith and Hermite normal forms
 
@@ -607,13 +587,28 @@ def cyclotomic_reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _galois_mean_row(n: int) -> tuple[Fraction, ...]:
-    """Tr(zeta_n^j) / phi(n) = mu(d) / phi(d), d = n / gcd(n, j), j < phi."""
-    out = []
-    for j in range(euler_phi(n)):
-        d = n // math.gcd(n, j)
-        out.append(Fraction(mobius(d), euler_phi(d)))
-    return tuple(out)
+def _galois_mean_row(n: int) -> tuple[tuple[int, ...], int]:
+    """Tr(zeta_n^j) / phi(n) = mu(d) / phi(d), d = n / gcd(n, j), j < phi,
+    as integer numerators over one common denominator."""
+    ds = [n // math.gcd(n, j) for j in range(euler_phi(n))]
+    den = math.lcm(*(euler_phi(d) for d in ds))
+    return tuple(mobius(d) * (den // euler_phi(d)) for d in ds), den
+
+
+def fraction_sum(pairs, divisor: int = 1) -> Fraction:
+    """(1/divisor) * the sum of x * w over the pairs (x, w), x rational and
+    w an integer: one numerator over the lcm of the denominators seen,
+    and a single Fraction at the end."""
+    num, den = 0, 1
+    for x, w in pairs:
+        if x and w:
+            xd = x.denominator
+            if den % xd:
+                f = xd // math.gcd(den, xd)
+                num *= f
+                den *= f
+            num += w * x.numerator * (den // xd)
+    return Fraction(num, den * divisor)
 
 
 class CycNumber:
@@ -752,9 +747,8 @@ class CycNumber:
         It does not depend on the level self is written at, and equals
         self when self is rational.
         """
-        return sum((c * w for c, w in zip(self.coeffs,
-                                          _galois_mean_row(self.level)) if c),
-                   Fraction(0))
+        row, den = _galois_mean_row(self.level)
+        return fraction_sum(zip(self.coeffs, row), den)
 
     def galois(self, k: int) -> "CycNumber":
         return cyclotomic_galois_apply(self, k)

@@ -1,0 +1,122 @@
+"""Character Galois data from the table's integer multisets and cached
+Galois means, against the value-key and class-sum forms they replaced
+(kept in ``character_oracles``).  Also a guard that the Galois means of a
+character are computed once, not on every indicator or root-sign call."""
+
+import random
+
+import pytest
+
+from krel.characters import (
+    char_field_data,
+    character_table,
+    fs_indicator,
+    rational_inner_product,
+    rational_irreducibles,
+)
+from krel.exactmath import CycNumber
+from krel.groups import (
+    PermGroup,
+    alternating4_group,
+    dihedral_group,
+    group_from_cycles,
+    metacyclic_group,
+    quaternion_group,
+)
+from krel.harness import MetacyclicSpec, build_metacyclic, synthetic_model
+from krel.parity import global_root_sign
+
+import character_oracles as oracle
+
+
+def s4():
+    return group_from_cycles(4, ["(1 2 3 4)", "(1 2)"], name="S4")
+
+
+def elementary_abelian_2(n):
+    gens = []
+    for i in range(n):
+        g = list(range(2 * n))
+        g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(g))
+    return PermGroup(2 * n, gens, name=f"C2^{n}")
+
+
+def metacyclic_specs(max_order):
+    for e in (2, 3, 4, 6):
+        k = 0
+        while e << k <= max_order:
+            for sign in (1, -1):
+                if not (sign == -1 and k == 0 and e > 2):
+                    yield MetacyclicSpec(e, k, sign)
+            k += 1
+
+
+# the nine groups of the benchmark's global workload
+GROUPS = {
+    "S3": lambda: dihedral_group(3, name="S3"),
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+    "D6": lambda: dihedral_group(6),
+    "A4": alternating4_group,
+    "D21": lambda: dihedral_group(21),
+    "C3:C4": lambda: metacyclic_group(3, 4, 2),
+    "S4": s4,
+    "C12:C4": lambda: metacyclic_group(12, 4, 5),
+}
+SPECS = list(metacyclic_specs(32))
+GROUPS.update({f"spec{s.e}.{s.k}.{s.sign:+d}": (lambda s=s: build_metacyclic(s)[0])
+               for s in SPECS})
+GROUPS.update({f"D{n}": (lambda n=n: dihedral_group(n)) for n in range(3, 41)})
+GROUPS.update({f"C2^{k}": (lambda k=k: elementary_abelian_2(k))
+               for k in range(1, 6)})
+
+
+def test_the_group_list():
+    assert len(SPECS) == 29
+    # D4, D6 and D21 are global groups too
+    assert len(GROUPS) == 9 + 29 + 38 + 5 - 3
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_galois_data_matches_the_value_key_forms(name):
+    G = GROUPS[name]()
+    irrs = character_table(G).irreducibles
+    for chi in irrs:
+        assert char_field_data(chi) == oracle.char_field_data(chi)
+        assert fs_indicator(chi) == oracle.fs_indicator(chi)
+    got, want = rational_irreducibles(G), oracle.rational_irreducibles(G)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.label == b.label
+        assert a.constituent is b.constituent
+        assert a.constituent_index == b.constituent_index
+        assert a.orbit_indices == b.orbit_indices
+        assert a.indicator == b.indicator
+        assert a.sum_values == b.sum_values
+        assert a.sum_values.is_rational()
+        for chi in irrs:
+            assert rational_inner_product(chi, a.sum_values) \
+                == oracle.rational_inner_product(chi, b.sum_values)
+    assert G.data.class_weights == oracle.class_weights(G)
+
+
+def test_galois_means_are_computed_once_per_character(monkeypatch):
+    G = s4()
+    irrs = character_table(G).irreducibles
+    r = len(irrs)
+    model = synthetic_model(G, random.Random(3), max_places=3,
+                            rational_base=True)
+    calls = []
+    plain = CycNumber.galois_mean
+
+    def counted(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(CycNumber, "galois_mean", counted)
+    for _ in range(20):
+        for chi in irrs:
+            fs_indicator(chi)
+            global_root_sign(model, chi)
+    assert 0 < len(calls) <= r * r

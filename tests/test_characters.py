@@ -10,7 +10,6 @@ from krel.characters import (
     char_field_data,
     character_table,
     fs_indicator,
-    galois_orbit,
     inner_product,
     perm_character,
     rational_irreducibles,
@@ -25,6 +24,8 @@ from krel.groups import (
     metacyclic_group,
     quaternion_group,
 )
+
+from character_oracles import galois_orbit
 
 _CACHE = {}
 

@@ -1,5 +1,6 @@
 """Tests for local curve data: validation, Tamagawa numbers, fudge factors, root data."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from krel.curvelocal import (
     PlaceDescriptor,
     SplitMult,
     SquareClassLocal,
+    _root_datum,
     default_additive_lambda,
     fudge_C,
     is_square_in_ext,
@@ -27,8 +29,10 @@ from krel.groups import (
     cyclic_group,
     dihedral_group,
     metacyclic_group,
+    quaternion_group,
     subgroup_rep,
 )
+from krel.harness import synthetic_model
 from krel.relations import (
     Const,
     E,
@@ -734,6 +738,40 @@ def test_root_datum_potentially_multiplicative():
     p_un = finite_place(C3, w3, w3, red, l=5, q=5)
     rdu = root_datum(p_un)
     assert rdu.lam == 1 and rdu.v_char is None
+
+
+def restricted_pairing(p, chi, rd):
+    """<Res chi, V> over D_v by restricting chi along the carrier's
+    embedding and summing class by class in cyclotomic arithmetic."""
+    back = {v: k for k, v in rd.to_carrier.items()}
+    res = ClassFunction(rd.carrier, tuple(
+        chi.at_element(back[cls[0]])
+        for cls in rd.carrier.conjugacy_classes()))
+    return inner_product(res, rd.v_char)
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral_group(3, name="S3"),
+                                  lambda: dihedral_group(4), quaternion_group])
+def test_root_datum_is_kept_on_the_place(make):
+    G = make()
+    rng = random.Random(7)
+    places = [p for semistable in (True, False) for _ in range(8)
+              for p in synthetic_model(G, rng, semistable).places]
+    assert {reduction_case(p) for p in places if p.is_finite()} >= {
+        "1G", "1S", "1NS"}
+    irrs = character_table(G).irreducibles
+    for p in places:
+        rd = root_datum(p)
+        assert root_datum(p) is rd
+        if not p.is_finite():
+            continue
+        fresh = _root_datum(p)
+        assert fresh is not rd and fresh == rd
+        for chi in irrs:
+            want = int(chi.degree()) * (rd.lam == -1)
+            if rd.v_char is not None:
+                want += restricted_pairing(p, chi, rd)
+            assert local_u_contribution(p, chi) == want % 2
 
 
 def test_default_additive_lambda_table():

@@ -23,7 +23,6 @@ from krel.exactmath import (
     is_squarefree,
     kronecker_symbol,
     mat_mul,
-    norm_class,
     norm_obstruction,
     rat_det,
     rat_solve,
@@ -337,9 +336,9 @@ def test_norm_obstruction_is_multiplicative_and_even(x, y, d):
 
 
 def test_norm_class_reduction():
-    assert norm_class(189, 21).is_trivial() is False
-    assert norm_class(Fraction(27), 21).same_class(norm_class(3, 21))
-    assert norm_class(7, 21).is_trivial() is True
+    assert norm_obstruction(189, 21)
+    assert norm_obstruction(Fraction(27), 21) == norm_obstruction(3, 21)
+    assert norm_obstruction(7, 21) == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,42 @@ def test_every_appendix_row_of_order_at_most_32_passes():
     assert total == 9372
 
 
+# Every admissible call of order 48 or 64.  Orders 96 to 128 stay out of
+# tier-1: their 15 calls take about 11 s together, most of it in the
+# character tables of the order-128 groups.
+APPENDIX_CALLS_48_64 = [
+    ("2C", MetacyclicSpec(2, 5, 1)),
+    ("2M", MetacyclicSpec(2, 5, 1)),
+    ("2M", MetacyclicSpec(2, 5, -1)),
+    ("2C", MetacyclicSpec(3, 4, 1)),
+    ("2M", MetacyclicSpec(3, 4, 1)),
+    ("2D", MetacyclicSpec(3, 4, -1)),
+    ("2M", MetacyclicSpec(3, 4, -1)),
+    ("2C", MetacyclicSpec(4, 4, 1)),
+    ("2M", MetacyclicSpec(4, 4, 1)),
+    ("2D", MetacyclicSpec(4, 4, -1)),
+    ("2M", MetacyclicSpec(4, 4, -1)),
+    ("2C", MetacyclicSpec(6, 3, 1)),
+    ("2M", MetacyclicSpec(6, 3, 1)),
+    ("2D", MetacyclicSpec(6, 3, -1)),
+    ("2M", MetacyclicSpec(6, 3, -1)),
+]
+
+
+def test_every_appendix_row_of_order_48_and_64_passes():
+    assert [(case, spec) for case, spec in admissible_appendix_calls(64)
+            if spec.order > 32] == APPENDIX_CALLS_48_64
+    total = 0
+    for case, spec in APPENDIX_CALLS_48_64:
+        assert spec.order in (48, 64)
+        rows = appendix_tamagawa_check(case, spec)
+        assert rows, (case, spec)
+        for r in rows:
+            assert r.passed, r.detail
+        total += len(rows)
+    assert total == 3006
+
+
 @pytest.mark.parametrize("d", [-1, 2, -2, 5, 13, -3, 17])
 def test_lemma_b3_split_primes_are_norms(d):
     report = lemma_b3_check(d)

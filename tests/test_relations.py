@@ -10,7 +10,6 @@ from sympy import cyclotomic_poly, divisors
 
 from krel.characters import (
     character_table,
-    galois_orbit,
     inner_product,
     perm_character,
     rational_irreducibles,
@@ -51,6 +50,8 @@ from krel.relations import (
     psi_d,
     theta_pairs,
 )
+
+from character_oracles import galois_orbit
 
 SAMPLE = {}
 
