@@ -715,6 +715,9 @@ class GroupData:
         self.group = group
         self._perm_multiples: dict[tuple[int, ...],
                                    tuple[int, tuple[int, ...]]] = {}
+        # (H, D) -> det of the H-fixed part of Q[G/D], for perm_fixed_det
+        self.fixed_dets: dict[tuple[frozenset[int], frozenset[int]],
+                              Fraction] = {}
 
     @cached_property
     def units(self) -> tuple[int, ...]:

@@ -8,8 +8,8 @@ Everything here is exact; there is no floating point anywhere in the engine.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -467,37 +467,46 @@ def reduce_by_kernel(x: Sequence[int],
                      kernel: Iterable[Sequence[int]]) -> list[int]:
     """A reduced vector of x + span(kernel), deterministically.
 
-    The key is (L1 norm, then lexicographic).  When 7**rank <= 20000 the
-    smallest key over kernel coefficients in [-3, 3] is taken; otherwise
-    greedy sweeps along each basis row.  Neither is proven to reach the
-    global minimum.
+    The key is (L1 norm, then lexicographic), a total order on vectors.
+    Let k_1..k_r be the Hermite basis of the kernel.  When 7**r <= 20000
+    the search is exhaustive over x + sum c_i k_i with every c_i in
+    [-3, 3]: candidates are built from shared prefix sums, one vector add
+    each, and the smallest key wins.  The rows are independent, so that
+    box holds no two equal vectors and the winner is unique; the witness
+    does not depend on the order of the search.  Otherwise greedy sweeps
+    along each basis row.  Neither is proven to reach the global minimum.
     """
     kb = hermite_row_basis(kernel)
-    if not kb:
-        return list(x)
-
-    def key(v: list[int]) -> tuple:
-        return (sum(abs(c) for c in v), tuple(v))
-
     best = list(x)
+    if not kb:
+        return best
+    best_l1 = sum(map(abs, best))
     if 7 ** len(kb) <= 20000:
-        for combo in itertools.product(range(-3, 4), repeat=len(kb)):
-            cand = list(x)
-            for c, row in zip(combo, kb):
-                if c:
-                    cand = [a + c * b for a, b in zip(cand, row)]
-            if key(cand) < key(best):
-                best = cand
+        # prefixes: x plus every combination of the leading rows
+        steps = [[[c * b for b in row] for c in range(-3, 4)] for row in kb]
+        prefixes = [best]
+        for step in steps[:-1]:
+            prefixes = [list(map(operator.add, v, s))
+                        for v in prefixes for s in step]
+        for v in prefixes:
+            for s in steps[-1]:
+                cand = list(map(operator.add, v, s))
+                l1 = sum(map(abs, cand))
+                if l1 < best_l1 or (l1 == best_l1 and cand < best):
+                    best, best_l1 = cand, l1
     else:
+        best_key = (best_l1, best)
         improved = True
         while improved:
             improved = False
             for row in kb:
                 for sign in (1, -1):
-                    cand = [a + sign * b for a, b in zip(best, row)]
-                    while key(cand) < key(best):
-                        best = cand
+                    while True:
                         cand = [a + sign * b for a, b in zip(best, row)]
+                        key = (sum(map(abs, cand)), cand)
+                        if not key < best_key:
+                            break
+                        best, best_key = cand, key
                         improved = True
     return best
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from .exactmath import ExactCheckError, factor_bounded
 
 Perm = tuple[int, ...]
+# (representative, local subgroup) per double coset, as double_cosets returns
+DoubleCosets = tuple[tuple[int, frozenset[int]], ...]
 
 GROUP_ORDER_BOUND = 512
 
@@ -127,7 +129,8 @@ class PermGroup:
     __slots__ = ("degree", "name", "elements", "order", "_index",
                  "generator_indices", "_mul", "_inv", "_order_of", "_classes",
                  "_class_of", "_power_rows", "_subgroup_classes",
-                 "_subgroup_lookup", "_gen_sets", "_sub_lattices", "_data")
+                 "_subgroup_lookup", "_gen_sets", "_sub_lattices",
+                 "_double_cosets", "_data")
 
     def __init__(self, degree: int, generators: list[Perm], name: str | None = None,
                  order_bound: int = GROUP_ORDER_BOUND):
@@ -189,6 +192,8 @@ class PermGroup:
         self._subgroup_lookup: dict[frozenset[int], int] = {}
         self._gen_sets: dict[frozenset[int], tuple[int, ...]] = {}
         self._sub_lattices: dict[frozenset[int], list[SubgroupClass]] = {}
+        self._double_cosets: dict[tuple[frozenset[int], frozenset[int]],
+                                  DoubleCosets] = {}
         self._data = None  # krel.characters.GroupData, built by .data
 
     @property
@@ -496,7 +501,7 @@ class PermGroup:
     # -- double cosets -------------------------------------------------------
 
     def double_cosets(self, hsub: frozenset[int], dsub: frozenset[int]
-                      ) -> list[tuple[int, frozenset[int]]]:
+                      ) -> DoubleCosets:
         """Representatives x of H\\G/D, ascending, each with its local
         subgroup D ∩ x^{-1} H x, of order |H ∩ x D x^{-1}|.
 
@@ -504,8 +509,17 @@ class PermGroup:
         one place of the fixed field of H above it, and the local subgroup
         is the decomposition group there.  This is the only walk over H\\G/D:
         callers read the local subgroup and never conjugate H themselves.
+        The result is memoised per (H, D) and shared between callers, so it
+        is a tuple and must not be mutated.
         """
-        hsub, dsub = frozenset(hsub), frozenset(dsub)
+        key = (frozenset(hsub), frozenset(dsub))
+        got = self._double_cosets.get(key)
+        if got is None:
+            got = self._double_cosets[key] = self._double_coset_walk(*key)
+        return got
+
+    def _double_coset_walk(self, hsub: frozenset[int], dsub: frozenset[int]
+                           ) -> DoubleCosets:
         hgens = self.generating_indices(hsub)
         dgens = self.generating_indices(dsub)
         seen = [False] * self.order
@@ -536,7 +550,7 @@ class PermGroup:
             local = dsub.intersection(self._mul[self._mul[xinv][h]][x]
                                       for h in hsub)
             out.append((x, local))
-        return out
+        return tuple(out)
 
     # -- quotients -------------------------------------------------------------
 

@@ -9,6 +9,7 @@ and are reduced to square classes only at the very end.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,13 +95,15 @@ def perm_fixed_det(G: PermGroup, hsub, dsub) -> Fraction:
     The H-orbit sums of cosets give an orthogonal basis whose scaled Gram
     determinant telescopes to the product of 1/|H ∩ wDw^-1| over double
     cosets: 1/|L| for each local subgroup L = D ∩ w^-1 H w that
-    :meth:`PermGroup.double_cosets` returns.
+    :meth:`PermGroup.double_cosets` returns.  Memoised per group and
+    (H, D) representatives.
     """
-    hrep = subgroup_rep(G, hsub)
-    drep = subgroup_rep(G, dsub)
-    val = Fraction(1)
-    for _, local in G.double_cosets(hrep, drep):
-        val /= len(local)
+    key = (subgroup_rep(G, hsub), subgroup_rep(G, dsub))
+    memo = G.data.fixed_dets
+    val = memo.get(key)
+    if val is None:
+        val = memo[key] = Fraction(1, math.prod(
+            len(local) for _, local in G.double_cosets(*key)))
     return val
 
 

@@ -19,6 +19,7 @@ from sympy import divisors, mobius
 from .characters import ClassFunction
 from .exactmath import (
     ExactCheckError,
+    _as_fraction,
     exact_quotient,
     hermite_row_basis,
     is_squarefree,
@@ -407,12 +408,17 @@ def eval_localfn(fn: LocalFn, h) -> Fraction:
 
 
 def eval_on_theta(f, G: PermGroup, theta: dict[str, int]) -> Fraction:
-    """Multiplicative extension of a subgroup function to virtual sums."""
+    """Multiplicative extension of a subgroup function to virtual sums.
+
+    Values of f must be exact: an ``int`` or a ``Fraction``; anything else,
+    a float included, raises ``TypeError``.
+    """
     fval = _as_subgroup_function(f, G)
     val = Fraction(1)
     for cid, coeff in theta.items():
         if coeff:
-            val *= Fraction(fval(G.subgroup_class_by_id(cid).representative)) ** coeff
+            val *= _as_fraction(
+                fval(G.subgroup_class_by_id(cid).representative)) ** coeff
     return val
 
 
@@ -445,9 +451,11 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
     """Certificate test for f(theta) being a norm on every K-relation.
 
     f is a LocalFn or any callable on subgroup representatives that is
-    constant on conjugacy classes.  Values of f land in the group
-    Q^x / N(K^x) of exponent two, so checking a lattice basis settles the
-    whole lattice; a failing basis element is returned as certificate.
+    constant on conjugacy classes, with ``int`` or ``Fraction`` values; any
+    other value, a float included, raises ``TypeError``.  Values of f land
+    in the group Q^x / N(K^x) of exponent two, so checking a lattice basis
+    settles the whole lattice; a failing basis element is returned as
+    certificate.
 
     By Hasse's norm theorem that group embeds F2-linearly into the sets of
     places under symmetric difference, x -> norm_obstruction(x, d).  So
@@ -466,7 +474,7 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
         raise ValueError("lattice does not match the requested field")
     fval = _as_subgroup_function(f, G)
     obstruction = {
-        cls.id: norm_obstruction(Fraction(fval(cls.representative)), d)
+        cls.id: norm_obstruction(fval(cls.representative), d)
         for cls in G.subgroup_classes()}
     for theta in lattice.basis:
         places = frozenset()

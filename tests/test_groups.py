@@ -229,9 +229,9 @@ def test_double_cosets_trivial_cases():
     G = s3()
     full = frozenset(range(G.order))
     triv = frozenset({0})
-    assert G.double_cosets(full, full) == [(0, full)]
+    assert G.double_cosets(full, full) == ((0, full),)
     out = G.double_cosets(triv, triv)
-    assert out == [(x, triv) for x in range(G.order)]
+    assert out == tuple((x, triv) for x in range(G.order))
 
 
 def brute_local_subgroup(G, h, d, x):

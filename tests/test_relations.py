@@ -680,3 +680,30 @@ def test_theta_pairs_and_format():
     assert format_theta(D21_THETA) == "[2.1] - [6.1] - [14.1] + [42.1]"
     assert format_theta({}) == "0"
     assert format_theta({"1.1": -2, "6.1": 1}) == "-2*[1.1] + [6.1]"
+
+
+@pytest.mark.parametrize("bad", [lambda h: 0.5 * len(h), lambda h: 0.1,
+                                 lambda h: "3"],
+                         ids=["half_order", "tenth", "string"])
+def test_inexact_class_values_raise_type_error(bad):
+    S3 = sample("S3")
+    theta = k_relation_basis(S3, -1).basis[0]
+    with pytest.raises(TypeError):
+        is_trivial_on_k_relations(bad, S3, -1)
+    with pytest.raises(TypeError):
+        eval_on_theta(bad, S3, theta)
+    with pytest.raises(TypeError):
+        norm_obstruction(0.5, -1)
+
+
+def test_int_and_fraction_class_values_are_accepted():
+    S3 = sample("S3")
+    for d in (-1, 2, -3, 5):
+        theta = k_relation_basis(S3, d).basis[0]
+        as_int = is_trivial_on_k_relations(lambda h: len(h), S3, d)
+        as_frac = is_trivial_on_k_relations(lambda h: Fraction(len(h)), S3, d)
+        assert as_int.trivial == as_frac.trivial
+        assert as_int.certificate == as_frac.certificate
+        assert as_int.value == as_frac.value
+        assert eval_on_theta(lambda h: len(h), S3, theta) \
+            == eval_on_theta(lambda h: Fraction(len(h)), S3, theta)
