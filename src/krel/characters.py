@@ -1,10 +1,18 @@
 """Exact complex character tables and rational character data.
 
-Tables are computed by the modular class-algebra method (Dixon-Schneider):
-split the sparse class-sum matrices into common eigenvectors over a prime
-field GF(p) with p ≡ 1 (mod exp G) and p > 2·sqrt(|G|), read off degrees
-and eigenvalue multiplicities, lift roots of unity through one fixed
-primitive root, and verify orthogonality exactly before returning anything.
+Tables are computed by the modular class-algebra method (Dixon-Schneider),
+with the linear characters known in advance (Schneider, "Dixon's character
+table algorithm revisited", J. Symb. Comput. 9, 1990).  Those are read
+exactly from G/G': each is an integer exponent map a: G -> Z/exp G, built
+one generator at a time, whose value at a class is the one root of unity
+zeta_e^a(g).  Only their complement, the vectors summing to 0 over the
+classes of each coset of G', is split into common eigenvectors of the
+sparse class-sum matrices over a prime field GF(p) with p ≡ 1 (mod exp G)
+and p > 2·sqrt(|G|); an abelian group leaves nothing to split and builds
+no class-sum matrix.  Each eigenvector gives a degree and eigenvalue
+multiplicities, lifted through one fixed primitive root, and the whole
+table is verified before anything is returned: the degrees against |G|,
+and orthogonality as one integer dot product per pair of irreducibles.
 
 The multiplicities are lifted once per rational class, at its first class
 g: the other classes hold the unit powers g^k, and rho(g^k) has the
@@ -394,6 +402,64 @@ def character_table(G: PermGroup) -> CharacterTable:
     return G.data.table
 
 
+def _linear_characters(G: PermGroup
+                       ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The coset of G' that each class lies in, and every linear character
+    as its exponents a at the class representatives: lambda = zeta_e^a,
+    e = exp G.
+
+    G' is the closure of the commutators [x, s], x in G and s a generator.
+    That closure is normal, since [x, s]^g = [xg, s] [g, s]^-1, and every
+    generator is central modulo it, so it is G'.  The generators are
+    adjoined to G' one at a time: where s first lands in the subgroup H
+    built so far at its power t, each element of H<s> is h s^c with h in H
+    and 0 <= c < t, and gets the coordinates of h followed by c.  A
+    character is fixed by its exponents b at the adjoined generators, with
+    a = sum of c*b; it extends from H to H<s> exactly when
+    t*b = a(s^t) (mod e) is solvable, and then in the t ways
+    b0 + j*e/t.  The coordinates of an element name its coset of G'.
+    """
+    n, e = G.order, G.exponent()
+    mul, inv = G._mul, G._inv
+    derived = G.closure({mul[mul[inv[x]][inv[s]]][mul[x][s]]
+                         for x in range(n) for s in G.generator_indices})
+    coords: list[tuple[int, ...] | None] = [None] * n
+    for h in derived:
+        coords[h] = ()
+    members = list(derived)
+    chars: list[tuple[int, ...]] = [()]
+    for s in G.generator_indices:
+        x, t = s, 1
+        while coords[x] is None:
+            x = mul[x][s]
+            t += 1
+        if t == 1:
+            continue
+        rel = coords[x]
+        grown = []
+        for b in chars:
+            c = sum(map(operator.mul, rel, b)) % e
+            if c % t:
+                raise ModularMethodError(
+                    f"a linear character does not extend to generator {s}")
+            grown.extend(b + (c // t + j * (e // t),) for j in range(t))
+        chars = grown
+        old = [coords[h] for h in members]
+        y, grown_members = 0, []
+        for c in range(t):
+            for h, ch in zip(members, old):
+                g = mul[h][y]
+                coords[g] = ch + (c,)
+                grown_members.append(g)
+            y = mul[y][s]
+        members = grown_members
+    if len(members) != n:
+        raise ModularMethodError("the generators do not reach G from G'")
+    cosets = [coords[cls[0]] for cls in G.conjugacy_classes()]
+    return cosets, [[sum(map(operator.mul, c, b)) % e for c in cosets]
+                    for b in chars]
+
+
 def _compute_character_table(G: PermGroup) -> CharacterTable:
     classes = G.conjugacy_classes()
     r = len(classes)
@@ -401,13 +467,36 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     reps = [c[0] for c in classes]
     e = G.exponent()
     p = admissible_prime(G)
+    orders = [G.element_order(reps[i]) for i in range(r)]
 
-    # split GF(p)^r into common eigenspaces of the class-sum matrices,
-    # each built sparse when the split first needs it.  A space is kept as
-    # (rows, pivots) of its reduced echelon form, made once when the space
-    # is made.
-    spaces = [([[1 if i == j else 0 for j in range(r)] for i in range(r)],
-               list(range(r)))]
+    # The linear characters are exact from G/G'.  Their eigenvectors
+    # (|c_i| lambda(g_i))_i span a complement of the others', which is
+    # {v : sum_i v_i lambda(g_i^-1) = 0 for every linear lambda}; the
+    # lambda are the characters of G/G', whose table is invertible, so this
+    # is the space of v summing to 0 over the classes in each coset of G'.
+    # Its reduced echelon form has one row e_k - e_l for each class k of a
+    # coset but its last class l.
+    cosets, linear = _linear_characters(G)
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for i, c in enumerate(cosets):
+        fibers.setdefault(c, []).append(i)
+    if len(fibers) != len(linear):
+        raise ModularMethodError(
+            f"the complement of the linear characters has rank "
+            f"{r - len(fibers)}, not r - |G:G'| = {r - len(linear)}")
+    last = {k: f[-1] for f in fibers.values() for k in f[:-1]}
+    pivots = sorted(last)
+    start = []
+    for k in pivots:
+        row = [0] * r
+        row[k], row[last[k]] = 1, p - 1
+        start.append(row)
+
+    # split the complement into common eigenspaces of the class-sum
+    # matrices, each built sparse when the split first needs it.  A space
+    # is kept as (rows, pivots) of its reduced echelon form, made once when
+    # the space is made.
+    spaces = [(start, pivots)] if start else []
     for i in range(1, r):
         if all(len(b) == 1 for b, _ in spaces):
             break
@@ -456,23 +545,21 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                 raise ModularMethodError("class-sum matrix is not "
                                          "diagonalizable on a subspace")
         spaces = nxt
-    if any(len(b) != 1 for b, _ in spaces) or len(spaces) != r:
+    if (any(len(b) != 1 for b, _ in spaces)
+            or len(spaces) != r - len(linear)):
         raise ModularMethodError("class algebra did not split into lines")
 
     inv_class = [G.class_of(G.inv(reps[i])) for i in range(r)]
     gp = primitive_root(p)
     omega_e = pow(gp, (p - 1) // e, p)
     size_inv = [pow(s, -1, p) for s in sizes]
-    orders = [G.element_order(reps[i]) for i in range(r)]
 
     # The eigenvalue multiplicities are lifted once per rational class, at
     # its first class g.  Every other class of it holds some g^k with k a
     # unit mod n = ord g; where rho(g) has the eigenvalue zeta_n^j c_j
     # times, rho(g^k) has zeta_n^(jk) c_j times, so its multiset is
     # {jk mod n: c_j}: exactly what a lift there would give.
-    # dft[n][j][t] = theta^(-jt) for theta the image of zeta_n in GF(p).
     lifts = []  # (first class, its order, [(member class, unit k)])
-    dft: dict[int, list[list[int]]] = {}
     for orbit in G.data.rational_classes:
         i = orbit[0]
         prow = G.power_class_row(i)
@@ -482,13 +569,28 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             if math.gcd(k, n) == 1:
                 unit_of.setdefault(prow[k], k)
         lifts.append((i, n, [(c, unit_of[c]) for c in orbit]))
-        if n not in dft:
-            tpow = [pow(omega_e, -(e // n) * m, p) for m in range(n)]
-            dft[n] = [[tpow[(j * t) % n] for t in range(n)]
-                      for j in range(n)]
+    # dft[n][j][t] = theta^(-jt) for theta the image of zeta_n in GF(p),
+    # made when the first character that is not linear needs it
+    dft: dict[int, list[list[int]]] = {}
 
-    rows = []
     shared: dict[tuple, tuple] = {}  # one tuple per distinct multiset
+    # a linear character lambda = zeta_e^a has the one eigenvalue
+    # zeta_n^(a n/e) at a class of order n
+    rows = []
+    for a in linear:
+        multisets = []
+        for ai, n in zip(a, orders):
+            j, rem = divmod(ai * n, e)
+            if rem:
+                raise ModularMethodError(
+                    f"zeta_{e}^{ai} is not a power of zeta_{n}")
+            multisets.append({j: 1})
+        firsts = []
+        for i, _, _ in lifts:
+            ms = tuple(multisets[i].items())
+            firsts.append(shared.setdefault(ms, ms))
+        rows.append((1, multisets, tuple(firsts)))
+
     for (vec,), _ in spaces:
         if vec[0] % p == 0:
             raise ModularMethodError("eigenvector vanishes on the identity class")
@@ -504,6 +606,10 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
         multisets: list[dict[int, int]] = [{}] * r
         firsts = []
         for i, n, members in lifts:
+            if n not in dft:
+                tpow = [pow(omega_e, -(e // n) * m, p) for m in range(n)]
+                dft[n] = [[tpow[(j * t) % n] for t in range(n)]
+                          for j in range(n)]
             vals = [chi_mod[c] for c in G.power_class_row(i)]
             n_inv = pow(n, -1, p)
             powers = {}
@@ -527,28 +633,41 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # exact value.  <a, b> = 1/|G| * sum over rational classes o of
     # |c|*|o|*tr/phi(n); scaled by |G|*L, L = lcm of the phi(n), every
     # term is an integer, so comparing the integer sum with |G|*L*delta_ab
-    # is the same check with no fractions.
+    # is the same check with no fractions.  Laid out flat over the pairs
+    # (o, m), m mod n, the sum is one dot product: the multiplicities c_a
+    # of a at the first class g of each o, read at their positions (o, m),
+    # against v_b(o, m) = |c|*|o|*L/phi(n) * sum of c_b*Tr(zeta_n^(m + m_b))
+    # over the multiset of b at g^-1.
     if sum(row[0] ** 2 for row in rows) != G.order:
         raise ModularMethodError("degree check failed")
-    lcm_phi = math.lcm(*(euler_phi(n) for n in dft))
+    levels = {n for _, n, _ in lifts}
+    lcm_phi = math.lcm(*(euler_phi(n) for n in levels))
     traces = {}
-    for n in dft:
+    for n in levels:
         traces[n] = []
         for m in range(n):
             d = n // math.gcd(n, m)
             traces[n].append(mobius(d) * (euler_phi(n) // euler_phi(d)))
     weights = [(i, n, sizes[i] * len(members) * (lcm_phi // euler_phi(n)))
                for i, n, members in lifts]
-    for a, (_, sa, _) in enumerate(rows):
+    offsets = [0]
+    for _, n, _ in lifts:
+        offsets.append(offsets[-1] + n)
+    us, vs = [], []
+    for _, sb, firsts in rows:
+        us.append(([off + m for off, ms in zip(offsets, firsts)
+                    for m, _ in ms],
+                   [c for ms in firsts for _, c in ms]))
+        v = []
+        for i, n, w in weights:
+            tr = traces[n]
+            db = sb[inv_class[i]].items()
+            v.extend(w * sum(cb * tr[(m + mb) % n] for mb, cb in db)
+                     for m in range(n))
+        vs.append(v)
+    for a, (pa, ca) in enumerate(us):
         for b in range(a, len(rows)):
-            sb = rows[b][1]
-            total = 0
-            for i, n, w in weights:
-                tr = traces[n]
-                db = sb[inv_class[i]]
-                total += w * sum(ca * cb * tr[(ma + mb) % n]
-                                 for ma, ca in sa[i].items()
-                                 for mb, cb in db.items())
+            total = sum(map(operator.mul, ca, map(vs[b].__getitem__, pa)))
             if total != (G.order * lcm_phi if a == b else 0):
                 raise ModularMethodError("orthogonality check failed")
 

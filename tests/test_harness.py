@@ -119,9 +119,7 @@ def test_every_appendix_row_of_order_at_most_32_passes():
     assert total == 9372
 
 
-# Every admissible call of order 48 or 64.  Orders 96 to 128 stay out of
-# tier-1: their 15 calls take about 11 s together, most of it in the
-# character tables of the order-128 groups.
+# Every admissible call of order 48 or 64.
 APPENDIX_CALLS_48_64 = [
     ("2C", MetacyclicSpec(2, 5, 1)),
     ("2M", MetacyclicSpec(2, 5, 1)),
@@ -147,6 +145,40 @@ def test_every_appendix_row_of_order_48_and_64_passes():
     total = 0
     for case, spec in APPENDIX_CALLS_48_64:
         assert spec.order in (48, 64)
+        rows = appendix_tamagawa_check(case, spec)
+        assert rows, (case, spec)
+        for r in rows:
+            assert r.passed, r.detail
+        total += len(rows)
+    assert total == 3006
+
+
+# Every admissible call of order 96 or 128.
+APPENDIX_CALLS_96_128 = [
+    ("2C", MetacyclicSpec(2, 6, 1)),
+    ("2M", MetacyclicSpec(2, 6, 1)),
+    ("2M", MetacyclicSpec(2, 6, -1)),
+    ("2C", MetacyclicSpec(3, 5, 1)),
+    ("2M", MetacyclicSpec(3, 5, 1)),
+    ("2D", MetacyclicSpec(3, 5, -1)),
+    ("2M", MetacyclicSpec(3, 5, -1)),
+    ("2C", MetacyclicSpec(4, 5, 1)),
+    ("2M", MetacyclicSpec(4, 5, 1)),
+    ("2D", MetacyclicSpec(4, 5, -1)),
+    ("2M", MetacyclicSpec(4, 5, -1)),
+    ("2C", MetacyclicSpec(6, 4, 1)),
+    ("2M", MetacyclicSpec(6, 4, 1)),
+    ("2D", MetacyclicSpec(6, 4, -1)),
+    ("2M", MetacyclicSpec(6, 4, -1)),
+]
+
+
+def test_every_appendix_row_of_order_96_and_128_passes():
+    assert [(case, spec) for case, spec in admissible_appendix_calls(128)
+            if spec.order > 64] == APPENDIX_CALLS_96_128
+    total = 0
+    for case, spec in APPENDIX_CALLS_96_128:
+        assert spec.order in (96, 128)
         rows = appendix_tamagawa_check(case, spec)
         assert rows, (case, spec)
         for r in rows:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primitive_root
 
+from krel import characters
 from krel.characters import (
     ModularMethodError,
     _coords,
@@ -25,10 +26,12 @@ from krel.exactmath import CycNumber, ExactCheckError, hermite_row_basis
 from krel.groups import (
     PermGroup,
     alternating4_group,
+    cyclic_group,
     dihedral_group,
     metacyclic_group,
     quaternion_group,
 )
+from krel.harness import MetacyclicSpec, build_metacyclic
 from krel.relations import (
     _multiplicity_rows,
     coset_profile,
@@ -131,6 +134,14 @@ def _reference_table(G):
             for k, (_, values, multisets) in enumerate(rows)]
 
 
+def alternating5_group():
+    return PermGroup(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], name="A5")
+
+
+def symmetric4_group():
+    return PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+
+
 TABLE_GROUPS = {
     "C12:C4": lambda: metacyclic_group(12, 4, 5),
     "7:6": lambda: metacyclic_group(7, 6, 3),
@@ -138,6 +149,15 @@ TABLE_GROUPS = {
     "16:4": lambda: metacyclic_group(16, 4, 3),
     "D21": lambda: dihedral_group(21),
     "C2^5": lambda: elementary_abelian_2(5),
+    # abelian groups that are not elementary, and groups whose
+    # abelianisation has more than two elements
+    "C12": lambda: cyclic_group(12),
+    "C60": lambda: cyclic_group(60),
+    "C4xC8": lambda: build_metacyclic(MetacyclicSpec(4, 3, 1))[0],
+    "Q8": quaternion_group,
+    "A4": alternating4_group,
+    "S4": symmetric4_group,
+    "A5": alternating5_group,
 }
 TABLE_GROUPS.update({f"D{n}": (lambda n=n: dihedral_group(n))
                      for n in range(3, 41)})
@@ -156,6 +176,49 @@ def test_table_matches_per_class_lift(name):
         # the integer field degree against the cyclotomic one
         assert _field_degree(G, multisets) \
             == char_field_data(chi).field_degree
+
+
+# |G:G'| by hand: the number of linear characters
+LINEAR_COUNTS = {
+    "C1": (lambda: cyclic_group(1), 1),
+    "C12": (lambda: cyclic_group(12), 12),
+    "C60": (lambda: cyclic_group(60), 60),
+    "D3": (lambda: dihedral_group(3), 2),
+    "D4": (lambda: dihedral_group(4), 4),
+    "D21": (lambda: dihedral_group(21), 2),
+    "D40": (lambda: dihedral_group(40), 4),
+    "Q8": (quaternion_group, 4),
+    "A4": (alternating4_group, 3),
+    "S4": (symmetric4_group, 2),
+    "7:6": (lambda: metacyclic_group(7, 6, 3), 6),
+    "A5": (alternating5_group, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(LINEAR_COUNTS))
+def test_linear_characters_number_the_abelianisation(name):
+    make, index = LINEAR_COUNTS[name]
+    table = character_table(make())
+    assert sum(chi.degree() == 1 for chi in table.irreducibles) == index
+
+
+def test_table_rejects_wrong_linear_characters(monkeypatch):
+    real = characters._linear_characters
+
+    def dropped(G):
+        cosets, linear = real(G)
+        return cosets, linear[1:]
+
+    def doubled(G):
+        cosets, linear = real(G)
+        return cosets, linear[:-1] + linear[:1]
+
+    monkeypatch.setattr(characters, "_linear_characters", dropped)
+    with pytest.raises(ModularMethodError, match="rank"):
+        character_table(alternating4_group())
+    monkeypatch.setattr(characters, "_linear_characters", doubled)
+    with pytest.raises(ModularMethodError, match="orthogonality"):
+        character_table(alternating4_group())
 
 
 # ---------------------------------------------------------------------------
