@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from sympy import isprime, primitive_root
-
 from .exactmath import (
     CycNumber,
     ExactCheckError,
@@ -53,8 +51,10 @@ from .exactmath import (
     exact_quotient,
     fraction_sum,
     is_squarefree,
+    isprime,
     kronecker_symbol,
     mobius,
+    primitive_root,
     reduce_by_kernel,
     smith_normal_form,
     snf_solve,
@@ -88,16 +88,21 @@ class ClassFunction:
     @cached_property
     def galois_means(self) -> tuple[Fraction, ...]:
         """Tr(v) / phi at each class: the mean of the Galois conjugates of
-        the value there (see :meth:`CycNumber.galois_mean`).
+        the value there (see :meth:`CycNumber.galois_mean`), for a
+        character or any Z-combination of characters.
 
         Every rational reduction of a character's values reads these: on a
         rational class o the values are the conjugates of the value at its
         first class, each equally often, so they sum to |o| times its mean.
-        Computed once per class function; equal means are one object.
+        The mean is therefore taken at the first class of each rational
+        class only, once per class function, and shared by its classes.
         """
-        shared: dict[Fraction, Fraction] = {}
-        return tuple(shared.setdefault(m, m)
-                     for m in map(CycNumber.galois_mean, self.values))
+        means: list[Fraction] = [Fraction(0)] * len(self.values)
+        for orbit in self.group.data.rational_classes:
+            m = self.values[orbit[0]].galois_mean()
+            for c in orbit:
+                means[c] = m
+        return tuple(means)
 
     def is_rational(self) -> bool:
         return all(v.is_rational() for v in self.values)

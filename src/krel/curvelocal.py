@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from sympy import isprime
-
 from .characters import ClassFunction, character_table
-from .exactmath import ExactCheckError, fraction_sum, kronecker_symbol
+from .exactmath import (ExactCheckError, FactorBoundError, fraction_sum,
+                        isprime, kronecker_symbol)
 from .groups import PermGroup, subgroup_as_group
 from .relations import (PowFloor, PowHalf, _cyclic_quotient, _psi_value,
                         local_ef)
@@ -176,8 +175,11 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
     if G is None or p.dsub is None or p.isub is None or red is None:
         return [Diagnostic("incomplete", "finite place needs group, D_v, I_v "
                            "and reduction data")]
-    if p.l is None or p.q is None or not isprime(p.l) \
-            or not _is_prime_power(p.q, p.l):
+    try:
+        l_prime = p.l is not None and isprime(p.l)
+    except FactorBoundError as exc:
+        return [Diagnostic("residue-size", str(exc))]
+    if not l_prime or p.q is None or not _is_prime_power(p.q, p.l):
         out.append(Diagnostic("residue-size",
                               f"q = {p.q} is not a power of the prime l = {p.l}"))
         return out

@@ -2,18 +2,24 @@
 integer lattice normal forms, and the Kronecker/Hilbert symbol machinery that
 decides membership in norm groups of quadratic fields.
 
+The small-integer number theory the engine needs is here too, on the
+standard library alone: bounded factoring (:func:`factor_bounded`), a prime
+sieve grown on demand (:func:`primerange`), deterministic Miller-Rabin
+(:func:`isprime`, exact below ``PSI_13``), :func:`divisors`,
+:func:`euler_phi`, :func:`mobius`, the least :func:`primitive_root` and the
+integer coefficients of cyclotomic polynomials (:func:`cyclotomic_coeffs`).
+
 Everything here is exact; there is no floating point anywhere in the engine.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
-
-import sympy
 
 Rational = Union[int, Fraction]
 
@@ -24,7 +30,9 @@ DEFAULT_FACTOR_BOUND = 10**6
 
 
 class FactorBoundError(ValueError):
-    """An integer contains a prime factor beyond the configured bound."""
+    """An integer is beyond the exact number theory: it has a prime factor
+    above the factoring bound, or it is a primality query at or above
+    ``PSI_13``."""
 
 
 def factor_bounded(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
@@ -84,14 +92,91 @@ def _extend_primes(limit: int) -> None:
     _PRIMES.extend(lo + i for i, flag in enumerate(seg) if flag)
 
 
+def primerange(a: int, b: int) -> list[int]:
+    """The primes p with a <= p < b, ascending, read from the sieve."""
+    _extend_primes(b - 1)
+    return _PRIMES[bisect.bisect_left(_PRIMES, a):bisect.bisect_left(_PRIMES, b)]
+
+
+#: The first 13 primes, the Miller-Rabin bases of :func:`isprime`.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The least strong pseudoprime to every base in _MR_BASES (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+#: 2017): below it the bases decide primality exactly.
+PSI_13 = 3317044064679887385961981
+
+
+def isprime(n: int) -> bool:
+    """Whether the integer n is prime, by deterministic Miller-Rabin.
+
+    Exact for n < PSI_13; larger n raise FactorBoundError rather than
+    answer probably.
+    """
+    n = operator.index(n)
+    if n >= PSI_13:
+        raise FactorBoundError(
+            f"primality of {n} is not decided exactly at or above {PSI_13}")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _positive_factors(n: int) -> dict[int, int]:
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    return factor_bounded(n)
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in _positive_factors(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 @functools.cache
 def euler_phi(n: int) -> int:
-    return int(sympy.totient(n))
+    phi = n
+    for p in _positive_factors(n):
+        phi = phi // p * (p - 1)
+    return phi
 
 
 @functools.cache
 def mobius(n: int) -> int:
-    return int(sympy.mobius(n))
+    fac = _positive_factors(n)
+    if any(e > 1 for e in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
+
+@functools.cache
+def primitive_root(p: int) -> int:
+    """The least primitive root modulo the prime p."""
+    if not isprime(p):
+        raise ValueError(f"{p} is not prime")
+    cofactors = [(p - 1) // q for q in factor_bounded(p - 1)]
+    return next(g for g in range(1, p)
+                if all(pow(g, c, p) != 1 for c in cofactors))
 
 
 class ExactCheckError(ArithmeticError):
@@ -222,7 +307,7 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     if place == PLACE_INF or place == math.inf:
         return -1 if (a < 0 and b < 0) else 1
     p = place
-    if not (isinstance(p, int) and p >= 2 and sympy.isprime(p)):
+    if not (isinstance(p, int) and p >= 2 and isprime(p)):
         raise ValueError(f"invalid place {place!r}")
     alpha, u = _split_place(a, p)
     beta, v = _split_place(b, p)
@@ -559,40 +644,47 @@ def rat_solve(a, b):
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 
-_CYCLO_CACHE: dict[int, tuple[list[Fraction], list[list[Fraction]]]] = {}
+def _exact_poly_div(a: list[int], b: Sequence[int], what: str) -> list[int]:
+    """a / b for integer coefficient lists (constant term first), b monic;
+    the remainder must vanish."""
+    a = list(a)
+    db = len(b) - 1
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db]
+        if c:
+            for j, bj in terms:
+                a[k + j] -= c * bj
+    if any(a[:db]):
+        raise ExactCheckError(f"{what}: division leaves remainder {a[:db]}")
+    return q
 
 
-def _cyclo_tables(n: int):
-    """Return (coeffs of Phi_n, reduction table of zeta^e for e in [0, n))."""
-    cached = _CYCLO_CACHE.get(n)
-    if cached is not None:
-        return cached
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
-    coeffs = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]  # c0..c_phi
-    phi = len(coeffs) - 1
-    # zeta^e as a vector over the power basis 1..zeta^(phi-1)
-    table: list[list[Fraction]] = []
-    for e in range(phi):
-        vec = [Fraction(0)] * phi
-        vec[e] = Fraction(1)
-        table.append(vec)
-    for e in range(phi, n):
-        prev = table[e - 1]
-        shifted = [Fraction(0)] + prev[:-1]
-        top = prev[-1]
-        if top:
-            shifted = [s - top * coeffs[j] for j, s in enumerate(shifted)]
-        table.append(shifted)
-    _CYCLO_CACHE[n] = (coeffs, table)
-    return _CYCLO_CACHE[n]
+@functools.cache
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Coefficients c_0 .. c_phi(n) of the cyclotomic polynomial Phi_n:
+    x^n - 1 divided exactly by Phi_d for every d | n, d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        poly = _exact_poly_div(poly, cyclotomic_coeffs(d), f"Phi_{n}")
+    return tuple(poly)
 
 
 @functools.cache
 def cyclotomic_reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Row e: zeta_n^e over the power basis 1 .. zeta_n^(phi(n)-1), for e in
     [0, n); integers, since Phi_n is monic with integer coefficients."""
-    return tuple(tuple(int(c) for c in row) for row in _cyclo_tables(n)[1])
+    coeffs = cyclotomic_coeffs(n)
+    phi = len(coeffs) - 1
+    table = [tuple(int(i == e) for i in range(phi)) for e in range(phi)]
+    for _ in range(phi, n):
+        prev = table[-1]
+        shifted = (0,) + prev[:-1]
+        if prev[-1]:
+            shifted = tuple(s - prev[-1] * c for s, c in zip(shifted, coeffs))
+        table.append(shifted)
+    return tuple(table)
 
 
 @functools.cache
@@ -654,7 +746,7 @@ class CycNumber:
 
     @staticmethod
     def from_powers(n: int, powers: dict[int, Rational]) -> "CycNumber":
-        _, table = _cyclo_tables(n)
+        table = cyclotomic_reduction_table(n)
         phi = euler_phi(n)
         vec = [Fraction(0)] * phi
         for e, c in powers.items():

@@ -22,14 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import divisors, factorint, isprime, mobius, primerange
-
 from .characters import _fundamental_discriminant
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
                          is_square_in_ext, ram_degree, validate_place)
-from .exactmath import (PLACE_INF, is_norm_from_quadratic, is_squarefree,
-                        kronecker_symbol)
+from .exactmath import (PLACE_INF, divisors, factor_bounded,
+                        is_norm_from_quadratic, is_squarefree, isprime,
+                        kronecker_symbol, mobius, primerange)
 from .groups import PermGroup, metacyclic_generators
 from .parity import CurveLocalModel
 from .regconst import MatrixRep, invariant_pairing, matrix_fixed_det
@@ -384,13 +383,13 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
 
 
 def _h_exponent(delta: int, n: int) -> int:
-    return sum(int(mobius(n // d)) * (delta * d // 12) for d in divisors(n))
+    return sum(mobius(n // d) * (delta * d // 12) for d in divisors(n))
 
 
 def _g_value(e: int, n: int) -> Fraction:
     val = Fraction(1)
     for d in divisors(n):
-        mu = int(mobius(n // d))
+        mu = mobius(n // d)
         if mu and d % e:
             val *= Fraction(d) ** mu
     return val
@@ -422,7 +421,7 @@ def _reference_nonsquare(e: int, delta: int, n: int) -> bool:
     """
     if n == 1:
         return False
-    fac = dict(factorint(n))
+    fac = factor_bounded(n)
     a = fac.pop(2, 0)
     if e == 2:
         if n in (2, 4):

@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from sympy import divisors, mobius
-
 from .characters import ClassFunction
 from .exactmath import (
     ExactCheckError,
     _as_fraction,
+    divisors,
     exact_quotient,
     hermite_row_basis,
     is_squarefree,
+    mobius,
     norm_obstruction,
     snf_solve,
 )
@@ -72,7 +72,7 @@ def psi_d(n: int, d: int) -> dict[str, int]:
         raise ValueError(f"{d} does not divide {n}")
     out: dict[str, int] = {}
     for dp in divisors(d):
-        mu = int(mobius(d // dp))
+        mu = mobius(d // dp)
         if mu:
             out[f"{n // dp}.1"] = mu
     return out

@@ -32,6 +32,8 @@ from krel.harness import MetacyclicSpec, build_metacyclic
 from krel.regconst import minimal_perm_multiple
 from krel.relations import _multiplicity_rows, find_norm_relation
 
+from test_lift_and_lattice import TABLE_GROUPS
+
 
 def metacyclic_specs(max_order):
     for e in (2, 3, 4, 6):
@@ -123,3 +125,18 @@ def test_non_integral_multiplicity_raises():
     corrupt_last_irreducible(G, Fraction(1, 2))
     with pytest.raises(ExactCheckError, match="multiplicity"):
         _multiplicity_rows(G)
+
+
+@pytest.mark.parametrize("name", list(TABLE_GROUPS))
+def test_means_and_class_weights_match_the_all_class_formula(name):
+    """Galois means are taken at the first class of each rational class
+    only; the old formula took them at every class."""
+    G = TABLE_GROUPS[name]()
+    data = G.data
+    reps = [o[0] for o in data.rational_classes]
+    irrs = character_table(G).irreducibles
+    old = [tuple(v.galois_mean() for v in chi.values) for chi in irrs]
+    assert [chi.galois_means for chi in irrs] == old
+    assert data.class_weights == [
+        [s * means[c] for c, s in zip(reps, data.rational_class_sizes)]
+        for means in old]
