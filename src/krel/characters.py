@@ -23,9 +23,11 @@ each value becomes a :class:`CycNumber` once, at the end.
 
 The table keeps each irreducible's multisets at the first classes
 (``CharacterTable.multisets``), and the Galois action is read from them:
-sigma_k relabels j -> jk.  That gives each irreducible's stabiliser in
-(Z/exp G)^x, so its character field (``GroupData.field_data``) and the
-field-degree sort key, and the Galois orbits of ``rational_irreducibles``.
+sigma_k relabels j -> jk.  Each irreducible's stabiliser in (Z/exp G)^x is
+computed once, during the build, and kept on the table
+(``CharacterTable.stabilisers``): its size is the field-degree part of the
+sort key, and the character fields (``GroupData.field_data``) and the
+Galois orbits of ``rational_irreducibles`` read it from there.
 Every rational reduction of character values instead reads the Galois
 means Tr(chi(g))/phi, one cached tuple per class function
 (``ClassFunction.galois_means``): class weights, Frobenius-Schur
@@ -158,6 +160,10 @@ class CharacterTable:
     # of the o-th rational class, as sorted (j, c_j) pairs; equal multisets
     # are one shared tuple
     multisets: list[tuple[tuple[tuple[int, int], ...], ...]]
+    # stabilisers[j]: the units k mod exp G with sigma_k chi_j = chi_j,
+    # ascending (see _galois_stabiliser); [Q(chi_j) : Q] is the number of
+    # units over its size
+    stabilisers: list[tuple[int, ...]]
 
 
 @dataclass
@@ -362,7 +368,8 @@ def _structure_constants(G: PermGroup, cls) -> dict[tuple[int, int], int]:
     return out
 
 
-def _galois_stabiliser(G: PermGroup, multisets, memo=None) -> tuple[int, ...]:
+def _galois_stabiliser(G: PermGroup, multisets, memo: dict
+                       ) -> tuple[int, ...]:
     """The units k mod exp G with sigma_k chi = chi, from the eigenvalue
     multisets of chi at the first class of each rational class, in the
     order of ``G.data.rational_classes``: sorted (j, c_j) pairs, rho(g)
@@ -374,7 +381,6 @@ def _galois_stabiliser(G: PermGroup, multisets, memo=None) -> tuple[int, ...]:
     of it that commute with j -> jk.  The units mod n keeping one multiset
     are kept in ``memo`` by (n, multiset).
     """
-    memo = {} if memo is None else memo
     stab = G.data.units
     for ms, n in zip(multisets, G.data.rational_class_orders):
         fixed = memo.get((n, ms))
@@ -392,15 +398,6 @@ def _relabel(multisets, k: int, orders) -> tuple:
     """The multisets of sigma_k chi from those of chi: j -> jk mod n."""
     return tuple(tuple(sorted((j * k % n, c) for j, c in ms))
                  for ms, n in zip(multisets, orders))
-
-
-def _field_degree(G: PermGroup, multisets: list[dict[int, int]],
-                  memo=None) -> int:
-    """[Q(chi) : Q] from the eigenvalue multisets of chi, one {j: c_j} per
-    class (see :func:`_galois_stabiliser`)."""
-    firsts = [tuple(sorted(multisets[orbit[0]].items()))
-              for orbit in G.data.rational_classes]
-    return len(G.data.units) // len(_galois_stabiliser(G, firsts, memo))
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -701,15 +698,18 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
         values_of.append(tuple(vals))
         keys_of.append(tuple(keys))
 
+    # sorted by degree, then field degree (a smaller stabiliser is a larger
+    # field), then value keys
     memo: dict = {}
+    stabs = [_galois_stabiliser(G, firsts, memo) for _, _, firsts in rows]
     order_idx = sorted(
         range(len(rows)),
-        key=lambda a: (rows[a][0], _field_degree(G, rows[a][1], memo),
-                       keys_of[a]))
+        key=lambda a: (rows[a][0], -len(stabs[a]), keys_of[a]))
     irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}")
             for k, a in enumerate(order_idx)]
     return CharacterTable(G, irrs, sizes, p,
-                          [rows[a][2] for a in order_idx])
+                          [rows[a][2] for a in order_idx],
+                          [stabs[a] for a in order_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -889,11 +889,6 @@ class GroupData:
         return tuple(sorted(counts.items()))
 
     @cached_property
-    def subgroup_positions(self) -> dict[str, int]:
-        """Subgroup class id -> its index in ``subgroup_classes()``."""
-        return {c.id: c.index for c in self.group.subgroup_classes()}
-
-    @cached_property
     def table(self) -> CharacterTable:
         """Read through :func:`character_table`, like every other use."""
         return _compute_character_table(self.group)
@@ -950,14 +945,12 @@ class GroupData:
     @cached_property
     def field_data(self) -> list[CharFieldData]:
         """The character field of each irreducible, from its Galois
-        stabiliser (see :func:`_galois_stabiliser`); irreducibles with
-        one stabiliser share one record."""
+        stabiliser on the table (``CharacterTable.stabilisers``);
+        irreducibles with one stabiliser share one record."""
         G = self.group
-        memo: dict = {}
         by_stab: dict[tuple[int, ...], CharFieldData] = {}
         out = []
-        for ms in character_table(G).multisets:
-            stab = _galois_stabiliser(G, ms, memo)
+        for stab in character_table(G).stabilisers:
             fd = by_stab.get(stab)
             if fd is None:
                 fd = by_stab[stab] = CharFieldData(

@@ -17,8 +17,8 @@ from .characters import ClassFunction, character_table
 from .exactmath import (ExactCheckError, FactorBoundError, fraction_sum,
                         isprime, kronecker_symbol)
 from .groups import PermGroup, subgroup_as_group
-from .relations import (PowFloor, PowHalf, _cyclic_quotient, _psi_value,
-                        local_ef)
+from .relations import (PowFloor, PowHalf, _psi_value,
+                        decomposition_pair_problem, local_ef)
 
 CASE_GOOD = "1G"
 CASE_SPLIT = "1S"
@@ -183,18 +183,9 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
         out.append(Diagnostic("residue-size",
                               f"q = {p.q} is not a power of the prime l = {p.l}"))
         return out
-    if G.closure(p.dsub) != p.dsub:
-        return [Diagnostic("decomposition-closed", "D_v is not a subgroup")]
-    if not p.isub <= p.dsub or G.closure(p.isub) != p.isub:
-        return [Diagnostic("inertia-subgroup", "I_v is not a subgroup of D_v")]
-    dgens = G.generating_indices(p.dsub)
-    if any(G.mul(G.mul(g, i), G.inv(g)) not in p.isub
-           for g in dgens for i in p.isub):
-        out.append(Diagnostic("inertia-normality", "I_v is not normal in D_v"))
-        return out
-    if not _cyclic_quotient(G, p.dsub, p.isub):
-        out.append(Diagnostic("quotient-cyclic", "D_v/I_v is not cyclic"))
-        return out
+    problem = decomposition_pair_problem(G, p.dsub, p.isub)
+    if problem is not None:
+        return [Diagnostic(*problem)]
 
     e1, f1 = len(p.isub), len(p.dsub) // len(p.isub)
     if isinstance(red, (SplitMult, NonsplitMult, AddPotMult)) and red.n < 1:
@@ -214,10 +205,9 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
                 "good-not-attained",
                 f"delta*|I_v| = {red.delta * e1} is not 0 mod 12"))
         fe = ram_degree(red.delta)
-        dihedral = fe > 2 and p.q % fe == fe - 1
         if red.lambda_override not in (None, 1, -1):
             out.append(Diagnostic("lambda-range", "lambda must be +-1"))
-        if dihedral:
+        if reduction_case(p) == CASE_DIHEDRAL:
             out.extend(_check_dihedral_dprime(p, red.dprime, fe))
         else:
             if red.dprime is not None:

@@ -623,24 +623,6 @@ def rat_det(a: Sequence[Sequence[Rational]]) -> Fraction:
     return det
 
 
-def rat_solve(a, b):
-    """Solve a*x = b for square nonsingular a over Q."""
-    n = len(a)
-    m = [[_as_fraction(x) for x in row] + [_as_fraction(bi)] for row, bi in zip(a, b)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                c = m[i][k]
-                m[i] = [x - c * y for x, y in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 

@@ -129,8 +129,8 @@ class PermGroup:
     __slots__ = ("degree", "name", "elements", "order", "_index",
                  "generator_indices", "_mul", "_inv", "_order_of", "_classes",
                  "_class_of", "_power_rows", "_subgroup_classes",
-                 "_subgroup_lookup", "_gen_sets", "_sub_lattices",
-                 "_double_cosets", "_data")
+                 "_subgroup_lookup", "_subgroup_ids", "_gen_sets",
+                 "_sub_lattices", "_double_cosets", "_data")
 
     def __init__(self, degree: int, generators: list[Perm], name: str | None = None,
                  order_bound: int = GROUP_ORDER_BOUND):
@@ -190,6 +190,7 @@ class PermGroup:
         self._power_rows: dict[int, tuple[int, ...]] = {}
         self._subgroup_classes: list[SubgroupClass] | None = None
         self._subgroup_lookup: dict[frozenset[int], int] = {}
+        self._subgroup_ids: dict[str, SubgroupClass] = {}
         self._gen_sets: dict[frozenset[int], tuple[int, ...]] = {}
         self._sub_lattices: dict[frozenset[int], list[SubgroupClass]] = {}
         self._double_cosets: dict[tuple[frozenset[int], frozenset[int]],
@@ -351,13 +352,16 @@ class PermGroup:
         return all(self.conjugate_subgroup(sub, g) == sub
                    for g in self.generator_indices)
 
-    def _subgroup_orbit(self, sub: frozenset[int]) -> list[frozenset[int]]:
+    def _subgroup_orbit(self, sub: frozenset[int],
+                        gens) -> list[frozenset[int]]:
+        """The conjugates of sub under the subgroup generated by gens,
+        sorted."""
         orbit = {sub}
         frontier = [sub]
         while frontier:
             nxt = []
             for H in frontier:
-                for g in self.generator_indices:
+                for g in gens:
                     K = self.conjugate_subgroup(H, g)
                     if K not in orbit:
                         orbit.add(K)
@@ -365,21 +369,41 @@ class PermGroup:
             frontier = nxt
         return sorted(orbit, key=sorted)
 
+    def _label_classes(self, orbits: list[list[frozenset[int]]]
+                       ) -> list[SubgroupClass]:
+        """One class per sorted conjugation orbit, ordered by (|H|, sorted
+        representative) with ids "order.k"; the orbits may come in any
+        order, so the labels depend on the orbits alone."""
+        classes: list[SubgroupClass] = []
+        counts: dict[int, int] = {}
+        for orbit in sorted(orbits, key=lambda o: (len(o[0]), sorted(o[0]))):
+            rep = orbit[0]
+            o = len(rep)
+            counts[o] = counts.get(o, 0) + 1
+            classes.append(SubgroupClass(
+                id=f"{o}.{counts[o]}",
+                index=len(classes),
+                order=o,
+                representative=rep,
+                conjugates=tuple(orbit),
+                is_cyclic=any(self._order_of[x] == o for x in rep),
+                is_normal=len(orbit) == 1,
+            ))
+        return classes
+
     def subgroup_classes(self) -> list[SubgroupClass]:
         """All subgroups up to conjugacy, breadth-first closure enumeration."""
         if self._subgroup_classes is not None:
             return self._subgroup_classes
-        lookup: dict[frozenset[int], int] = {}
+        seen: set[frozenset[int]] = set()
         orbits: list[list[frozenset[int]]] = []
 
         def admit(sub: frozenset[int]) -> bool:
-            if sub in lookup:
+            if sub in seen:
                 return False
-            orbit = self._subgroup_orbit(sub)
-            k = len(orbits)
+            orbit = self._subgroup_orbit(sub, self.generator_indices)
             orbits.append(orbit)
-            for H in orbit:
-                lookup[H] = k
+            seen.update(orbit)
             return True
 
         admit(frozenset({0}))
@@ -402,29 +426,11 @@ class PermGroup:
                     if admit(K):
                         nxt.append(K)
             frontier = nxt
-        reps = [min(orbit, key=sorted) for orbit in orbits]
-        order_idx = sorted(range(len(orbits)),
-                           key=lambda k: (len(reps[k]), sorted(reps[k])))
-        classes: list[SubgroupClass] = []
-        counts: dict[int, int] = {}
-        remap = {}
-        for new_i, old_i in enumerate(order_idx):
-            rep = reps[old_i]
-            o = len(rep)
-            counts[o] = counts.get(o, 0) + 1
-            is_cyc = any(self._order_of[x] == o for x in rep)
-            classes.append(SubgroupClass(
-                id=f"{o}.{counts[o]}",
-                index=new_i,
-                order=o,
-                representative=rep,
-                conjugates=tuple(orbits[old_i]),
-                is_cyclic=is_cyc,
-                is_normal=len(orbits[old_i]) == 1,
-            ))
-            remap[old_i] = new_i
+        classes = self._label_classes(orbits)
         self._subgroup_classes = classes
-        self._subgroup_lookup = {H: remap[k] for H, k in lookup.items()}
+        self._subgroup_lookup = {H: c.index for c in classes
+                                 for H in c.conjugates}
+        self._subgroup_ids = {c.id: c for c in classes}
         return classes
 
     def classify_subgroup(self, sub: frozenset[int]) -> SubgroupClass:
@@ -432,10 +438,11 @@ class PermGroup:
         return classes[self._subgroup_lookup[frozenset(sub)]]
 
     def subgroup_class_by_id(self, cid: str) -> SubgroupClass:
-        for c in self.subgroup_classes():
-            if c.id == cid:
-                return c
-        raise KeyError(f"no subgroup class {cid!r}")
+        self.subgroup_classes()
+        got = self._subgroup_ids.get(cid)
+        if got is None:
+            raise KeyError(f"no subgroup class {cid!r}")
+        return got
 
     def sub_lattice(self, dsub: frozenset[int]) -> list[SubgroupClass]:
         """Subgroup classes of the subgroup dsub, under dsub-conjugation only.
@@ -444,52 +451,18 @@ class PermGroup:
         """
         dsub = frozenset(dsub)
         got = self._sub_lattices.get(dsub)
-        if got is not None:
-            return got
-        self.subgroup_classes()
-        members = [H for H in self._subgroup_lookup if H <= dsub]
-        dgens = self.generating_indices(dsub)
-        lookup: dict[frozenset[int], int] = {}
-        orbits: list[list[frozenset[int]]] = []
-        for H in sorted(members, key=sorted):
-            if H in lookup:
-                continue
-            orbit = {H}
-            frontier = [H]
-            while frontier:
-                nxt = []
-                for K in frontier:
-                    for g in dgens:
-                        Kg = self.conjugate_subgroup(K, g)
-                        if Kg not in orbit:
-                            orbit.add(Kg)
-                            nxt.append(Kg)
-                frontier = nxt
-            k = len(orbits)
-            orbits.append(sorted(orbit, key=sorted))
-            for K in orbit:
-                lookup[K] = k
-        reps = [orbit[0] for orbit in orbits]
-        order_idx = sorted(range(len(orbits)),
-                           key=lambda k: (len(reps[k]), sorted(reps[k])))
-        classes = []
-        counts: dict[int, int] = {}
-        for new_i, old_i in enumerate(order_idx):
-            rep = reps[old_i]
-            o = len(rep)
-            counts[o] = counts.get(o, 0) + 1
-            classes.append(SubgroupClass(
-                id=f"{o}.{counts[o]}",
-                index=new_i,
-                order=o,
-                representative=rep,
-                conjugates=tuple(orbits[old_i]),
-                is_cyclic=any(self._order_of[x] == o for x in rep),
-                is_normal=all(self.conjugate_subgroup(rep, g) == rep
-                              for g in dgens),
-            ))
-        self._sub_lattices[dsub] = classes
-        return classes
+        if got is None:
+            self.subgroup_classes()
+            dgens = self.generating_indices(dsub)
+            seen: set[frozenset[int]] = set()
+            orbits = []
+            for H in self._subgroup_lookup:
+                if H <= dsub and H not in seen:
+                    orbit = self._subgroup_orbit(H, dgens)
+                    orbits.append(orbit)
+                    seen.update(orbit)
+            got = self._sub_lattices[dsub] = self._label_classes(orbits)
+        return got
 
     def classify_in_lattice(self, dsub: frozenset[int],
                             sub: frozenset[int]) -> SubgroupClass:

@@ -53,9 +53,6 @@ class CurveLocalModel:
     def finite_places(self) -> list[PlaceDescriptor]:
         return [p for p in self.places if p.is_finite()]
 
-    def archimedean_count(self) -> int:
-        return sum(1 for p in self.places if not p.is_finite())
-
 
 def _require_model(model: CurveLocalModel):
     for p in model.places:

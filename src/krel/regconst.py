@@ -162,12 +162,14 @@ def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
     permutation value is returned (an odd power, so the same square class).
     Otherwise symplectic or non-self-dual constituents force a square and
     the value is 1; the remaining case needs an explicit matrix model.
+    Either route checks once that theta is a K-relation: the odd one
+    inside :func:`reg_const_perm`.
     """
-    if not is_k_relation(G, theta, d):
-        raise ValueError("theta is not a K-relation for this field")
     k, expansion = minimal_perm_multiple(G, tau)
     if k % 2 == 1:
         return reg_const_perm(G, theta, expansion, d)
+    if not is_k_relation(G, theta, d):
+        raise ValueError("theta is not a K-relation for this field")
     if not isinstance(tau, RationalCharacter):
         raise ValueError("self-duality check needs a rational irreducible")
     if tau.indicator in (0, -1):

@@ -41,10 +41,9 @@ def _check_quadratic(d: int) -> None:
 
 
 def _theta_vector(G: PermGroup, theta: dict[str, int]) -> list[int]:
-    pos = G.data.subgroup_positions
-    vec = [0] * len(pos)
+    vec = [0] * len(G.subgroup_classes())
     for cid, coeff in theta.items():
-        vec[pos[cid]] += coeff
+        vec[G.subgroup_class_by_id(cid).index] += coeff
     return vec
 
 
@@ -83,8 +82,8 @@ def _multiplicities(G: PermGroup, theta: dict[str, int],
     """Multiplicities of the irreducibles chi_j, j in js, in the permutation
     character of theta, summed over its nonzero terms only."""
     mult = _multiplicity_rows(G)
-    pos = G.data.subgroup_positions
-    terms = [(mult[pos[cid]], c) for cid, c in theta.items() if c]
+    terms = [(mult[G.subgroup_class_by_id(cid).index], c)
+             for cid, c in theta.items() if c]
     return [sum(c * row[j] for row, c in terms) for j in js]
 
 
@@ -346,6 +345,25 @@ def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
     return False
 
 
+def decomposition_pair_problem(G: PermGroup, dsub: frozenset[int],
+                               isub: frozenset[int]) -> tuple[str, str] | None:
+    """The first rule that (D_v, I_v) breaks, as (rule, message), or None.
+
+    D_v must be a subgroup, I_v a normal subgroup of it, and D_v/I_v
+    cyclic.
+    """
+    if G.closure(dsub) != dsub:
+        return "decomposition-closed", "D_v is not a subgroup"
+    if not isub <= dsub or G.closure(isub) != isub:
+        return "inertia-subgroup", "I_v is not a subgroup of D_v"
+    if any(G.conjugate_subgroup(isub, g) != isub
+           for g in G.generating_indices(dsub)):
+        return "inertia-normality", "I_v is not normal in D_v"
+    if not _cyclic_quotient(G, dsub, isub):
+        return "quotient-cyclic", "D_v/I_v is not cyclic"
+    return None
+
+
 @dataclass(eq=False)
 class LocalFn:
     """A function H -> prod over H\\G/D of psi(e, f).
@@ -361,18 +379,11 @@ class LocalFn:
     psi: PsiExpr
 
     def __post_init__(self):
-        G = self.group
         self.dsub = frozenset(self.dsub)
         self.isub = frozenset(self.isub)
-        if G.closure(self.dsub) != self.dsub:
-            raise ValueError("D is not a subgroup")
-        if not self.isub <= self.dsub or G.closure(self.isub) != self.isub:
-            raise ValueError("I is not a subgroup of D")
-        for g in G.generating_indices(self.dsub):
-            if G.conjugate_subgroup(self.isub, g) != self.isub:
-                raise ValueError("I is not normal in D")
-        if not _cyclic_quotient(G, self.dsub, self.isub):
-            raise ValueError("D/I is not cyclic")
+        problem = decomposition_pair_problem(self.group, self.dsub, self.isub)
+        if problem is not None:
+            raise ValueError(problem[1])
 
 
 def local_ef(dsub: frozenset[int], isub: frozenset[int],

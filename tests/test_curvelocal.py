@@ -36,6 +36,7 @@ from krel.harness import synthetic_model
 from krel.relations import (
     Const,
     E,
+    EF,
     LocalFn,
     PowFloor,
     PowHalf,
@@ -200,6 +201,43 @@ def test_quotient_cyclic_check():
         "v", "finite", S3, 5, 5, frozenset(range(6)), frozenset([0]), SplitMult(1)
     )
     assert "quotient-cyclic" in _diag_rules(p)
+
+
+BAD_PAIRS = {
+    # rule: (group, its D_v, its I_v)
+    "decomposition-closed": (
+        lambda: metacyclic_group(21, 2, 20),
+        lambda G: frozenset(list(subgroup_rep(G, "6.1"))[:4]),
+        lambda G: frozenset([0])),
+    "inertia-subgroup": (
+        lambda: metacyclic_group(21, 2, 20),
+        lambda G: frozenset(x for x in subgroup_rep(G, "6.1")
+                            if G.element_order(x) in (1, 3)),
+        lambda G: subgroup_rep(G, "6.1")),
+    "inertia-normality": (
+        lambda: dihedral_group(3),
+        lambda G: frozenset(range(6)),
+        lambda G: frozenset([0, next(x for x in range(6)
+                                     if G.element_order(x) == 2)])),
+    "quotient-cyclic": (
+        lambda: dihedral_group(3),
+        lambda G: frozenset(range(6)),
+        lambda G: frozenset([0])),
+}
+
+
+@pytest.mark.parametrize("rule", list(BAD_PAIRS))
+def test_localfn_and_validate_place_reject_the_same_pairs(rule):
+    make, dsub_of, isub_of = BAD_PAIRS[rule]
+    G = make()
+    dsub, isub = dsub_of(G), isub_of(G)
+    p = PlaceDescriptor("v", "finite", G, 13, 13, dsub, isub, SplitMult(1))
+    diags = validate_place(p)
+    assert [d.rule for d in diags] == [rule]
+    assert not p.validated
+    with pytest.raises(ValueError) as exc:
+        LocalFn(G, dsub, isub, EF())
+    assert str(exc.value) == diags[0].message
 
 
 def test_multiplicative_n_positive():

@@ -25,7 +25,6 @@ from krel.exactmath import (
     mat_mul,
     norm_obstruction,
     rat_det,
-    rat_solve,
     smith_normal_form,
     snf_solve,
     squarefree_class,
@@ -427,8 +426,6 @@ def test_hermite_row_basis_membership():
 def test_rat_det_and_solve():
     a = [[Fraction(1, 2), 1], [3, 4]]
     assert rat_det(a) == Fraction(1, 2) * 4 - 3
-    x = rat_solve([[2, 1], [1, 1]], [3, 2])
-    assert x == [Fraction(1), Fraction(1)]
 
 
 # ---------------------------------------------------------------------------

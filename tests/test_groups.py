@@ -28,6 +28,10 @@ def s3():
     return group_from_cycles(3, ["(1 2)", "(1 2 3)"], name="S3")
 
 
+def s4():
+    return group_from_cycles(4, ["(1 2)", "(1 2 3 4)"], name="S4")
+
+
 SAMPLE = {}
 
 
@@ -209,6 +213,44 @@ def test_sub_lattice_of_s3_in_d21():
     lat = G.sub_lattice(s3sub)
     assert [c.order for c in lat] == [1, 2, 3, 6]
     assert len(lat[1].conjugates) == 3
+
+
+def test_sub_lattice_of_the_whole_group_is_its_subgroup_classes():
+    for G in sample_groups().values():
+        assert G.sub_lattice(frozenset(range(G.order))) \
+            == G.subgroup_classes()
+
+
+@pytest.mark.parametrize("name, did", [
+    ("S3", "3.1"), ("Q8", "4.1"), ("A4", "4.1"), ("A4", "12.1"),
+    ("D21", "6.1"), ("D21", "14.1"), ("S4", "8.1"), ("S4", "12.1")])
+def test_sub_lattice_matches_the_subgroup_as_a_group(name, did):
+    """The classes of D under D-conjugation, built inside G, against the
+    subgroup classes of D built as a group of its own."""
+    G = s4() if name == "S4" else sample_groups()[name]
+    dsub = G.subgroup_class_by_id(did).representative
+    S, to_sub = subgroup_as_group(G, dsub)
+    lat = G.sub_lattice(dsub)
+    ref = S.subgroup_classes()
+    images = [S.classify_subgroup(frozenset(to_sub[x]
+                                            for x in c.representative))
+              for c in lat]
+    assert sorted(c.index for c in images) == list(range(len(ref)))
+    for c, img in zip(lat, images):
+        assert (c.order, len(c.conjugates), c.is_normal, c.is_cyclic) \
+            == (img.order, len(img.conjugates), img.is_normal, img.is_cyclic)
+    assert [c.order for c in lat] == [c.order for c in ref]
+
+
+def test_subgroup_class_by_id_reads_every_class():
+    assert s3().subgroup_class_by_id("3.1").order == 3  # before the classes
+    for G in sample_groups().values():
+        classes = G.subgroup_classes()
+        for i, c in enumerate(classes):
+            assert G.subgroup_class_by_id(c.id) is classes[i]
+        for unknown in (f"{G.order}.2", "0.1", "1"):
+            with pytest.raises(KeyError):
+                G.subgroup_class_by_id(unknown)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from krel import regconst, relations
 from krel.characters import perm_character, rational_irreducibles
 from krel.exactmath import is_norm_from_quadratic, rat_det
 from krel.groups import (
@@ -251,6 +252,45 @@ def test_rational_irr_needs_constituent_on_even_multiple():
              if t.sum_values.degree() == 2)
     with pytest.raises(ValueError):
         reg_const_rational_irr(Q8, {"1.1": 1, "2.1": -1}, t.sum_values, -1)
+
+
+def q8_symplectic_tau():
+    Q8 = quaternion_group()
+    t = next(t for t in rational_irreducibles(Q8)
+             if t.sum_values.degree() == 2)
+    assert t.indicator == -1
+    return Q8, t
+
+
+def test_rational_irr_rejects_a_non_relation_on_both_routes():
+    G = dihedral_group(21)
+    tau = tau_by_label(G, "tau_3")
+    assert minimal_perm_multiple(G, tau)[0] % 2 == 1
+    with pytest.raises(ValueError):
+        reg_const_rational_irr(G, {"1.1": 1}, tau, 21)
+    Q8, t = q8_symplectic_tau()
+    assert minimal_perm_multiple(Q8, t)[0] % 2 == 0
+    with pytest.raises(ValueError):
+        reg_const_rational_irr(Q8, {"1.1": 1}, t, -1)
+
+
+def test_rational_irr_checks_the_relation_once(monkeypatch):
+    calls = []
+    real = relations.is_k_relation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(relations, "is_k_relation", counted)
+    monkeypatch.setattr(regconst, "is_k_relation", counted)
+    G = dihedral_group(21)
+    Q8, t = q8_symplectic_tau()
+    for args in [(G, D21_THETA, tau_by_label(G, "tau_3"), 21),
+                 (Q8, {"1.1": 1, "2.1": -1}, t, -1)]:
+        calls.clear()
+        reg_const_rational_irr(*args)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
