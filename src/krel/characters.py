@@ -842,6 +842,8 @@ class GroupData:
         # (H, D) -> det of the H-fixed part of Q[G/D], for perm_fixed_det
         self.fixed_dets: dict[tuple[frozenset[int], frozenset[int]],
                               Fraction] = {}
+        # (d, nonzero terms of theta) -> verdict of is_k_relation
+        self.k_relation_verdicts: dict[tuple, bool] = {}
 
     @cached_property
     def units(self) -> tuple[int, ...]:

@@ -122,11 +122,6 @@ class RootDatum:
     # of <Res chi, V> * |D_v| (see :func:`local_u_contribution`)
     v_terms: tuple[tuple[int, int], ...] = ()
 
-    def v_dimension(self) -> int:
-        if self.v_char is None:
-            return 0
-        return int(self.v_char.degree())
-
 
 def is_square_in_ext(x: SquareClassLocal, e: int, f: int) -> bool:
     """Does x become a square after an extension with these e and f?
@@ -162,11 +157,17 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
     """Check a descriptor against the structural and arithmetic rules.
 
     An empty list marks the place validated; any violated rule appears as a
-    named diagnostic and the place stays unusable for evaluation.
+    named diagnostic and marks the place unusable for evaluation, even if
+    it was validated before.
     """
+    out = _place_problems(p)
+    p.validated = not out
+    return out
+
+
+def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     if p.kind in ("real", "complex"):
-        p.validated = True
         return out
     if p.kind != "finite":
         return [Diagnostic("kind", f"unknown place kind {p.kind!r}")]
@@ -248,8 +249,6 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
                 out.append(Diagnostic(
                     "d-prime-ramification",
                     "ramification of F^{D'} disagrees with the -c6 class"))
-
-    p.validated = not out
     return out
 
 

@@ -6,17 +6,24 @@ interesting local data.  Good places contribute a factor 1 and a parity bit 0
 everywhere, so only bad finite places and the archimedean places need to be
 listed; archimedean places must be listed because their count enters the
 global root number.
+
+Each model keeps one record, filled on first use: the bit u_{chi,v} per
+(irreducible chi of the table, place v), the fudge product C_v(H) per (bad
+finite place v, subgroup class H), and the NRT obstructions.  The global
+quantities below are reads of it (see :class:`CurveLocalModel`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from .characters import ClassFunction, char_field_data, fs_indicator, \
     rational_irreducibles
-from .curvelocal import Diagnostic, Good, PlaceDescriptor, SplitMult, \
-    fudge_C, local_u_contribution, validate_place
+from .curvelocal import Diagnostic, Good, PlaceDescriptor, fudge_C, \
+    local_u_contribution, validate_place
 from .exactmath import is_norm_from_quadratic, squarefree_class
 from .groups import PermGroup
 from .regconst import NeedsMatrixModel, reg_const_rational_irr
@@ -28,18 +35,27 @@ class CurveLocalModel:
     """A group with validated place descriptors; the global side of the data.
 
     With rational_base=True one real place is appended, the usual setting of
-    a curve over the rationals.
+    a curve over the rationals.  The places are a tuple, validated once at
+    construction and not to be changed afterwards: the model keeps a record
+    of what depends on them, each entry computed on first use.
+
+    - ``_u_bits[j]``: the bits u_{chi_j,v} of the j-th irreducible of the
+      table, one per place in order (:meth:`root_bits`);
+    - ``_fudge[(i, cid)]``: C_v(H) for the i-th place v and H in the
+      subgroup class cid (:meth:`fudge_product`);
+    - ``obstructions``: :func:`nrt_obstructions` of the model.
     """
 
     group: PermGroup
-    places: list[PlaceDescriptor]
+    places: tuple[PlaceDescriptor, ...]
     label: str = ""
     rational_base: bool = False
 
     def __post_init__(self):
-        self.places = list(self.places)
-        if self.rational_base:
-            self.places.append(PlaceDescriptor("oo", "real"))
+        self.places = tuple(self.places) + (
+            (PlaceDescriptor("oo", "real"),) if self.rational_base else ())
+        self._u_bits: dict[int, tuple[int, ...]] = {}
+        self._fudge: dict[tuple[int, str], Fraction] = {}
         problems = []
         for p in self.places:
             if p.is_finite() and p.group is not self.group:
@@ -53,6 +69,35 @@ class CurveLocalModel:
     def finite_places(self) -> list[PlaceDescriptor]:
         return [p for p in self.places if p.is_finite()]
 
+    @cached_property
+    def obstructions(self) -> tuple[Diagnostic, ...]:
+        return tuple(nrt_obstructions(self))
+
+    def root_bits(self, chi: ClassFunction) -> tuple[int, ...]:
+        """u_{chi,v} for each place v, all 0 unless chi is orthogonal;
+        kept when chi is in the table."""
+        j = self.group.data.irreducible_index(chi)
+        bits = self._u_bits.get(j)
+        if bits is None:
+            orthogonal = fs_indicator(chi) == 1
+            bits = tuple(local_u_contribution(p, chi) if orthogonal else 0
+                         for p in self.places)
+            if j is not None:
+                self._u_bits[j] = bits
+        return bits
+
+    def fudge_product(self, i: int, cid: str) -> Fraction:
+        """C_v(H) for the i-th place v and H in the class cid; kept.  The
+        places above v of the fixed field of H are indexed by H\\G/D_v, as
+        :meth:`PermGroup.double_cosets` returns them with their local
+        subgroups D_v ∩ x^-1 H x, and each contributes its fudge factor."""
+        if (i, cid) not in self._fudge:
+            p, G = self.places[i], self.group
+            hrep = G.subgroup_class_by_id(cid).representative
+            self._fudge[i, cid] = prod(fudge_C(p, local) for _, local
+                                       in G.double_cosets(hrep, p.dsub))
+        return self._fudge[i, cid]
+
 
 def _require_model(model: CurveLocalModel):
     for p in model.places:
@@ -61,25 +106,17 @@ def _require_model(model: CurveLocalModel):
 
 
 def global_C_product(model: CurveLocalModel, theta: dict[str, int]) -> Fraction:
-    """Product over the relation of all local fudge factors.
-
-    For each finite place and each subgroup H in the relation, the places of
-    the fixed field above it are indexed by double cosets H\\G/D_v, and each
-    one contributes the fudge factor of its local subgroup D_v ∩ x^-1 H x,
-    as :meth:`PermGroup.double_cosets` returns it.
+    """Product over the relation of all local fudge factors: C_v(H) to the
+    power theta_H for each bad finite place v and each H in the relation,
+    read from the model's record (see :meth:`CurveLocalModel.fudge_product`).
     """
     _require_model(model)
-    G = model.group
     val = Fraction(1)
-    for p in model.finite_places():
-        if isinstance(p.reduction, Good):
-            continue
-        for cid, coeff in theta.items():
-            if not coeff:
-                continue
-            hrep = G.subgroup_class_by_id(cid).representative
-            for _, local in G.double_cosets(hrep, p.dsub):
-                val *= fudge_C(p, local) ** coeff
+    for i, p in enumerate(model.places):
+        if p.is_finite() and not isinstance(p.reduction, Good):
+            for cid, coeff in theta.items():
+                if coeff:
+                    val *= model.fudge_product(i, cid) ** coeff
     return val
 
 
@@ -93,12 +130,11 @@ def global_root_sign(model: CurveLocalModel, chi: ClassFunction) -> GlobalRootSi
     """Twisted root-number sign (-1)^u with u summed over all places.
 
     Only orthogonal characters acquire a sign; for non-self-dual or
-    symplectic chi the exponent is 0 by definition.
+    symplectic chi the exponent is 0 by definition.  The bits are read from
+    the model's record.
     """
-    if fs_indicator(chi) != 1:
-        return GlobalRootSign(1, 0)
     _require_model(model)
-    u = sum(local_u_contribution(p, chi) for p in model.places) % 2
+    u = sum(model.root_bits(chi)) % 2
     return GlobalRootSign(-1 if u else 1, u)
 
 
@@ -122,20 +158,19 @@ def theorem_main_check(model: CurveLocalModel, theta: dict[str, int],
     if not is_k_relation(G, theta, d):
         raise ValueError(f"theta is not a relation for d = {d}")
     lhs = global_C_product(model, theta)
+    u_exponents = _u_exponents(model)
     rhs = Fraction(1)
-    u_exponents: dict[str, int] = {}
     for tau in rational_irreducibles(G):
-        u = global_root_sign(model, tau.constituent).u
-        u_exponents[tau.label] = u
-        if u:
+        if u_exponents[tau.label]:
             rhs *= reg_const_rational_irr(G, theta, tau, d).raw
     return TheoremReport(lhs, rhs, is_norm_from_quadratic(lhs / rhs, d),
                          u_exponents)
 
 
-def quadratic_subfields(chi: ClassFunction) -> tuple[int, ...]:
-    """Squarefree d with Q(sqrt(d)) inside the character field of chi."""
-    return char_field_data(chi).quadratic_subfields
+def _u_exponents(model: CurveLocalModel) -> dict[str, int]:
+    """u_tau of each rational irreducible tau, read at its constituent."""
+    return {tau.label: global_root_sign(model, tau.constituent).u
+            for tau in rational_irreducibles(model.group)}
 
 
 def nrt_obstructions(model: CurveLocalModel) -> list[Diagnostic]:
@@ -171,7 +206,9 @@ class NrtReport:
     quadratic fields at once).  prediction is true exactly when some verdict
     fails.  Each constraint pairs the rational characters whose regulator
     constants are non-norms with the implied odd parity of their root-number
-    exponents.
+    exponents.  u_exponents holds u_tau for every rational irreducible tau,
+    and parity_holds says, constraint by constraint, whether the sum of
+    u_tau over its characters has the implied parity.
     """
 
     rho_label: str
@@ -183,6 +220,8 @@ class NrtReport:
     prediction: bool
     constraints: list[tuple[tuple[str, ...], int]] = field(default_factory=list)
     warnings: list[Diagnostic] = field(default_factory=list)
+    u_exponents: dict[str, int] = field(default_factory=dict)
+    parity_holds: list[bool] = field(default_factory=list)
 
 
 def nrt_run(model: CurveLocalModel, rho: ClassFunction) -> NrtReport:
@@ -191,25 +230,26 @@ def nrt_run(model: CurveLocalModel, rho: ClassFunction) -> NrtReport:
     m, theta = find_norm_relation(G, rho)
     product = global_C_product(model, theta)
     norm_verdicts = {d: is_norm_from_quadratic(product, d)
-                     for d in quadratic_subfields(rho)}
+                     for d in char_field_data(rho).quadratic_subfields}
     square_ok = squarefree_class(product).is_trivial() if m % 2 == 0 else None
-    warnings = nrt_obstructions(model)
+    warnings = list(model.obstructions)
     constraints: list[tuple[tuple[str, ...], int]] = []
     for d, ok in norm_verdicts.items():
         if ok:
             continue
-        labels = []
         try:
-            for tau in rational_irreducibles(G):
-                if not reg_const_rational_irr(G, theta, tau, d).is_norm():
-                    labels.append(tau.label)
+            labels = tuple(
+                tau.label for tau in rational_irreducibles(G)
+                if not reg_const_rational_irr(G, theta, tau, d).is_norm())
         except NeedsMatrixModel as exc:
             warnings.append(Diagnostic(
                 "needs-matrix-model",
                 f"constraint for d = {d} dropped: {exc}"))
             continue
-        constraints.append((tuple(labels), 1))
-    prediction = any(not ok for ok in norm_verdicts.values()) \
-        or square_ok is False
+        constraints.append((labels, 1))
+    prediction = not all(norm_verdicts.values()) or square_ok is False
+    u = _u_exponents(model)
     return NrtReport(rho.label or "", m, theta, product, norm_verdicts,
-                     square_ok, prediction, constraints, warnings)
+                     square_ok, prediction, constraints, warnings, u,
+                     [sum(u[t] for t in labels) % 2 == parity
+                      for labels, parity in constraints])

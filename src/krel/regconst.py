@@ -3,8 +3,8 @@
 The workhorse is the double-coset product for permutation modules; rational
 irreducibles are routed through it whenever an odd multiple is a virtual
 permutation character, with an explicit matrix model (plus an invariant
-pairing, generated on demand) as the fallback.  Values stay exact rationals
-and are reduced to square classes only at the very end.
+pairing, generated on demand) as the fallback.  Values stay exact rationals;
+a verdict reads them modulo norms only at the very end.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from .characters import (
     character_table,
     rational_inner_product,
 )
-from .exactmath import (
-    SquareClass,
-    is_norm_from_quadratic,
-    mat_mul,
-    rat_det,
-    squarefree_class,
-)
+from .exactmath import is_norm_from_quadratic, mat_mul, rat_det
 from .groups import PermGroup, subgroup_rep
 from .relations import is_k_relation
 
@@ -44,21 +38,10 @@ class DegeneratePairingError(RuntimeError):
 @dataclass(frozen=True)
 class RegConstValue:
     raw: Fraction
-    square_class: SquareClass
     d: int
 
     def is_norm(self) -> bool:
         return is_norm_from_quadratic(self.raw, self.d)
-
-    def same_mod_norms(self, other: "RegConstValue") -> bool:
-        if self.d != other.d:
-            raise ValueError("values live over different fields")
-        return is_norm_from_quadratic(self.raw / other.raw, self.d)
-
-
-def _value(raw: Fraction, d: int) -> RegConstValue:
-    raw = Fraction(raw)
-    return RegConstValue(raw, squarefree_class(raw), d)
 
 
 @dataclass
@@ -66,23 +49,6 @@ class PermVirtualRep:
     """A virtual sum of permutation modules Q[G/D], by subgroup class id."""
 
     coeffs: dict[str, int]
-
-    def character(self, G: PermGroup) -> ClassFunction:
-        from .characters import perm_character
-        total = None
-        for cid, m in self.coeffs.items():
-            pc = m * perm_character(G, subgroup_rep(G, cid))
-            total = pc if total is None else total + pc
-        if total is None:
-            r = len(G.conjugacy_classes())
-            total = ClassFunction(G, tuple([0] * r))
-        return total
-
-
-def _coeffs_of(tau) -> dict[str, int]:
-    if isinstance(tau, PermVirtualRep):
-        return tau.coeffs
-    return dict(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +78,7 @@ def reg_const_perm(G: PermGroup, theta: dict[str, int], tau,
     """Regulator constant of a virtual permutation module on a K-relation."""
     if not is_k_relation(G, theta, d):
         raise ValueError("theta is not a K-relation for this field")
-    coeffs = _coeffs_of(tau)
+    coeffs = tau.coeffs if isinstance(tau, PermVirtualRep) else dict(tau)
     raw = Fraction(1)
     for cid, n in theta.items():
         if not n:
@@ -120,7 +86,7 @@ def reg_const_perm(G: PermGroup, theta: dict[str, int], tau,
         for did, m in coeffs.items():
             if m:
                 raw *= perm_fixed_det(G, cid, did) ** (n * m)
-    return _value(raw, d)
+    return RegConstValue(raw, d)
 
 
 def minimal_perm_multiple(G: PermGroup,
@@ -173,7 +139,7 @@ def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
     if not isinstance(tau, RationalCharacter):
         raise ValueError("self-duality check needs a rational irreducible")
     if tau.indicator in (0, -1):
-        return _value(Fraction(1), d)
+        return RegConstValue(Fraction(1), d)
     raise NeedsMatrixModel(
         f"{tau.label} has no odd permutation multiple "
         "and an orthogonal constituent")
@@ -236,12 +202,6 @@ class MatrixRep:
 
     def at(self, i: int) -> Matrix:
         return self._elements[i]
-
-    def character(self) -> ClassFunction:
-        G = self.group
-        vals = [sum(self.at(cls[0])[i][i] for i in range(self.dimension))
-                for cls in G.conjugacy_classes()]
-        return ClassFunction(G, tuple(vals))
 
 
 def perm_matrix_rep(G: PermGroup, dsub) -> MatrixRep:
@@ -375,4 +335,4 @@ def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing,
     for cid, n in theta.items():
         if n:
             raw *= matrix_fixed_det(rep, q, cid) ** n
-    return _value(raw, d)
+    return RegConstValue(raw, d)

@@ -101,13 +101,22 @@ def is_k_relation(G: PermGroup, theta: dict[str, int],
     the permutation character must be divisible by [K : K ∩ Q(chi)], which
     is 1 or 2 according to whether sqrt(d) lies in the character field.
     Passing the BRAUER marker demands vanishing multiplicities instead.
+    The verdict is kept on ``G.data``, keyed by d and the nonzero terms.
     """
-    if d == BRAUER:
-        return is_brauer_relation(G, theta)
-    _check_quadratic(d)
-    odd = [j for j, fd in enumerate(G.data.field_data)
-           if fd.degree_factor(d) == 2]
-    return not any(m % 2 for m in _multiplicities(G, theta, odd))
+    if d != BRAUER:
+        _check_quadratic(d)
+    key = (d, tuple(sorted((cid, c) for cid, c in theta.items() if c)))
+    memo = G.data.k_relation_verdicts
+    got = memo.get(key)
+    if got is None:
+        if d == BRAUER:
+            got = is_brauer_relation(G, theta)
+        else:
+            odd = [j for j, fd in enumerate(G.data.field_data)
+                   if fd.degree_factor(d) == 2]
+            got = not any(m % 2 for m in _multiplicities(G, theta, odd))
+        memo[key] = got
+    return got
 
 
 @dataclass

@@ -203,6 +203,26 @@ def test_quotient_cyclic_check():
     assert "quotient-cyclic" in _diag_rules(p)
 
 
+def test_failed_revalidation_clears_the_flag():
+    # validated with D_v = S_3 and I_v = C_3, then given a trivial I_v: the
+    # quotient is no longer cyclic, and the place must stop being usable
+    p = s3_split_place()
+    assert p.validated
+    p.isub = frozenset([0])
+    assert _diag_rules(p) == ["quotient-cyclic"]
+    assert not p.validated
+    with pytest.raises(ValueError):
+        fudge_C(p, frozenset([0]))
+    # every other early return clears it too
+    for field, bad, rule in [("kind", "padic", "kind"),
+                             ("reduction", None, "incomplete"),
+                             ("q", 10, "residue-size")]:
+        p = s3_split_place()
+        setattr(p, field, bad)
+        assert _diag_rules(p) == [rule]
+        assert not p.validated
+
+
 BAD_PAIRS = {
     # rule: (group, its D_v, its I_v)
     "decomposition-closed": (
@@ -648,12 +668,17 @@ def test_fudge_unit_rescale_is_invisible_to_relations():
 # root data
 
 
+def v_dimension(rd):
+    """Dimension of the root datum's V; 0 when there is none."""
+    return 0 if rd.v_char is None else int(rd.v_char.degree())
+
+
 def test_root_datum_good_and_archimedean():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
     p = finite_place(C2, w, frozenset([0]), Good(), l=5, q=5)
     rd = root_datum(p)
-    assert rd.lam == 1 and rd.v_char is None and rd.v_dimension() == 0
+    assert rd.lam == 1 and rd.v_char is None and v_dimension(rd) == 0
 
     real = PlaceDescriptor("oo", "real")
     validate_place(real)
@@ -671,7 +696,7 @@ def test_root_datum_split_mult_is_trivial_character():
     assert rd.lam == 1
     assert rd.v_char is not None
     assert all(v.rational_value() == 1 for v in rd.v_char.values)
-    assert rd.v_dimension() == 1
+    assert v_dimension(rd) == 1
     assert rd.carrier.order == 6
 
 
@@ -722,7 +747,7 @@ def test_root_datum_dihedral():
     rd = root_datum(p)
     # The cyclic-case sign would be (-3 | 5) = -1; dihedral flips it.
     assert rd.lam == -kronecker_symbol(-3, 5) == 1
-    assert rd.v_dimension() == 4
+    assert v_dimension(rd) == 4
     carrier = rd.carrier
     by_order = {}
     for x in range(carrier.order):

@@ -2,18 +2,22 @@
 relations test's multiplier and relation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from krel.characters import character_table, perm_character, \
+from krel import parity
+from krel.characters import character_table, fs_indicator, perm_character, \
     rational_irreducibles
-from krel.curvelocal import AddPotGood, AddPotMult, Good, tamagawa
+from krel.curvelocal import AddPotGood, AddPotMult, Good, \
+    local_u_contribution, tamagawa
 from krel.groups import (alternating4_group, dihedral_group,
                          group_from_cycles, metacyclic_group,
                          quaternion_group)
 from krel.harness import synthetic_model
-from krel.parity import global_C_product, nrt_run, theorem_main_check
+from krel.parity import global_C_product, global_root_sign, nrt_run, \
+    theorem_main_check
 from krel.relations import k_relation_basis, local_ef
 
 GROUPS = {
@@ -136,3 +140,112 @@ def test_global_C_product_matches_reference_walk(name):
                 assert global_C_product(model, theta) \
                     == reference_global_C_product(model, theta), \
                     (model.places, theta)
+
+
+# ---------------------------------------------------------------------------
+# The per-model record: u bits, fudge products and obstructions, each
+# computed once per model, and equal to what a fresh model computes.
+
+
+def direct_u(model, tau):
+    """u_tau summed over the places directly, without the model's record."""
+    chi = tau.constituent
+    if fs_indicator(chi) != 1:
+        return 0
+    return sum(local_u_contribution(p, chi) for p in model.places) % 2
+
+
+def test_nrt_constraints_hold_on_the_parity_side():
+    # every constraint of the norm relations test names characters whose
+    # root-number exponents sum to an odd number
+    constraints = 0
+    for name, maker in sorted(WALK_GROUPS.items()):
+        G = maker()
+        taus = rational_irreducibles(G)
+        for semistable in (True, False):
+            rng = random.Random(f"parity/{name}/{semistable}")
+            model = synthetic_model(G, rng, semistable=semistable)
+            for rho in character_table(G).irreducibles:
+                report = nrt_run(model, rho)
+                assert report.u_exponents == {
+                    tau.label: direct_u(model, tau) for tau in taus}
+                assert len(report.parity_holds) == len(report.constraints)
+                for (labels, parity_bit), holds in zip(report.constraints,
+                                                       report.parity_holds):
+                    assert holds, (name, model.places, rho.label, labels)
+                    assert sum(report.u_exponents[t] for t in labels) % 2 \
+                        == parity_bit
+                constraints += len(report.constraints)
+    assert constraints > 0
+
+
+def record_model(G, seed):
+    """A general model over G with a bad finite place and at least two
+    places, drawn from a fixed seed."""
+    rng = random.Random(seed)
+    while True:
+        model = synthetic_model(G, rng, rational_base=True)
+        if any(p.is_finite() and not isinstance(p.reduction, Good)
+               for p in model.places):
+            return model
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_record_computes_each_bit_and_product_once(name, monkeypatch):
+    G = GROUPS[name]()
+    model = record_model(G, f"record/{name}")
+    irrs = character_table(G).irreducibles
+    u_calls, c_calls = Counter(), Counter()
+    plain_u, plain_c = parity.local_u_contribution, parity.fudge_C
+
+    def counted_u(p, chi):
+        u_calls[p.name, G.data.irreducible_index(chi)] += 1
+        return plain_u(p, chi)
+
+    def counted_c(p, h):
+        c_calls[p.name] += 1
+        return plain_c(p, h)
+
+    monkeypatch.setattr(parity, "local_u_contribution", counted_u)
+    monkeypatch.setattr(parity, "fudge_C", counted_c)
+    thetas = []
+    for _ in range(2):
+        for d in FIELDS:
+            for theta in k_relation_basis(G, d).basis:
+                theorem_main_check(model, theta, d)
+                thetas.append(theta)
+        for rho in irrs:
+            thetas.append(nrt_run(model, rho).theta)
+    orthogonal = {tau.constituent_index for tau in rational_irreducibles(G)
+                  if fs_indicator(tau.constituent) == 1}
+    assert u_calls == Counter({(p.name, j): 1 for p in model.places
+                               for j in orthogonal})
+    used = {cid for theta in thetas for cid, c in theta.items() if c}
+    want = Counter()
+    for p in model.finite_places():
+        if not isinstance(p.reduction, Good):
+            for cid in used:
+                rep = G.subgroup_class_by_id(cid).representative
+                want[p.name] += len(G.double_cosets(rep, p.dsub))
+    assert c_calls == want and sum(want.values()) > 0
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_warm_record_matches_fresh_models_and_the_reference(name):
+    G = GROUPS[name]()
+    seed = f"warm/{name}"
+    warm = record_model(G, seed)
+    for rho in character_table(G).irreducibles:
+        nrt_run(warm, rho)
+    everything = {c.id: 1 for c in G.subgroup_classes()}
+    for d in FIELDS:
+        for theta in k_relation_basis(G, d).basis + [everything]:
+            fresh = record_model(G, seed)
+            assert global_C_product(warm, theta) \
+                == global_C_product(fresh, theta) \
+                == reference_global_C_product(record_model(G, seed), theta)
+    fresh = record_model(G, seed)
+    for tau in rational_irreducibles(G):
+        u = global_root_sign(warm, tau.constituent).u
+        assert u == global_root_sign(fresh, tau.constituent).u
+        assert u == direct_u(record_model(G, seed), tau)
