@@ -52,12 +52,14 @@ from .exactmath import (
     euler_phi,
     exact_quotient,
     fraction_sum,
+    hermite_row_basis,
     is_squarefree,
     isprime,
     kronecker_symbol,
     mobius,
     primitive_root,
     reduce_by_kernel,
+    smith_kernel,
     smith_normal_form,
     snf_solve,
 )
@@ -797,7 +799,8 @@ def _fundamental_discriminant(d: int) -> int:
 
 
 def _quadratic_subfields(e: int, stab: tuple[int, ...]) -> tuple[int, ...]:
-    """Squarefree d != 1 with Q(sqrt(d)) in Q(zeta_e) fixed by ``stab``."""
+    """Squarefree d != 1 with Q(sqrt(d)) in Q(zeta_e) fixed by ``stab``;
+    an empty ``stab`` gives every quadratic subfield of Q(zeta_e)."""
     subfields = []
     for d in range(-e, e + 1):
         if d in (0, 1):
@@ -832,7 +835,8 @@ class GroupData:
 
     Reached as ``G.data``.  Nothing is computed at construction, so a group
     that is used briefly pays only for what it asks for.  Returned lists
-    are shared: callers must not mutate them.
+    are shared: callers must not mutate them.  The Brauer relations, for
+    one, are put in Hermite form once, as :attr:`brauer_kernel`.
     """
 
     def __init__(self, group: PermGroup):
@@ -945,6 +949,12 @@ class GroupData:
         return smith_normal_form(self.multiplicity_matrix)
 
     @cached_property
+    def brauer_kernel(self) -> list[list[int]]:
+        """Hermite basis of the kernel of the multiplicity matrix, read by
+        :meth:`perm_multiple` and :func:`krel.relations.brauer_basis`."""
+        return hermite_row_basis(smith_kernel(self.multiplicity_smith))
+
+    @cached_property
     def field_data(self) -> list[CharFieldData]:
         """The character field of each irreducible, from its Galois
         stabiliser on the table (``CharacterTable.stabilisers``);
@@ -1026,14 +1036,14 @@ class GroupData:
         """Least m >= 1 and a reduced x with a*x = m*target, for a the
         multiplicity matrix; memoised by target.
 
-        x is the SNF witness reduced modulo the kernel of a, the Brauer
-        relations (see :func:`krel.exactmath.reduce_by_kernel`).
+        x is the SNF witness reduced modulo :attr:`brauer_kernel` (see
+        :func:`krel.exactmath.reduce_by_kernel`).
         """
         got = self._perm_multiples.get(target)
         if got is None:
             a = self.multiplicity_matrix
             sol = snf_solve(a, target, self.multiplicity_smith)
-            x = reduce_by_kernel(sol.witness, sol.kernel_basis)
+            x = reduce_by_kernel(sol.witness, self.brauer_kernel)
             m = sol.minimal_m
             if any(sum(c * v for c, v in zip(row, x)) != m * t
                    for row, t in zip(a, target)):

@@ -19,7 +19,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -221,9 +221,6 @@ class SquareClass(NamedTuple):
 
     def is_trivial(self) -> bool:
         return self.sign == 1 and self.magnitude == 1
-
-
-SQUARE_ONE = SquareClass(1, 1)
 
 
 def squarefree_class(x: Rational, bound: int = DEFAULT_FACTOR_BOUND) -> SquareClass:
@@ -467,11 +464,16 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(m, u, v)
 
 
+def smith_kernel(smith: SmithForm) -> list[list[int]]:
+    """The columns of v past the rank of d: a basis of {x : a*x = 0}."""
+    d, _, v = smith
+    rank = sum(1 for i in range(min(len(d), len(v))) if d[i][i] != 0)
+    return [[row[j] for row in v] for j in range(rank, len(v))]
+
+
 class SnfSolution(NamedTuple):
-    kernel_basis: list[list[int]]
     minimal_m: int
     witness: list[int]
-    particular: Optional[list[int]]  # witness when m == 1, else None
 
 
 class NoMultipleError(ValueError):
@@ -482,9 +484,8 @@ def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int],
               smith: SmithForm | None = None) -> SnfSolution:
     """Solve a*x = m*t over the integers with m >= 1 minimal.
 
-    Also returns a basis of the integer kernel {x : a*x = 0}.  ``smith`` is
-    the Smith form of ``a`` when the caller already holds it; otherwise it
-    is computed here.
+    ``smith`` is the Smith form of ``a`` when the caller already holds it;
+    otherwise it is computed here.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -492,7 +493,6 @@ def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int],
         raise ValueError("dimension mismatch")
     d, u, v = smith if smith is not None else smith_normal_form(a)
     rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    kernel = [[v[r][j] for r in range(cols)] for j in range(rank, cols)]
     s = [sum(u[i][k] * t[k] for k in range(rows)) for i in range(rows)]
     if any(s[i] for i in range(rank, rows)):
         raise NoMultipleError("no multiple works: target outside the rational column span")
@@ -507,7 +507,7 @@ def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int],
     if [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)] \
             != [m * ti for ti in t]:
         raise ExactCheckError("snf_solve witness does not solve a*x = m*t")
-    return SnfSolution(kernel, m, x, x if m == 1 else None)
+    return SnfSolution(m, x)
 
 
 def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list[list[int]]:
@@ -549,26 +549,28 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def reduce_by_kernel(x: Sequence[int],
-                     kernel: Iterable[Sequence[int]]) -> list[int]:
-    """A reduced vector of x + span(kernel), deterministically.
+                     basis: Sequence[Sequence[int]]) -> list[int]:
+    """A reduced vector of x + span(basis), deterministically.
 
     The key is (L1 norm, then lexicographic), a total order on vectors.
-    Let k_1..k_r be the Hermite basis of the kernel.  When 7**r <= 20000
-    the search is exhaustive over x + sum c_i k_i with every c_i in
-    [-3, 3]: candidates are built from shared prefix sums, one vector add
-    each, and the smallest key wins.  The rows are independent, so that
-    box holds no two equal vectors and the winner is unique; the witness
-    does not depend on the order of the search.  Otherwise greedy sweeps
-    along each basis row.  Neither is proven to reach the global minimum.
+    basis = k_1..k_r must already be the Hermite basis that
+    :func:`hermite_row_basis` writes; it is not reduced again here.  When
+    7**r <= 20000 the search is exhaustive over x + sum c_i k_i with every
+    c_i in [-3, 3]: candidates are built from shared prefix sums, one
+    vector add each, and the smallest key wins.  The rows are independent,
+    so that box holds no two equal vectors and the winner is unique; the
+    witness does not depend on the order of the search.  Otherwise greedy
+    sweeps along each basis row.  Neither is proven to reach the global
+    minimum.
     """
-    kb = hermite_row_basis(kernel)
     best = list(x)
-    if not kb:
+    if not basis:
         return best
     best_l1 = sum(map(abs, best))
-    if 7 ** len(kb) <= 20000:
+    if 7 ** len(basis) <= 20000:
         # prefixes: x plus every combination of the leading rows
-        steps = [[[c * b for b in row] for c in range(-3, 4)] for row in kb]
+        steps = [[[c * b for b in row] for c in range(-3, 4)]
+                 for row in basis]
         prefixes = [best]
         for step in steps[:-1]:
             prefixes = [list(map(operator.add, v, s))
@@ -584,7 +586,7 @@ def reduce_by_kernel(x: Sequence[int],
         improved = True
         while improved:
             improved = False
-            for row in kb:
+            for row in basis:
                 for sign in (1, -1):
                     while True:
                         cand = [a + sign * b for a, b in zip(best, row)]
@@ -858,7 +860,3 @@ def cyclotomic_galois_apply(z: CycNumber, k: int) -> CycNumber:
     if math.gcd(k, n) != 1:
         raise ValueError(f"{k} is not coprime to level {n}")
     return CycNumber.from_powers(n, {(j * k) % n: c for j, c in enumerate(z.coeffs) if c})
-
-
-CYC_ZERO = CycNumber.from_rational(0)
-CYC_ONE = CycNumber.from_rational(1)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import _fundamental_discriminant
+from .characters import _fundamental_discriminant, _quadratic_subfields
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
                          is_square_in_ext, ram_degree, validate_place)
@@ -93,13 +93,9 @@ def quadratic_probe_fields(G: PermGroup, extra=()) -> tuple[int, ...]:
     together with a fixed generic batch, so that both special and generic
     behaviour get exercised.
     """
-    n = G.exponent()
     cands = {-1, 2, -2, 3, -3, 5, -5}
     cands.update(extra)
-    for m in range(-n, n + 1):
-        if m not in (0, 1) and is_squarefree(m) \
-                and n % abs(_fundamental_discriminant(m)) == 0:
-            cands.add(m)
+    cands.update(_quadratic_subfields(G.exponent(), ()))
     return tuple(sorted(cands, key=lambda m: (abs(m), m)))
 
 
@@ -399,16 +395,7 @@ def quadratic_subfields_of_fixed_field(n: int, q: int) -> tuple[int, ...]:
     """Quadratic fields inside the degree-n cyclotomic field fixed by ^q."""
     if n < 1 or math.gcd(n, q) != 1:
         raise ValueError("q must be invertible mod n")
-    out = []
-    for m in range(-n, n + 1):
-        if m in (0, 1) or not is_squarefree(m):
-            continue
-        disc = _fundamental_discriminant(m)
-        if n % disc:
-            continue
-        if kronecker_symbol(disc, q) == 1:
-            out.append(m)
-    return tuple(sorted(out, key=lambda m: (abs(m), m)))
+    return _quadratic_subfields(n, (q,))
 
 
 def _reference_nonsquare(e: int, delta: int, n: int) -> bool:

@@ -225,13 +225,15 @@ def perm_matrix_rep(G: PermGroup, dsub) -> MatrixRep:
     return MatrixRep(G, images)
 
 
-def invariant_pairing(rep: MatrixRep, seed: int = 0,
-                      retries: int = 8) -> Matrix:
+PAIRING_ATTEMPTS = 8
+
+
+def invariant_pairing(rep: MatrixRep, seed: int = 0) -> Matrix:
     """Non-degenerate G-invariant symmetric pairing by averaging a seed form."""
     n = rep.dimension
     G = rep.group
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(PAIRING_ATTEMPTS):
         seed_form = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -247,7 +249,8 @@ def invariant_pairing(rep: MatrixRep, seed: int = 0,
                     row[j] += prow[j]
         if rat_det(total) != 0:
             return total
-    raise DegeneratePairingError(f"no pairing found in {retries} attempts")
+    raise DegeneratePairingError(
+        f"no pairing found in {PAIRING_ATTEMPTS} attempts")
 
 
 def _check_pairing(rep: MatrixRep, pairing: Matrix) -> Matrix:
@@ -318,7 +321,7 @@ def matrix_fixed_det(rep: MatrixRep, pairing: Matrix, hsub) -> Fraction:
 
 
 def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing,
-                     d: int, seed: int = 0, retries: int = 8) -> RegConstValue:
+                     d: int, seed: int = 0) -> RegConstValue:
     """Regulator constant from an explicit matrix model.
 
     pairing is a symmetric rational matrix or "auto", in which case an
@@ -328,7 +331,7 @@ def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing,
     """
     G = rep.group
     if pairing == "auto":
-        q = invariant_pairing(rep, seed=seed, retries=retries)
+        q = invariant_pairing(rep, seed=seed)
     else:
         q = _check_pairing(rep, pairing)
     raw = Fraction(1)

@@ -24,15 +24,13 @@ from .exactmath import (
     is_squarefree,
     mobius,
     norm_obstruction,
-    snf_solve,
 )
 from .groups import PermGroup, SubgroupClass, subgroup_rep
 
-#: Marker accepted wherever a quadratic discriminant is expected, selecting
-#: the classical notion (permutation character vanishes identically).
+#: The ``d`` of the lattice :func:`brauer_basis` returns, in place of a
+#: quadratic discriminant: its relations have a vanishing permutation
+#: character.
 BRAUER = "brauer"
-
-QuadraticField = Union[int, str]
 
 
 def _check_quadratic(d: int) -> None:
@@ -93,36 +91,40 @@ def is_brauer_relation(G: PermGroup, theta: dict[str, int]) -> bool:
     return not any(_multiplicities(G, theta, range(len(mult[0]))))
 
 
-def is_k_relation(G: PermGroup, theta: dict[str, int],
-                  d: QuadraticField) -> bool:
+def _parity_test(G: PermGroup, theta: dict[str, int], d: int) -> bool:
+    """The test of :func:`is_k_relation`, computed and not kept."""
+    odd = [j for j, fd in enumerate(G.data.field_data)
+           if fd.degree_factor(d) == 2]
+    return not any(m % 2 for m in _multiplicities(G, theta, odd))
+
+
+def is_k_relation(G: PermGroup, theta: dict[str, int], d: int) -> bool:
     """Divisibility test for membership in the K-relation lattice.
 
-    For K = Q(sqrt(d)) the multiplicity of each complex irreducible chi in
-    the permutation character must be divisible by [K : K ∩ Q(chi)], which
-    is 1 or 2 according to whether sqrt(d) lies in the character field.
-    Passing the BRAUER marker demands vanishing multiplicities instead.
-    The verdict is kept on ``G.data``, keyed by d and the nonzero terms.
+    For K = Q(sqrt(d)), d a squarefree integer != 1, the multiplicity of
+    each complex irreducible chi in the permutation character must be
+    divisible by [K : K ∩ Q(chi)], which is 1 or 2 according to whether
+    sqrt(d) lies in the character field.  The verdict is kept on
+    ``G.data``, keyed by d and the nonzero terms.
     """
-    if d != BRAUER:
-        _check_quadratic(d)
+    _check_quadratic(d)
     key = (d, tuple(sorted((cid, c) for cid, c in theta.items() if c)))
     memo = G.data.k_relation_verdicts
     got = memo.get(key)
     if got is None:
-        if d == BRAUER:
-            got = is_brauer_relation(G, theta)
-        else:
-            odd = [j for j, fd in enumerate(G.data.field_data)
-                   if fd.degree_factor(d) == 2]
-            got = not any(m % 2 for m in _multiplicities(G, theta, odd))
-        memo[key] = got
+        got = memo[key] = _parity_test(G, theta, d)
     return got
 
 
 @dataclass
 class KRelationLattice:
+    """The K-relations for K = Q(sqrt(d)), or the Brauer relations when d
+    is BRAUER.  Invariant: the basis is the row Hermite form that
+    :func:`hermite_row_basis` writes, over ``subgroup_classes()``; both
+    constructors return it, and :meth:`contains` relies on it."""
+
     group: PermGroup
-    d: QuadraticField
+    d: int | str
     basis: list[dict[str, int]]
 
     @property
@@ -132,19 +134,15 @@ class KRelationLattice:
     def contains(self, theta: dict[str, int]) -> bool:
         rows = [_theta_vector(self.group, b) for b in self.basis]
         vec = _theta_vector(self.group, theta)
-        base = hermite_row_basis(rows)
-        return hermite_row_basis(rows + [vec]) == base
+        return hermite_row_basis(rows + [vec]) == rows
 
 
 def brauer_basis(G: PermGroup) -> KRelationLattice:
-    """Integer kernel of the permutation character map, in Hermite form."""
+    """Integer kernel of the permutation character map, in Hermite form:
+    the group's :attr:`~krel.characters.GroupData.brauer_kernel`."""
     classes = G.subgroup_classes()
-    data = G.data
-    a = data.multiplicity_matrix
-    sol = snf_solve(a, [0] * len(a), data.multiplicity_smith)
-    rows = hermite_row_basis(sol.kernel_basis)
-    lat = KRelationLattice(G, BRAUER,
-                           [_vector_theta(classes, v) for v in rows])
+    lat = KRelationLattice(G, BRAUER, [_vector_theta(classes, v)
+                                       for v in G.data.brauer_kernel])
     # Artin's induction theorem: the rank is the number of non-cyclic classes
     if lat.rank != sum(1 for c in classes if not c.is_cyclic):
         raise ExactCheckError(f"Brauer lattice has rank {lat.rank}")
@@ -190,16 +188,15 @@ def gf2_relation_lattice(cond: Iterable[int], s: int) -> list[dict[int, int]]:
     return out
 
 
-def k_relation_basis(G: PermGroup, d: QuadraticField) -> KRelationLattice:
+def k_relation_basis(G: PermGroup, d: int) -> KRelationLattice:
     """Basis of the full-rank lattice of K-relations for K = Q(sqrt(d)).
 
     The parity conditions of :func:`is_k_relation` cut out
     L = lift(V) + 2Z^s, V their GF(2) kernel; the basis is the Hermite form
     of L, written straight from the reduced echelon form of V (see
-    :func:`gf2_relation_lattice`).
+    :func:`gf2_relation_lattice`).  The basis is checked by the uncached
+    parity test, so it adds no verdict to the memo.
     """
-    if d == BRAUER:
-        return brauer_basis(G)
     _check_quadratic(d)
     classes = G.subgroup_classes()
     s = len(classes)
@@ -212,7 +209,7 @@ def k_relation_basis(G: PermGroup, d: QuadraticField) -> KRelationLattice:
     if len({min(v) for v in rows}) != s:
         raise ExactCheckError(f"K-relation lattice has rank < {s}")
     basis = [{classes[i].id: c for i, c in v.items()} for v in rows]
-    if not all(is_k_relation(G, b, d) for b in basis):
+    if not all(_parity_test(G, b, d) for b in basis):
         raise ExactCheckError("K-relation basis element fails the parity test")
     return KRelationLattice(G, d, basis)
 

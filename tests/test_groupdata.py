@@ -18,7 +18,10 @@ from krel.characters import (
 from krel.exactmath import (
     CycNumber,
     ExactCheckError,
+    hermite_row_basis,
     reduce_by_kernel,
+    smith_kernel,
+    smith_normal_form,
     snf_solve,
 )
 from krel.groups import (
@@ -101,8 +104,10 @@ def test_memoised_multiples_are_fresh_and_agree(name):
         assert find_norm_relation(G, tau.constituent) == (k, want)
         # the cached Smith form gives what a fresh factorisation gives
         target = data.orbit_target(tau.constituent_index)
-        sol = snf_solve(data.multiplicity_matrix, target)
-        x = reduce_by_kernel(sol.witness, sol.kernel_basis)
+        smith = smith_normal_form(data.multiplicity_matrix)
+        sol = snf_solve(data.multiplicity_matrix, target, smith)
+        kernel = hermite_row_basis(smith_kernel(smith))
+        x = reduce_by_kernel(sol.witness, kernel)
         assert data.perm_multiple(target) == (sol.minimal_m, tuple(x))
 
 

@@ -1,8 +1,8 @@
-"""Every function and class the engine defines is used: each non-dunder
-name defined in ``src/krel`` is named somewhere outside its own definition,
-in the engine, the tests or the benchmark (its frozen copy of the engine
-aside).  Names count as attributes, plain names, imports and the dotted
-strings the benchmark's tracer wraps by name."""
+"""Every function, class and module-level name the engine defines is used:
+each non-dunder name defined in ``src/krel`` is named somewhere outside its
+own definition, in the engine, the tests or the benchmark (its frozen copy
+of the engine aside).  Names count as attributes, plain names, imports and
+the dotted strings the benchmark's tracer wraps by name."""
 
 import ast
 import re
@@ -38,6 +38,24 @@ def _references(tree: ast.AST) -> list[tuple[str, int]]:
     return out
 
 
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) for every function and class, at any depth, and every
+    name a module-level assignment binds."""
+    out = [(node.name, node) for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        out += [(t.id, node) for target in targets
+                for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return out
+
+
 def test_every_engine_definition_is_named_elsewhere():
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in _files()}
@@ -45,14 +63,12 @@ def test_every_engine_definition_is_named_elsewhere():
     for path, tree in trees.items():
         for name, line in _references(tree):
             named.setdefault(name, []).append((path, line))
-    defs = [(path, node) for path in sorted(SRC.glob("*.py"))
-            for node in ast.walk(trees[path])
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    defs = [(path, name, node) for path in sorted(SRC.glob("*.py"))
+            for name, node in _definitions(trees[path])
+            if not (name.startswith("__") and name.endswith("__"))]
     assert len(defs) > 100
-    unused = [f"{path.name}:{node.lineno} {node.name}" for path, node in defs
+    unused = [f"{path.name}:{node.lineno} {name}" for path, name, node in defs
               if not any(where != path
                          or not node.lineno <= line <= node.end_lineno
-                         for where, line in named.get(node.name, ()))]
+                         for where, line in named.get(name, ()))]
     assert not unused, f"defined but never named elsewhere: {unused}"

@@ -1,7 +1,10 @@
 """The witness search of ``reduce_by_kernel`` against the search it
 replaced: every candidate rebuilt from x and keyed as a tuple.  Both
 search the same box with the same total order, so they must agree on every
-input, including every permutation-multiple target of the global groups."""
+input, including every permutation-multiple target of the global groups.
+``reduce_by_kernel`` takes the Hermite basis; the reference still takes any
+spanning set and reduces it itself.  Each group reduces its kernel once:
+``brauer_basis`` and every witness read ``GroupData.brauer_kernel``."""
 
 import itertools
 
@@ -9,8 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from krel import characters, exactmath, relations
 from krel.characters import rational_irreducibles
-from krel.exactmath import hermite_row_basis, reduce_by_kernel, snf_solve
+from krel.exactmath import (hermite_row_basis, reduce_by_kernel,
+                            smith_kernel, snf_solve)
 from krel.groups import (
     alternating4_group,
     dihedral_group,
@@ -18,6 +23,7 @@ from krel.groups import (
     metacyclic_group,
     quaternion_group,
 )
+from krel.relations import brauer_basis
 
 
 def reference_reduce_by_kernel(x, kernel):
@@ -67,16 +73,18 @@ def systems(draw, ranks, lengths, entries=st.integers(-4, 4)):
 @given(systems(st.integers(0, 5), (1, 30)))
 def test_box_search_matches_reference(system):
     x, kernel = system
-    assert 7 ** len(hermite_row_basis(kernel)) <= 20000
-    assert reduce_by_kernel(x, kernel) == reference_reduce_by_kernel(x, kernel)
+    kb = hermite_row_basis(kernel)
+    assert 7 ** len(kb) <= 20000
+    assert reduce_by_kernel(x, kb) == reference_reduce_by_kernel(x, kernel)
 
 
 @settings(max_examples=60, deadline=None)
 @given(systems(st.integers(6, 8), (8, 16)))
 def test_greedy_search_matches_reference(system):
     x, kernel = system
-    assume(7 ** len(hermite_row_basis(kernel)) > 20000)
-    assert reduce_by_kernel(x, kernel) == reference_reduce_by_kernel(x, kernel)
+    kb = hermite_row_basis(kernel)
+    assume(7 ** len(kb) > 20000)
+    assert reduce_by_kernel(x, kb) == reference_reduce_by_kernel(x, kernel)
 
 
 def test_result_is_a_fresh_list():
@@ -108,6 +116,26 @@ def test_every_perm_multiple_target_matches_reference(name):
         target = data.orbit_target(tau.constituent_index)
         sol = snf_solve(data.multiplicity_matrix, target,
                         data.multiplicity_smith)
-        want = reference_reduce_by_kernel(sol.witness, sol.kernel_basis)
-        assert reduce_by_kernel(sol.witness, sol.kernel_basis) == want
+        want = reference_reduce_by_kernel(
+            sol.witness, smith_kernel(data.multiplicity_smith))
+        assert reduce_by_kernel(sol.witness, data.brauer_kernel) == want
         assert data.perm_multiple(target) == (sol.minimal_m, tuple(want))
+
+
+@pytest.mark.parametrize("name", list(GLOBAL_GROUPS))
+def test_brauer_kernel_is_reduced_once_per_group(name, monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(1)
+        return hermite_row_basis(rows)
+
+    for module in (characters, exactmath, relations):
+        monkeypatch.setattr(module, "hermite_row_basis", counted)
+    G = GLOBAL_GROUPS[name]()
+    data = G.data
+    lat = brauer_basis(G)
+    for tau in rational_irreducibles(G):
+        data.perm_multiple(data.orbit_target(tau.constituent_index))
+    assert brauer_basis(G).basis == lat.basis
+    assert len(calls) == 1

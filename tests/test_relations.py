@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import cyclotomic_poly, divisors
 
+from krel import relations
 from krel.characters import (
     character_table,
     inner_product,
     perm_character,
     rational_irreducibles,
 )
-from krel.exactmath import (CycNumber, FactorBoundError, is_norm_from_quadratic,
+from krel.exactmath import (CycNumber, ExactCheckError, FactorBoundError,
+                            hermite_row_basis, is_norm_from_quadratic,
                             norm_obstruction, snf_solve)
 from krel.groups import (
     alternating4_group,
@@ -177,11 +179,6 @@ def test_s3_relation_spans_the_brauer_lattice():
     assert snf_solve(cols, target).minimal_m == 1
 
 
-def test_k_relation_basis_accepts_brauer_marker():
-    Q8 = sample("Q8")
-    assert k_relation_basis(Q8, BRAUER).rank == brauer_basis(Q8).rank
-
-
 # ---------------------------------------------------------------------------
 # K-relations
 
@@ -213,7 +210,7 @@ def test_brauer_relations_are_k_relations_for_every_field():
     S3 = sample("S3")
     for d in (-1, 2, -3, 5, 21):
         assert is_k_relation(S3, S3_RELATION, d)
-    assert is_k_relation(S3, S3_RELATION, BRAUER)
+    assert is_brauer_relation(S3, S3_RELATION)
 
 
 def test_q8_c1_minus_center_works_for_all_quadratic_fields():
@@ -271,6 +268,37 @@ def test_d21_lattice_contains_the_main_theta():
     lat = k_relation_basis(D21, 21)
     assert lat.contains(D21_THETA)
     assert lattice_membership_by_solver(D21, lat, D21_THETA)
+
+
+@pytest.mark.parametrize("name", ["S3", "C6", "Q8", "A4", "D21"])
+def test_both_constructors_return_the_hermite_form(name):
+    # KRelationLattice.contains compares against its basis as it stands
+    G = sample(name)
+    classes = G.subgroup_classes()
+    for lat in [brauer_basis(G)] + [k_relation_basis(G, d)
+                                    for d in (-1, 2, -3, 5)]:
+        rows = [[b.get(c.id, 0) for c in classes] for b in lat.basis]
+        assert hermite_row_basis(rows) == rows
+
+
+def test_k_relation_basis_keeps_no_verdicts():
+    G = group_from_cycles(4, ["(1 2 3 4)", "(1 2)"], name="S4")
+    for d in (-1, 2, -3, 5):
+        k_relation_basis(G, d)
+    assert G.data.k_relation_verdicts == {}
+
+
+def test_corrupt_k_relation_basis_is_refused(monkeypatch):
+    real = relations.gf2_relation_lattice
+
+    def halved(cond, s):
+        # e_c for a pivot c keeps the leading column but breaks a parity
+        return [{c: 1} if v == {c: 2} else v
+                for c, v in enumerate(real(cond, s))]
+
+    monkeypatch.setattr(relations, "gf2_relation_lattice", halved)
+    with pytest.raises(ExactCheckError, match="parity"):
+        k_relation_basis(sample("S3"), -1)
 
 
 # ---------------------------------------------------------------------------
