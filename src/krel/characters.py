@@ -848,6 +848,13 @@ class GroupData:
                               Fraction] = {}
         # (d, nonzero terms of theta) -> verdict of is_k_relation
         self.k_relation_verdicts: dict[tuple, bool] = {}
+        # the structural rules of a place, checked once per key: (D_v, I_v)
+        # -> krel.relations.decomposition_pair_problem, and (D_v, I_v, D',
+        # |D_v/D'| / 2) -> the dihedral D' rules of krel.curvelocal
+        self.place_problems: dict[tuple, object] = {}
+        # D_v -> subgroup_as_group(G, D_v), the carrier of a place's data
+        self.carriers: dict[frozenset[int],
+                            tuple[PermGroup, dict[int, int]]] = {}
 
     @cached_property
     def units(self) -> tuple[int, ...]:
@@ -1016,11 +1023,19 @@ class GroupData:
             ))
         return tuple(out)
 
+    @cached_property
+    def irreducible_ids(self) -> dict[int, int]:
+        """id(chi_j) -> j for the irreducibles of the table, which the
+        table keeps alive."""
+        return {id(chi): j for j, chi
+                in enumerate(character_table(self.group).irreducibles)}
+
     def irreducible_index(self, chi: ClassFunction) -> int | None:
-        """Position of chi in the table, or None."""
-        irrs = character_table(self.group).irreducibles
-        j = next((j for j, c in enumerate(irrs) if c is chi), None)
+        """Position of chi in the table, or None: by identity, then, for a
+        chi from outside the table, by value."""
+        j = self.irreducible_ids.get(id(chi))
         if j is None:
+            irrs = character_table(self.group).irreducibles
             j = next((j for j, c in enumerate(irrs) if c == chi), None)
         return j
 

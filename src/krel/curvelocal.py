@@ -105,7 +105,6 @@ class PlaceDescriptor:
     isub: frozenset[int] | None = None
     reduction: ReductionData | None = None
     validated: bool = field(default=False, compare=False)
-    _carrier: tuple | None = field(default=None, repr=False, compare=False)
     _root: RootDatum | None = field(default=None, repr=False, compare=False)
 
     def is_finite(self) -> bool:
@@ -253,34 +252,50 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
 
 
 def _check_dihedral_dprime(p: PlaceDescriptor, dprime, fe) -> list[Diagnostic]:
-    G = p.group
+    """The dihedral D' rules, checked once per group and (D_v, I_v, D', fe)
+    and kept on ``G.data.place_problems``."""
     if dprime is None:
         return [Diagnostic("d-prime-missing",
                            "dihedral case needs D' with D_v/D' dihedral")]
-    if G.closure(dprime) != dprime or not dprime <= p.dsub:
-        return [Diagnostic("d-prime-subgroup", "D' is not a subgroup of D_v")]
-    if len(p.dsub) != 2 * fe * len(dprime):
-        return [Diagnostic("d-prime-index",
-                           f"D_v/D' must have order {2 * fe}")]
-    carrier, to_carrier = _carrier(p)
+    key = (frozenset(p.dsub), frozenset(p.isub), frozenset(dprime), fe)
+    memo = p.group.data.place_problems
+    if key not in memo:
+        memo[key] = _dihedral_problem(p.group, *key)
+    return [memo[key]] if memo[key] else []
+
+
+def _dihedral_problem(G: PermGroup, dsub: frozenset[int],
+                      isub: frozenset[int], dprime: frozenset[int],
+                      fe: int) -> Diagnostic | None:
+    if G.closure(dprime) != dprime or not dprime <= dsub:
+        return Diagnostic("d-prime-subgroup", "D' is not a subgroup of D_v")
+    if len(dsub) != 2 * fe * len(dprime):
+        return Diagnostic("d-prime-index", f"D_v/D' must have order {2 * fe}")
+    carrier, to_carrier = _carrier(G, dsub)
     dp = frozenset(to_carrier[x] for x in dprime)
     if not carrier.is_normal_subgroup(dp):
-        return [Diagnostic("d-prime-normality", "D' is not normal in D_v")]
+        return Diagnostic("d-prime-normality", "D' is not normal in D_v")
     q, proj = carrier.quotient_group(dp)
-    rot = frozenset(proj[to_carrier[x]] for x in p.isub)
+    rot = frozenset(proj[to_carrier[x]] for x in isub)
     if len(rot) != fe:
-        return [Diagnostic("inertia-image",
-                           "inertia must map onto the rotation subgroup")]
+        return Diagnostic("inertia-image",
+                          "inertia must map onto the rotation subgroup")
     if not _quotient_is_dihedral(q, rot):
-        return [Diagnostic("d-prime-quotient",
-                           f"D_v/D' is not dihedral of order {2 * fe}")]
-    return []
+        return Diagnostic("d-prime-quotient",
+                          f"D_v/D' is not dihedral of order {2 * fe}")
+    return None
 
 
-def _carrier(p: PlaceDescriptor) -> tuple[PermGroup, dict[int, int]]:
-    if p._carrier is None:
-        p._carrier = subgroup_as_group(p.group, p.dsub)
-    return p._carrier
+def _carrier(G: PermGroup,
+             dsub: frozenset[int]) -> tuple[PermGroup, dict[int, int]]:
+    """D_v as a group of its own, built once per group and D_v and kept on
+    ``G.data.carriers``."""
+    dsub = frozenset(dsub)
+    memo = G.data.carriers
+    got = memo.get(dsub)
+    if got is None:
+        got = memo[dsub] = subgroup_as_group(G, dsub)
+    return got
 
 
 def _require_validated(p: PlaceDescriptor):
@@ -393,7 +408,7 @@ def _root_datum(p: PlaceDescriptor) -> RootDatum:
     if p.kind in ("real", "complex"):
         return RootDatum(-1, None)
     red = p.reduction
-    carrier, to_carrier = _carrier(p)
+    carrier, to_carrier = _carrier(p.group, p.dsub)
     if isinstance(red, Good):
         return RootDatum(1, None, carrier, to_carrier)
     if isinstance(red, SplitMult):
@@ -442,7 +457,7 @@ def _with_v(p: PlaceDescriptor, lam: int, vals) -> RootDatum:
     the carrier's rational classes; that is what lets the pairing with a
     character of G read Galois means (see :func:`local_u_contribution`).
     """
-    carrier, to_carrier = _carrier(p)
+    carrier, to_carrier = _carrier(p.group, p.dsub)
     classes = carrier.conjugacy_classes()
     vals = [Fraction(v) for v in vals]
     if any(v.denominator != 1 for v in vals) or any(

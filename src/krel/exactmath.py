@@ -344,10 +344,14 @@ def norm_obstruction(x: Rational, d: int) -> frozenset:
     2, and the primes of x and d are examined.  Results are memoised on
     (x, d); invalid arguments raise and are not cached.
     """
-    x = _as_fraction(x)
-    if x == 0:
+    if isinstance(x, int):
+        num, den = x, 1
+    else:
+        x = _as_fraction(x)
+        num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("zero is not in the multiplicative group")
-    return _norm_obstruction(x.numerator, x.denominator, d)
+    return _norm_obstruction(num, den, d)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -502,8 +506,10 @@ def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int],
         if s[i]:
             di = d[i][i]
             m = math.lcm(m, di // math.gcd(di, s[i]))
-    y = [m * s[i] // d[i][i] if i < rank else 0 for i in range(cols)]
-    x = [sum(v[r][j] * y[j] for j in range(cols)) for r in range(cols)]
+    # y_j = m * s_j / d_j on the rank columns and 0 past them, so x = v*y
+    # sums over the rank columns only
+    y = [m * s[i] // d[i][i] for i in range(rank)]
+    x = [sum(v[r][j] * y[j] for j in range(rank)) for r in range(cols)]
     if [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)] \
             != [m * ti for ti in t]:
         raise ExactCheckError("snf_solve witness does not solve a*x = m*t")
@@ -628,30 +634,39 @@ def rat_det(a: Sequence[Sequence[Rational]]) -> Fraction:
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 
-def _exact_poly_div(a: list[int], b: Sequence[int], what: str) -> list[int]:
-    """a / b for integer coefficient lists (constant term first), b monic;
-    the remainder must vanish."""
+def _times_xd_minus_one(a: list[int], d: int) -> list[int]:
+    """a * (x^d - 1) for an integer coefficient list (constant term first)."""
+    out = [-c for c in a] + [0] * d
+    for i, c in enumerate(a):
+        out[i + d] += c
+    return out
+
+
+def _over_xd_minus_one(a: list[int], d: int, what: str) -> list[int]:
+    """a / (x^d - 1), from the top down; the remainder must vanish."""
     a = list(a)
-    db = len(b) - 1
-    terms = [(j, c) for j, c in enumerate(b) if c]
-    q = [0] * (len(a) - db)
+    q = [0] * (len(a) - d)
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + db]
-        if c:
-            for j, bj in terms:
-                a[k + j] -= c * bj
-    if any(a[:db]):
-        raise ExactCheckError(f"{what}: division leaves remainder {a[:db]}")
+        c = q[k] = a[k + d]
+        a[k] += c
+    if any(a[:d]):
+        raise ExactCheckError(f"{what}: division leaves remainder {a[:d]}")
     return q
 
 
 @functools.cache
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients c_0 .. c_phi(n) of the cyclotomic polynomial Phi_n:
-    x^n - 1 divided exactly by Phi_d for every d | n, d < n."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        poly = _exact_poly_div(poly, cyclotomic_coeffs(d), f"Phi_{n}")
+    """Coefficients c_0 .. c_phi(n) of the cyclotomic polynomial Phi_n, the
+    product of (x^d - 1)^mu(n/d) over d | n: the factors with mu = 1
+    multiplied out, then each with mu = -1 divided off exactly."""
+    divs = divisors(n)
+    poly = [1]
+    for d in divs:
+        if mobius(n // d) == 1:
+            poly = _times_xd_minus_one(poly, d)
+    for d in divs:
+        if mobius(n // d) == -1:
+            poly = _over_xd_minus_one(poly, d, f"Phi_{n}")
     return tuple(poly)
 
 

@@ -223,15 +223,14 @@ def _dihedral_v_rep(G: PermGroup, e: int, rotation: int,
     coset of y.  Well-definedness is checked by the MatrixRep constructor.
     """
     c = {3: -1, 4: 0, 6: 1}[e]
-    one, zero = Fraction(1), Fraction(0)
 
     def block(eta, m):
-        out = [[zero] * 4 for _ in range(4)]
-        out[0][0] = one
-        out[1][1] = Fraction(eta)
+        out = [[0] * 4 for _ in range(4)]
+        out[0][0] = 1
+        out[1][1] = eta
         for i in range(2):
             for j in range(2):
-                out[2 + i][2 + j] = Fraction(m[i][j])
+                out[2 + i][2 + j] = m[i][j]
         return out
 
     by_gen = {rotation: block(1, [[0, -1], [1, c]]),
@@ -329,9 +328,9 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
                                   / _fine_potgood(G, isub, wsub, delta, du, bu,
                                                   True, h))
                         else:
-                            fn = (lambda h, delta=delta, du=du, bu=bu: Fraction(
-                                _fine_potgood(G, isub, wsub, delta, du, bu,
-                                              False, h)))
+                            fn = (lambda h, delta=delta, du=du, bu=bu:
+                                  _fine_potgood(G, isub, wsub, delta, du, bu,
+                                                False, h))
                         _check_function(case, spec, G, q, flags, fn,
                                         fields, lattices, rows)
         return rows
@@ -361,10 +360,10 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
                                 SquareClassLocal(n % 2, du),
                                 _negated_class(mc, q), dprime=dp)
                             _whole_group_place(G, isub, l, q, red)
-                            fn = (lambda h, n=n, du=du, bu=bu, dp=dp: Fraction(
-                                _fine_potmult(G, isub, dp, n, du, bu, h))
-                                * Fraction(len(h))
-                                ** (1 if dp is not None and h <= dp else 0))
+                            fn = (lambda h, n=n, du=du, bu=bu, dp=dp:
+                                  _fine_potmult(G, isub, dp, n, du, bu, h)
+                                  * (len(h) if dp is not None and h <= dp
+                                     else 1))
                             flags = (f"n={n}"
                                      f" mc=({mc.val_parity},{mc.unit_is_square:d})"
                                      f" dsq={du:d} bsq={bu:d}"

@@ -20,11 +20,11 @@ from .characters import (
     character_table,
     rational_inner_product,
 )
-from .exactmath import is_norm_from_quadratic, mat_mul, rat_det
+from .exactmath import Rational, is_norm_from_quadratic, mat_mul, rat_det
 from .groups import PermGroup, subgroup_rep
 from .relations import is_k_relation
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[Rational]]
 
 
 class NeedsMatrixModel(RuntimeError):
@@ -153,13 +153,20 @@ def _transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
+def _exact(x) -> Rational:
+    """x as an ``int`` when it is integral, as a ``Fraction`` otherwise."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass
 class MatrixRep:
     """Exact rational representation given on the group's generators.
 
     images[i] is the matrix of the i-th entry of group.generator_indices.
     Well-definedness is verified on construction by extending along the
-    multiplication table and checking every generator edge.
+    multiplication table and checking every generator edge.  Entries are
+    kept as ``int`` where integral, so an integral model multiplies in ints.
     """
 
     group: PermGroup
@@ -174,8 +181,8 @@ class MatrixRep:
                 f"need {len(gens)} generator images, got {len(self.images)}")
         dim = len(self.images[0]) if self.images else 1
         mats: list[Matrix | None] = [None] * G.order
-        mats[0] = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
-        imgs = [[[Fraction(x) for x in row] for row in m] for m in self.images]
+        mats[0] = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        imgs = [[[_exact(x) for x in row] for row in m] for m in self.images]
         for m in imgs:
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise ValueError("generator images must be square, same size")
@@ -218,9 +225,9 @@ def perm_matrix_rep(G: PermGroup, dsub) -> MatrixRep:
     n = len(reps)
     images = []
     for g in G.generator_indices:
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for j, x in enumerate(reps):
-            m[coset_of[G.mul(g, x)]][j] = Fraction(1)
+            m[coset_of[G.mul(g, x)]][j] = 1
         images.append(m)
     return MatrixRep(G, images)
 
@@ -229,16 +236,20 @@ PAIRING_ATTEMPTS = 8
 
 
 def invariant_pairing(rep: MatrixRep, seed: int = 0) -> Matrix:
-    """Non-degenerate G-invariant symmetric pairing by averaging a seed form."""
+    """Non-degenerate G-invariant symmetric pairing by averaging a seed form.
+
+    The seed form is integral, so an integral model sums in ints; the
+    pairing is returned as Fractions.
+    """
     n = rep.dimension
     G = rep.group
     rng = random.Random(seed)
     for _ in range(PAIRING_ATTEMPTS):
-        seed_form = [[Fraction(0)] * n for _ in range(n)]
+        seed_form = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                seed_form[i][j] = seed_form[j][i] = Fraction(rng.randint(-3, 3))
-        total = [[Fraction(0)] * n for _ in range(n)]
+                seed_form[i][j] = seed_form[j][i] = rng.randint(-3, 3)
+        total = [[0] * n for _ in range(n)]
         for g in range(G.order):
             m = rep.at(g)
             part = mat_mul(_transpose(m), mat_mul(seed_form, m))
@@ -248,7 +259,7 @@ def invariant_pairing(rep: MatrixRep, seed: int = 0) -> Matrix:
                 for j in range(n):
                     row[j] += prow[j]
         if rat_det(total) != 0:
-            return total
+            return [[Fraction(x) for x in row] for row in total]
     raise DegeneratePairingError(
         f"no pairing found in {PAIRING_ATTEMPTS} attempts")
 
@@ -275,7 +286,7 @@ def _fixed_space_basis(rep: MatrixRep, hrep: frozenset[int]) -> list[list[Fracti
     other basis would change it by a square only.
     """
     n = rep.dimension
-    proj = [[Fraction(0)] * n for _ in range(n)]
+    proj = [[0] * n for _ in range(n)]
     for h in hrep:
         m = rep.at(h)
         for i in range(n):
@@ -292,7 +303,7 @@ def _fixed_space_basis(rep: MatrixRep, hrep: frozenset[int]) -> list[list[Fracti
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             continue
-        c = v[p]
+        c = Fraction(v[p])
         v = [x / c for x in v]
         for k, (b, q) in enumerate(zip(basis, pivots)):
             if b[p]:

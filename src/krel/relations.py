@@ -10,6 +10,7 @@ for triviality on K-relations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
@@ -34,8 +35,13 @@ BRAUER = "brauer"
 
 
 def _check_quadratic(d: int) -> None:
-    if not isinstance(d, int) or d == 1 or not is_squarefree(d):
+    if not isinstance(d, int) or not _is_quadratic_d(d):
         raise ValueError(f"need a squarefree integer != 1, got {d!r}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _is_quadratic_d(d: int) -> bool:
+    return d != 1 and is_squarefree(d)
 
 
 def _theta_vector(G: PermGroup, theta: dict[str, int]) -> list[int]:
@@ -131,6 +137,15 @@ class KRelationLattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
+    def odd_masks(self) -> tuple[int, ...]:
+        """For each basis element, the int whose bit i is set when its
+        coefficient at the i-th subgroup class is odd."""
+        by_id = self.group.subgroup_class_by_id
+        return tuple(sum(1 << by_id(cid).index
+                         for cid, c in theta.items() if c % 2)
+                     for theta in self.basis)
+
     def contains(self, theta: dict[str, int]) -> bool:
         rows = [_theta_vector(self.group, b) for b in self.basis]
         vec = _theta_vector(self.group, theta)
@@ -194,8 +209,10 @@ def k_relation_basis(G: PermGroup, d: int) -> KRelationLattice:
     The parity conditions of :func:`is_k_relation` cut out
     L = lift(V) + 2Z^s, V their GF(2) kernel; the basis is the Hermite form
     of L, written straight from the reduced echelon form of V (see
-    :func:`gf2_relation_lattice`).  The basis is checked by the uncached
-    parity test, so it adds no verdict to the memo.
+    :func:`gf2_relation_lattice`).  The basis is checked against the same
+    conditions as bit masks: the odd coefficients of each element meet the
+    odd multiplicities of each condition in an even number of classes.  So
+    the check adds no verdict to the memo.
     """
     _check_quadratic(d)
     classes = G.subgroup_classes()
@@ -208,10 +225,12 @@ def k_relation_basis(G: PermGroup, d: int) -> KRelationLattice:
     # rank: s rows with distinct leading columns
     if len({min(v) for v in rows}) != s:
         raise ExactCheckError(f"K-relation lattice has rank < {s}")
-    basis = [{classes[i].id: c for i, c in v.items()} for v in rows]
-    if not all(_parity_test(G, b, d) for b in basis):
+    lat = KRelationLattice(G, d, [{classes[i].id: c for i, c in v.items()}
+                                  for v in rows])
+    if any((mask & c).bit_count() % 2
+           for mask in lat.odd_masks for c in cond):
         raise ExactCheckError("K-relation basis element fails the parity test")
-    return KRelationLattice(G, d, basis)
+    return lat
 
 
 def find_norm_relation(G: PermGroup,
@@ -356,8 +375,18 @@ def decomposition_pair_problem(G: PermGroup, dsub: frozenset[int],
     """The first rule that (D_v, I_v) breaks, as (rule, message), or None.
 
     D_v must be a subgroup, I_v a normal subgroup of it, and D_v/I_v
-    cyclic.
+    cyclic.  Checked once per group and pair, and kept on
+    ``G.data.place_problems``.
     """
+    key = (frozenset(dsub), frozenset(isub))
+    memo = G.data.place_problems
+    if key not in memo:
+        memo[key] = _pair_problem(G, *key)
+    return memo[key]
+
+
+def _pair_problem(G: PermGroup, dsub: frozenset[int],
+                  isub: frozenset[int]) -> tuple[str, str] | None:
     if G.closure(dsub) != dsub:
         return "decomposition-closed", "D_v is not a subgroup"
     if not isub <= dsub or G.closure(isub) != isub:
@@ -478,11 +507,13 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
     places under symmetric difference, x -> norm_obstruction(x, d).  So
     f(theta) is a norm exactly when the symmetric difference of the
     obstruction sets of the classes with odd coefficient in theta is
-    empty; even coefficients contribute nothing.  Each class value is
-    norm-tested once, and the rational f(theta) is formed only for the
-    failing basis element.  Every class value must therefore be nonzero
-    with all prime factors within the factoring bound, whichever basis
-    elements it enters.
+    empty; even coefficients contribute nothing.  As bits: a place v is in
+    that difference when the classes obstructed at v meet the odd classes
+    of theta (``KRelationLattice.odd_masks``) in an odd number.  Each class
+    value is norm-tested once, and the rational f(theta) is formed only for
+    the failing basis element.  Every class value must therefore be
+    nonzero with all prime factors within the factoring bound, whichever
+    basis elements it enters.
     """
     _check_quadratic(d)
     if lattice is None:
@@ -490,17 +521,18 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
     elif lattice.d != d or lattice.group is not G:
         raise ValueError("lattice does not match the requested field")
     fval = _as_subgroup_function(f, G)
-    obstruction = {
-        cls.id: norm_obstruction(fval(cls.representative), d)
-        for cls in G.subgroup_classes()}
-    for theta in lattice.basis:
-        places = frozenset()
-        for cid, coeff in theta.items():
-            if coeff % 2:
-                places ^= obstruction[cid]
-        if places:
-            return TrivialityReport(False, dict(theta),
-                                    eval_on_theta(fval, G, theta), places)
+    obstructed: dict = {}  # place -> bit mask of the classes obstructed there
+    for cls in G.subgroup_classes():
+        for v in norm_obstruction(fval(cls.representative), d):
+            obstructed[v] = obstructed.get(v, 0) | 1 << cls.index
+    masks = tuple(obstructed.items())
+    for theta, odd in zip(lattice.basis, lattice.odd_masks if masks else ()):
+        for _, mask in masks:
+            if (mask & odd).bit_count() % 2:
+                places = frozenset(v for v, m in masks
+                                   if (m & odd).bit_count() % 2)
+                return TrivialityReport(False, dict(theta),
+                                        eval_on_theta(fval, G, theta), places)
     return TrivialityReport(True)
 
 

@@ -2,10 +2,12 @@
 reduction case passes, and the probe fields are pinned to literal tuples."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from krel import curvelocal, harness, relations
 from krel.groups import cyclic_group, dihedral_group, metacyclic_group
 from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
                           appendix_differential_check,
@@ -233,3 +235,43 @@ def test_failure_detail_names_the_obstructed_places():
     assert not row.passed
     assert "not a norm from Q(sqrt 21), with local obstruction at 3, 7;" \
         in row.detail
+
+
+def test_place_structure_is_checked_once_per_key(monkeypatch):
+    # every place is still validated, but the carrier of D_v is built once
+    # per D_v, for the D' rules and every place's root datum alike, and
+    # each structural rule set runs once per key
+    counts = {name: Counter() for name in ("carrier", "pair", "dihedral")}
+    places, validated = [], []
+
+    def counting(name, module, attr, key):
+        real = getattr(module, attr)
+
+        def wrapper(*args):
+            counts[name][key(args)] += 1
+            return real(*args)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting("carrier", curvelocal, "subgroup_as_group", lambda a: a[1])
+    counting("pair", relations, "_pair_problem", lambda a: a[1:])
+    counting("dihedral", curvelocal, "_dihedral_problem", lambda a: a[1:])
+    real_validate = harness.validate_place
+
+    def validate(p):
+        places.append(p)
+        validated.append(p.validated)
+        return real_validate(p)
+    monkeypatch.setattr(harness, "validate_place", validate)
+
+    spec = MetacyclicSpec(4, 3, -1)
+    rows = appendix_tamagawa_check("2D", spec)
+    G, _, _ = build_metacyclic(spec)
+    assert all(r.passed for r in rows)
+    for p in places:
+        curvelocal.root_datum(p)
+    assert len(validated) * len(quadratic_probe_fields(G)) == len(rows)
+    assert not any(validated)  # each place is fresh when it is validated
+    for name, counter in counts.items():
+        assert counter, name
+        assert set(counter.values()) == {1}, name
+    assert len(validated) > sum(counts["dihedral"].values())

@@ -33,6 +33,7 @@ from krel.regconst import (
     reg_const_perm,
     reg_const_rational_irr,
 )
+from krel.harness import MetacyclicSpec, _dihedral_v_rep, build_metacyclic
 from krel.relations import Const, EF, LocalFn, eval_localfn, eval_on_theta, \
     is_trivial_on_k_relations, k_relation_basis
 
@@ -552,3 +553,129 @@ def test_fixed_det_against_coset_counting():
     assert report.trivial
     theta_value = eval_on_theta(ratio, G, D21_THETA)
     assert is_norm_from_quadratic(theta_value, 21)
+
+
+# ---------------------------------------------------------------------------
+# integral models stay exact: a Fraction-only oracle
+
+
+def fraction_elements(G, images):
+    """Every element's matrix, in Fractions, extended along the generators."""
+    dim = len(images[0])
+    imgs = [[[Fraction(x) for x in row] for row in m] for m in images]
+    mats = {0: [[Fraction(i == j) for j in range(dim)] for i in range(dim)]}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, img in zip(G.generator_indices, imgs):
+                y = G.mul(g, x)
+                if y not in mats:
+                    mats[y] = [[sum((img[i][k] * mats[x][k][j]
+                                     for k in range(dim)), Fraction(0))
+                                for j in range(dim)] for i in range(dim)]
+                    nxt.append(y)
+        frontier = nxt
+    return [mats[g] for g in range(G.order)]
+
+
+def fraction_det(m):
+    m = [list(row) for row in m]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            c = m[i][k] / m[k][k]
+            m[i] = [x - c * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def fraction_pairing(elements, seed):
+    """The averaged seed form, drawing the seeds as invariant_pairing does."""
+    n = len(elements[0])
+    rng = random.Random(seed)
+    for _ in range(regconst.PAIRING_ATTEMPTS):
+        s = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                s[i][j] = s[j][i] = Fraction(rng.randint(-3, 3))
+        total = [[sum((m[k][i] * s[k][l] * m[l][j]
+                       for m in elements for k in range(n) for l in range(n)),
+                      Fraction(0)) for j in range(n)] for i in range(n)]
+        if fraction_det(total):
+            return total
+    raise AssertionError("no non-degenerate pairing")
+
+
+def fraction_fixed_det(elements, pairing, hrep):
+    """det((1/|H|) pairing) on the fixed space of H, in the reduced echelon
+    basis of that space."""
+    n = len(elements[0])
+    rows = [[sum((elements[h][j][i] for h in hrep), Fraction(0))
+             for j in range(n)] for i in range(n)]  # the projector's columns
+    basis = []
+    for r in rows:
+        for b in basis:
+            p = next(k for k, x in enumerate(b) if x)
+            r = [x - r[p] * y for x, y in zip(r, b)]
+        p = next((k for k, x in enumerate(r) if x), None)
+        if p is None:
+            continue
+        r = [x / r[p] for x in r]
+        basis = [[x - b[p] * y for x, y in zip(b, r)] for b in basis] + [r]
+    basis.sort(key=lambda b: next(k for k, x in enumerate(b) if x))
+    if not basis:
+        return Fraction(1)
+    gram = [[sum((a[i] * pairing[i][j] * b[j] for i in range(n)
+                  for j in range(n)), Fraction(0)) / len(hrep)
+             for b in basis] for a in basis]
+    return fraction_det(gram)
+
+
+def dihedral_model(e, k):
+    G, rotation, frobenius = build_metacyclic(MetacyclicSpec(e, k, -1))
+    return _dihedral_v_rep(G, e, rotation, frobenius)
+
+
+INTEGRAL_MODELS = {
+    "Q8": lambda: MatrixRep(quaternion_group(), [QUAT_I, QUAT_J]),
+    "C3:C2-": lambda: dihedral_model(3, 1),
+    "C4:C4-": lambda: dihedral_model(4, 2),
+    "C6:C2-": lambda: dihedral_model(6, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_MODELS))
+def test_integral_models_match_a_fraction_only_oracle(name):
+    rep = INTEGRAL_MODELS[name]()
+    G = rep.group
+    elements = [rep.at(g) for g in range(G.order)]
+    assert all(type(x) is int for m in elements for row in m for x in row)
+    assert elements == fraction_elements(G, rep.images)
+    for seed in (0, 3):
+        q = invariant_pairing(rep, seed=seed)
+        assert all(type(x) is Fraction for row in q for x in row)
+        assert q == fraction_pairing(elements, seed)
+        for c in G.subgroup_classes():
+            det = matrix_fixed_det(rep, q, c.id)
+            assert type(det) is Fraction
+            assert det == fraction_fixed_det(elements, q, c.representative)
+
+
+def test_matrix_entries_are_ints_or_fractions():
+    for G, cid in ((dihedral_group(4), "2.1"), (alternating4_group(), "3.1"),
+                   (quaternion_group(), "1.1")):
+        rep = perm_matrix_rep(G, cid)
+        assert all(type(x) is int for g in range(G.order)
+                   for row in rep.at(g) for x in row)
+    # a non-integral model keeps its non-integral entries as Fractions
+    rep = MatrixRep(cyclic_group(2), [[[0, Fraction(1, 2)], [2, 0]]])
+    kinds = {type(x) for g in range(2) for row in rep.at(g) for x in row}
+    assert kinds == {int, Fraction}
+    assert rep.at(1) == [[0, Fraction(1, 2)], [2, 0]]

@@ -608,6 +608,31 @@ def test_obstruction_sets_agree_with_the_rational_products(name, d, norms_only,
         assert report.obstruction is None
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_failing_reports_agree_with_the_rational_products(name):
+    # the bit-mask test names the same first failing theta, the same value
+    # and the obstruction set of that value, on every reference group
+    rng = random.Random(name)
+    failures = 0
+    for d in (-1, 2, -3, 5, 21):
+        G, lat = reference_lattice(name, d)
+        ids = [cls.id for cls in G.subgroup_classes()]
+        for _ in range(12):
+            table = {cid: rng.choice(VALUE_POOL) for cid in ids}
+
+            def f(rep, table=table):
+                return table[G.classify_subgroup(frozenset(rep)).id]
+
+            report = is_trivial_on_k_relations(f, G, d, lat)
+            trivial, certificate, value = reference_triviality(f, G, d, lat)
+            obstruction = None if trivial else norm_obstruction(value, d)
+            assert (report.trivial, report.certificate, report.value,
+                    report.obstruction) == (trivial, certificate, value,
+                                            obstruction)
+            failures += not trivial
+    assert failures
+
+
 def test_class_values_are_norm_tested_before_any_theta():
     # every class value is norm-tested on its own, so a zero value or one
     # with a prime beyond the factoring bound raises its named error
