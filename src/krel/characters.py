@@ -9,10 +9,14 @@ zeta_e^a(g).  Only their complement, the vectors summing to 0 over the
 classes of each coset of G', is split into common eigenvectors of the
 sparse class-sum matrices over a prime field GF(p) with p ≡ 1 (mod exp G)
 and p > 2·sqrt(|G|); an abelian group leaves nothing to split and builds
-no class-sum matrix.  Each eigenvector gives a degree and eigenvalue
-multiplicities, lifted through one fixed primitive root, and the whole
-table is verified before anything is returned: the degrees against |G|,
-and orthogonality as one integer dot product per pair of irreducibles.
+no class-sum matrix.  The split reaches one eigenvector per Galois orbit:
+sigma_k chi has the eigenvector of chi with its coordinates permuted by
+the k-th power map, so the whole orbit is known at once, and every space
+it fills is dropped.  Each orbit's first eigenvector gives a degree and
+eigenvalue multiplicities, lifted through one fixed primitive root, and the
+whole table is verified before anything is returned: the degrees against
+|G|, closure under the Galois action, and orthogonality as one integer dot
+product per pair of an irreducible and the first member of an orbit.
 
 The multiplicities are lifted once per rational class, at its first class
 g: the other classes hold the unit powers g^k, and rho(g^k) has the
@@ -23,11 +27,12 @@ each value becomes a :class:`CycNumber` once, at the end.
 
 The table keeps each irreducible's multisets at the first classes
 (``CharacterTable.multisets``), and the Galois action is read from them:
-sigma_k relabels j -> jk.  Each irreducible's stabiliser in (Z/exp G)^x is
-computed once, during the build, and kept on the table
-(``CharacterTable.stabilisers``): its size is the field-degree part of the
-sort key, and the character fields (``GroupData.field_data``) and the
-Galois orbits of ``rational_irreducibles`` read it from there.
+sigma_k relabels j -> jk.  Each irreducible's stabiliser in (Z/exp G)^x and
+its Galois orbit are found once per orbit, by the closure check of the
+build, and kept on the table (``CharacterTable.stabilisers`` and
+``CharacterTable.orbits``): the stabiliser's size is the field-degree part
+of the sort key, the character fields (``GroupData.field_data``) read the
+stabilisers, and ``rational_irreducibles`` reads the orbits.
 Every rational reduction of character values instead reads the Galois
 means Tr(chi(g))/phi, one cached tuple per class function
 (``ClassFunction.galois_means``): class weights, Frobenius-Schur
@@ -166,6 +171,9 @@ class CharacterTable:
     # ascending (see _galois_stabiliser); [Q(chi_j) : Q] is the number of
     # units over its size
     stabilisers: list[tuple[int, ...]]
+    # orbits[j]: the indices of the Galois conjugates of chi_j, chi_j among
+    # them, ascending; one shared tuple per orbit
+    orbits: list[tuple[int, ...]]
 
 
 @dataclass
@@ -402,6 +410,23 @@ def _relabel(multisets, k: int, orders) -> tuple:
                  for ms, n in zip(multisets, orders))
 
 
+def _conjugate_lines(G: PermGroup, om: list[int]
+                     ) -> dict[tuple[int, ...], int]:
+    """The lines of the Galois conjugates of chi, from chi's own line om,
+    each mapped to the least unit k mod exp G that gives it.
+
+    om[i] = omega_chi(C_i) = |C_i| chi(g_i) / chi(1) mod p, and
+    omega_{sigma_k chi}(C_i) = omega_chi(C_{i^k}) holds exactly in Z[zeta],
+    so the line of sigma_k chi is om with its coordinates permuted by the
+    k-th power map.
+    """
+    prows = [G.power_class_row(i) for i in range(len(om))]
+    out: dict[tuple[int, ...], int] = {}
+    for k in G.data.units:
+        out.setdefault(tuple(om[row[k % len(row)]] for row in prows), k)
+    return out
+
+
 def character_table(G: PermGroup) -> CharacterTable:
     return G.data.table
 
@@ -496,25 +521,53 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
         row[k], row[last[k]] = 1, p - 1
         start.append(row)
 
-    # split the complement into common eigenspaces of the class-sum
-    # matrices, each built sparse when the split first needs it.  A space
-    # is kept as (rows, pivots) of its reduced echelon form, made once when
-    # the space is made.
-    spaces = [(start, pivots)] if start else []
-    for i in range(1, r):
-        if all(len(b) == 1 for b, _ in spaces):
-            break
-        mat: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-        for (j, k), a in _structure_constants(G, classes[i]).items():
-            if a % p:
-                mat[j].append((k, a % p))
-        nxt = []
-        for space in spaces:
-            basis, pivots = space
-            if len(basis) == 1:
-                nxt.append(space)
-                continue
-            d = len(basis)
+    # Split the complement into common eigenspaces of the class-sum
+    # matrices one space at a time, depth first, trying the first class of
+    # each rational class before the others; each matrix is built sparse
+    # when the split first needs it.  A space is kept as (rows, pivots) of
+    # its reduced echelon form, the position of the next class to try, and
+    # its path: the (class, eigenvalue) pairs that cut it out.  A line,
+    # scaled to 1 at the identity, is om = omega_chi for an irreducible chi,
+    # and om[i] is the eigenvalue of the i-th class sum on it; the lines of
+    # chi's Galois conjugates follow from it with no split (see
+    # _conjugate_lines).  A space is spanned by the lines whose eigenvalues
+    # match its path, so it is dropped once the known such lines fill it.
+    first_classes = [o[0] for o in G.data.rational_classes]
+    trial = first_classes[1:] + sorted(set(range(1, r)) - set(first_classes))
+    mats: dict[int, list[list[tuple[int, int]]]] = {}
+    # (om, the least unit k giving each other conjugate line)
+    orbits: list[tuple[list[int], list[int]]] = []
+    known: set[tuple[int, ...]] = set()
+    stack = [(start, pivots, 0, ())] if start else []
+    while stack:
+        basis, pivots, pos, path = stack.pop()
+        d = len(basis)
+        if sum(all(line[i] == lam for i, lam in path) for line in known) >= d:
+            continue
+        if d == 1:
+            vec = basis[0]
+            if vec[0] % p == 0:
+                raise ModularMethodError(
+                    "eigenvector vanishes on the identity class")
+            norm = pow(vec[0], -1, p)
+            om = [(v * norm) % p for v in vec]
+            lines = _conjugate_lines(G, om)
+            if not known.isdisjoint(lines):
+                raise ModularMethodError(
+                    "a new line has a known Galois conjugate: the lines are "
+                    "not closed under the Galois action")
+            known.update(lines)
+            orbits.append((om, [k for k in lines.values() if k != 1]))
+            continue
+        while pos < len(trial):
+            i = trial[pos]
+            pos += 1
+            mat = mats.get(i)
+            if mat is None:
+                mat = mats[i] = [[] for _ in range(r)]
+                for (j, k), a in _structure_constants(G, classes[i]).items():
+                    if a % p:
+                        mat[j].append((k, a % p))
             images = [[sum(a * vec[k] for k, a in row) % p for row in mat]
                       for vec in basis]
             # Most steps find the class sum acting on the space as a scalar
@@ -525,13 +578,14 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             lam = images[0][pivots[0]]
             if all(img == [lam * x % p for x in vec]
                    for img, vec in zip(images, basis)):
-                nxt.append(space)
+                path += ((i, lam),)
                 continue
             cols = [_coords(basis, pivots, img, p) for img in images]
             restr = [[cols[j][a] for j in range(d)] for a in range(d)]
             mp = _min_poly(restr, p)
             roots = [lam for lam in range(p) if _poly_eval(mp, lam, p) == 0]
             covered = 0
+            subs = []
             for lam in roots:
                 shifted = [[(restr[a][b] - (lam if a == b else 0)) % p
                             for b in range(d)] for a in range(d)]
@@ -544,13 +598,15 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                         if c:
                             acc = [x + c * y for x, y in zip(acc, row)]
                     sub.append([x % p for x in acc])
-                nxt.append(_rref(sub, p))
+                subs.append((*_rref(sub, p), pos, path + ((i, lam),)))
             if covered != d:
                 raise ModularMethodError("class-sum matrix is not "
                                          "diagonalizable on a subspace")
-        spaces = nxt
-    if (any(len(b) != 1 for b, _ in spaces)
-            or len(spaces) != r - len(linear)):
+            stack.extend(reversed(subs))
+            break
+        else:
+            raise ModularMethodError("class algebra did not split into lines")
+    if len(known) != r - len(linear):
         raise ModularMethodError("class algebra did not split into lines")
 
     inv_class = [G.class_of(G.inv(reps[i])) for i in range(r)]
@@ -577,6 +633,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # made when the first character that is not linear needs it
     dft: dict[int, list[list[int]]] = {}
 
+    rc_orders = G.data.rational_class_orders
     shared: dict[tuple, tuple] = {}  # one tuple per distinct multiset
     # a linear character lambda = zeta_e^a has the one eigenvalue
     # zeta_n^(a n/e) at a class of order n
@@ -595,11 +652,10 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             firsts.append(shared.setdefault(ms, ms))
         rows.append((1, multisets, tuple(firsts)))
 
-    for (vec,), _ in spaces:
-        if vec[0] % p == 0:
-            raise ModularMethodError("eigenvector vanishes on the identity class")
-        norm = pow(vec[0], -1, p)
-        om = [(v * norm) % p for v in vec]
+    # Only the first line of each orbit is lifted.  sigma_k chi has at a
+    # class the multiset of chi at the k-th power of the class, and at the
+    # first classes the multisets of chi relabelled j -> jk (_relabel).
+    for om, units in orbits:
         s = sum(om[i] * om[inv_class[i]] * size_inv[i] for i in range(r)) % p
         d2 = (G.order * pow(s, -1, p)) % p
         deg = next((d for d in range(1, math.isqrt(G.order) + 1)
@@ -629,21 +685,66 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             ms = tuple(powers.items())
             firsts.append(shared.setdefault(ms, ms))
         rows.append((deg, multisets, tuple(firsts)))
+        for k in units:
+            rows.append((deg,
+                         [multisets[G.power_class(i, k)] for i in range(r)],
+                         tuple(shared.setdefault(ms, ms) for ms in
+                               _relabel(firsts, k, rc_orders))))
 
-    # verify the table exactly before trusting it.  Inner products are
-    # computed through traces of roots of unity: classes group into
-    # rational classes, and on each the summands are a full Galois orbit,
-    # so Tr(zeta_n^m) = mu(d)*phi(n)/phi(d), d = n/gcd(n, m), gives the
-    # exact value.  <a, b> = 1/|G| * sum over rational classes o of
-    # |c|*|o|*tr/phi(n); scaled by |G|*L, L = lcm of the phi(n), every
+    # verify the table exactly before trusting it: the degrees, closure
+    # under the Galois action, and orthogonality.
+    if sum(row[0] ** 2 for row in rows) != G.order:
+        raise ModularMethodError("degree check failed")
+
+    # The rows are walked in order, and a row not yet reached heads its
+    # orbit: its stabiliser is computed once and holds for the whole orbit,
+    # and its image under one unit per coset of the stabiliser must be a
+    # row not yet reached, which is the head relabelled at the first
+    # classes and at their inverses, the classes that the pair check below
+    # reads.  A gap is raised after the pair check, where a wrong or
+    # repeated row shows first: such a row is reached from no head, so it
+    # heads an orbit of its own and is paired with them all.
+    index: dict[tuple, int] = {}
+    for a, row in enumerate(rows):
+        index.setdefault(row[2], a)
+    head: list[int | None] = [None] * len(rows)
+    stabs: list[tuple[int, ...]] = [()] * len(rows)
+    memo: dict = {}
+    inverses = [(inv_class[i], n) for i, n, _ in lifts]
+    gap = None
+    for a, (_, _, firsts) in enumerate(rows):
+        if head[a] is not None:
+            continue
+        stab = _galois_stabiliser(G, firsts, memo)
+        covered: set[int] = set()
+        for k in G.data.units:
+            if k in covered:
+                continue
+            covered.update(k * s % e for s in stab)
+            b = a if k == 1 else index.get(_relabel(firsts, k, rc_orders))
+            if b is None or head[b] is not None or (k != 1 and any(
+                    rows[b][1][c] != {j * k % n: m
+                                      for j, m in rows[a][1][c].items()}
+                    for c, n in inverses)):
+                gap = gap or (a, k)
+                continue
+            head[b] = a
+            stabs[b] = stab
+    heads = [a for a in range(len(rows)) if head[a] == a]
+
+    # Inner products are computed through traces of roots of unity: classes
+    # group into rational classes, and on each the summands are a full
+    # Galois orbit, so Tr(zeta_n^m) = mu(d)*phi(n)/phi(d), d = n/gcd(n, m),
+    # gives the exact value.  <a, b> = 1/|G| * sum over rational classes o
+    # of |c|*|o|*tr/phi(n); scaled by |G|*L, L = lcm of the phi(n), every
     # term is an integer, so comparing the integer sum with |G|*L*delta_ab
     # is the same check with no fractions.  Laid out flat over the pairs
     # (o, m), m mod n, the sum is one dot product: the multiplicities c_a
     # of a at the first class g of each o, read at their positions (o, m),
     # against v_b(o, m) = |c|*|o|*L/phi(n) * sum of c_b*Tr(zeta_n^(m + m_b))
-    # over the multiset of b at g^-1.
-    if sum(row[0] ** 2 for row in rows) != G.order:
-        raise ModularMethodError("degree check failed")
+    # over the multiset of b at g^-1.  Each row is paired with the head b
+    # of every orbit only: <a, sigma b> = <sigma^-1 a, b>, and sigma^-1 a is
+    # a row, so that checks every pair.  Among heads, b >= a suffices.
     levels = {n for _, n, _ in lifts}
     lcm_phi = math.lcm(*(euler_phi(n) for n in levels))
     traces = {}
@@ -657,23 +758,29 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     offsets = [0]
     for _, n, _ in lifts:
         offsets.append(offsets[-1] + n)
-    us, vs = [], []
-    for _, sb, firsts in rows:
-        us.append(([off + m for off, ms in zip(offsets, firsts)
-                    for m, _ in ms],
-                   [c for ms in firsts for _, c in ms]))
+    us = [([off + m for off, ms in zip(offsets, firsts) for m, _ in ms],
+           [c for ms in firsts for _, c in ms]) for _, _, firsts in rows]
+    vs = {}
+    for b in heads:
         v = []
         for i, n, w in weights:
             tr = traces[n]
-            db = sb[inv_class[i]].items()
+            db = rows[b][1][inv_class[i]].items()
             v.extend(w * sum(cb * tr[(m + mb) % n] for mb, cb in db)
                      for m in range(n))
-        vs.append(v)
+        vs[b] = v
     for a, (pa, ca) in enumerate(us):
-        for b in range(a, len(rows)):
+        for b in heads:
+            if b < a and head[a] == a:
+                continue
             total = sum(map(operator.mul, ca, map(vs[b].__getitem__, pa)))
             if total != (G.order * lcm_phi if a == b else 0):
                 raise ModularMethodError("orthogonality check failed")
+    if gap is not None:
+        a, k = gap
+        raise ModularMethodError(
+            f"sigma_{k} of a degree-{rows[a][0]} row is not another row: the "
+            "rows are not closed under the Galois action")
 
     # values and sort keys from integer coefficient vectors: the value at
     # level n, and minus the value raised to level e for the key
@@ -702,16 +809,19 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
 
     # sorted by degree, then field degree (a smaller stabiliser is a larger
     # field), then value keys
-    memo: dict = {}
-    stabs = [_galois_stabiliser(G, firsts, memo) for _, _, firsts in rows]
     order_idx = sorted(
         range(len(rows)),
         key=lambda a: (rows[a][0], -len(stabs[a]), keys_of[a]))
     irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}")
             for k, a in enumerate(order_idx)]
+    members: dict[int, list[int]] = {}
+    for t, a in enumerate(order_idx):
+        members.setdefault(head[a], []).append(t)
+    orbits = {h: tuple(m) for h, m in members.items()}
     return CharacterTable(G, irrs, sizes, p,
                           [rows[a][2] for a in order_idx],
-                          [stabs[a] for a in order_idx])
+                          [stabs[a] for a in order_idx],
+                          [orbits[head[a]] for a in order_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +959,9 @@ class GroupData:
         # (d, nonzero terms of theta) -> verdict of is_k_relation
         self.k_relation_verdicts: dict[tuple, bool] = {}
         # the structural rules of a place, checked once per key: (D_v, I_v)
-        # -> krel.relations.decomposition_pair_problem, and (D_v, I_v, D',
-        # |D_v/D'| / 2) -> the dihedral D' rules of krel.curvelocal
+        # -> krel.relations.decomposition_pair_problem, (D_v, I_v, D',
+        # |D_v/D'| / 2) -> the dihedral D' rules of krel.curvelocal, and
+        # ("d-prime-index", D_v, D') -> its potentially multiplicative one
         self.place_problems: dict[tuple, object] = {}
         # D_v -> subgroup_as_group(G, D_v), the carrier of a place's data
         self.carriers: dict[frozenset[int],
@@ -928,20 +1039,23 @@ class GroupData:
 
         An element g fixes |C_G(g)| * |g^G ∩ H| / |H| cosets of H, a
         number constant on rational classes, so |G| * mult[i][j] is the
-        dot product of these counts with the class weights of chi_j.
+        dot product of these counts with the class weights of chi_j.  The
+        count is 0 on a rational class that misses H, so the dot product
+        runs over the rational classes that meet H only.
         """
         G = self.group
         classes = G.conjugacy_classes()
-        reps = [orbit[0] for orbit in self.rational_classes]
         weights = self.class_weights
         rows = []
         for cls in G.subgroup_classes():
             hits = Counter(G.class_of(h) for h in cls.representative)
-            fixed = [exact_quotient(G.order * hits[c],
-                                    len(classes[c]) * cls.order,
-                                    "fixed-coset count") for c in reps]
+            fixed = [(o, exact_quotient(G.order * hits[orbit[0]],
+                                        len(classes[orbit[0]]) * cls.order,
+                                        "fixed-coset count"))
+                     for o, orbit in enumerate(self.rational_classes)
+                     if hits[orbit[0]]]
             what = f"multiplicity in [{cls.id}]"
-            rows.append([exact_quotient(sum(f * w for f, w in zip(fixed, wj)),
+            rows.append([exact_quotient(sum(f * wj[o] for o, f in fixed),
                                         G.order, what) for wj in weights])
         return rows
 
@@ -980,45 +1094,25 @@ class GroupData:
 
     @cached_property
     def rational_irreducibles(self) -> tuple[RationalCharacter, ...]:
-        """The Galois orbits on the table, in the order of their least
-        member, each with its sum and the indicator of that member.
-
-        sigma_k chi_j is the irreducible whose multisets are those of chi_j
-        relabelled by j -> jk, one k per coset of the stabiliser.  The
-        orbit sum is rational: |orbit| times the Galois means of chi_j.
+        """The Galois orbits of the table (``CharacterTable.orbits``), in
+        the order of their least member, each with its sum and the
+        indicator of that member.  The orbit sum is rational: |orbit| times
+        the Galois means of the member.
         """
         G = self.group
         table = character_table(G)
-        index = {ms: j for j, ms in enumerate(table.multisets)}
-        e = G.exponent()
-        placed: set[int] = set()
         out = []
         for idx, chi in enumerate(table.irreducibles):
-            if idx in placed:
+            members = table.orbits[idx]
+            if members[0] != idx:
                 continue
-            stab = self.field_data[idx].stabilizer
-            members, covered = set(), set()
-            for k in self.units:
-                if k in covered:
-                    continue
-                covered.update(k * s % e for s in stab)
-                image = _relabel(table.multisets[idx], k,
-                                 self.rational_class_orders)
-                if image not in index:
-                    raise ExactCheckError(
-                        f"sigma_{k} chi_{idx + 1} is not in the table")
-                members.add(index[image])
-            if len(members) != self.field_data[idx].field_degree:
-                raise ExactCheckError(
-                    f"orbit of chi_{idx + 1} has {len(members)} members")
-            placed.update(members)
             out.append(RationalCharacter(
                 label=f"tau_{len(out) + 1}",
                 sum_values=ClassFunction(G, tuple(
                     len(members) * m for m in chi.galois_means)),
                 constituent=chi,
                 constituent_index=idx,
-                orbit_indices=tuple(sorted(members)),
+                orbit_indices=members,
                 indicator=fs_indicator(chi),
             ))
         return tuple(out)
@@ -1041,10 +1135,9 @@ class GroupData:
 
     def orbit_target(self, j: int) -> tuple[int, ...]:
         """Indicator vector of the Galois orbit of chi_j."""
-        orbit = next(tau.orbit_indices for tau in self.rational_irreducibles
-                     if j in tau.orbit_indices)
-        count = len(character_table(self.group).irreducibles)
-        return tuple(int(k in orbit) for k in range(count))
+        table = character_table(self.group)
+        orbit = table.orbits[j]
+        return tuple(int(k in orbit) for k in range(len(table.irreducibles)))
 
     def perm_multiple(self, target: tuple[int, ...]
                       ) -> tuple[int, tuple[int, ...]]:

@@ -238,9 +238,7 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
                 out.append(Diagnostic(
                     "d-prime-forbidden",
                     "-c6 stays non-square in F_w, so no D' exists"))
-            elif G.closure(red.dprime) != red.dprime \
-                    or not red.dprime <= p.dsub \
-                    or 2 * len(red.dprime) != len(p.dsub):
+            elif _dprime_index_problem(G, p.dsub, red.dprime):
                 out.append(Diagnostic("d-prime-index",
                                       "D' must be an index-2 subgroup of D_v"))
             elif (red.minus_c6_class.val_parity == 1) \
@@ -249,6 +247,17 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
                     "d-prime-ramification",
                     "ramification of F^{D'} disagrees with the -c6 class"))
     return out
+
+
+def _dprime_index_problem(G: PermGroup, dsub, dprime) -> bool:
+    """Whether D' fails to be an index-2 subgroup of D_v, checked once per
+    group and (D_v, D') and kept on ``G.data.place_problems``."""
+    key = ("d-prime-index", frozenset(dsub), frozenset(dprime))
+    memo = G.data.place_problems
+    if key not in memo:
+        memo[key] = (G.closure(dprime) != dprime or not dprime <= dsub
+                     or 2 * len(dprime) != len(dsub))
+    return memo[key]
 
 
 def _check_dihedral_dprime(p: PlaceDescriptor, dprime, fe) -> list[Diagnostic]:

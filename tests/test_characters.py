@@ -6,6 +6,8 @@ import pytest
 
 from krel import characters
 from krel.characters import (
+    ModularMethodError,
+    _conjugate_lines,
     _min_poly,
     _structure_constants,
     char_field_data,
@@ -308,6 +310,7 @@ def test_galois_orbit_sum_rational():
 
 ORACLE_DIHEDRAL = (3, 4, 5, 6, 8, 15, 16, 32, 77, 128)
 ORACLE_C2_RANKS = (1, 2, 3, 4, 5, 6)
+ORACLE_CYCLIC = (12, 64, 128)
 
 
 def elementary_abelian_2(k):
@@ -323,14 +326,17 @@ def elementary_abelian_2(k):
 def oracle_tables():
     """name -> (group, table, calls), each table computed fresh while the
     split is watched: calls["_min_poly"] says, per call, whether the matrix
-    was scalar, and calls["_structure_constants"] holds the class of each
-    class-sum matrix built."""
+    was scalar, calls["_structure_constants"] holds the class of each
+    class-sum matrix built, and calls["_conjugate_lines"] holds each new
+    line that the split reached."""
     groups = ([(f"D{n}", dihedral_group(n)) for n in ORACLE_DIHEDRAL]
-              + [(f"C2^{k}", elementary_abelian_2(k)) for k in ORACLE_C2_RANKS])
+              + [(f"C2^{k}", elementary_abelian_2(k)) for k in ORACLE_C2_RANKS]
+              + [(f"C{n}", cyclic_group(n)) for n in ORACLE_CYCLIC])
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         for name, group in groups:
-            calls = {"_min_poly": [], "_structure_constants": []}
+            calls = {"_min_poly": [], "_structure_constants": [],
+                     "_conjugate_lines": []}
 
             def watched(mat, p, calls=calls["_min_poly"]):
                 lam = mat[0][0]
@@ -343,8 +349,13 @@ def oracle_tables():
                 calls.append(cls)
                 return _structure_constants(G, cls)
 
+            def lines(G, om, calls=calls["_conjugate_lines"]):
+                calls.append(om)
+                return _conjugate_lines(G, om)
+
             mp.setattr(characters, "_min_poly", watched)
             mp.setattr(characters, "_structure_constants", constants)
+            mp.setattr(characters, "_conjugate_lines", lines)
             out[name] = (group, character_table(group), calls)
     return out
 
@@ -424,15 +435,113 @@ def test_elementary_abelian_table_is_every_sign_vector(oracle_tables, k):
         group, value, range(2 ** k))
 
 
-@pytest.mark.parametrize("name, most", [("D128", 70), ("C2^6", 70)])
+@pytest.mark.parametrize("n", ORACLE_CYCLIC)
+def test_cyclic_table_matches_closed_form(oracle_tables, n):
+    # chi_a(x -> x + k) = zeta_n^(ak): every row is linear, and the rows
+    # fall into one Galois orbit per divisor of n
+    group, table, _ = oracle_tables[f"C{n}"]
+
+    def value(a, perm, level):
+        return {a * perm[0] // (n // level) % level: 1}
+
+    assert table_rows(group, table) == closed_form_rows(group, value, range(n))
+    assert len(rational_irreducibles(group)) == sum(
+        1 for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("name, orbits", [("D128", 6), ("D77", 3)])
+def test_split_reaches_one_line_per_galois_orbit(oracle_tables, name, orbits):
+    # the degree-2 characters chi_h of D_n, 1 <= h < n/2, fall into one
+    # orbit per divisor gcd(h, n) < n/2: 1, 2, 4, ..., 32 on D128 and 1, 7,
+    # 11 on D77.  Every other line comes from a power map, with no split.
+    group, _, calls = oracle_tables[name]
+    assert sum(1 for tau in rational_irreducibles(group)
+               if tau.constituent.degree() > 1) == orbits
+    assert len(calls["_conjugate_lines"]) == orbits
+
+
+@pytest.mark.parametrize("name, most", [("D128", 20), ("C2^6", 70)])
 def test_split_hands_min_poly_no_scalar_matrix(oracle_tables, name, most):
     group, _, calls = oracle_tables[name]
     if all(len(c) == 1 for c in group.conjugacy_classes()):
         # every character of an abelian group is linear, read from G/G':
         # nothing is split and no class-sum matrix is built
-        assert calls == {"_min_poly": [], "_structure_constants": []}
+        assert calls == {"_min_poly": [], "_structure_constants": [],
+                         "_conjugate_lines": []}
         return
-    # 680 calls on D128 and 683 on C2^6 when every step took the general path
+    # 680 calls on D128 and 683 on C2^6 when every step took the general
+    # path, and 62 on D128 when every line was split out of the class algebra
     calls = calls["_min_poly"]
     assert calls and len(calls) <= most
     assert not any(calls)
+
+
+def _conjugates_patched(change):
+    """_conjugate_lines with ``change`` applied to its first answer that
+    has at least three lines, and the others left as they are."""
+    done = []
+
+    def patched(G, om):
+        lines = _conjugate_lines(G, om)
+        if done or len(lines) < 3:
+            return lines
+        done.append(om)
+        return change(lines)
+    return patched
+
+
+def test_a_wrongly_relabelled_conjugate_row_is_rejected(monkeypatch):
+    # the second conjugate's line is right, but its row is relabelled by the
+    # third's unit: two rows agree, and one conjugate has no row
+    def wrong_unit(lines):
+        items = list(lines.items())
+        (l1, _), (_, k2) = items[1], items[2]
+        return {**lines, l1: k2}
+    monkeypatch.setattr(characters, "_conjugate_lines",
+                        _conjugates_patched(wrong_unit))
+    with pytest.raises(ModularMethodError,
+                       match="closed under the Galois action|orthogonality"):
+        character_table(dihedral_group(32))
+
+
+def test_a_dropped_conjugate_row_is_rejected(monkeypatch):
+    # the split then reaches the dropped line as a new one, and finds its
+    # other conjugates known already
+    def dropped(lines):
+        return dict(list(lines.items())[:-1])
+    monkeypatch.setattr(characters, "_conjugate_lines",
+                        _conjugates_patched(dropped))
+    with pytest.raises(ModularMethodError,
+                       match="closed under the Galois action|orthogonality"):
+        character_table(dihedral_group(32))
+
+
+def test_a_linear_row_bent_off_its_orbit_is_rejected(monkeypatch):
+    # chi(g^-1), g the first class of its rational class, is moved on one
+    # faithful linear character of C5: its multisets at the first classes
+    # still name a Galois conjugate, but its value at g^-1 does not
+    real = characters._linear_characters
+
+    def bent(G):
+        cosets, linear = real(G)
+        first = G.data.rational_classes[1][0]
+        c = G.class_of(G.inv(G.conjugacy_classes()[first][0]))
+        linear[-1][c] = (linear[-1][c] + 1) % G.exponent()
+        return cosets, linear
+
+    monkeypatch.setattr(characters, "_linear_characters", bent)
+    with pytest.raises(ModularMethodError,
+                       match="closed under the Galois action|orthogonality"):
+        character_table(cyclic_group(5))
+
+
+def test_an_orbit_walk_that_meets_a_placed_row_is_rejected(monkeypatch):
+    # with every stabiliser cut down to {1}, the walk from the trivial
+    # character meets it again under every other unit; the table itself is
+    # right, so only the closure check can object
+    real = characters._galois_stabiliser
+    monkeypatch.setattr(characters, "_galois_stabiliser",
+                        lambda G, ms, memo: real(G, ms, memo)[:1])
+    with pytest.raises(ModularMethodError,
+                       match="closed under the Galois action"):
+        character_table(dihedral_group(5))

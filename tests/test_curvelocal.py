@@ -26,6 +26,7 @@ from krel.curvelocal import (
 )
 from krel.exactmath import is_norm_from_quadratic, kronecker_symbol
 from krel.groups import (
+    PermGroup,
     cyclic_group,
     dihedral_group,
     metacyclic_group,
@@ -419,6 +420,24 @@ def test_potmult_dprime_rules():
     red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF, half)
     p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
     assert "d-prime-ramification" in _diag_rules(p)
+
+
+def test_potmult_dprime_index_is_checked_once_per_key(monkeypatch):
+    # D' = I_v here, so the index rule's key must not meet the (D_v, I_v)
+    # key of the pair rules on the same memo
+    C4 = cyclic_group(4)
+    w4 = frozenset(range(4))
+    half = frozenset([0, 2])
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF, half)
+    p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
+    assert _diag_rules(p) == ["d-prime-ramification"]
+    closures = []
+    real = PermGroup.closure
+    monkeypatch.setattr(PermGroup, "closure", lambda self, seeds:
+                        closures.append(seeds) or real(self, seeds))
+    again = PlaceDescriptor("w", "finite", C4, 5, 5, w4, half, red)
+    assert _diag_rules(again) == ["d-prime-ramification"]
+    assert closures == []
 
 
 # ---------------------------------------------------------------------------
