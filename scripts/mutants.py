@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Mutation check of the local formulas: for each deliberately wrong
+formula, does some test fail?
+
+    python3 scripts/mutants.py [TEST_FILE ...]
+
+Run from the root of a checkout.  Each mutant is one textual replacement
+(file, old, new, reason) in ``src/krel``.  For each one the script copies
+the checkout's ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
+directory, applies the replacement there, runs ``pytest -x -q`` on the test
+files (default ``DEFAULT_TESTS``) and prints a table: ``killed`` when some
+test failed, ``SURVIVED`` when all passed, ``error`` for any other pytest
+exit status.  The unmutated copy is run first and must pass.  The checkout
+itself is never changed.  An ``old`` text that does not occur exactly once
+in its file is an error.  Standard library only, apart from pytest itself;
+the exit status is 1 when a mutant survives or errs.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEFAULT_TESTS = ("tests/test_curvelocal.py", "tests/test_parity.py",
+                 "tests/test_harness.py", "tests/test_relations.py",
+                 "tests/test_regconst.py")
+
+CURVELOCAL = "src/krel/curvelocal.py"
+
+# (file, old, new, reason)
+MUTANTS = [
+    (CURVELOCAL,
+     "        return 2 if en % 2 == 0 else 1",
+     "        return en",
+     "nonsplit I_n with odd f gives e*n"),
+    (CURVELOCAL,
+     "        return e * red.n\n    if isinstance(red, NonsplitMult):",
+     "        return 3 * e * red.n\n    if isinstance(red, NonsplitMult):",
+     "split I_n gives 3*e*n"),
+    (CURVELOCAL,
+     "        return e * red.n\n    if isinstance(red, NonsplitMult):",
+     "        return red.n\n    if isinstance(red, NonsplitMult):",
+     "split I_n drops e"),
+    (CURVELOCAL,
+     "        if g == 3:\n            return 2",
+     "        if g == 3:\n            return 1",
+     "potentially good, gcd(delta*e, 12) = 3 gives 1"),
+    (CURVELOCAL,
+     "return 3 if is_square_in_ext(red.b_class, e, f) else 1",
+     "return 1 if is_square_in_ext(red.b_class, e, f) else 3",
+     "potentially good, gcd(delta*e, 12) = 4 swaps 3 and 1"),
+    (CURVELOCAL,
+     "return 4 if is_square_in_ext(key, e, f) else 2",
+     "return 2 if is_square_in_ext(key, e, f) else 4",
+     "potentially multiplicative, odd e swaps 4 and 2"),
+    (CURVELOCAL,
+     "    if is_square_in_ext(red.minus6b_class, e, f):\n"
+     "        return e * red.n",
+     "    if is_square_in_ext(red.minus6b_class, e, f):\n"
+     "        return 1",
+     "potentially multiplicative, even e and -6b square gives 1"),
+    (CURVELOCAL,
+     "exponent = (red.delta * e // 12) * f",
+     "exponent = (red.delta * e // 12)",
+     "potentially good exponent drops f"),
+    (CURVELOCAL,
+     "exponent = (e // 2) * f",
+     "exponent = (e // 2)",
+     "potentially multiplicative exponent drops f"),
+    (CURVELOCAL,
+     "exponent = (red.delta * e // 12) * f",
+     "exponent = (-(-red.delta * e // 12)) * f",
+     "potentially good exponent rounds delta*e/12 up"),
+    (CURVELOCAL,
+     "exponent = (e // 2) * f",
+     "exponent = (-(-e // 2)) * f",
+     "potentially multiplicative exponent rounds e/2 up"),
+    (CURVELOCAL,
+     "exponent = (red.delta * e // 12) * f",
+     "exponent = (red.delta * e // 6) * f",
+     "potentially good exponent reads delta*e/6"),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _mutate(tree: Path, file: str, old: str, new: str) -> None:
+    path = tree / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"{file}: mutant text occurs {text.count(old)} "
+                         f"times, not once: {old!r}")
+    path.write_text(text.replace(old, new))
+
+
+def _pytest(tree: Path, tests: list[str]) -> tuple[int, float]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    got = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    return got.returncode, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    tests = argv or list(DEFAULT_TESTS)
+    with tempfile.TemporaryDirectory(prefix="krel-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        code, _ = _pytest(clean, tests)
+        if code != 0:
+            print(f"unmutated tests fail (pytest exit {code}); no table")
+            return 1
+        print(f"{'#':>2}  {'verdict':8}  {'s':>5}  mutant")
+        bad = 0
+        for k, (file, old, new, reason) in enumerate(MUTANTS, 1):
+            tree = Path(tmp) / f"m{k}"
+            _copy(tree)
+            _mutate(tree, file, old, new)
+            code, secs = _pytest(tree, tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error {code}")
+            bad += code != 1
+            print(f"{k:>2}  {verdict:8}  {secs:5.1f}  {reason}", flush=True)
+            shutil.rmtree(tree)
+        print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -17,8 +17,7 @@ from .characters import ClassFunction, character_table
 from .exactmath import (ExactCheckError, FactorBoundError, fraction_sum,
                         isprime, kronecker_symbol)
 from .groups import PermGroup, subgroup_as_group
-from .relations import (PowFloor, PowHalf, _psi_value,
-                        decomposition_pair_problem, local_ef)
+from .relations import decomposition_pair_problem, local_ef
 
 CASE_GOOD = "1G"
 CASE_SPLIT = "1S"
@@ -373,20 +372,21 @@ def _tamagawa_ef(red: ReductionData, e: int, f: int) -> int:
 def fudge_C(p: PlaceDescriptor, h: frozenset[int]) -> Fraction:
     """Tamagawa number times the minimal-differential term.
 
-    The differential term is the local function PowFloor(q, delta) for
-    potentially good reduction, PowHalf(q) for potentially multiplicative
-    reduction, and 1 otherwise.
+    Over the subfield fixed by h, with ramification degree e and residue
+    degree f, the differential term is q^(floor(delta*e/12)*f) for
+    potentially good reduction, q^(floor(e/2)*f) for potentially
+    multiplicative reduction, and 1 otherwise.
     """
     _require_validated(p)
     red = p.reduction
-    if isinstance(red, AddPotGood):
-        psi = PowFloor(p.q, red.delta)
-    elif isinstance(red, AddPotMult):
-        psi = PowHalf(p.q)
-    else:
+    if not isinstance(red, (AddPotGood, AddPotMult)):
         return Fraction(tamagawa(p, h))
     e, f = _place_ef(p, h)
-    return _tamagawa_ef(red, e, f) * _psi_value(psi, e, f)
+    if isinstance(red, AddPotGood):
+        exponent = (red.delta * e // 12) * f
+    else:
+        exponent = (e // 2) * f
+    return _tamagawa_ef(red, e, f) * Fraction(p.q) ** exponent
 
 
 def default_additive_lambda(fe: int, q: int, dihedral: bool) -> int:

@@ -219,9 +219,6 @@ class SquareClass(NamedTuple):
     def value(self) -> int:
         return self.sign * self.magnitude
 
-    def is_trivial(self) -> bool:
-        return self.sign == 1 and self.magnitude == 1
-
 
 def squarefree_class(x: Rational, bound: int = DEFAULT_FACTOR_BOUND) -> SquareClass:
     """Reduce a nonzero rational modulo squares.
@@ -301,7 +298,7 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     b = _as_fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if place == PLACE_INF or place == math.inf:
+    if place == PLACE_INF:
         return -1 if (a < 0 and b < 0) else 1
     p = place
     if not (isinstance(p, int) and p >= 2 and isprime(p)):

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import isqrt, prod
 
 from .characters import ClassFunction, char_field_data, fs_indicator, \
     rational_irreducibles
 from .curvelocal import Diagnostic, Good, PlaceDescriptor, fudge_C, \
     local_u_contribution, validate_place
-from .exactmath import is_norm_from_quadratic, squarefree_class
+from .exactmath import is_norm_from_quadratic
 from .groups import PermGroup
 from .regconst import NeedsMatrixModel, reg_const_rational_irr
 from .relations import find_norm_relation, is_k_relation
@@ -224,6 +224,12 @@ class NrtReport:
     parity_holds: list[bool] = field(default_factory=list)
 
 
+def _is_rational_square(x: Fraction) -> bool:
+    """Whether x is the square of a rational, with no factoring."""
+    return x > 0 and all(isqrt(n) ** 2 == n
+                         for n in (x.numerator, x.denominator))
+
+
 def nrt_run(model: CurveLocalModel, rho: ClassFunction) -> NrtReport:
     """Norm relations test: does the fudge product witness positive rank?"""
     G = model.group
@@ -231,7 +237,7 @@ def nrt_run(model: CurveLocalModel, rho: ClassFunction) -> NrtReport:
     product = global_C_product(model, theta)
     norm_verdicts = {d: is_norm_from_quadratic(product, d)
                      for d in char_field_data(rho).quadratic_subfields}
-    square_ok = squarefree_class(product).is_trivial() if m % 2 == 0 else None
+    square_ok = _is_rational_square(product) if m % 2 == 0 else None
     warnings = list(model.obstructions)
     constraints: list[tuple[tuple[str, ...], int]] = []
     for d, ok in norm_verdicts.items():

@@ -2,9 +2,13 @@
 
 The workhorse is the double-coset product for permutation modules; rational
 irreducibles are routed through it whenever an odd multiple is a virtual
-permutation character, with an explicit matrix model (plus an invariant
-pairing, generated on demand) as the fallback.  Values stay exact rationals;
-a verdict reads them modulo norms only at the very end.
+permutation character.  There is no automatic fallback: a rational
+irreducible with an orthogonal constituent and no odd permutation multiple
+raises :class:`NeedsMatrixModel` (``nrt_run`` records it as the
+``needs-matrix-model`` diagnostic), and its value has to come from an
+explicit matrix model through :func:`reg_const_matrix`, with an invariant
+pairing generated on demand.  Values stay exact rationals; a verdict reads
+them modulo norms only at the very end.
 """
 
 from __future__ import annotations

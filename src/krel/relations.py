@@ -4,8 +4,12 @@ A virtual sum of transitive G-sets is a dict mapping subgroup class ids to
 integer coefficients, as in :mod:`krel.groups`.  This module decides when
 such a sum is a K-relation, produces lattice bases of all of them, searches
 for the minimal norm relation attached to an irreducible character, and
-evaluates local functions (D, I, psi) together with the certificate test
-for triviality on K-relations.
+tests subgroup functions for triviality on K-relations, with a certificate.
+
+A subgroup function is any callable on subgroup representatives with
+``int`` or ``Fraction`` values.  A :class:`LocalFn` (G, D, I, psi) is one:
+called on H it multiplies psi(e, f) over the H\\G/D double cosets, where
+psi is a plain callable, say ``lambda e, f: e * f``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .characters import ClassFunction
 from .exactmath import (
@@ -254,106 +258,6 @@ def find_norm_relation(G: PermGroup,
 # Local functions
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if not self.value:
-            raise ValueError("constant must be nonzero")
-
-
-@dataclass(frozen=True)
-class E:
-    pass
-
-
-@dataclass(frozen=True)
-class F:
-    pass
-
-
-@dataclass(frozen=True)
-class EF:
-    pass
-
-
-@dataclass(frozen=True)
-class PowFloor:
-    """base ** (floor(delta * e / 12) * f)"""
-
-    base: Fraction
-    delta: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", Fraction(self.base))
-        if not self.base:
-            raise ValueError("base must be nonzero")
-
-
-@dataclass(frozen=True)
-class PowHalf:
-    """base ** (floor(e / 2) * f)"""
-
-    base: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", Fraction(self.base))
-        if not self.base:
-            raise ValueError("base must be nonzero")
-
-
-@dataclass(frozen=True)
-class CondDivides:
-    """alpha when k divides f, beta otherwise."""
-
-    k: int
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.k < 1 or not self.alpha or not self.beta:
-            raise ValueError("need k >= 1 and nonzero branches")
-
-
-@dataclass(frozen=True)
-class Product:
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-
-
-PsiExpr = Union[Const, E, F, EF, PowFloor, PowHalf, CondDivides, Product]
-
-
-def _psi_value(psi: PsiExpr, e: int, f: int) -> Fraction:
-    match psi:
-        case Const(value=a):
-            return a
-        case E():
-            return Fraction(e)
-        case F():
-            return Fraction(f)
-        case EF():
-            return Fraction(e * f)
-        case PowFloor(base=q, delta=delta):
-            return q ** ((delta * e // 12) * f)
-        case PowHalf(base=q):
-            return q ** ((e // 2) * f)
-        case CondDivides(k=k, alpha=a, beta=b):
-            return a if f % k == 0 else b
-        case Product(parts=parts):
-            out = Fraction(1)
-            for p in parts:
-                out *= _psi_value(p, e, f)
-            return out
-    raise TypeError(f"not a psi expression: {psi!r}")
-
-
 def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
                      isub: frozenset[int]) -> bool:
     """Is D/I cyclic, for I normal in D?"""
@@ -405,13 +309,14 @@ class LocalFn:
 
     Here e is the ramification-like part |I| / |H ∩ xIx^-1| and f the
     residue-like part [D:I] / [H ∩ xDx^-1 : H ∩ xIx^-1], one factor per
-    double coset representative x.
+    double coset representative x.  psi takes (e, f) to an ``int`` or a
+    ``Fraction``; any other value, a float included, raises ``TypeError``.
     """
 
     group: PermGroup
     dsub: frozenset
     isub: frozenset
-    psi: PsiExpr
+    psi: Callable[[int, int], int | Fraction]
 
     def __post_init__(self):
         self.dsub = frozenset(self.dsub)
@@ -419,6 +324,14 @@ class LocalFn:
         problem = decomposition_pair_problem(self.group, self.dsub, self.isub)
         if problem is not None:
             raise ValueError(problem[1])
+
+    def __call__(self, h) -> Fraction:
+        """The value at a subgroup (frozenset, SubgroupClass, or class id)."""
+        val = Fraction(1)
+        for e, f in coset_profile(self.group, self.dsub, self.isub,
+                                  subgroup_rep(self.group, h)):
+            val *= _as_fraction(self.psi(e, f))
+        return val
 
 
 def local_ef(dsub: frozenset[int], isub: frozenset[int],
@@ -444,36 +357,24 @@ def coset_profile(G: PermGroup, dsub: frozenset[int], isub: frozenset[int],
             for _, local in G.double_cosets(hsub, dsub)]
 
 
-def eval_localfn(fn: LocalFn, h) -> Fraction:
-    """Evaluate at a subgroup (frozenset, SubgroupClass, or class id)."""
-    rep = subgroup_rep(fn.group, h)
-    val = Fraction(1)
-    for e, f in coset_profile(fn.group, fn.dsub, fn.isub, rep):
-        val *= _psi_value(fn.psi, e, f)
-    return val
-
-
 def eval_on_theta(f, G: PermGroup, theta: dict[str, int]) -> Fraction:
     """Multiplicative extension of a subgroup function to virtual sums.
 
     Values of f must be exact: an ``int`` or a ``Fraction``; anything else,
     a float included, raises ``TypeError``.
     """
-    fval = _as_subgroup_function(f, G)
+    _require_group(f, G)
     val = Fraction(1)
     for cid, coeff in theta.items():
         if coeff:
             val *= _as_fraction(
-                fval(G.subgroup_class_by_id(cid).representative)) ** coeff
+                f(G.subgroup_class_by_id(cid).representative)) ** coeff
     return val
 
 
-def _as_subgroup_function(f, G: PermGroup) -> Callable[[frozenset], Fraction]:
-    if isinstance(f, LocalFn):
-        if f.group is not G:
-            raise ValueError("local function lives on a different group")
-        return lambda rep: eval_localfn(f, rep)
-    return f
+def _require_group(f, G: PermGroup) -> None:
+    if isinstance(f, LocalFn) and f.group is not G:
+        raise ValueError("local function lives on a different group")
 
 
 @dataclass
@@ -520,10 +421,10 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
         lattice = k_relation_basis(G, d)
     elif lattice.d != d or lattice.group is not G:
         raise ValueError("lattice does not match the requested field")
-    fval = _as_subgroup_function(f, G)
+    _require_group(f, G)
     obstructed: dict = {}  # place -> bit mask of the classes obstructed there
     for cls in G.subgroup_classes():
-        for v in norm_obstruction(fval(cls.representative), d):
+        for v in norm_obstruction(f(cls.representative), d):
             obstructed[v] = obstructed.get(v, 0) | 1 << cls.index
     masks = tuple(obstructed.items())
     for theta, odd in zip(lattice.basis, lattice.odd_masks if masks else ()):
@@ -532,37 +433,5 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
                 places = frozenset(v for v, m in masks
                                    if (m & odd).bit_count() % 2)
                 return TrivialityReport(False, dict(theta),
-                                        eval_on_theta(fval, G, theta), places)
+                                        eval_on_theta(f, G, theta), places)
     return TrivialityReport(True)
-
-
-# ---------------------------------------------------------------------------
-# Reporting helpers
-
-
-def _id_key(cid: str) -> tuple[int, int]:
-    order, j = cid.split(".")
-    return int(order), int(j)
-
-
-def theta_pairs(theta: dict[str, int]) -> list[tuple[str, int]]:
-    """(class id, coefficient) pairs: positive terms first, by subgroup size."""
-    items = [(cid, c) for cid, c in theta.items() if c]
-    pos = sorted((p for p in items if p[1] > 0), key=lambda p: _id_key(p[0]))
-    neg = sorted((p for p in items if p[1] < 0), key=lambda p: _id_key(p[0]))
-    return pos + neg
-
-
-def format_theta(theta: dict[str, int]) -> str:
-    items = sorted(((cid, c) for cid, c in theta.items() if c),
-                   key=lambda p: _id_key(p[0]))
-    if not items:
-        return "0"
-    parts = []
-    for k, (cid, coeff) in enumerate(items):
-        term = f"[{cid}]" if abs(coeff) == 1 else f"{abs(coeff)}*[{cid}]"
-        if k == 0:
-            parts.append(term if coeff > 0 else f"-{term}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {term}")
-    return " ".join(parts)

@@ -35,18 +35,12 @@ from krel.groups import (
 )
 from krel.harness import synthetic_model
 from krel.relations import (
-    Const,
-    E,
-    EF,
     LocalFn,
-    PowFloor,
-    PowHalf,
-    Product,
     coset_profile,
-    eval_localfn,
     eval_on_theta,
     is_trivial_on_k_relations,
     k_relation_basis,
+    local_ef,
 )
 
 sq = SquareClassLocal
@@ -257,7 +251,7 @@ def test_localfn_and_validate_place_reject_the_same_pairs(rule):
     assert [d.rule for d in diags] == [rule]
     assert not p.validated
     with pytest.raises(ValueError) as exc:
-        LocalFn(G, dsub, isub, EF())
+        LocalFn(G, dsub, isub, lambda e, f: e * f)
     assert str(exc.value) == diags[0].message
 
 
@@ -634,31 +628,31 @@ def test_fudge_potentially_multiplicative_exponent():
 
 
 def test_fudge_matches_localfn_algebra():
-    # The ratio C/c is expressible in the coset-profile calculus and the two
-    # evaluators must agree subgroup by subgroup.
+    # The ratio C/c, written as a local function of (e, f), must agree
+    # with fudge_C subgroup by subgroup.
     C6 = cyclic_group(6)
     w6 = frozenset(range(6))
     p = finite_place(C6, w6, w6, AddPotGood(6, SQ_TRIV, SQ_TRIV), l=7, q=7)
-    fn = LocalFn(C6, w6, w6, PowFloor(7, 6))
+    fn = LocalFn(C6, w6, w6, lambda e, f: 7 ** ((6 * e // 12) * f))
     for cls in C6.subgroup_classes():
         h = subgroup_rep(C6, cls.id)
-        assert fudge_C(p, h) == tamagawa(p, h) * eval_localfn(fn, h)
+        assert fudge_C(p, h) == tamagawa(p, h) * fn(h)
 
     pm = c2_potmult_place(q=13)
     C2 = pm.group
     w = frozenset(range(2))
-    fnm = LocalFn(C2, w, w, PowHalf(13))
+    fnm = LocalFn(C2, w, w, lambda e, f: 13 ** ((e // 2) * f))
     for h in (frozenset([0]), w):
-        assert fudge_C(pm, h) == tamagawa(pm, h) * eval_localfn(fnm, h)
+        assert fudge_C(pm, h) == tamagawa(pm, h) * fnm(h)
 
 
 def test_split_mult_fudge_is_e_times_n():
     p = s3_split_place(n=3)
     S3 = p.group
-    fn = LocalFn(S3, p.dsub, p.isub, Product((E(), Const(3))))
+    fn = LocalFn(S3, p.dsub, p.isub, lambda e, f: e * 3)
     for cls in S3.subgroup_classes():
         h = subgroup_rep(S3, cls.id)
-        assert fudge_C(p, h) == eval_localfn(fn, h)
+        assert fudge_C(p, h) == fn(h)
 
 
 def test_fudge_unit_rescale_is_invisible_to_relations():
@@ -681,6 +675,80 @@ def test_fudge_unit_rescale_is_invisible_to_relations():
         base = eval_on_theta(lambda h: fudge_C(p, h), G, theta)
         scaled = eval_on_theta(lambda h: fudge_C(p, h) * 2 ** f_of(h), G, theta)
         assert is_norm_from_quadratic(scaled / base, d)
+
+
+# ---------------------------------------------------------------------------
+# hand table: local factors under base change
+
+
+def cyclic_place(reduction, order, inertia, q=13):
+    """A place on C_order with D_v the whole group and I_v of order inertia."""
+    G = cyclic_group(order)
+    return finite_place(G, frozenset(range(order)),
+                        subgroup_rep(G, f"{inertia}.1"), reduction, l=q, q=q)
+
+
+POT_GOOD_2 = AddPotGood(2, SQ_TRIV, SQ_TRIV)
+POT_GOOD_3 = AddPotGood(3, SQ_TRIV, SQ_TRIV)
+POT_GOOD_4 = AddPotGood(4, SQ_TRIV, SQ_UNIT)
+POT_MULT_1 = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF)
+POT_MULT_2 = AddPotMult(2, SQ_UNIT, SQ_TRIV, SQ_UNIT, SQ_TRIV)
+
+# (reduction, |D_v| (D_v = G cyclic), |I_v|, |H|, (e, f) of the fixed field
+# of H, its Tamagawa number, its fudge factor), with q = 13 throughout.
+BASE_CHANGE_TABLE = [
+    # split I_n: e*n, whatever f
+    (SplitMult(1), 3, 3, 1, (3, 1), 3, 3),
+    (SplitMult(2), 4, 2, 1, (2, 2), 4, 4),
+    (SplitMult(5), 3, 1, 1, (1, 3), 5, 5),
+    (SplitMult(2), 6, 3, 1, (3, 2), 6, 6),
+    # nonsplit I_n: e*n for even f; for odd f, 2 or 1 by the parity of e*n
+    (NonsplitMult(3), 1, 1, 1, (1, 1), 1, 1),
+    (NonsplitMult(4), 1, 1, 1, (1, 1), 2, 2),
+    (NonsplitMult(1), 3, 3, 1, (3, 1), 1, 1),
+    (NonsplitMult(3), 6, 2, 1, (2, 3), 2, 2),
+    (NonsplitMult(1), 9, 3, 1, (3, 3), 1, 1),
+    (NonsplitMult(3), 2, 1, 1, (1, 2), 3, 3),
+    (NonsplitMult(1), 6, 3, 1, (3, 2), 3, 3),
+    (NonsplitMult(2), 8, 2, 1, (2, 4), 4, 4),
+    # potentially good: c times q^(floor(delta*e/12)*f)
+    (POT_GOOD_2, 12, 6, 1, (6, 2), 1, 13 ** 2),
+    (POT_GOOD_2, 12, 6, 2, (3, 2), 1, 1),
+    (POT_GOOD_2, 12, 6, 4, (3, 1), 1, 1),
+    (POT_GOOD_2, 12, 6, 3, (2, 2), 3, 3),
+    (POT_GOOD_2, 12, 6, 6, (1, 2), 1, 1),
+    (POT_GOOD_3, 12, 4, 1, (4, 3), 1, 13 ** 3),
+    (POT_GOOD_3, 12, 4, 2, (2, 3), 1, 1),
+    (POT_GOOD_3, 12, 4, 3, (4, 1), 1, 13),
+    (POT_GOOD_3, 12, 4, 4, (1, 3), 2, 2),
+    (POT_GOOD_4, 6, 3, 1, (3, 2), 1, 13 ** 2),
+    (POT_GOOD_4, 6, 3, 2, (3, 1), 1, 13),
+    (POT_GOOD_4, 6, 3, 3, (1, 2), 3, 3),
+    (POT_GOOD_4, 6, 3, 6, (1, 1), 1, 1),
+    # potentially multiplicative: c times q^(floor(e/2)*f)
+    (POT_MULT_1, 6, 3, 1, (3, 2), 4, 4 * 13 ** 2),
+    (POT_MULT_1, 6, 3, 2, (3, 1), 4, 4 * 13),
+    (POT_MULT_1, 6, 3, 3, (1, 2), 4, 4),
+    (POT_MULT_2, 12, 4, 1, (4, 3), 8, 8 * 13 ** 6),
+    (POT_MULT_2, 12, 4, 2, (2, 3), 4, 4 * 13 ** 3),
+    (POT_MULT_2, 12, 4, 3, (4, 1), 8, 8 * 13 ** 2),
+    (POT_MULT_2, 12, 4, 4, (1, 3), 2, 2),
+    (POT_MULT_2, 12, 4, 6, (2, 1), 4, 4 * 13),
+]
+
+
+@pytest.mark.parametrize(
+    "red, order, inertia, h_order, ef, c, fudge", BASE_CHANGE_TABLE,
+    ids=[f"{type(red).__name__}{getattr(red, 'n', getattr(red, 'delta', ''))}"
+         f"-D{order}-I{inertia}-H{h}"
+         for red, order, inertia, h, *_ in BASE_CHANGE_TABLE])
+def test_local_factors_under_base_change(red, order, inertia, h_order, ef,
+                                         c, fudge):
+    p = cyclic_place(red, order, inertia)
+    h = subgroup_rep(p.group, f"{h_order}.1")
+    assert local_ef(p.dsub, p.isub, h) == ef
+    assert tamagawa(p, h) == c
+    assert fudge_C(p, h) == fudge
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,13 @@ def test_hilbert_invalid_place():
         hilbert_symbol(0, 5, 3)
 
 
+def test_hilbert_real_place_has_one_spelling():
+    # the real place is PLACE_INF only: a float infinity is not a place
+    assert hilbert_symbol(-1, -1, PLACE_INF) == -1
+    with pytest.raises(ValueError, match="invalid place"):
+        hilbert_symbol(-1, -1, math.inf)
+
+
 def test_hilbert_symmetry_and_squares():
     rng = random.Random(7)
     for _ in range(100):

@@ -10,14 +10,14 @@ import pytest
 from krel import parity
 from krel.characters import character_table, fs_indicator, perm_character, \
     rational_irreducibles
-from krel.curvelocal import AddPotGood, AddPotMult, Good, \
-    local_u_contribution, tamagawa
+from krel.curvelocal import AddPotGood, AddPotMult, Good, PlaceDescriptor, \
+    SquareClassLocal, local_u_contribution, tamagawa
 from krel.groups import (alternating4_group, dihedral_group,
                          group_from_cycles, metacyclic_group,
-                         quaternion_group)
+                         quaternion_group, subgroup_rep)
 from krel.harness import synthetic_model
-from krel.parity import global_C_product, global_root_sign, nrt_run, \
-    theorem_main_check
+from krel.parity import CurveLocalModel, global_C_product, global_root_sign, \
+    nrt_run, theorem_main_check
 from krel.relations import k_relation_basis, local_ef
 
 GROUPS = {
@@ -177,6 +177,21 @@ def test_nrt_constraints_hold_on_the_parity_side():
                         == parity_bit
                 constraints += len(report.constraints)
     assert constraints > 0
+
+
+def test_square_branch_needs_no_factoring():
+    # m = 2 for chi_5 on Q8, and the product 1000003^4 is a square whose
+    # prime lies above the factoring bound
+    G = quaternion_group()
+    q = 1000003
+    red = AddPotGood(6, SquareClassLocal(0, True), SquareClassLocal(1, True))
+    place = PlaceDescriptor("v", "finite", G, q, q, subgroup_rep(G, "4.1"),
+                            subgroup_rep(G, "2.1"), red)
+    rho = next(chi for chi in character_table(G).irreducibles
+               if chi.label == "chi_5")
+    report = nrt_run(CurveLocalModel(G, (place,)), rho)
+    assert report.m == 2 and report.product == q ** 4
+    assert report.square_ok is True and not report.prediction
 
 
 def record_model(G, seed):

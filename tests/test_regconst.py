@@ -34,7 +34,7 @@ from krel.regconst import (
     reg_const_rational_irr,
 )
 from krel.harness import MetacyclicSpec, _dihedral_v_rep, build_metacyclic
-from krel.relations import Const, EF, LocalFn, eval_localfn, eval_on_theta, \
+from krel.relations import LocalFn, eval_on_theta, \
     is_trivial_on_k_relations, k_relation_basis
 
 D21_THETA = {"2.1": 1, "6.1": -1, "14.1": -1, "42.1": 1}
@@ -541,14 +541,14 @@ def test_fixed_det_against_coset_counting():
     G = dihedral_group(21)
     dsub = subgroup_rep(G, "6.1")
     isub = subgroup_rep(G, "3.1")
-    fn = LocalFn(G, dsub, isub, EF())
-    const = LocalFn(G, dsub, isub, Const(6))
+    fn = LocalFn(G, dsub, isub, lambda e, f: e * f)
+    const = LocalFn(G, dsub, isub, lambda e, f: 6)
 
     def ratio(hrep):
-        return eval_localfn(fn, hrep) / perm_fixed_det(G, hrep, dsub)
+        return fn(hrep) / perm_fixed_det(G, hrep, dsub)
 
     for c in G.subgroup_classes():
-        assert ratio(c.representative) == eval_localfn(const, c.id)
+        assert ratio(c.representative) == const(c.id)
     report = is_trivial_on_k_relations(ratio, G, 21)
     assert report.trivial
     theta_value = eval_on_theta(ratio, G, D21_THETA)

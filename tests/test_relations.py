@@ -32,25 +32,16 @@ from krel.groups import (
 )
 from krel.relations import (
     BRAUER,
-    CondDivides,
-    Const,
-    E,
-    EF,
-    F,
     LocalFn,
-    Product,
     brauer_basis,
     coset_profile,
-    eval_localfn,
     eval_on_theta,
     find_norm_relation,
-    format_theta,
     is_brauer_relation,
     is_k_relation,
     is_trivial_on_k_relations,
     k_relation_basis,
     psi_d,
-    theta_pairs,
 )
 
 from character_oracles import galois_orbit
@@ -376,37 +367,41 @@ def whole(G):
     return frozenset(range(G.order))
 
 
+def ef(e, f):
+    return e * f
+
+
+def index(e, f):
+    return e
+
+
 def test_localfn_validation():
     S3 = sample("S3")
     c2 = S3.subgroup_class_by_id("2.1").representative
     c3 = S3.subgroup_class_by_id("3.1").representative
     with pytest.raises(ValueError):
-        LocalFn(S3, whole(S3), c2, EF())  # not normal
+        LocalFn(S3, whole(S3), c2, ef)  # not normal
     Q8 = sample("Q8")
     with pytest.raises(ValueError):
-        LocalFn(Q8, whole(Q8), frozenset({0}), EF())  # quotient not cyclic
+        LocalFn(Q8, whole(Q8), frozenset({0}), ef)  # quotient not cyclic
     with pytest.raises(ValueError):
-        LocalFn(S3, c3, c2, EF())  # I outside D
-    with pytest.raises(ValueError):
-        Const(0)
-    with pytest.raises(ValueError):
-        CondDivides(0, 2, 1)
-    LocalFn(Q8, whole(Q8), Q8.subgroup_class_by_id("4.1").representative, E())
+        LocalFn(S3, c3, c2, ef)  # I outside D
+    LocalFn(Q8, whole(Q8), Q8.subgroup_class_by_id("4.1").representative, index)
 
 
 def test_eval_ef_at_trivial_subgroup_gives_group_order():
     S3 = sample("S3")
     c3 = S3.subgroup_class_by_id("3.1").representative
-    fn = LocalFn(S3, whole(S3), c3, EF())
-    assert eval_localfn(fn, frozenset({0})) == 6
+    fn = LocalFn(S3, whole(S3), c3, ef)
+    assert fn(frozenset({0})) == 6
     C6 = sample("C6")
-    fn6 = LocalFn(C6, whole(C6), frozenset({0}), EF())
-    assert eval_localfn(fn6, "1.1") == 6
+    fn6 = LocalFn(C6, whole(C6), frozenset({0}), ef)
+    assert fn6("1.1") == 6
 
 
 def test_eval_constant_on_psi_d_is_one():
     C6 = sample("C6")
-    fn = LocalFn(C6, whole(C6), frozenset({0}), Const(Fraction(7, 3)))
+    fn = LocalFn(C6, whole(C6), frozenset({0}), lambda e, f: Fraction(7, 3))
     for d in (2, 3, 6):
         assert eval_on_theta(fn, C6, psi_d(6, d)) == 1
     assert eval_on_theta(fn, C6, psi_d(6, 1)) == Fraction(7, 3)
@@ -415,7 +410,7 @@ def test_eval_constant_on_psi_d_is_one():
 @pytest.mark.parametrize("n,ds", [(6, (2, 3, 6)), (4, (2, 4)), (12, (2, 3, 4, 6, 12))])
 def test_index_function_on_psi_d_gives_cyclotomic_value(n, ds):
     G = cyclic_group(n)
-    fn = LocalFn(G, whole(G), whole(G), E())
+    fn = LocalFn(G, whole(G), whole(G), index)
     for d in ds:
         assert eval_on_theta(fn, G, psi_d(n, d)) == cyclotomic_poly(d, 1)
 
@@ -433,19 +428,22 @@ def test_coset_profile_internal_consistency():
                 assert (len(dsub) // len(isub)) % f == 0
 
 
-def test_pow_nodes_and_products():
+def test_localfn_values_are_exact():
     C6 = sample("C6")
-    fn = LocalFn(C6, whole(C6), whole(C6),
-                 Product((E(), Const(Fraction(1, 2)), F())))
+    S3 = sample("S3")
+    fn = LocalFn(C6, whole(C6), whole(C6), lambda e, f: Fraction(e * f, 2))
     # one double coset, e = [G:H], f = 1
-    assert eval_localfn(fn, "2.1") == Fraction(3, 2)
-    from krel.relations import PowFloor, PowHalf
-    half = LocalFn(C6, whole(C6), whole(C6), PowHalf(Fraction(5)))
-    assert eval_localfn(half, "1.1") == 5 ** 3  # floor(6 / 2) * 1
-    assert eval_localfn(half, "6.1") == 1
-    flo = LocalFn(C6, whole(C6), whole(C6), PowFloor(Fraction(2), 6))
-    assert eval_localfn(flo, "1.1") == 2 ** 3  # floor(6 * 6 / 12) * 1
-    assert eval_localfn(flo, "3.1") == 2  # e = 2, floor(12 / 12) = 1
+    assert fn("2.1") == Fraction(3, 2)
+    assert fn(C6.subgroup_class_by_id("2.1")) == Fraction(3, 2)
+    assert fn("6.1") == Fraction(1, 2)
+    for bad in (lambda e, f: 0.5 * e, lambda e, f: "3"):
+        with pytest.raises(TypeError):
+            LocalFn(C6, whole(C6), whole(C6), bad)("1.1")
+        with pytest.raises(TypeError):
+            eval_on_theta(LocalFn(C6, whole(C6), whole(C6), bad), C6,
+                          {"1.1": 1})
+    with pytest.raises(ValueError):
+        is_trivial_on_k_relations(fn, S3, -1)
 
 
 def test_descent_to_smaller_inertia_for_product_functions():
@@ -458,14 +456,14 @@ def test_descent_to_smaller_inertia_for_product_functions():
         G = sample(name)
         dsub = G.subgroup_class_by_id(did).representative
         isub = G.subgroup_class_by_id(iid).representative
-        for psi in (EF(), Const(Fraction(3)), Product((EF(), Const(Fraction(2))))):
+        for psi in (ef, lambda e, f: 3, lambda e, f: 2 * e * f):
             fn = LocalFn(G, dsub, isub, psi)
             for iid0 in smaller:
                 isub0 = G.subgroup_class_by_id(iid0).representative
                 assert isub0 < isub
                 fn0 = LocalFn(G, dsub, isub0, psi)
                 for cls in G.subgroup_classes():
-                    assert eval_localfn(fn, cls) == eval_localfn(fn0, cls)
+                    assert fn(cls) == fn0(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +473,7 @@ def test_descent_to_smaller_inertia_for_product_functions():
 def test_index_function_is_trivial_on_cyclic_groups():
     for n in (4, 6, 12):
         G = cyclic_group(n)
-        fn = LocalFn(G, whole(G), whole(G), E())
+        fn = LocalFn(G, whole(G), whole(G), index)
         for d in (-1, -3, 5, 21, -7):
             assert is_trivial_on_k_relations(fn, G, d)
 
@@ -487,7 +485,7 @@ def test_constants_are_trivial():
                 if name == "Q8" else
                 G.subgroup_class_by_id("3.1").representative
                 if name == "S3" else frozenset({0}))
-        fn = LocalFn(G, whole(G), isub, Const(Fraction(7)))
+        fn = LocalFn(G, whole(G), isub, lambda e, f: Fraction(7))
         for d in (-1, -3, 5):
             assert is_trivial_on_k_relations(fn, G, d)
 
@@ -495,12 +493,14 @@ def test_constants_are_trivial():
 def test_cond_divides_with_a_cyclotomic_norm_ratio_is_trivial():
     C6 = sample("C6")
     # 3 = N(1 - zeta_3) is a norm from Q(zeta_3)
-    fn = LocalFn(C6, whole(C6), frozenset({0}), CondDivides(3, Fraction(3), Fraction(1)))
+    fn = LocalFn(C6, whole(C6), frozenset({0}),
+                 lambda e, f: 3 if f % 3 == 0 else 1)
     for d in (-1, -3, 5, 21):
         assert is_trivial_on_k_relations(fn, C6, d)
     C12 = sample("C12")
     # 2 = N(1 + i) is a norm from Q(zeta_4)
-    fn4 = LocalFn(C12, whole(C12), frozenset({0}), CondDivides(4, Fraction(2), Fraction(1)))
+    fn4 = LocalFn(C12, whole(C12), frozenset({0}),
+                  lambda e, f: 2 if f % 4 == 0 else 1)
     for d in (-1, -3, 5):
         assert is_trivial_on_k_relations(fn4, C12, d)
 
@@ -648,7 +648,7 @@ def test_class_values_are_norm_tested_before_any_theta():
 
 def test_triviality_report_validates_inputs():
     C6 = sample("C6")
-    fn = LocalFn(C6, whole(C6), whole(C6), E())
+    fn = LocalFn(C6, whole(C6), whole(C6), index)
     lat = k_relation_basis(C6, -3)
     with pytest.raises(ValueError):
         is_trivial_on_k_relations(fn, C6, 5, lat)
@@ -721,18 +721,6 @@ def test_k_relations_close_under_res_ind_proj(name, d, did, nid):
         theta_lat = pull_from_standalone(G, dsub, sub, to_sub, theta_s)
         induced = burnside_ind(G, dsub, theta_lat)
         assert is_k_relation(G, induced, d)
-
-
-# ---------------------------------------------------------------------------
-# Reporting helpers
-
-
-def test_theta_pairs_and_format():
-    pairs = theta_pairs(D21_THETA)
-    assert pairs == [("2.1", 1), ("42.1", 1), ("6.1", -1), ("14.1", -1)]
-    assert format_theta(D21_THETA) == "[2.1] - [6.1] - [14.1] + [42.1]"
-    assert format_theta({}) == "0"
-    assert format_theta({"1.1": -2, "6.1": 1}) == "-2*[1.1] + [6.1]"
 
 
 @pytest.mark.parametrize("bad", [lambda h: 0.5 * len(h), lambda h: 0.1,
