@@ -28,9 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEFAULT_TESTS = ("tests/test_curvelocal.py", "tests/test_parity.py",
                  "tests/test_harness.py", "tests/test_relations.py",
-                 "tests/test_regconst.py")
+                 "tests/test_regconst.py", "tests/test_groups.py")
 
 CURVELOCAL = "src/krel/curvelocal.py"
+EXACTMATH = "src/krel/exactmath.py"
+GROUPS = "src/krel/groups.py"
+HARNESS = "src/krel/harness.py"
+RELATIONS = "src/krel/relations.py"
 
 # (file, old, new, reason)
 MUTANTS = [
@@ -84,6 +88,34 @@ MUTANTS = [
      "exponent = (red.delta * e // 12) * f",
      "exponent = (red.delta * e // 6) * f",
      "potentially good exponent reads delta*e/6"),
+    (RELATIONS,
+     "            if (mask & odd).bit_count() % 2:",
+     "            if (mask & odd).bit_count():",
+     "triviality test counts any obstructed odd class, not their parity"),
+    (EXACTMATH,
+     "    places: set = {PLACE_INF, 2}",
+     "    places: set = {PLACE_INF}",
+     "norm obstruction never examines the place 2"),
+    (EXACTMATH,
+     "    expo = eps_u * eps_v + alpha * omega_v + beta * omega_u",
+     "    expo = eps_u * eps_v + alpha * omega_v",
+     "Hilbert symbol at 2 drops the beta*omega_u term"),
+    (HARNESS,
+     "        rep = memo.get((d, values))\n"
+     "        if rep is None:\n"
+     "            rep = memo[d, values] = ",
+     "        rep = memo.get(values)\n"
+     "        if rep is None:\n"
+     "            rep = memo[values] = ",
+     "appendix memo keyed without the field d"),
+    (HARNESS,
+     "    values = tuple(_as_fraction(fn(c.representative))",
+     "    values = tuple((fn(c.representative))",
+     "appendix memo keyed on raw values, not _as_fraction"),
+    (GROUPS,
+     "                    used.update(self._mul[h][g] for h in H)",
+     "                    used.update((g, self._mul[g][g]))",
+     "subgroup lattice skips g and g^2, not the coset H*g"),
 ]
 
 

@@ -392,7 +392,14 @@ class PermGroup:
         return classes
 
     def subgroup_classes(self) -> list[SubgroupClass]:
-        """All subgroups up to conjugacy, breadth-first closure enumeration."""
+        """All subgroups up to conjugacy, breadth-first closure enumeration.
+
+        Each frontier subgroup H is extended by one prime-power-order seed g
+        at a time, to <H, g>.  Since <H, hg> = <H, g> for every h in H, a
+        seed in a right coset H·g' of an earlier seed g' gives nothing new
+        and is skipped: one closure per right coset of H that meets the
+        seeds.
+        """
         if self._subgroup_classes is not None:
             return self._subgroup_classes
         seen: set[frozenset[int]] = set()
@@ -419,9 +426,11 @@ class PermGroup:
             nxt = []
             for H in frontier:
                 hgens = self.generating_indices(H)
+                used = set(H)  # H and the right cosets H·g already closed
                 for g in seeds:
-                    if g in H:
+                    if g in used:
                         continue
+                    used.update(self._mul[h][g] for h in H)
                     K = self.closure(hgens + (g,))
                     if admit(K):
                         nxt.append(K)

@@ -26,7 +26,7 @@ from .characters import _fundamental_discriminant, _quadratic_subfields
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
                          is_square_in_ext, ram_degree, validate_place)
-from .exactmath import (PLACE_INF, divisors, factor_bounded,
+from .exactmath import (PLACE_INF, _as_fraction, divisors, factor_bounded,
                         is_norm_from_quadratic, is_squarefree, isprime,
                         kronecker_symbol, mobius, primerange)
 from .groups import PermGroup, metacyclic_generators
@@ -243,10 +243,25 @@ def _unscaled_fixed_det(rep: MatrixRep, pairing, traces, h: frozenset[int]):
     return matrix_fixed_det(rep, pairing, h) * Fraction(len(h)) ** dimfix
 
 
-def _check_function(case, spec, G, q, flags, fn, fields, lattices, rows):
-    fn = functools.cache(fn)  # one value per subgroup, shared by every d
+def _check_function(case, spec, G, q, flags, fn, fields, lattices, memo,
+                    rows):
+    """Append one row per field d for the local function fn.
+
+    fn is norm-tested through memo, keyed by (d, the exact values of fn on
+    the subgroup classes): a function whose values were already decided
+    for d reuses that report.  The values pass through ``_as_fraction``
+    before the lookup, so a float still raises ``TypeError``, and enter the
+    key as (numerator, denominator) pairs, which hash faster than
+    ``Fraction``.  fn is called again by each norm test, so the sweeps
+    pass cached functions.
+    """
+    values = tuple(_as_fraction(fn(c.representative)).as_integer_ratio()
+                   for c in G.subgroup_classes())
     for d in fields:
-        rep = is_trivial_on_k_relations(fn, G, d, lattice=lattices[d])
+        rep = memo.get((d, values))
+        if rep is None:
+            rep = memo[d, values] = is_trivial_on_k_relations(
+                fn, G, d, lattice=lattices[d])
         detail = ""
         if not rep.trivial:
             places = ", ".join(str(v) for v in sorted(
@@ -270,6 +285,14 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
     to the quadratic character cutting out the semistability field.  Every
     row records one (configuration, quadratic field) verdict; the claim
     under test holds when every row passes.
+
+    The residue size q enters only the place, which is validated for every
+    q in the pool, and the ``dihedral`` switch (q = -1 mod the ramification
+    degree of delta); no local function reads q itself.  So each local
+    function is built once per parameter tuple and serves every q, and each
+    distinct function is norm-tested once per field: the call keeps one
+    memo keyed by (d, the function's values on the subgroup classes).
+    Every row is still emitted.
     """
     if case not in ("2C", "2D", "2M"):
         raise ValueError(f"unknown case {case!r}")
@@ -280,11 +303,11 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
 
     G, rotation, frobenius = build_metacyclic(spec)
     isub = G.closure([rotation])
-    whole = frozenset(range(G.order))
     if fields is None:
         fields = quadratic_probe_fields(G)
     lattices = {d: k_relation_basis(G, d) for d in fields}
     rows: list[TamagawaCheckRow] = []
+    memo: dict = {}  # (d, values on the subgroup classes) -> report
 
     if case in ("2C", "2D"):
         residue = 1 if case == "2C" else -1
@@ -300,6 +323,17 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
             # every (delta, q, flags) below
             fixed_det = functools.cache(functools.partial(
                 _unscaled_fixed_det, vrep, pairing, traces))
+
+        # one cached function per parameter tuple, shared by every q; its
+        # values are Fractions, the form the memo key reads them in
+        @functools.cache
+        def potgood(delta, du, bu, dihedral):
+            if dihedral:
+                return functools.cache(lambda h: fixed_det(h) / _fine_potgood(
+                    G, isub, wsub, delta, du, bu, True, h))
+            return functools.cache(lambda h: Fraction(_fine_potgood(
+                G, isub, wsub, delta, du, bu, False, h)))
+
         for delta in _DELTAS[spec.e]:
             fe = ram_degree(delta)
             for l, q in pool:
@@ -322,17 +356,9 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
                             dprime=dprime if dihedral else None)
                         _whole_group_place(G, isub, l, q, red)
                         flags = f"delta={delta} dsq={du:d} bsq={bu:d}"
-                        if dihedral:
-                            fn = (lambda h, delta=delta, du=du, bu=bu:
-                                  fixed_det(h)
-                                  / _fine_potgood(G, isub, wsub, delta, du, bu,
-                                                  True, h))
-                        else:
-                            fn = (lambda h, delta=delta, du=du, bu=bu:
-                                  _fine_potgood(G, isub, wsub, delta, du, bu,
-                                                False, h))
+                        fn = potgood(delta, du, bu, dihedral)
                         _check_function(case, spec, G, q, flags, fn,
-                                        fields, lattices, rows)
+                                        fields, lattices, memo, rows)
         return rows
 
     # case 2M: potentially multiplicative over any metacyclic shape
@@ -340,6 +366,13 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
     e1, f1 = len(isub), G.order // len(isub)
     halves = [c.representative for c in G.subgroup_classes()
               if 2 * c.order == G.order]
+
+    @functools.cache  # as potgood above: one function per parameters
+    def potmult(n, du, bu, dp):
+        return functools.cache(lambda h: Fraction(
+            _fine_potmult(G, isub, dp, n, du, bu, h)
+            * (len(h) if dp is not None and h <= dp else 1)))
+
     for n in (1, 2):
         for l, q in pool:
             for mc in _RAMIFIED_CLASSES:
@@ -360,16 +393,13 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
                                 SquareClassLocal(n % 2, du),
                                 _negated_class(mc, q), dprime=dp)
                             _whole_group_place(G, isub, l, q, red)
-                            fn = (lambda h, n=n, du=du, bu=bu, dp=dp:
-                                  _fine_potmult(G, isub, dp, n, du, bu, h)
-                                  * (len(h) if dp is not None and h <= dp
-                                     else 1))
+                            fn = potmult(n, du, bu, dp)
                             flags = (f"n={n}"
                                      f" mc=({mc.val_parity},{mc.unit_is_square:d})"
                                      f" dsq={du:d} bsq={bu:d}"
                                      f" dp={dp is not None:d}")
                             _check_function(case, spec, G, q, flags, fn,
-                                            fields, lattices, rows)
+                                            fields, lattices, memo, rows)
     return rows
 
 

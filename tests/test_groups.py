@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from krel.exactmath import factor_bounded
 from krel.groups import (
     GroupTooLargeError,
     PermGroup,
@@ -191,6 +192,90 @@ def test_d77_subgroup_count():
     classes = G.subgroup_classes()
     assert [c.order for c in classes] == [1, 2, 7, 11, 14, 22, 77, 154]
     assert sum(len(c.conjugates) for c in classes) == 100
+
+
+def elementary_abelian_2(k):
+    gens = []
+    for i in range(k):
+        g = list(range(2 * k))
+        g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(g))
+    return PermGroup(2 * k, gens, name=f"C2^{k}")
+
+
+def unpruned_subgroup_classes(G):
+    """Oracle: the breadth-first enumeration that closes <H, g> for every
+    prime-power-order seed g outside each frontier subgroup H, with no
+    coset pruning."""
+    seen, orbits = set(), []
+
+    def admit(sub):
+        if sub in seen:
+            return False
+        orbit = G._subgroup_orbit(sub, G.generator_indices)
+        orbits.append(orbit)
+        seen.update(orbit)
+        return True
+
+    admit(frozenset({0}))
+    seeds = [i for i in range(1, G.order)
+             if len(factor_bounded(G.element_order(i))) == 1]
+    frontier = []
+    for i in seeds:
+        sub = G.closure([i])
+        if admit(sub):
+            frontier.append(sub)
+    while frontier:
+        nxt = []
+        for H in frontier:
+            hgens = G.generating_indices(H)
+            for g in seeds:
+                if g in H:
+                    continue
+                K = G.closure(hgens + (g,))
+                if admit(K):
+                    nxt.append(K)
+        frontier = nxt
+    return G._label_classes(orbits)
+
+
+LATTICE_GROUPS = {
+    "C2^4": lambda: elementary_abelian_2(4),
+    "C2^5": lambda: elementary_abelian_2(5),
+    "D8": lambda: dihedral_group(8),
+    "Q8": quaternion_group,
+    "A4": alternating4_group,
+    "S4": s4,
+    "D21": lambda: dihedral_group(21),
+    "D77": lambda: dihedral_group(77),
+    "C4:C8": lambda: metacyclic_group(4, 8, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_GROUPS))
+def test_coset_pruned_lattice_matches_the_unpruned_enumeration(name):
+    G = LATTICE_GROUPS[name]()
+    got = G.subgroup_classes()
+    want = unpruned_subgroup_classes(LATTICE_GROUPS[name]())
+    assert got == want
+    assert [c.index for c in got] == list(range(len(got)))
+
+
+def test_coset_pruning_cuts_the_closures_of_c2_5(monkeypatch):
+    # the unpruned walk makes 10,452 closures on a cold C2^5
+    calls = [0]
+    real = PermGroup.closure
+
+    def counting(self, seeds):
+        calls[0] += 1
+        return real(self, seeds)
+    monkeypatch.setattr(PermGroup, "closure", counting)
+    G = elementary_abelian_2(5)
+    assert len(G.subgroup_classes()) == 374
+    assert calls[0] <= 10452 // 3
+    calls[0] = 0
+    assert len(unpruned_subgroup_classes(elementary_abelian_2(5))) == 374
+    assert calls[0] == 10452
 
 
 def test_subgroup_closure_invariant():

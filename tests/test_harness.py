@@ -230,11 +230,53 @@ def test_failure_detail_names_the_obstructed_places():
 
     rows = []
     _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags",
-                    three_on_reflections, (21,), {21: lattice}, rows)
+                    three_on_reflections, (21,), {21: lattice}, {}, rows)
     (row,) = rows
     assert not row.passed
     assert "not a norm from Q(sqrt 21), with local obstruction at 3, 7;" \
         in row.detail
+
+
+@pytest.mark.parametrize("case, spec", [("2D", MetacyclicSpec(4, 3, -1)),
+                                        ("2M", MetacyclicSpec(4, 2, -1))])
+def test_each_function_is_decided_once_per_field(monkeypatch, case, spec):
+    # within one call the norm test runs once per distinct (d, values on
+    # the subgroup classes), and the rows are those of a fresh memo per row
+    keys = Counter()
+    real_test = harness.is_trivial_on_k_relations
+
+    def counting(f, G, d, lattice=None):
+        keys[d, tuple(Fraction(f(c.representative))
+                      for c in G.subgroup_classes())] += 1
+        return real_test(f, G, d, lattice=lattice)
+    monkeypatch.setattr(harness, "is_trivial_on_k_relations", counting)
+    rows = appendix_tamagawa_check(case, spec)
+    shared = Counter(keys)
+
+    real_check = harness._check_function
+
+    def fresh(case, spec, G, q, flags, fn, fields, lattices, memo, rows):
+        for d in fields:
+            real_check(case, spec, G, q, flags, fn, (d,), lattices, {}, rows)
+    monkeypatch.setattr(harness, "_check_function", fresh)
+    keys.clear()
+    assert appendix_tamagawa_check(case, spec) == rows
+    assert sum(keys.values()) == len(rows)
+    assert shared == Counter(set(keys))
+    assert len(shared) < len(rows)
+
+
+def test_memo_still_rejects_float_values():
+    G = dihedral_group(21)
+    lattices = {-3: k_relation_basis(G, -3)}
+    memo, rows = {}, []
+    _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags",
+                    lambda h: len(h), (-3,), lattices, memo, rows)
+    assert len(memo) == 1 and len(rows) == 1
+    with pytest.raises(TypeError):
+        _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags",
+                        lambda h: float(len(h)), (-3,), lattices, memo, rows)
+    assert len(memo) == 1 and len(rows) == 1
 
 
 def test_place_structure_is_checked_once_per_key(monkeypatch):
