@@ -28,8 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEFAULT_TESTS = ("tests/test_curvelocal.py", "tests/test_parity.py",
                  "tests/test_harness.py", "tests/test_relations.py",
-                 "tests/test_regconst.py", "tests/test_groups.py")
+                 "tests/test_regconst.py", "tests/test_groups.py",
+                 "tests/test_groupdata.py")
 
+CHARACTERS = "src/krel/characters.py"
 CURVELOCAL = "src/krel/curvelocal.py"
 EXACTMATH = "src/krel/exactmath.py"
 GROUPS = "src/krel/groups.py"
@@ -109,13 +111,54 @@ MUTANTS = [
      "            rep = memo[values] = ",
      "appendix memo keyed without the field d"),
     (HARNESS,
-     "    values = tuple(_as_fraction(fn(c.representative))",
-     "    values = tuple((fn(c.representative))",
+     "    return tuple(_as_fraction(fn(c.representative))",
+     "    return tuple((fn(c.representative))",
      "appendix memo keyed on raw values, not _as_fraction"),
     (GROUPS,
      "                    used.update(self._mul[h][g] for h in H)",
      "                    used.update((g, self._mul[g][g]))",
      "subgroup lattice skips g and g^2, not the coset H*g"),
+    (CHARACTERS,
+     "    return tuple(mobius(m) * (phi // euler_phi(m))",
+     "    return tuple(mobius(m) * (phi // m)",
+     "trace of a root of unity mu(m)*phi(n)/phi(m) read as mu(m)*phi(n)/m"),
+    (CHARACTERS,
+     "            if orbit[0] < j:\n                out.append(out[orbit[0]])",
+     "            if 0 < j:\n                out.append(out[0])",
+     "every irreducible shares the first orbit's class weight row"),
+    (CHARACTERS,
+     "            if orbit[0] < j:\n                out.append(out[orbit[0]])",
+     "            if orbit[0] < j:\n                out.append(out[j - 1])",
+     "a Galois conjugate takes the weight row of the irreducible before it"),
+    (CHARACTERS,
+     "                row.append(row[head] if head < j else",
+     "                row.append(row[0] if head < j else",
+     "a Galois conjugate takes the first multiplicity of the row"),
+    (CHARACTERS,
+     "        if j is not None and j < len(irrs) and irrs[j] is chi:",
+     "        if j is not None:",
+     "irreducible_index trusts a table index it does not check"),
+    (RELATIONS,
+     "    got = data.k_lattices.get(cond)\n"
+     "    if got is None:\n"
+     "        got = data.k_lattices[cond] = ",
+     "    got = data.k_lattices.get(d > 0)\n"
+     "    if got is None:\n"
+     "        got = data.k_lattices[d > 0] = ",
+     "K-relation lattices kept by the sign of d, not the condition set"),
+    (HARNESS,
+     "                            fn, values = potmult(n, du, bu, dp)",
+     "                            fn, values = (potmult(n, du, bu, dp)[0],"
+     "\n                                          potmult(n, True, True,"
+     " dp)[1])",
+     "value vector shared across the unit flags of one (n, D')"),
+    (HARNESS,
+     "                        fn, values = potgood(delta, du, bu, dihedral)",
+     "                        fn, values = (potgood(delta, du, bu,"
+     " dihedral)[0],\n                                      potgood(delta,"
+     " True, True,"
+     " dihedral)[1])",
+     "value vector shared across the unit flags of one delta"),
 ]
 
 

@@ -37,11 +37,18 @@ Every rational reduction of character values instead reads the Galois
 means Tr(chi(g))/phi, one cached tuple per class function
 (``ClassFunction.galois_means``): class weights, Frobenius-Schur
 indicators, rational inner products, the orbit sums (|orbit| times the
-means) and the local root-number pairings of ``curvelocal``.
+means) and the local root-number pairings of ``curvelocal``.  For the
+irreducibles of the table the means come from the multisets too, once per
+Galois orbit and with no cyclotomic value: Tr(zeta_n^j)/phi(n) is
+mu(m)/phi(m) for m = n/gcd(n, j), so the class weights are integer sums
+(``GroupData.class_weights``), the means are the weights over the class
+sizes, and the multiplicity columns follow once per orbit.  Only a
+class function from outside the table takes its means from its values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -82,6 +89,9 @@ class ClassFunction:
     group: PermGroup
     values: tuple[CycNumber, ...]
     label: str | None = None
+    # the position of an irreducible in its group's character table; None
+    # for every other class function
+    table_index: int | None = None
 
     def __post_init__(self):
         self.values = tuple(
@@ -97,18 +107,29 @@ class ClassFunction:
     @cached_property
     def galois_means(self) -> tuple[Fraction, ...]:
         """Tr(v) / phi at each class: the mean of the Galois conjugates of
-        the value there (see :meth:`CycNumber.galois_mean`), for a
-        character or any Z-combination of characters.
+        the value there, for a character or any Z-combination of
+        characters.
 
         Every rational reduction of a character's values reads these: on a
         rational class o the values are the conjugates of the value at its
         first class, each equally often, so they sum to |o| times its mean.
-        The mean is therefore taken at the first class of each rational
-        class only, once per class function, and shared by its classes.
+        The mean is therefore one per rational class, shared by its
+        classes.  An irreducible of the table reads it from its class
+        weights (:attr:`GroupData.class_weights`), which come from the
+        table's multisets; any other class function from its value at the
+        first class of each rational class (see
+        :meth:`CycNumber.galois_mean`).
         """
+        data = self.group.data
+        if self.table_index is not None:
+            per_class = [Fraction(w, s) for w, s in zip(
+                data.class_weights[self.table_index],
+                data.rational_class_sizes)]
+        else:
+            per_class = [self.values[o[0]].galois_mean()
+                         for o in data.rational_classes]
         means: list[Fraction] = [Fraction(0)] * len(self.values)
-        for orbit in self.group.data.rational_classes:
-            m = self.values[orbit[0]].galois_mean()
+        for orbit, m in zip(data.rational_classes, per_class):
             for c in orbit:
                 means[c] = m
         return tuple(means)
@@ -402,6 +423,16 @@ def _galois_stabiliser(G: PermGroup, multisets, memo: dict
         if len(fixed) < euler_phi(n):
             stab = tuple(k for k in stab if k % n in fixed)
     return stab
+
+
+@functools.cache
+def _root_traces(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^j) for j in [0, n), the trace to Q: the Galois mean of
+    zeta_n^j is mu(m) / phi(m), m = n / gcd(n, j), so the trace is
+    mu(m) * phi(n) / phi(m), an integer."""
+    phi = euler_phi(n)
+    return tuple(mobius(m) * (phi // euler_phi(m))
+                 for m in (n // math.gcd(n, j) for j in range(n)))
 
 
 def _relabel(multisets, k: int, orders) -> tuple:
@@ -734,11 +765,11 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
 
     # Inner products are computed through traces of roots of unity: classes
     # group into rational classes, and on each the summands are a full
-    # Galois orbit, so Tr(zeta_n^m) = mu(d)*phi(n)/phi(d), d = n/gcd(n, m),
-    # gives the exact value.  <a, b> = 1/|G| * sum over rational classes o
-    # of |c|*|o|*tr/phi(n); scaled by |G|*L, L = lcm of the phi(n), every
-    # term is an integer, so comparing the integer sum with |G|*L*delta_ab
-    # is the same check with no fractions.  Laid out flat over the pairs
+    # Galois orbit, so Tr(zeta_n^m) (_root_traces) gives the exact value.
+    # <a, b> = 1/|G| * sum over rational classes o of |c|*|o|*tr/phi(n);
+    # scaled by |G|*L, L = lcm of the phi(n), every term is an integer, so
+    # comparing the integer sum with |G|*L*delta_ab is the same check with
+    # no fractions.  Laid out flat over the pairs
     # (o, m), m mod n, the sum is one dot product: the multiplicities c_a
     # of a at the first class g of each o, read at their positions (o, m),
     # against v_b(o, m) = |c|*|o|*L/phi(n) * sum of c_b*Tr(zeta_n^(m + m_b))
@@ -747,12 +778,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # a row, so that checks every pair.  Among heads, b >= a suffices.
     levels = {n for _, n, _ in lifts}
     lcm_phi = math.lcm(*(euler_phi(n) for n in levels))
-    traces = {}
-    for n in levels:
-        traces[n] = []
-        for m in range(n):
-            d = n // math.gcd(n, m)
-            traces[n].append(mobius(d) * (euler_phi(n) // euler_phi(d)))
+    traces = {n: _root_traces(n) for n in levels}
     weights = [(i, n, sizes[i] * len(members) * (lcm_phi // euler_phi(n)))
                for i, n, members in lifts]
     offsets = [0]
@@ -812,7 +838,8 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     order_idx = sorted(
         range(len(rows)),
         key=lambda a: (rows[a][0], -len(stabs[a]), keys_of[a]))
-    irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}")
+    irrs = [ClassFunction(G, values_of[a], label=f"chi_{k + 1}",
+                          table_index=k)
             for k, a in enumerate(order_idx)]
     members: dict[int, list[int]] = {}
     for t, a in enumerate(order_idx):
@@ -908,9 +935,11 @@ def _fundamental_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
+@functools.lru_cache(maxsize=1024)
 def _quadratic_subfields(e: int, stab: tuple[int, ...]) -> tuple[int, ...]:
     """Squarefree d != 1 with Q(sqrt(d)) in Q(zeta_e) fixed by ``stab``;
-    an empty ``stab`` gives every quadratic subfield of Q(zeta_e)."""
+    an empty ``stab`` gives every quadratic subfield of Q(zeta_e).  A pure
+    function of ints, kept per (e, stab)."""
     subfields = []
     for d in range(-e, e + 1):
         if d in (0, 1):
@@ -946,7 +975,13 @@ class GroupData:
     Reached as ``G.data``.  Nothing is computed at construction, so a group
     that is used briefly pays only for what it asks for.  Returned lists
     are shared: callers must not mutate them.  The Brauer relations, for
-    one, are put in Hermite form once, as :attr:`brauer_kernel`.
+    one, are put in Hermite form once, as :attr:`brauer_kernel`.  What
+    depends on an irreducible only through its Galois orbit is computed
+    once per orbit from the table's integer multisets: the Galois means,
+    the class weights and the multiplicity columns.  The K-relation
+    lattice of a quadratic field depends only on its set of parity
+    conditions (:attr:`parity_masks`), so it is reduced once per set and
+    kept in ``k_lattices``.
     """
 
     def __init__(self, group: PermGroup):
@@ -966,6 +1001,10 @@ class GroupData:
         # D_v -> subgroup_as_group(G, D_v), the carrier of a place's data
         self.carriers: dict[frozenset[int],
                             tuple[PermGroup, dict[int, int]]] = {}
+        # the parity conditions of a quadratic field, as a frozenset of
+        # parity_masks -> (Hermite rows, odd masks) of its K-relation
+        # lattice, for krel.relations.k_relation_basis
+        self.k_lattices: dict[frozenset[int], tuple] = {}
 
     @cached_property
     def units(self) -> tuple[int, ...]:
@@ -1020,17 +1059,32 @@ class GroupData:
     @cached_property
     def class_weights(self) -> list[list[int]]:
         """w[j][o]: the sum of chi_j over the o-th rational class, an
-        integer: its size times the Galois mean of chi_j there."""
-        out = []
-        reps = [o[0] for o in self.rational_classes]
-        for j, chi in enumerate(character_table(self.group).irreducibles):
-            means = chi.galois_means
-            row = [s * means[c]
-                   for c, s in zip(reps, self.rational_class_sizes)]
-            if any(w.denominator != 1 for w in row):
+        integer: its size times the Galois mean of chi_j at its first class
+        g, read from the table's multisets with no cyclotomic value.
+
+        Where rho(g) has the eigenvalue zeta_n^k c_k times, n = ord g, the
+        mean is the sum of c_k Tr(zeta_n^k) over phi(n), the traces being
+        integers (``_root_traces``); the size is a multiple of phi(n).
+        Galois conjugates have equal means, so each orbit's row is
+        computed once, at its least member, and shared by the others.
+        """
+        table = character_table(self.group)
+        scales = [(s, euler_phi(n), _root_traces(n)) for s, n in zip(
+            self.rational_class_sizes, self.rational_class_orders)]
+        out: list[list[int]] = []
+        for j, (multisets, orbit) in enumerate(zip(table.multisets,
+                                                   table.orbits)):
+            if orbit[0] < j:
+                out.append(out[orbit[0]])
+                continue
+            sums = [s * sum(tr[k] * c for k, c in ms)
+                    for (s, _, tr), ms in zip(scales, multisets)]
+            if any(x % phi for x, (_, phi, _) in zip(sums, scales)):
+                row = [Fraction(x, phi)
+                       for x, (_, phi, _) in zip(sums, scales)]
                 raise ExactCheckError(
                     f"class weights {row} of chi_{j + 1} are not integers")
-            out.append([int(w) for w in row])
+            out.append([x // phi for x, (_, phi, _) in zip(sums, scales)])
         return out
 
     @cached_property
@@ -1041,11 +1095,14 @@ class GroupData:
         number constant on rational classes, so |G| * mult[i][j] is the
         dot product of these counts with the class weights of chi_j.  The
         count is 0 on a rational class that misses H, so the dot product
-        runs over the rational classes that meet H only.
+        runs over the rational classes that meet H only.  Galois
+        conjugates share their weights, so there is one dot product per
+        orbit, at its least member.
         """
         G = self.group
         classes = G.conjugacy_classes()
         weights = self.class_weights
+        heads = [orbit[0] for orbit in character_table(G).orbits]
         rows = []
         for cls in G.subgroup_classes():
             hits = Counter(G.class_of(h) for h in cls.representative)
@@ -1055,9 +1112,22 @@ class GroupData:
                      for o, orbit in enumerate(self.rational_classes)
                      if hits[orbit[0]]]
             what = f"multiplicity in [{cls.id}]"
-            rows.append([exact_quotient(sum(f * wj[o] for o, f in fixed),
-                                        G.order, what) for wj in weights])
+            row: list[int] = []
+            for j, head in enumerate(heads):
+                row.append(row[head] if head < j else exact_quotient(
+                    sum(f * weights[j][o] for o, f in fixed), G.order, what))
+            rows.append(row)
         return rows
+
+    @cached_property
+    def parity_masks(self) -> tuple[int, ...]:
+        """For each irreducible chi_j, the int whose bit i is set when
+        mult[i][j] is odd: a relation theta has an even multiplicity of
+        chi_j exactly when its odd coefficients meet this mask in an even
+        number of classes."""
+        rows = self.multiplicity_rows
+        return tuple(sum(1 << i for i, row in enumerate(rows) if row[j] & 1)
+                     for j in range(len(rows[0])))
 
     @cached_property
     def multiplicity_matrix(self) -> list[list[int]]:
@@ -1117,21 +1187,15 @@ class GroupData:
             ))
         return tuple(out)
 
-    @cached_property
-    def irreducible_ids(self) -> dict[int, int]:
-        """id(chi_j) -> j for the irreducibles of the table, which the
-        table keeps alive."""
-        return {id(chi): j for j, chi
-                in enumerate(character_table(self.group).irreducibles)}
-
     def irreducible_index(self, chi: ClassFunction) -> int | None:
-        """Position of chi in the table, or None: by identity, then, for a
-        chi from outside the table, by value."""
-        j = self.irreducible_ids.get(id(chi))
-        if j is None:
-            irrs = character_table(self.group).irreducibles
-            j = next((j for j, c in enumerate(irrs) if c == chi), None)
-        return j
+        """Position of chi in the table, or None: its ``table_index`` when
+        chi is that irreducible of the table, and otherwise, for a chi from
+        outside the table, by value."""
+        irrs = character_table(self.group).irreducibles
+        j = chi.table_index
+        if j is not None and j < len(irrs) and irrs[j] is chi:
+            return j
+        return next((j for j, c in enumerate(irrs) if c == chi), None)
 
     def orbit_target(self, j: int) -> tuple[int, ...]:
         """Indicator vector of the Galois orbit of chi_j."""

@@ -243,20 +243,24 @@ def _unscaled_fixed_det(rep: MatrixRep, pairing, traces, h: frozenset[int]):
     return matrix_fixed_det(rep, pairing, h) * Fraction(len(h)) ** dimfix
 
 
-def _check_function(case, spec, G, q, flags, fn, fields, lattices, memo,
-                    rows):
+def _value_vector(G, fn) -> tuple[tuple[int, int], ...]:
+    """The values of fn on the subgroup classes, as (numerator,
+    denominator) pairs: the memo key of :func:`_check_function`.  Each
+    value passes through ``_as_fraction``, so a float raises
+    ``TypeError``; the pairs hash faster than ``Fraction``."""
+    return tuple(_as_fraction(fn(c.representative)).as_integer_ratio()
+                 for c in G.subgroup_classes())
+
+
+def _check_function(case, spec, G, q, flags, fn, values, fields, lattices,
+                    memo, rows):
     """Append one row per field d for the local function fn.
 
-    fn is norm-tested through memo, keyed by (d, the exact values of fn on
-    the subgroup classes): a function whose values were already decided
-    for d reuses that report.  The values pass through ``_as_fraction``
-    before the lookup, so a float still raises ``TypeError``, and enter the
-    key as (numerator, denominator) pairs, which hash faster than
-    ``Fraction``.  fn is called again by each norm test, so the sweeps
-    pass cached functions.
+    fn is norm-tested through memo, keyed by (d, values), values being
+    fn's :func:`_value_vector`: a function whose values were already
+    decided for d reuses that report.  fn is called again by each norm
+    test, so the sweeps pass cached functions.
     """
-    values = tuple(_as_fraction(fn(c.representative)).as_integer_ratio()
-                   for c in G.subgroup_classes())
     for d in fields:
         rep = memo.get((d, values))
         if rep is None:
@@ -289,10 +293,13 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
     The residue size q enters only the place, which is validated for every
     q in the pool, and the ``dihedral`` switch (q = -1 mod the ramification
     degree of delta); no local function reads q itself.  So each local
-    function is built once per parameter tuple and serves every q, and each
-    distinct function is norm-tested once per field: the call keeps one
-    memo keyed by (d, the function's values on the subgroup classes).
-    Every row is still emitted.
+    function and its vector of values on the subgroup classes
+    (:func:`_value_vector`) are built once per parameter tuple and serve
+    every q, and each distinct function is norm-tested once per field: the
+    call keeps one memo keyed by (d, that vector).  The K-relation basis
+    of each field comes from ``k_relation_basis``, which reduces one
+    lattice per set of parity conditions of the group.  Every row is still
+    emitted, in order.
     """
     if case not in ("2C", "2D", "2M"):
         raise ValueError(f"unknown case {case!r}")
@@ -324,15 +331,17 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
             fixed_det = functools.cache(functools.partial(
                 _unscaled_fixed_det, vrep, pairing, traces))
 
-        # one cached function per parameter tuple, shared by every q; its
-        # values are Fractions, the form the memo key reads them in
+        # one cached function and its value vector per parameter tuple,
+        # shared by every q
         @functools.cache
         def potgood(delta, du, bu, dihedral):
             if dihedral:
-                return functools.cache(lambda h: fixed_det(h) / _fine_potgood(
+                fn = functools.cache(lambda h: fixed_det(h) / _fine_potgood(
                     G, isub, wsub, delta, du, bu, True, h))
-            return functools.cache(lambda h: Fraction(_fine_potgood(
-                G, isub, wsub, delta, du, bu, False, h)))
+            else:
+                fn = functools.cache(lambda h: Fraction(_fine_potgood(
+                    G, isub, wsub, delta, du, bu, False, h)))
+            return fn, _value_vector(G, fn)
 
         for delta in _DELTAS[spec.e]:
             fe = ram_degree(delta)
@@ -356,8 +365,8 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
                             dprime=dprime if dihedral else None)
                         _whole_group_place(G, isub, l, q, red)
                         flags = f"delta={delta} dsq={du:d} bsq={bu:d}"
-                        fn = potgood(delta, du, bu, dihedral)
-                        _check_function(case, spec, G, q, flags, fn,
+                        fn, values = potgood(delta, du, bu, dihedral)
+                        _check_function(case, spec, G, q, flags, fn, values,
                                         fields, lattices, memo, rows)
         return rows
 
@@ -369,9 +378,10 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
 
     @functools.cache  # as potgood above: one function per parameters
     def potmult(n, du, bu, dp):
-        return functools.cache(lambda h: Fraction(
+        fn = functools.cache(lambda h: Fraction(
             _fine_potmult(G, isub, dp, n, du, bu, h)
             * (len(h) if dp is not None and h <= dp else 1)))
+        return fn, _value_vector(G, fn)
 
     for n in (1, 2):
         for l, q in pool:
@@ -393,13 +403,14 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
                                 SquareClassLocal(n % 2, du),
                                 _negated_class(mc, q), dprime=dp)
                             _whole_group_place(G, isub, l, q, red)
-                            fn = potmult(n, du, bu, dp)
+                            fn, values = potmult(n, du, bu, dp)
                             flags = (f"n={n}"
                                      f" mc=({mc.val_parity},{mc.unit_is_square:d})"
                                      f" dsq={du:d} bsq={bu:d}"
                                      f" dp={dp is not None:d}")
                             _check_function(case, spec, G, q, flags, fn,
-                                            fields, lattices, memo, rows)
+                                            values, fields, lattices, memo,
+                                            rows)
     return rows
 
 

@@ -131,24 +131,28 @@ class KRelationLattice:
     """The K-relations for K = Q(sqrt(d)), or the Brauer relations when d
     is BRAUER.  Invariant: the basis is the row Hermite form that
     :func:`hermite_row_basis` writes, over ``subgroup_classes()``; both
-    constructors return it, and :meth:`contains` relies on it."""
+    constructors return it, and :meth:`contains` relies on it.
+
+    ``odd_masks`` holds, for each basis element, the int whose bit i is set
+    when its coefficient at the i-th subgroup class is odd; it is read
+    from the basis when not given.
+    """
 
     group: PermGroup
     d: int | str
     basis: list[dict[str, int]]
+    odd_masks: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.odd_masks is None:
+            by_id = self.group.subgroup_class_by_id
+            self.odd_masks = tuple(sum(1 << by_id(cid).index
+                                       for cid, c in theta.items() if c % 2)
+                                   for theta in self.basis)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    @functools.cached_property
-    def odd_masks(self) -> tuple[int, ...]:
-        """For each basis element, the int whose bit i is set when its
-        coefficient at the i-th subgroup class is odd."""
-        by_id = self.group.subgroup_class_by_id
-        return tuple(sum(1 << by_id(cid).index
-                         for cid, c in theta.items() if c % 2)
-                     for theta in self.basis)
 
     def contains(self, theta: dict[str, int]) -> bool:
         rows = [_theta_vector(self.group, b) for b in self.basis]
@@ -213,28 +217,43 @@ def k_relation_basis(G: PermGroup, d: int) -> KRelationLattice:
     The parity conditions of :func:`is_k_relation` cut out
     L = lift(V) + 2Z^s, V their GF(2) kernel; the basis is the Hermite form
     of L, written straight from the reduced echelon form of V (see
-    :func:`gf2_relation_lattice`).  The basis is checked against the same
-    conditions as bit masks: the odd coefficients of each element meet the
-    odd multiplicities of each condition in an even number of classes.  So
-    the check adds no verdict to the memo.
+    :func:`gf2_relation_lattice`).  Each condition is the parity mask of an
+    irreducible chi with [K : K ∩ Q(chi)] = 2
+    (:attr:`~krel.characters.GroupData.parity_masks`), and L depends on d
+    only through that set of masks: the rows and their odd masks are made
+    once per set and kept in ``G.data.k_lattices``, and every d gets its
+    own lattice with fresh basis dicts.  A new set is checked against its
+    conditions as bit masks: s distinct leading columns, and the odd
+    coefficients of each element meeting each condition in an even number
+    of classes.  So the check adds no verdict to the memo.
     """
     _check_quadratic(d)
+    data = G.data
     classes = G.subgroup_classes()
-    s = len(classes)
-    mult = _multiplicity_rows(G)
-    cond = {int("".join(str(mult[i][j] & 1) for i in reversed(range(s))), 2)
-            for j, fd in enumerate(G.data.field_data)
-            if fd.degree_factor(d) == 2}
+    cond = frozenset(mask for mask, fd in zip(data.parity_masks,
+                                              data.field_data)
+                     if fd.degree_factor(d) == 2)
+    got = data.k_lattices.get(cond)
+    if got is None:
+        got = data.k_lattices[cond] = _k_lattice_rows(cond, len(classes))
+    rows, odd_masks = got
+    return KRelationLattice(G, d, [{classes[i].id: c for i, c in v.items()}
+                                   for v in rows], odd_masks)
+
+
+def _k_lattice_rows(cond: frozenset[int], s: int
+                    ) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    """The checked Hermite rows of :func:`k_relation_basis` for one set of
+    parity conditions, with the odd mask of each row."""
     rows = gf2_relation_lattice(cond, s)
     # rank: s rows with distinct leading columns
     if len({min(v) for v in rows}) != s:
         raise ExactCheckError(f"K-relation lattice has rank < {s}")
-    lat = KRelationLattice(G, d, [{classes[i].id: c for i, c in v.items()}
-                                  for v in rows])
-    if any((mask & c).bit_count() % 2
-           for mask in lat.odd_masks for c in cond):
+    odd_masks = tuple(sum(1 << i for i, c in v.items() if c % 2)
+                      for v in rows)
+    if any((mask & c).bit_count() % 2 for mask in odd_masks for c in cond):
         raise ExactCheckError("K-relation basis element fails the parity test")
-    return lat
+    return rows, odd_masks
 
 
 def find_norm_relation(G: PermGroup,

@@ -1,13 +1,16 @@
 """Character Galois data from the table's integer multisets and cached
 Galois means, against the value-key and class-sum forms they replaced
-(kept in ``character_oracles``).  Also a guard that the Galois means of a
-character are computed once, not on every indicator or root-sign call."""
+(kept in ``character_oracles``).  Also guards that the irreducibles of the
+table take their Galois means from the multisets, with no cyclotomic
+mean, and that any other class function computes its means once, not on
+every indicator or root-sign call."""
 
 import random
 
 import pytest
 
 from krel.characters import (
+    ClassFunction,
     char_field_data,
     character_table,
     fs_indicator,
@@ -78,6 +81,20 @@ def test_the_group_list():
     assert len(GROUPS) == 9 + 29 + 38 + 5 - 3
 
 
+def check_means_and_weights(G, irrs):
+    # a copy from outside the table takes its means from its values
+    assert [chi.galois_means for chi in irrs] \
+        == [ClassFunction(G, chi.values).galois_means for chi in irrs]
+    assert G.data.class_weights == oracle.class_weights(G)
+
+
+@pytest.mark.parametrize("name", ["D77", "D128"])
+def test_means_of_larger_tables_match_the_values_route(name):
+    # two larger groups whose tables have many Galois orbits
+    G = dihedral_group(int(name[1:]))
+    check_means_and_weights(G, character_table(G).irreducibles)
+
+
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_galois_data_matches_the_value_key_forms(name):
     G = GROUPS[name]()
@@ -98,15 +115,10 @@ def test_galois_data_matches_the_value_key_forms(name):
         for chi in irrs:
             assert rational_inner_product(chi, a.sum_values) \
                 == oracle.rational_inner_product(chi, b.sum_values)
-    assert G.data.class_weights == oracle.class_weights(G)
+    check_means_and_weights(G, irrs)
 
 
-def test_galois_means_are_computed_once_per_character(monkeypatch):
-    G = s4()
-    irrs = character_table(G).irreducibles
-    r = len(irrs)
-    model = synthetic_model(G, random.Random(3), max_places=3,
-                            rational_base=True)
+def counted_galois_means(monkeypatch):
     calls = []
     plain = CycNumber.galois_mean
 
@@ -115,8 +127,41 @@ def test_galois_means_are_computed_once_per_character(monkeypatch):
         return plain(self)
 
     monkeypatch.setattr(CycNumber, "galois_mean", counted)
+    return calls
+
+
+def test_galois_means_are_computed_once_per_character(monkeypatch):
+    G = s4()
+    irrs = character_table(G).irreducibles
+    copies = [ClassFunction(G, chi.values) for chi in irrs]
+    r = len(irrs)
+    model = synthetic_model(G, random.Random(3), max_places=3,
+                            rational_base=True)
+    calls = counted_galois_means(monkeypatch)
     for _ in range(20):
         for chi in irrs:
             fs_indicator(chi)
             global_root_sign(model, chi)
+    # the table's irreducibles read the multisets
+    assert calls == []
+    # class functions from outside the table read their values, once each
+    for _ in range(20):
+        for chi in copies:
+            fs_indicator(chi)
+            global_root_sign(model, chi)
     assert 0 < len(calls) <= r * r
+
+
+@pytest.mark.parametrize("name", ["C12:C4", "D21", "spec6.2.-1", "C2^5"])
+def test_fresh_group_computes_no_cyclotomic_mean(monkeypatch, name):
+    G = GROUPS[name]()
+    calls = counted_galois_means(monkeypatch)
+    G.data.multiplicity_rows
+    taus = rational_irreducibles(G)
+    assert calls == []
+    # the orbit sums and indicators were read from the multisets
+    assert all(tau.sum_values.is_rational() for tau in taus)
+    assert [tau.indicator for tau in taus] \
+        == [oracle.fs_indicator(tau.constituent) for tau in taus]
+    # the oracle reads the values, through the counter
+    assert len(calls) > 0

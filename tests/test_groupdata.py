@@ -2,8 +2,6 @@
 cyclotomic inner-product oracle, the memoised permutation multiples, and
 the exact checks that guard them."""
 
-from fractions import Fraction
-
 import pytest
 
 from krel.characters import (
@@ -111,23 +109,29 @@ def test_memoised_multiples_are_fresh_and_agree(name):
         assert data.perm_multiple(target) == (sol.minimal_m, tuple(x))
 
 
-def corrupt_last_irreducible(G, factor):
-    table = character_table(G)
-    chi = table.irreducibles[-1]
-    table.irreducibles[-1] = ClassFunction(
-        G, tuple(v * factor for v in chi.values))
-
-
 def test_non_integral_class_weight_raises():
+    # the weights are read from the multisets at the element orders; the
+    # size of a rational class is a multiple of phi(ord g), so they are
+    # integers at the true orders, and an involution read as of order 3
+    # gives the sign character the weight 3 * (-1/2)
     G = dihedral_group(3)
-    corrupt_last_irreducible(G, Fraction(1, 3))
+    data = G.data
+    character_table(G)
+    data.rational_class_orders = tuple(3 if n == 2 else n
+                                       for n in data.rational_class_orders)
     with pytest.raises(ExactCheckError, match="class weight"):
         _multiplicity_rows(G)
 
 
 def test_non_integral_multiplicity_raises():
+    # the degree-2 character read as having the one eigenvalue 1 on an
+    # involution: its multiplicity in C[S3/C2] becomes (3*2 + 1*3)/6
     G = dihedral_group(3)
-    corrupt_last_irreducible(G, Fraction(1, 2))
+    data = G.data
+    table = character_table(G)
+    table.multisets[-1] = tuple(
+        ((0, 1),) if n == 2 else ms
+        for ms, n in zip(table.multisets[-1], data.rational_class_orders))
     with pytest.raises(ExactCheckError, match="multiplicity"):
         _multiplicity_rows(G)
 
@@ -145,3 +149,23 @@ def test_means_and_class_weights_match_the_all_class_formula(name):
     assert data.class_weights == [
         [s * means[c] for c, s in zip(reps, data.rational_class_sizes)]
         for means in old]
+
+
+def test_irreducible_index_reads_the_table_position():
+    G, H = dihedral_group(5), dihedral_group(5)
+    irrs = character_table(G).irreducibles
+    assert [chi.table_index for chi in irrs] == list(range(len(irrs)))
+    assert [G.data.irreducible_index(chi) for chi in irrs] \
+        == list(range(len(irrs)))
+    # a copy from outside the table is found by value
+    copy = ClassFunction(G, irrs[2].values)
+    assert copy.table_index is None
+    assert G.data.irreducible_index(copy) == 2
+    # an irreducible of another group's table is not one of G's, though
+    # it has a table index
+    other = character_table(H).irreducibles[2]
+    assert other.table_index == 2
+    assert G.data.irreducible_index(other) is None
+    # a class function whose table index is not its own is found by value
+    twisted = ClassFunction(G, irrs[3].values, table_index=2)
+    assert G.data.irreducible_index(twisted) == 3

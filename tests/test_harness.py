@@ -10,7 +10,7 @@ import pytest
 from krel import curvelocal, harness, relations
 from krel.groups import cyclic_group, dihedral_group, metacyclic_group
 from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
-                          appendix_differential_check,
+                          _value_vector, appendix_differential_check,
                           appendix_tamagawa_check, build_metacyclic,
                           lemma_b3_check, quadratic_probe_fields,
                           quadratic_subfields_of_fixed_field)
@@ -230,7 +230,9 @@ def test_failure_detail_names_the_obstructed_places():
 
     rows = []
     _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags",
-                    three_on_reflections, (21,), {21: lattice}, {}, rows)
+                    three_on_reflections,
+                    _value_vector(G, three_on_reflections), (21,),
+                    {21: lattice}, {}, rows)
     (row,) = rows
     assert not row.passed
     assert "not a norm from Q(sqrt 21), with local obstruction at 3, 7;" \
@@ -255,9 +257,11 @@ def test_each_function_is_decided_once_per_field(monkeypatch, case, spec):
 
     real_check = harness._check_function
 
-    def fresh(case, spec, G, q, flags, fn, fields, lattices, memo, rows):
+    def fresh(case, spec, G, q, flags, fn, values, fields, lattices, memo,
+              rows):
         for d in fields:
-            real_check(case, spec, G, q, flags, fn, (d,), lattices, {}, rows)
+            real_check(case, spec, G, q, flags, fn, values, (d,), lattices,
+                       {}, rows)
     monkeypatch.setattr(harness, "_check_function", fresh)
     keys.clear()
     assert appendix_tamagawa_check(case, spec) == rows
@@ -270,13 +274,42 @@ def test_memo_still_rejects_float_values():
     G = dihedral_group(21)
     lattices = {-3: k_relation_basis(G, -3)}
     memo, rows = {}, []
-    _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags",
-                    lambda h: len(h), (-3,), lattices, memo, rows)
+    order = lambda h: len(h)  # noqa: E731
+    _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags", order,
+                    _value_vector(G, order), (-3,), lattices, memo, rows)
     assert len(memo) == 1 and len(rows) == 1
     with pytest.raises(TypeError):
-        _check_function("2D", MetacyclicSpec(3, 1, -1), G, 5, "flags",
-                        lambda h: float(len(h)), (-3,), lattices, memo, rows)
+        _value_vector(G, lambda h: float(len(h)))
     assert len(memo) == 1 and len(rows) == 1
+
+
+@pytest.mark.parametrize("case, spec", [("2C", MetacyclicSpec(3, 2, 1)),
+                                        ("2D", MetacyclicSpec(4, 3, -1)),
+                                        ("2M", MetacyclicSpec(4, 2, -1))])
+def test_value_vectors_are_built_once_per_local_function(monkeypatch, case,
+                                                        spec):
+    # each local function gets its value vector once, shared by every q,
+    # and that vector is the function's own
+    built = []
+    real_vector = harness._value_vector
+
+    def counting(G, fn):
+        built.append(fn)
+        return real_vector(G, fn)
+    monkeypatch.setattr(harness, "_value_vector", counting)
+    passed = []
+    real_check = harness._check_function
+
+    def recording(case, spec, G, q, flags, fn, values, *rest):
+        passed.append((G, fn, values))
+        real_check(case, spec, G, q, flags, fn, values, *rest)
+    monkeypatch.setattr(harness, "_check_function", recording)
+    appendix_tamagawa_check(case, spec)
+    fns = {id(fn): fn for _, fn, _ in passed}
+    assert len(built) == len(fns) < len(passed)
+    assert {id(fn) for fn in built} == set(fns)
+    for G, fn, values in passed:
+        assert values == real_vector(G, fn)
 
 
 def test_place_structure_is_checked_once_per_key(monkeypatch):

@@ -30,8 +30,11 @@ from krel.groups import (
     quaternion_group,
     subgroup_as_group,
 )
+from krel.harness import (MetacyclicSpec, build_metacyclic,
+                          quadratic_probe_fields)
 from krel.relations import (
     BRAUER,
+    KRelationLattice,
     LocalFn,
     brauer_basis,
     coset_profile,
@@ -45,6 +48,7 @@ from krel.relations import (
 )
 
 from character_oracles import galois_orbit
+from test_lift_and_lattice import TABLE_GROUPS
 
 SAMPLE = {}
 
@@ -288,8 +292,67 @@ def test_corrupt_k_relation_basis_is_refused(monkeypatch):
                 for c, v in enumerate(real(cond, s))]
 
     monkeypatch.setattr(relations, "gf2_relation_lattice", halved)
+    # a fresh group: the shared sample may already keep its lattice
+    S3 = group_from_cycles(3, ["(1 2)", "(1 2 3)"], name="S3")
     with pytest.raises(ExactCheckError, match="parity"):
-        k_relation_basis(sample("S3"), -1)
+        k_relation_basis(S3, -1)
+
+
+def string_row_basis(G, d):
+    """k_relation_basis as it was before the lattices were kept per set of
+    conditions: each parity row rebuilt as a string, and the lattice
+    reduced, for every d."""
+    classes = G.subgroup_classes()
+    s = len(classes)
+    mult = G.data.multiplicity_rows
+    cond = {int("".join(str(mult[i][j] & 1) for i in reversed(range(s))), 2)
+            for j, fd in enumerate(G.data.field_data)
+            if fd.degree_factor(d) == 2}
+    rows = relations.gf2_relation_lattice(cond, s)
+    return [{classes[i].id: c for i, c in v.items()} for v in rows], cond
+
+
+@pytest.mark.parametrize("name", list(TABLE_GROUPS))
+def test_kept_lattices_match_the_string_row_route(name):
+    G = TABLE_GROUPS[name]()
+    for d in quadratic_probe_fields(G):
+        lat = k_relation_basis(G, d)
+        want, _ = string_row_basis(G, d)
+        assert lat.d == d and lat.group is G
+        assert lat.basis == want
+        assert lat.odd_masks == KRelationLattice(G, d, want).odd_masks
+
+
+def test_one_lattice_per_condition_set(monkeypatch):
+    G = build_metacyclic(MetacyclicSpec(4, 3, -1))[0]  # order 32, cold
+    fields = quadratic_probe_fields(G)
+    conds = {frozenset(string_row_basis(G, d)[1]) for d in fields}
+    calls = []
+    real = relations.gf2_relation_lattice
+
+    def counting(cond, s):
+        calls.append(frozenset(cond))
+        return real(cond, s)
+    monkeypatch.setattr(relations, "gf2_relation_lattice", counting)
+    for _ in range(2):
+        for d in fields:
+            k_relation_basis(G, d)
+    assert sorted(calls, key=sorted) == sorted(conds, key=sorted)
+    assert len(calls) < len(fields)
+
+
+def test_returned_bases_are_fresh():
+    G = dihedral_group(12)
+    first = k_relation_basis(G, -1)
+    want = [dict(b) for b in first.basis]
+    # -1 and 2 give one condition set on D12: the character field is Q(sqrt 3)
+    assert G.data.field_data[-1].quadratic_subfields == (3,)
+    for b in first.basis:
+        b.clear()
+    first.basis.clear()
+    again = k_relation_basis(G, 2)
+    assert again.basis == want and again.d == 2
+    assert k_relation_basis(G, -1).basis == want
 
 
 # ---------------------------------------------------------------------------
