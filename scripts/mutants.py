@@ -10,10 +10,13 @@ the checkout's ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory, applies the replacement there, runs ``pytest -x -q`` on the test
 files (default ``DEFAULT_TESTS``) and prints a table: ``killed`` when some
 test failed, ``SURVIVED`` when all passed, ``error`` for any other pytest
-exit status.  The unmutated copy is run first and must pass.  The checkout
-itself is never changed.  An ``old`` text that does not occur exactly once
-in its file is an error.  Standard library only, apart from pytest itself;
-the exit status is 1 when a mutant survives or errs.
+exit status.  The mutants of ``EQUIVALENT`` change no verdict that parity
+can see; each carries its reason, and one that passes every test reads
+``equivalent``.  The unmutated copy is run first and must pass.  The
+checkout itself is never changed.  An ``old`` text that does not occur
+exactly once in its file is an error.  Standard library only, apart from
+pytest itself; the exit status is 1 when a mutant of ``MUTANTS`` survives
+or any mutant errs.
 """
 
 import os
@@ -36,6 +39,7 @@ CURVELOCAL = "src/krel/curvelocal.py"
 EXACTMATH = "src/krel/exactmath.py"
 GROUPS = "src/krel/groups.py"
 HARNESS = "src/krel/harness.py"
+PARITY = "src/krel/parity.py"
 RELATIONS = "src/krel/relations.py"
 
 # (file, old, new, reason)
@@ -159,6 +163,36 @@ MUTANTS = [
      " True, True,"
      " dihedral)[1])",
      "value vector shared across the unit flags of one delta"),
+    (CURVELOCAL,
+     "_SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}",
+     "_SIGMA = {1: 2, 2: -2, 3: 1, 4: 0, 6: 1}",
+     "dihedral V reads sigma = +1 at rotations of order 3"),
+    (CURVELOCAL,
+     "                       if x in rot else 0)",
+     "                       if x in p.isub else 0)",
+     "dihedral V vanishes off I_v instead of off the rotations I_v D'"),
+    (CURVELOCAL,
+     "        kernel = G.closure(p.isub | {G.mul(y, y) for y in p.dsub})",
+     "        kernel = p.isub",
+     "nonsplit V is +1 on I_v only, not on I_v and the squares"),
+    (CURVELOCAL,
+     "    if (x is None or G.mul(y, y) not in dprime\n            or ",
+     "    if (x is None\n            or ",
+     "dihedral D' rules drop y^2 in D' (dicyclic quotients pass)"),
+    (PARITY,
+     "is_cyclic or len(p.dsub) % 2 == 1\n",
+     "is_cyclic\n",
+     "NRT obstructions ignore odd |D_v|"),
+]
+
+# Mutants that no parity verdict can see, each with the reason.  They are
+# run and reported like the others, but a survivor here is no failure.
+EQUIVALENT = [
+    (CURVELOCAL,
+     "        return _with_v(p, 1, lambda x: 1 if x in kernel else -1)",
+     "        return _with_v(p, 1, lambda x: -1 if x in kernel else 1)",
+     "nonsplit V negated: <chi, -V> = -<chi, V> = <chi, V> mod 2, so every "
+     "u bit is unchanged; only the tests that restate V see it"),
 ]
 
 
@@ -197,18 +231,26 @@ def main(argv: list[str]) -> int:
         if code != 0:
             print(f"unmutated tests fail (pytest exit {code}); no table")
             return 1
-        print(f"{'#':>2}  {'verdict':8}  {'s':>5}  mutant")
-        bad = 0
-        for k, (file, old, new, reason) in enumerate(MUTANTS, 1):
+        print(f"{'#':>2}  {'verdict':10}  {'s':>5}  mutant")
+        bad = killed = 0
+        listed = ([(m, False) for m in MUTANTS]
+                  + [(m, True) for m in EQUIVALENT])
+        for k, ((file, old, new, reason), equivalent) in enumerate(listed, 1):
             tree = Path(tmp) / f"m{k}"
             _copy(tree)
             _mutate(tree, file, old, new)
             code, secs = _pytest(tree, tests)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error {code}")
-            bad += code != 1
-            print(f"{k:>2}  {verdict:8}  {secs:5.1f}  {reason}", flush=True)
+            if code == 0 and equivalent:
+                verdict = "equivalent"
+            else:
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code,
+                                                          f"error {code}")
+                bad += code != 1
+                killed += code == 1 and not equivalent
+            print(f"{k:>2}  {verdict:10}  {secs:5.1f}  {reason}", flush=True)
             shutil.rmtree(tree)
-        print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed")
+        print(f"{killed} of {len(MUTANTS)} killed, "
+              f"{len(EQUIVALENT)} listed as equivalent")
     return 1 if bad else 0
 
 

@@ -993,14 +993,11 @@ class GroupData:
                               Fraction] = {}
         # (d, nonzero terms of theta) -> verdict of is_k_relation
         self.k_relation_verdicts: dict[tuple, bool] = {}
-        # the structural rules of a place, checked once per key: (D_v, I_v)
-        # -> krel.relations.decomposition_pair_problem, (D_v, I_v, D',
-        # |D_v/D'| / 2) -> the dihedral D' rules of krel.curvelocal, and
-        # ("d-prime-index", D_v, D') -> its potentially multiplicative one
+        # the structural rules of a place in G's own indices, checked once
+        # per key: (D_v, I_v) -> krel.relations.decomposition_pair_problem,
+        # (D_v, I_v, D', |D_v/D'| / 2) -> the dihedral D' rules of
+        # krel.curvelocal, ("d-prime-index", D_v, D') -> the 2M one
         self.place_problems: dict[tuple, object] = {}
-        # D_v -> subgroup_as_group(G, D_v), the carrier of a place's data
-        self.carriers: dict[frozenset[int],
-                            tuple[PermGroup, dict[int, int]]] = {}
         # the parity conditions of a quadratic field, as a frozenset of
         # parity_masks -> (Hermite rows, odd masks) of its K-relation
         # lattice, for krel.relations.k_relation_basis

@@ -4,7 +4,9 @@ A place descriptor packages the decomposition and inertia groups at one
 place together with declared reduction data (type, discriminant valuation,
 square classes of the invariants involved).  Everything downstream is a
 function of these inputs; no Weierstrass models are processed.  Additive
-cases assume residue characteristic at least 5 throughout.
+cases assume residue characteristic at least 5 throughout.  V and the
+dihedral D' rules are read in G's own element indices: no place builds a
+group of its own.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .characters import ClassFunction, character_table
+from .characters import ClassFunction
 from .exactmath import (ExactCheckError, FactorBoundError, fraction_sum,
                         isprime, kronecker_symbol)
-from .groups import PermGroup, subgroup_as_group
-from .relations import decomposition_pair_problem, local_ef
+from .groups import PermGroup
+from .relations import _order_mod, decomposition_pair_problem, local_ef
 
 CASE_GOOD = "1G"
 CASE_SPLIT = "1S"
@@ -112,12 +114,13 @@ class PlaceDescriptor:
 
 @dataclass(frozen=True)
 class RootDatum:
+    """The local sign lambda and V, a character of D_v: ``v`` maps each x
+    in D_v (G's element indices) to V(x), None when V = 0; ``v_terms`` has
+    (class k of G, sum of V(x) over x in D_v ∩ k), the nonzero terms of
+    <Res chi, V> * |D_v| (see :func:`local_u_contribution`)."""
+
     lam: int
-    v_char: ClassFunction | None
-    carrier: PermGroup | None = None
-    to_carrier: dict[int, int] | None = None
-    # (class of G, |c| * V(c)) for each class c of the carrier: the terms
-    # of <Res chi, V> * |D_v| (see :func:`local_u_contribution`)
+    v: dict[int, int] | None = None
     v_terms: tuple[tuple[int, int], ...] = ()
 
 
@@ -136,19 +139,6 @@ def _is_prime_power(q: int, l: int) -> bool:
     while q % l == 0:
         q //= l
     return q == 1
-
-
-def _quotient_is_dihedral(q: PermGroup, rot: frozenset[int]) -> bool:
-    """Is q a dihedral group with rotation subgroup rot (of index 2)?"""
-    n = len(rot)
-    if q.order != 2 * n:
-        return False
-    gen = next((x for x in rot if q.element_order(x) == n), None)
-    if gen is None:
-        return False
-    y = next(x for x in range(q.order) if x not in rot)
-    return (q.mul(y, y) in rot and q.element_order(q.mul(y, y)) <= 2
-            and q.mul(q.mul(y, gen), q.inv(y)) == q.inv(gen))
 
 
 def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
@@ -279,31 +269,23 @@ def _dihedral_problem(G: PermGroup, dsub: frozenset[int],
         return Diagnostic("d-prime-subgroup", "D' is not a subgroup of D_v")
     if len(dsub) != 2 * fe * len(dprime):
         return Diagnostic("d-prime-index", f"D_v/D' must have order {2 * fe}")
-    carrier, to_carrier = _carrier(G, dsub)
-    dp = frozenset(to_carrier[x] for x in dprime)
-    if not carrier.is_normal_subgroup(dp):
+    if any(G.conjugate_subgroup(dprime, g) != dprime
+           for g in G.generating_indices(dsub)):
         return Diagnostic("d-prime-normality", "D' is not normal in D_v")
-    q, proj = carrier.quotient_group(dp)
-    rot = frozenset(proj[to_carrier[x]] for x in isub)
-    if len(rot) != fe:
+    if len(isub) != fe * len(isub & dprime):
         return Diagnostic("inertia-image",
                           "inertia must map onto the rotation subgroup")
-    if not _quotient_is_dihedral(q, rot):
+    # R = I_v D' has index 2: D_v/D' is dihedral when some x in I_v has
+    # order fe mod D' and a y off R (any one decides) has y^2 and y x y^-1 x
+    # in D'
+    rot = G.closure(isub | dprime)
+    x = next((x for x in isub if _order_mod(G, x, dprime) == fe), None)
+    y = min(dsub - rot)
+    if (x is None or G.mul(y, y) not in dprime
+            or G.mul(G.conjugate(x, G.inv(y)), x) not in dprime):
         return Diagnostic("d-prime-quotient",
                           f"D_v/D' is not dihedral of order {2 * fe}")
     return None
-
-
-def _carrier(G: PermGroup,
-             dsub: frozenset[int]) -> tuple[PermGroup, dict[int, int]]:
-    """D_v as a group of its own, built once per group and D_v and kept on
-    ``G.data.carriers``."""
-    dsub = frozenset(dsub)
-    memo = G.data.carriers
-    got = memo.get(dsub)
-    if got is None:
-        got = memo[dsub] = subgroup_as_group(G, dsub)
-    return got
 
 
 def _require_validated(p: PlaceDescriptor):
@@ -396,11 +378,9 @@ def default_additive_lambda(fe: int, q: int, dihedral: bool) -> int:
     return -sign if dihedral else sign
 
 
-def _quadratic_by_membership(carrier: PermGroup, member: frozenset[int]):
-    vals = []
-    for cls in carrier.conjugacy_classes():
-        vals.append(1 if cls[0] in member else -1)
-    return vals
+# sigma(o) = 2cos(2 pi / o): the faithful two-dimensional character of a
+# dihedral group of order 2fe, fe in {3, 4, 6}, at a rotation of order o
+_SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 
 def root_datum(p: PlaceDescriptor) -> RootDatum:
@@ -415,22 +395,18 @@ def root_datum(p: PlaceDescriptor) -> RootDatum:
 
 def _root_datum(p: PlaceDescriptor) -> RootDatum:
     if p.kind in ("real", "complex"):
-        return RootDatum(-1, None)
-    red = p.reduction
-    carrier, to_carrier = _carrier(p.group, p.dsub)
+        return RootDatum(-1)
+    G, red = p.group, p.reduction
     if isinstance(red, Good):
-        return RootDatum(1, None, carrier, to_carrier)
+        return RootDatum(1)
     if isinstance(red, SplitMult):
-        return _with_v(p, 1, [1] * len(carrier.conjugacy_classes()))
+        return _with_v(p, 1, lambda x: 1)
     if isinstance(red, NonsplitMult):
-        f = len(p.dsub) // len(p.isub)
-        if f % 2 == 1:
-            return RootDatum(1, None, carrier, to_carrier)
-        isub_c = frozenset(to_carrier[x] for x in p.isub)
-        q, proj = carrier.quotient_group(isub_c)
-        squares = frozenset(q.mul(y, y) for y in range(q.order))
-        return _with_v(p, 1, [1 if proj[cls[0]] in squares else -1
-                              for cls in carrier.conjugacy_classes()])
+        if len(p.dsub) // len(p.isub) % 2 == 1:
+            return RootDatum(1)
+        # the unramified quadratic character, trivial on I_v and the squares
+        kernel = G.closure(p.isub | {G.mul(y, y) for y in p.dsub})
+        return _with_v(p, 1, lambda x: 1 if x in kernel else -1)
     if isinstance(red, AddPotGood):
         fe = ram_degree(red.delta)
         dihedral = reduction_case(p) == CASE_DIHEDRAL
@@ -438,69 +414,57 @@ def _root_datum(p: PlaceDescriptor) -> RootDatum:
         if lam is None:
             lam = default_additive_lambda(fe, p.q, dihedral)
         if not dihedral:
-            return RootDatum(lam, None, carrier, to_carrier)
-        dp = frozenset(to_carrier[x] for x in red.dprime)
-        q, proj = carrier.quotient_group(dp)
-        rot = frozenset(proj[to_carrier[x]] for x in p.isub)
-        sigma = _faithful_two_dim(q)
-        vals = []
-        for cls in carrier.conjugacy_classes():
-            y = proj[cls[0]]
-            eta = 1 if y in rot else -1
-            sig = sigma.values[q.class_of(y)].rational_value()
-            vals.append(1 + eta + sig)
-        return _with_v(p, lam, vals)
+            return RootDatum(lam)
+        # V = 1 + eta + sigma, pulled back from the dihedral D_v/D': on the
+        # rotations R = I_v D' it is 2 + sigma of the order modulo D', and
+        # off R, where eta = -1 and sigma = 0, it vanishes
+        dprime = red.dprime
+        rot = G.closure(p.isub | dprime)
+        return _with_v(p, lam, lambda x: 2 + _SIGMA[_order_mod(G, x, dprime)]
+                       if x in rot else 0)
     # potentially multiplicative
     ramified = red.minus_c6_class.val_parity == 1
     lam = kronecker_symbol(-1, p.q) if ramified else 1
     if red.dprime is None:
-        return RootDatum(lam, None, carrier, to_carrier)
-    dp = frozenset(to_carrier[x] for x in red.dprime)
-    return _with_v(p, lam, _quadratic_by_membership(carrier, dp))
+        return RootDatum(lam)
+    return _with_v(p, lam, lambda x: 1 if x in red.dprime else -1)
 
 
-def _with_v(p: PlaceDescriptor, lam: int, vals) -> RootDatum:
-    """The datum with V given by its values on the carrier's classes.
+def _with_v(p: PlaceDescriptor, lam: int, value) -> RootDatum:
+    """The datum with V(x) = value(x) at each x in D_v.
 
-    V is a rational character, so its values are integers, constant on
-    the carrier's rational classes; that is what lets the pairing with a
-    character of G read Galois means (see :func:`local_u_contribution`).
+    V is a rational character, so V(x^k) = V(x) for every k prime to the
+    order of x; that is what lets the pairing with a character of G read
+    Galois means (see :func:`local_u_contribution`), and it is checked.
     """
-    carrier, to_carrier = _carrier(p.group, p.dsub)
-    classes = carrier.conjugacy_classes()
-    vals = [Fraction(v) for v in vals]
-    if any(v.denominator != 1 for v in vals) or any(
-            vals[c] != vals[o[0]] for o in carrier.data.rational_classes
-            for c in o):
-        raise ExactCheckError(f"V = {vals} at {p.name!r} is not an integer "
-                              "class function constant on rational classes")
-    back = {c: g for g, c in to_carrier.items()}
-    terms = tuple((p.group.class_of(back[cls[0]]), len(cls) * int(v))
-                  for cls, v in zip(classes, vals) if v)
-    return RootDatum(lam, ClassFunction(carrier, tuple(vals)), carrier,
-                     to_carrier, terms)
-
-
-def _faithful_two_dim(q: PermGroup) -> ClassFunction:
-    for chi in character_table(q).irreducibles:
-        if chi.degree() == 2 and all(
-                v != chi.values[0] for v in chi.values[1:]):
-            return chi
-    raise ValueError("no faithful 2-dimensional character")
+    G = p.group
+    v = {x: value(x) for x in p.dsub}
+    sums: dict[int, int] = {}
+    for x, vx in v.items():
+        o, y = G.element_order(x), x
+        for k in range(2, o):
+            y = G.mul(y, x)
+            if v[y] != vx and gcd(k, o) == 1:
+                raise ExactCheckError(f"V at {p.name!r} is {vx} at {x} but "
+                                      f"{v[y]} at {x}^{k}: not rational")
+        c = G.class_of(x)
+        sums[c] = sums.get(c, 0) + vx
+    return RootDatum(lam, v, tuple(sorted((c, w) for c, w in sums.items()
+                                          if w)))
 
 
 def local_u_contribution(p: PlaceDescriptor, chi: ClassFunction) -> int:
     """Parity bit this place adds to the twisted-root-number exponent.
 
-    The pairing <Res chi, V> over D_v is (1/|D_v|) * sum of |c| * V(c) *
-    chi(c) over the carrier's classes c.  V is rational and constant on
-    rational classes, so chi(c) may be replaced by its Galois mean, read
-    at the class of G that holds c.
+    The pairing <Res chi, V> over D_v is (1/|D_v|) * sum of V(x) * chi(x)
+    over the x in D_v.  V is rational, V(x^k) = V(x) for k prime to the
+    order of x, so chi(x) may be replaced by its Galois mean, read at the
+    class of G that holds x: the sum is then one term per class of G.
     """
     dim = int(chi.degree())
     rd = root_datum(p)
     pairing = 0
-    if rd.v_char is not None:
+    if rd.v is not None:
         means = chi.galois_means
         m = fraction_sum(((means[k], w) for k, w in rd.v_terms),
                          len(p.dsub))

@@ -25,7 +25,8 @@ from fractions import Fraction
 from .characters import _fundamental_discriminant, _quadratic_subfields
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
-                         is_square_in_ext, ram_degree, validate_place)
+                         _is_prime_power, is_square_in_ext, ram_degree,
+                         validate_place)
 from .exactmath import (PLACE_INF, _as_fraction, divisors, factor_bounded,
                         is_norm_from_quadratic, is_squarefree, isprime,
                         kronecker_symbol, mobius, primerange)
@@ -541,10 +542,7 @@ def appendix_differential_check(e: int, delta: int, l: int, q: int,
         raise ValueError("the residue characteristic must be a prime >= 5")
     if math.gcd(q, r) != 1:
         raise ValueError("q must be invertible mod r")
-    qq = q
-    while qq % l == 0:
-        qq //= l
-    if qq != 1:
+    if not _is_prime_power(q, l):
         raise ValueError(f"q = {q} is not a power of l = {l}")
     if e > 2 and q % e not in (1, e - 1):
         raise ValueError("q must be +-1 mod e")

@@ -277,20 +277,20 @@ def find_norm_relation(G: PermGroup,
 # Local functions
 
 
+def _order_mod(G: PermGroup, x: int, sub: frozenset[int]) -> int:
+    """The order of x modulo sub: the least t >= 1 with x^t in sub."""
+    t, y = 1, x
+    while y not in sub:
+        y = G.mul(y, x)
+        t += 1
+    return t
+
+
 def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
                      isub: frozenset[int]) -> bool:
     """Is D/I cyclic, for I normal in D?"""
     index = len(dsub) // len(isub)
-    if index == 1:
-        return True
-    for x in dsub:
-        t, y = 1, x
-        while y not in isub:
-            y = G.mul(y, x)
-            t += 1
-        if t == index:
-            return True
-    return False
+    return any(_order_mod(G, x, isub) == index for x in dsub)
 
 
 def decomposition_pair_problem(G: PermGroup, dsub: frozenset[int],

@@ -1,5 +1,6 @@
 """Tests for local curve data: validation, Tamagawa numbers, fudge factors, root data."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from krel.curvelocal import (
     SplitMult,
     SquareClassLocal,
     _root_datum,
+    _with_v,
     default_additive_lambda,
     fudge_C,
     is_square_in_ext,
@@ -24,16 +26,20 @@ from krel.curvelocal import (
     tamagawa,
     validate_place,
 )
-from krel.exactmath import is_norm_from_quadratic, kronecker_symbol
+from krel.exactmath import (ExactCheckError, is_norm_from_quadratic,
+                            kronecker_symbol)
 from krel.groups import (
     PermGroup,
     cyclic_group,
     dihedral_group,
     metacyclic_group,
     quaternion_group,
+    subgroup_as_group,
     subgroup_rep,
 )
-from krel.harness import synthetic_model
+from krel import harness
+from krel.harness import (MetacyclicSpec, appendix_tamagawa_check,
+                          synthetic_model)
 from krel.relations import (
     LocalFn,
     coset_profile,
@@ -351,6 +357,25 @@ def test_dihedral_dprime_quotient_shape_check():
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, frozenset([0])),
     )
     assert "d-prime-quotient" in _diag_rules(p)
+
+
+@pytest.mark.parametrize("make, inertia_order, delta, q", [
+    (quaternion_group, 4, 3, 7),
+    (lambda: metacyclic_group(3, 4, 2), 6, 2, 5),
+])
+def test_dicyclic_quotient_is_not_dihedral(make, inertia_order, delta, q):
+    # Q8 and C3:C4 with D' = 1: the rotations I_v have index 2 and every
+    # element off them inverts them, but squares to the central involution,
+    # not into D'.  A Frobenius lift squares to 1 in the dihedral quotient.
+    G = make()
+    whole = frozenset(range(G.order))
+    isub = next(c.representative for c in G.subgroup_classes()
+                if c.order == inertia_order and c.is_cyclic)
+    red = AddPotGood(delta, SquareClassLocal(delta % 2, True), SQ_TRIV,
+                     None, frozenset([0]))
+    p = PlaceDescriptor("v", "finite", G, q, q, whole, isub, red)
+    assert reduction_case(p) == "2D"
+    assert _diag_rules(p) == ["d-prime-quotient"]
 
 
 def test_cyclic_case_rejects_dprime():
@@ -756,8 +781,9 @@ def test_local_factors_under_base_change(red, order, inertia, h_order, ef,
 
 
 def v_dimension(rd):
-    """Dimension of the root datum's V; 0 when there is none."""
-    return 0 if rd.v_char is None else int(rd.v_char.degree())
+    """Dimension of the root datum's V, its value at the identity; 0 when
+    there is none."""
+    return 0 if rd.v is None else rd.v[0]
 
 
 def test_root_datum_good_and_archimedean():
@@ -765,12 +791,12 @@ def test_root_datum_good_and_archimedean():
     w = frozenset(range(2))
     p = finite_place(C2, w, frozenset([0]), Good(), l=5, q=5)
     rd = root_datum(p)
-    assert rd.lam == 1 and rd.v_char is None and v_dimension(rd) == 0
+    assert rd.lam == 1 and rd.v is None and v_dimension(rd) == 0
 
     real = PlaceDescriptor("oo", "real")
     validate_place(real)
     rd = root_datum(real)
-    assert rd.lam == -1 and rd.v_char is None
+    assert rd.lam == -1 and rd.v is None
 
     cplx = PlaceDescriptor("oo'", "complex")
     validate_place(cplx)
@@ -781,10 +807,10 @@ def test_root_datum_split_mult_is_trivial_character():
     p = d21_split_place()
     rd = root_datum(p)
     assert rd.lam == 1
-    assert rd.v_char is not None
-    assert all(v.rational_value() == 1 for v in rd.v_char.values)
+    assert rd.v is not None
+    assert all(v == 1 for v in rd.v.values())
     assert v_dimension(rd) == 1
-    assert rd.carrier.order == 6
+    assert set(rd.v) == p.dsub and len(p.dsub) == 6
 
 
 def test_root_datum_nonsplit_mult():
@@ -793,21 +819,19 @@ def test_root_datum_nonsplit_mult():
     p = finite_place(C4, w4, frozenset([0]), NonsplitMult(1), l=3, q=3)
     rd = root_datum(p)
     assert rd.lam == 1
-    vals = [v.rational_value() for v in rd.v_char.values]
-    assert sorted(vals) == [-1, -1, 1, 1]
+    assert sorted(rd.v.values()) == [-1, -1, 1, 1]
     # eta is trivial exactly on the squares, the unique index-2 subgroup.
-    carrier = rd.carrier
-    squares = {carrier.mul(x, x) for x in range(carrier.order)}
-    for x in range(carrier.order):
+    squares = {C4.mul(x, x) for x in w4}
+    for x in w4:
         expect = 1 if x in squares else -1
-        assert rd.v_char.at_element(x).rational_value() == expect
+        assert rd.v[x] == expect
 
     # Odd residue degree: the quadratic twist dies on the ground field.
     C3 = cyclic_group(3)
     w3 = frozenset(range(3))
     podd = finite_place(C3, w3, frozenset([0]), NonsplitMult(1), l=2, q=2)
     rdo = root_datum(podd)
-    assert rdo.lam == 1 and rdo.v_char is None
+    assert rdo.lam == 1 and rdo.v is None
 
 
 def test_root_datum_cyclic_additive():
@@ -815,7 +839,7 @@ def test_root_datum_cyclic_additive():
     w3 = frozenset(range(3))
     p = finite_place(C3, w3, w3, AddPotGood(4, SQ_TRIV, SQ_TRIV), l=7, q=7)
     rd = root_datum(p)
-    assert rd.v_char is None
+    assert rd.v is None
     assert rd.lam == kronecker_symbol(-3, 7) == 1
 
     p2 = finite_place(C3, w3, w3, AddPotGood(4, SQ_TRIV, SQ_TRIV, lambda_override=-1),
@@ -835,25 +859,65 @@ def test_root_datum_dihedral():
     # The cyclic-case sign would be (-3 | 5) = -1; dihedral flips it.
     assert rd.lam == -kronecker_symbol(-3, 5) == 1
     assert v_dimension(rd) == 4
-    carrier = rd.carrier
     by_order = {}
-    for x in range(carrier.order):
-        o = carrier.element_order(x)
-        by_order.setdefault(o, set()).add(rd.v_char.at_element(x).rational_value())
+    for x in p.dsub:
+        o = p.group.element_order(x)
+        by_order.setdefault(o, set()).add(rd.v[x])
     # identity: 1 + 1 + 2; rotations: 1 + 1 - 1; reflections: 1 - 1 + 0.
     assert by_order == {1: {4}, 3: {1}, 2: {0}}
 
 
+def v_on_standalone_dv(p, rd):
+    """V as a class function of D_v built as a group of its own."""
+    sub, to_sub = subgroup_as_group(p.group, p.dsub)
+    back = {c: g for g, c in to_sub.items()}
+    return ClassFunction(sub, tuple(rd.v[back[cls[0]]]
+                                    for cls in sub.conjugacy_classes()))
+
+
+@functools.cache
+def appendix_places(case, spec):
+    """The places that one appendix sweep validates, in order."""
+    places = []
+    real = harness.validate_place
+
+    def recording(p):
+        places.append(p)
+        return real(p)
+    harness.validate_place = recording
+    try:
+        appendix_tamagawa_check(case, spec)
+    finally:
+        harness.validate_place = real
+    return tuple(places)
+
+
+# every spec of order at most 32 that the appendix's 2D sweep takes
+DIHEDRAL_SPECS = [MetacyclicSpec(e, k, -1) for e in (3, 4, 6)
+                  for k in range(1, 4) if e << k <= 32]
+
+
 def test_root_datum_dihedral_character_is_genuine():
     # V must decompose with nonnegative integral multiplicities: it is the
-    # character of an actual representation, 1 + eta + sigma.
-    p = s3_dihedral_place(delta=4, q=5)
-    rd = root_datum(p)
-    table = character_table(rd.carrier)
-    mults = [inner_product(rd.v_char, chi) for chi in table.irreducibles]
-    assert all(m.denominator == 1 and m >= 0 for m in mults)
-    assert sum(m * chi.degree() for m, chi in zip(mults, table.irreducibles)) == 4
-    assert sorted(int(m) for m in mults) == [1, 1, 1]
+    # character of an actual representation, 1 + eta + sigma, on D_v.
+    assert len(DIHEDRAL_SPECS) == 8
+    places = [s3_dihedral_place(delta=4, q=5)]
+    for spec in DIHEDRAL_SPECS:
+        got = [p for p in appendix_places("2D", spec)
+               if reduction_case(p) == "2D"]
+        assert got, spec
+        places.extend(got[:1])
+    for p in places:
+        rd = root_datum(p)
+        v = v_on_standalone_dv(p, rd)
+        table = character_table(v.group)
+        mults = [inner_product(v, chi) for chi in table.irreducibles]
+        assert all(m.denominator == 1 and m >= 0 for m in mults)
+        assert sum(m * chi.degree()
+                   for m, chi in zip(mults, table.irreducibles)) == 4
+        assert sorted(int(m) for m in mults if m) == [1, 1, 1]
+        assert sorted(int(chi.degree()) for m, chi in
+                      zip(mults, table.irreducibles) if m) == [1, 1, 2]
 
 
 def test_root_datum_dihedral_factors_through_dprime():
@@ -862,19 +926,18 @@ def test_root_datum_dihedral_factors_through_dprime():
     p = d21_dihedral_place()
     rd = root_datum(p)
     assert rd.lam == -kronecker_symbol(-3, 5) == 1
-    carrier = rd.carrier
     expected = {1: 4, 7: 4, 3: 1, 21: 1, 2: 0}
-    for x in range(carrier.order):
-        o = carrier.element_order(x)
-        assert rd.v_char.at_element(x).rational_value() == expected[o]
+    assert len(rd.v) == p.group.order == 42
+    for x in p.dsub:
+        o = p.group.element_order(x)
+        assert rd.v[x] == expected[o]
 
 
 def test_root_datum_potentially_multiplicative():
     p = c2_potmult_place(q=13)
     rd = root_datum(p)
     assert rd.lam == kronecker_symbol(-1, 13) == 1
-    vals = sorted(v.rational_value() for v in rd.v_char.values)
-    assert vals == [-1, 1]
+    assert sorted(rd.v.values()) == [-1, 1]
 
     # q = 7: the ramified lambda flips sign.
     p7 = c2_potmult_place(q=7)
@@ -887,17 +950,20 @@ def test_root_datum_potentially_multiplicative():
     red = AddPotMult(1, SQ_UNIT, SQ_TRIV, SQ_TRIV, SQ_UNIT, None)
     p_un = finite_place(C3, w3, w3, red, l=5, q=5)
     rdu = root_datum(p_un)
-    assert rdu.lam == 1 and rdu.v_char is None
+    assert rdu.lam == 1 and rdu.v is None
 
 
 def restricted_pairing(p, chi, rd):
-    """<Res chi, V> over D_v by restricting chi along the carrier's
-    embedding and summing class by class in cyclotomic arithmetic."""
-    back = {v: k for k, v in rd.to_carrier.items()}
-    res = ClassFunction(rd.carrier, tuple(
-        chi.at_element(back[cls[0]])
-        for cls in rd.carrier.conjugacy_classes()))
-    return inner_product(res, rd.v_char)
+    """<Res chi, V> over D_v: the sum of V(x) * chi(x) over the elements
+    of D_v in cyclotomic arithmetic, divided by |D_v|.  The chi(x) are
+    summed per value of V first, which saves products."""
+    by_value = {}
+    for x, v in rd.v.items():
+        by_value.setdefault(v, []).append(chi.at_element(x))
+    total = sum(v * sum(vals) for v, vals in by_value.items())
+    pairing = total.rational_value() / len(p.dsub)
+    assert pairing.denominator == 1 and pairing >= 0
+    return int(pairing)
 
 
 @pytest.mark.parametrize("make", [lambda: dihedral_group(3, name="S3"),
@@ -919,9 +985,49 @@ def test_root_datum_is_kept_on_the_place(make):
         assert fresh is not rd and fresh == rd
         for chi in irrs:
             want = int(chi.degree()) * (rd.lam == -1)
-            if rd.v_char is not None:
+            if rd.v is not None:
                 want += restricted_pairing(p, chi, rd)
             assert local_u_contribution(p, chi) == want % 2
+
+
+@pytest.mark.parametrize("case", ["2D", "2M"])
+def test_u_contribution_at_appendix_places_with_v(case):
+    # the 2D places and the potentially multiplicative places with D',
+    # which synthetic_model never draws; V depends on (D_v, I_v, D') alone,
+    # so the pairing is summed once per spec and D'
+    specs = DIHEDRAL_SPECS if case == "2D" else [
+        MetacyclicSpec(e, k, sign) for e in (2, 3, 4, 6) for k in range(5)
+        for sign in (1, -1) if e << k <= 32 and (sign == 1 or k or e == 2)]
+    seen = 0
+    for spec in specs:
+        pairings = {}
+        for p in appendix_places(case, spec):
+            rd = root_datum(p)
+            if rd.v is None:
+                continue
+            assert reduction_case(p) == case
+            irrs = character_table(p.group).irreducibles
+            key = p.reduction.dprime
+            if key not in pairings:
+                pairings[key] = [restricted_pairing(p, chi, rd)
+                                 for chi in irrs]
+            for chi, pairing in zip(irrs, pairings[key]):
+                want = pairing + int(chi.degree()) * (rd.lam == -1)
+                assert local_u_contribution(p, chi) == want % 2
+            seen += 1
+    assert len(specs) == (8 if case == "2D" else 29)
+    assert seen == (76 if case == "2D" else 832), seen
+
+
+def test_root_datum_rejects_a_v_that_is_not_rational():
+    # V(x^k) = V(x) for k prime to the order of x is checked in G: a V on
+    # C3 that tells a generator from its inverse is refused
+    C3 = cyclic_group(3)
+    w3 = frozenset(range(3))
+    p = finite_place(C3, w3, frozenset([0]), SplitMult(1))
+    with pytest.raises(ExactCheckError, match="not rational"):
+        _with_v(p, 1, lambda x: 2 if x == 1 else 1)
+    assert _with_v(p, 1, lambda x: 1) == root_datum(p)
 
 
 def test_default_additive_lambda_table():

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from krel import curvelocal, harness, relations
-from krel.groups import cyclic_group, dihedral_group, metacyclic_group
+from krel.groups import (PermGroup, cyclic_group, dihedral_group,
+                         metacyclic_group)
 from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
                           _value_vector, appendix_differential_check,
                           appendix_tamagawa_check, build_metacyclic,
@@ -220,6 +221,16 @@ def test_differential_check_passes_for_every_delta_and_residue_size():
     assert checked == 28
 
 
+def test_differential_check_rejects_residue_sizes_that_are_not_powers():
+    # q = 1 = 7^0 is no residue field: the sweep refuses it as the place
+    # rules do, instead of returning a failing report
+    for q in (1, 5, 11):
+        with pytest.raises(ValueError, match="is not a power of l = 7"):
+            appendix_differential_check(3, 4, 7, q, 12)
+    for q in (7, 49):
+        assert appendix_differential_check(3, 4, 7, q, 12).q == q
+
+
 def test_failure_detail_names_the_obstructed_places():
     G = dihedral_group(21)
     lattice = k_relation_basis(G, 21)
@@ -313,11 +324,11 @@ def test_value_vectors_are_built_once_per_local_function(monkeypatch, case,
 
 
 def test_place_structure_is_checked_once_per_key(monkeypatch):
-    # every place is still validated, but the carrier of D_v is built once
-    # per D_v, for the D' rules and every place's root datum alike, and
-    # each structural rule set runs once per key
-    counts = {name: Counter() for name in ("carrier", "pair", "dihedral")}
-    places, validated = [], []
+    # every place is still validated, but each structural rule set runs
+    # once per key; the D' rules and every place's root datum read D_v in
+    # G's own element indices, so no group besides G is ever built
+    counts = {name: Counter() for name in ("pair", "dihedral")}
+    places, validated, built = [], [], []
 
     def counting(name, module, attr, key):
         real = getattr(module, attr)
@@ -327,9 +338,14 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, attr, wrapper)
 
-    counting("carrier", curvelocal, "subgroup_as_group", lambda a: a[1])
     counting("pair", relations, "_pair_problem", lambda a: a[1:])
     counting("dihedral", curvelocal, "_dihedral_problem", lambda a: a[1:])
+    real_init = PermGroup.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(PermGroup, "__init__", init)
     real_validate = harness.validate_place
 
     def validate(p):
@@ -340,10 +356,11 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
 
     spec = MetacyclicSpec(4, 3, -1)
     rows = appendix_tamagawa_check("2D", spec)
-    G, _, _ = build_metacyclic(spec)
     assert all(r.passed for r in rows)
     for p in places:
         curvelocal.root_datum(p)
+    G = places[0].group
+    assert built == [G] and all(p.group is G for p in places)
     assert len(validated) * len(quadratic_probe_fields(G)) == len(rows)
     assert not any(validated)  # each place is fresh when it is validated
     for name, counter in counts.items():

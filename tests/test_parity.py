@@ -11,8 +11,8 @@ from krel import parity
 from krel.characters import character_table, fs_indicator, perm_character, \
     rational_irreducibles
 from krel.curvelocal import AddPotGood, AddPotMult, Good, PlaceDescriptor, \
-    SquareClassLocal, local_u_contribution, tamagawa
-from krel.groups import (alternating4_group, dihedral_group,
+    SplitMult, SquareClassLocal, local_u_contribution, tamagawa
+from krel.groups import (alternating4_group, cyclic_group, dihedral_group,
                          group_from_cycles, metacyclic_group,
                          quaternion_group, subgroup_rep)
 from krel.harness import synthetic_model
@@ -192,6 +192,60 @@ def test_square_branch_needs_no_factoring():
     report = nrt_run(CurveLocalModel(G, (place,)), rho)
     assert report.m == 2 and report.product == q ** 4
     assert report.square_ok is True and not report.prediction
+
+
+# ---------------------------------------------------------------------------
+# The structural obstructions of the norm relations test, on hand models.
+
+
+def hand_place(G, name, dsub, isub, red, q=13):
+    return PlaceDescriptor(name, "finite", G, q, q, frozenset(dsub),
+                           frozenset(isub), red)
+
+
+def obstruction_rules(G, places):
+    return [d.rule for d in CurveLocalModel(G, tuple(places)).obstructions]
+
+
+def test_nrt_obstructions_of_the_group():
+    # with no places, the places' two rules hold vacuously as well
+    c7c3 = metacyclic_group(7, 3, 2)
+    assert c7c3.order == 21
+    assert obstruction_rules(c7c3, ()) == [
+        "odd-order", "good-at-ramified", "local-decomposition"]
+    assert obstruction_rules(cyclic_group(6), ()) == [
+        "cyclic", "good-at-ramified", "local-decomposition"]
+
+
+def test_nrt_obstructions_of_the_places():
+    S3 = dihedral_group(3, name="S3")
+    whole, rot = frozenset(range(6)), subgroup_rep(S3, "3.1")
+    split_ramified = hand_place(S3, "v", whole, rot, SplitMult(1))
+    assert obstruction_rules(S3, [split_ramified]) == []
+    # good at the only ramified place; the bad place is unramified, so its
+    # D_v is cyclic as well
+    good = hand_place(S3, "v", whole, rot, Good())
+    split_unramified = hand_place(S3, "w", subgroup_rep(S3, "2.1"), {0},
+                                  SplitMult(1))
+    assert obstruction_rules(S3, [good, split_unramified]) == [
+        "good-at-ramified", "local-decomposition"]
+    # bad at a ramified place whose D_v = I_v = C3 is cyclic
+    cyclic_dv = hand_place(S3, "v", rot, rot, SplitMult(1))
+    assert obstruction_rules(S3, [cyclic_dv]) == ["local-decomposition"]
+
+
+def test_nrt_obstructions_odd_decomposition_group():
+    # a split place on D_v = C7:C3, I_v = C7 inside C7:C6 (order 42): D_v
+    # is not cyclic, but its odd order alone makes the test blind
+    G = metacyclic_group(7, 6, 3)
+    assert G.order == 42
+    dsub = next(c.representative for c in G.subgroup_classes()
+                if c.order == 21)
+    isub = next(c.representative for c in G.subgroup_classes()
+                if c.order == 7)
+    assert not G.classify_subgroup(dsub).is_cyclic
+    place = hand_place(G, "v", dsub, isub, SplitMult(1))
+    assert obstruction_rules(G, [place]) == ["local-decomposition"]
 
 
 def record_model(G, seed):
