@@ -40,6 +40,7 @@ EXACTMATH = "src/krel/exactmath.py"
 GROUPS = "src/krel/groups.py"
 HARNESS = "src/krel/harness.py"
 PARITY = "src/krel/parity.py"
+REGCONST = "src/krel/regconst.py"
 RELATIONS = "src/krel/relations.py"
 
 # (file, old, new, reason)
@@ -183,6 +184,20 @@ MUTANTS = [
      "is_cyclic or len(p.dsub) % 2 == 1\n",
      "is_cyclic\n",
      "NRT obstructions ignore odd |D_v|"),
+    (PARITY,
+     "    prediction = not all(norm_verdicts.values()) or square_ok is False",
+     "    prediction = not all(norm_verdicts.values())",
+     "NRT ignores a failed rational square test when m is even"),
+    (REGCONST,
+     "mat_mul(_transpose(m), m)",
+     "mat_mul(m, m)",
+     "invariant pairing sums M_g M_g instead of M_g^T M_g"),
+    (REGCONST,
+     "    for img in rep.images:\n"
+     "        if mat_mul(_transpose(img), mat_mul(q, img)) != q:\n"
+     "            raise ValueError(\"pairing is not invariant\")\n",
+     "",
+     "a supplied pairing is not checked for invariance"),
 ]
 
 # Mutants that no parity verdict can see, each with the reason.  They are

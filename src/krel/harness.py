@@ -86,7 +86,7 @@ def build_metacyclic(spec: MetacyclicSpec) -> tuple[PermGroup, int, int]:
     return G, G.element_index(sigma), G.element_index(phi)
 
 
-def quadratic_probe_fields(G: PermGroup, extra=()) -> tuple[int, ...]:
+def quadratic_probe_fields(G: PermGroup) -> tuple[int, ...]:
     """Quadratic fields worth norm-testing against a group's local data.
 
     Takes every quadratic subfield of the cyclotomic field of the group's
@@ -95,7 +95,6 @@ def quadratic_probe_fields(G: PermGroup, extra=()) -> tuple[int, ...]:
     behaviour get exercised.
     """
     cands = {-1, 2, -2, 3, -3, 5, -5}
-    cands.update(extra)
     cands.update(_quadratic_subfields(G.exponent(), ()))
     return tuple(sorted(cands, key=lambda m: (abs(m), m)))
 
@@ -186,13 +185,14 @@ class TamagawaCheckRow:
     detail: str = ""
 
 
-def _residue_powers(e: int, residue: int, count: int = 2):
-    """Prime powers q = l^j with q = residue mod e, residue char at least 5."""
+def _residue_powers(e: int, residue: int):
+    """Prime powers q = l^j with q = residue mod e, residue char at least 5:
+    the first two such primes, and 25 when residue is 1 mod e."""
     out = []
     for l in primerange(5, 60):
         if l % e == residue % e:
             out.append((l, l))
-        if len(out) == count:
+        if len(out) == 2:
             break
     if residue % e == 1 % e:
         out.append((5, 25))
@@ -280,8 +280,8 @@ def _check_function(case, spec, G, q, flags, fn, values, fields, lattices,
                                      flags, d, rep.trivial, detail))
 
 
-def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
-                            qs=None, fields=None) -> list[TamagawaCheckRow]:
+def appendix_tamagawa_check(case: str,
+                            spec: MetacyclicSpec) -> list[TamagawaCheckRow]:
     """Norm-test a Tamagawa ratio over one metacyclic group, all flag combos.
 
     Case 2C tests the Tamagawa function itself, case 2D its ratio against
@@ -289,7 +289,11 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
     and case 2M its ratio against the power function |H|^dim V^H attached
     to the quadratic character cutting out the semistability field.  Every
     row records one (configuration, quadratic field) verdict; the claim
-    under test holds when every row passes.
+    under test holds when every row passes.  The fields d are
+    :func:`quadratic_probe_fields` of the group, and the residue sizes q
+    come from :func:`_residue_powers`.  Case 2D values the module with
+    :func:`invariant_pairing`; any other invariant pairing gives the same
+    verdicts, since regulator constants do not depend on it up to norms.
 
     The residue size q enters only the place, which is validated for every
     q in the pool, and the ``dihedral`` switch (q = -1 mod the ramification
@@ -311,19 +315,18 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
 
     G, rotation, frobenius = build_metacyclic(spec)
     isub = G.closure([rotation])
-    if fields is None:
-        fields = quadratic_probe_fields(G)
+    fields = quadratic_probe_fields(G)
     lattices = {d: k_relation_basis(G, d) for d in fields}
     rows: list[TamagawaCheckRow] = []
     memo: dict = {}  # (d, values on the subgroup classes) -> report
 
     if case in ("2C", "2D"):
         residue = 1 if case == "2C" else -1
-        pool = qs or _residue_powers(ram_degree(_DELTAS[spec.e][0]), residue)
+        pool = _residue_powers(ram_degree(_DELTAS[spec.e][0]), residue)
         wsub = _sqrt_field_subgroup(G, rotation, frobenius)
         if case == "2D":
             vrep = _dihedral_v_rep(G, spec.e, rotation, frobenius)
-            pairing = invariant_pairing(vrep, seed=0)
+            pairing = invariant_pairing(vrep)
             traces = [sum(vrep.at(i)[j][j] for j in range(4))
                       for i in range(G.order)]
             dprime = G.closure([G.mul(frobenius, frobenius)])
@@ -372,7 +375,7 @@ def appendix_tamagawa_check(case: str, spec: MetacyclicSpec,
         return rows
 
     # case 2M: potentially multiplicative over any metacyclic shape
-    pool = qs or _residue_powers(spec.e, spec.sign)
+    pool = _residue_powers(spec.e, spec.sign)
     e1, f1 = len(isub), G.order // len(isub)
     halves = [c.representative for c in G.subgroup_classes()
               if 2 * c.order == G.order]
@@ -530,11 +533,13 @@ def appendix_differential_check(e: int, delta: int, l: int, q: int,
                                 r: int) -> DifferentialReport:
     """Evaluate the differential weight on every Psi_n with n dividing r.
 
-    With the inverting Frobenius (q = -1 mod e) the index weight g is
-    multiplied in as well.  Two verdicts are combined: every value must be
-    a norm from every quadratic subfield of the fixed field of ^q in the
-    n-th cyclotomic field, and the set of n with non-square h value must
-    match the reference table exactly.
+    The weight at Psi_n is q^h(n), a power of the residue size q as in the
+    differential term of :func:`curvelocal.fudge_C`.  With the inverting
+    Frobenius (q = -1 mod e) the index weight g is multiplied in as well.
+    Two verdicts are combined: every value must be a norm from every
+    quadratic subfield of the fixed field of ^q in the n-th cyclotomic
+    field, and the set of n with non-square h value must match the
+    reference table exactly.
     """
     if e not in (2, 3, 4, 6) or ram_degree(delta) != e:
         raise ValueError(f"delta = {delta} does not pair with e = {e}")
@@ -556,7 +561,7 @@ def appendix_differential_check(e: int, delta: int, l: int, q: int,
         hexp = _h_exponent(delta, n)
         if hexp % 2:
             nonsquare.append(n)
-        val = Fraction(l) ** hexp
+        val = Fraction(q) ** hexp
         if case == "2D":
             val *= _g_value(e, n)
         values[n] = val

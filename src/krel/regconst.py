@@ -6,15 +6,16 @@ permutation character.  There is no automatic fallback: a rational
 irreducible with an orthogonal constituent and no odd permutation multiple
 raises :class:`NeedsMatrixModel` (``nrt_run`` records it as the
 ``needs-matrix-model`` diagnostic), and its value has to come from an
-explicit matrix model through :func:`reg_const_matrix`, with an invariant
-pairing generated on demand.  Values stay exact rationals; a verdict reads
-them modulo norms only at the very end.
+explicit matrix model through :func:`reg_const_matrix`.  Regulator constants
+do not depend on the G-invariant pairing up to norms, so one deterministic
+pairing serves every model: :func:`invariant_pairing`, the sum of M_g^T M_g
+over the group.  Values stay exact rationals; a verdict reads them modulo
+norms only at the very end.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ Matrix = list[list[Rational]]
 
 
 class NeedsMatrixModel(RuntimeError):
-    """No permutation route exists; supply an explicit MatrixRep."""
+    """No permutation route exists: the value needs an explicit MatrixRep,
+    passed to :func:`reg_const_matrix` with a pairing such as
+    :func:`invariant_pairing` of that model."""
 
 
 class DegeneratePairingError(RuntimeError):
@@ -46,13 +49,6 @@ class RegConstValue:
 
     def is_norm(self) -> bool:
         return is_norm_from_quadratic(self.raw, self.d)
-
-
-@dataclass
-class PermVirtualRep:
-    """A virtual sum of permutation modules Q[G/D], by subgroup class id."""
-
-    coeffs: dict[str, int]
 
 
 # ---------------------------------------------------------------------------
@@ -77,28 +73,29 @@ def perm_fixed_det(G: PermGroup, hsub, dsub) -> Fraction:
     return val
 
 
-def reg_const_perm(G: PermGroup, theta: dict[str, int], tau,
+def reg_const_perm(G: PermGroup, theta: dict[str, int], tau: dict[str, int],
                    d: int) -> RegConstValue:
-    """Regulator constant of a virtual permutation module on a K-relation."""
+    """Regulator constant on a K-relation of the virtual permutation module
+    tau, the sum of m * Q[G/D] over its {class id of D: m} entries."""
     if not is_k_relation(G, theta, d):
         raise ValueError("theta is not a K-relation for this field")
-    coeffs = tau.coeffs if isinstance(tau, PermVirtualRep) else dict(tau)
     raw = Fraction(1)
     for cid, n in theta.items():
         if not n:
             continue
-        for did, m in coeffs.items():
+        for did, m in tau.items():
             if m:
                 raw *= perm_fixed_det(G, cid, did) ** (n * m)
     return RegConstValue(raw, d)
 
 
 def minimal_perm_multiple(G: PermGroup,
-                          tau) -> tuple[int, PermVirtualRep]:
+                          tau) -> tuple[int, dict[str, int]]:
     """Least k >= 1 with k*tau a virtual permutation character, plus witness.
 
     tau may be a rational-valued ClassFunction or a RationalCharacter; the
-    witness expansion is a reduced (deterministic) solution.
+    witness is a reduced (deterministic) solution, as {class id: coefficient}
+    with its nonzero entries, a fresh dict on every call.
     """
     data = G.data
     if isinstance(tau, RationalCharacter):
@@ -109,7 +106,7 @@ def minimal_perm_multiple(G: PermGroup,
         target = _rational_multiplicities(G, tau)
     k, x = data.perm_multiple(target)
     classes = G.subgroup_classes()
-    return k, PermVirtualRep({classes[i].id: v for i, v in enumerate(x) if v})
+    return k, {classes[i].id: v for i, v in enumerate(x) if v}
 
 
 def _rational_multiplicities(G: PermGroup,
@@ -236,36 +233,21 @@ def perm_matrix_rep(G: PermGroup, dsub) -> MatrixRep:
     return MatrixRep(G, images)
 
 
-PAIRING_ATTEMPTS = 8
+def invariant_pairing(rep: MatrixRep) -> Matrix:
+    """The G-invariant symmetric pairing Q = sum over g in G of M_g^T M_g.
 
-
-def invariant_pairing(rep: MatrixRep, seed: int = 0) -> Matrix:
-    """Non-degenerate G-invariant symmetric pairing by averaging a seed form.
-
-    The seed form is integral, so an integral model sums in ints; the
-    pairing is returned as Fractions.
+    Q is positive definite, since the identity term alone gives
+    x^T Q x >= |x|^2, so it is nondegenerate on every fixed space.  An
+    integral model sums in ints; the pairing is returned as Fractions.
     """
     n = rep.dimension
-    G = rep.group
-    rng = random.Random(seed)
-    for _ in range(PAIRING_ATTEMPTS):
-        seed_form = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                seed_form[i][j] = seed_form[j][i] = rng.randint(-3, 3)
-        total = [[0] * n for _ in range(n)]
-        for g in range(G.order):
-            m = rep.at(g)
-            part = mat_mul(_transpose(m), mat_mul(seed_form, m))
-            for i in range(n):
-                row = total[i]
-                prow = part[i]
-                for j in range(n):
-                    row[j] += prow[j]
-        if rat_det(total) != 0:
-            return [[Fraction(x) for x in row] for row in total]
-    raise DegeneratePairingError(
-        f"no pairing found in {PAIRING_ATTEMPTS} attempts")
+    total = [[0] * n for _ in range(n)]
+    for g in range(rep.group.order):
+        m = rep.at(g)
+        for row, part in zip(total, mat_mul(_transpose(m), m)):
+            for j, x in enumerate(part):
+                row[j] += x
+    return [[Fraction(x) for x in row] for row in total]
 
 
 def _check_pairing(rep: MatrixRep, pairing: Matrix) -> Matrix:
@@ -335,20 +317,16 @@ def matrix_fixed_det(rep: MatrixRep, pairing: Matrix, hsub) -> Fraction:
     return det
 
 
-def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing,
-                     d: int, seed: int = 0) -> RegConstValue:
+def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing: Matrix,
+                     d: int) -> RegConstValue:
     """Regulator constant from an explicit matrix model.
 
-    pairing is a symmetric rational matrix or "auto", in which case an
-    invariant pairing is generated from the given seed.  The raw value
-    depends on the pairing and fixed-space bases; only its class modulo
-    norms is canonical.
+    pairing is a symmetric, nondegenerate, G-invariant rational matrix,
+    which is checked; :func:`invariant_pairing` gives one for any model.
+    The raw value depends on the pairing and fixed-space bases; only its
+    class modulo norms is canonical.
     """
-    G = rep.group
-    if pairing == "auto":
-        q = invariant_pairing(rep, seed=seed)
-    else:
-        q = _check_pairing(rep, pairing)
+    q = _check_pairing(rep, pairing)
     raw = Fraction(1)
     for cid, n in theta.items():
         if n:

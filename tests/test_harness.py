@@ -78,9 +78,7 @@ def test_quadratic_probe_fields_literals(name):
     assert quadratic_probe_fields(make()) == expected
 
 
-def test_quadratic_probe_fields_extra_and_fixed_subfields():
-    assert quadratic_probe_fields(dihedral_group(3), extra=(7, -11)) == (
-        -1, -2, 2, -3, 3, -5, 5, 7, -11)
+def test_quadratic_subfields_of_fixed_field():
     assert quadratic_subfields_of_fixed_field(40, 3) == (-2, -5, 10)
     assert quadratic_subfields_of_fixed_field(24, 5) == (-1, -6, 6)
     assert quadratic_subfields_of_fixed_field(21, 2) == (-7,)
@@ -219,6 +217,28 @@ def test_differential_check_passes_for_every_delta_and_residue_size():
                 checked += 1
     # every pair (e, delta) with every q in {5, 7, 11, 13}
     assert checked == 28
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("l", [5, 7, 11, 13])
+def test_differential_check_passes_at_every_power_of_l(l, j):
+    # the weight is a power of q, not of l: at q = l^j each value of case 2C
+    # is the j-th power of its value at q = l, and every value stays a norm
+    # whether j is even or odd
+    q = l ** j
+    checked = 0
+    for e, deltas in _DELTAS.items():
+        for delta in deltas:
+            for r in (8, 12, 16, 24, 36):
+                report = appendix_differential_check(e, delta, l, q, r)
+                assert report.passed, (e, delta, l, q, r,
+                                       report.norm_failures)
+                at_l = appendix_differential_check(e, delta, l, l, r)
+                if report.case == at_l.case == "2C":
+                    assert report.values == {
+                        n: v ** j for n, v in at_l.values.items()}
+                checked += 1
+    assert checked == 35
 
 
 def test_differential_check_rejects_residue_sizes_that_are_not_powers():

@@ -1,5 +1,6 @@
 """The engine runs on the standard library alone: sympy is a test-only
-oracle, never imported by ``krel``."""
+oracle, never imported by ``krel``.  Nor does the engine import a source
+of randomness: randomness reaches it only through a caller's ``rng``."""
 
 import ast
 import os
@@ -13,7 +14,8 @@ SRC = Path(krel.__file__).parent
 SOURCES = sorted(SRC.glob("*.py"))
 
 
-def test_engine_modules_do_not_import_sympy():
+def engine_imports_of(packages):
+    """file:line of every import in the engine of one of these packages."""
     assert len(SOURCES) >= 9
     found = []
     for path in SOURCES:
@@ -26,8 +28,18 @@ def test_engine_modules_do_not_import_sympy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names
-                      if name.split(".")[0] == "sympy"]
+                      if name.split(".")[0] in packages]
+    return found
+
+
+def test_engine_modules_do_not_import_sympy():
+    found = engine_imports_of({"sympy"})
     assert not found, f"sympy imports in the engine: {found}"
+
+
+def test_engine_modules_do_not_import_randomness():
+    found = engine_imports_of({"random", "secrets"})
+    assert not found, f"random or secrets imports in the engine: {found}"
 
 
 def test_fresh_import_leaves_sympy_unloaded():

@@ -194,6 +194,25 @@ def test_square_branch_needs_no_factoring():
     assert report.square_ok is True and not report.prediction
 
 
+def test_square_branch_predicts_on_a_non_square_product():
+    # chi_5 on Q8 has rational character field, so no norm verdict can fail
+    # and only the square test can predict.  One split multiplicative place
+    # with D_v = Q8 and I_v = C4: the Tamagawa number e*n is 4 over the
+    # whole field and 2 over the fixed field of the centre, so the product
+    # over theta = 1.1 - 2.1 is 2, which is no rational square
+    G = quaternion_group()
+    place = PlaceDescriptor("v", "finite", G, 7, 7, subgroup_rep(G, "8.1"),
+                            subgroup_rep(G, "4.1"), SplitMult(1))
+    rho = next(chi for chi in character_table(G).irreducibles
+               if chi.label == "chi_5")
+    report = nrt_run(CurveLocalModel(G, (place,)), rho)
+    assert report.m == 2 and report.theta == {"1.1": 1, "2.1": -1}
+    assert report.product == 2
+    assert report.norm_verdicts == {}
+    assert report.square_ok is False
+    assert report.prediction is True
+
+
 # ---------------------------------------------------------------------------
 # The structural obstructions of the norm relations test, on hand models.
 

@@ -23,7 +23,6 @@ from krel.groups import (
 from krel.regconst import (
     DegeneratePairingError,
     MatrixRep,
-    PermVirtualRep,
     invariant_pairing,
     matrix_fixed_det,
     minimal_perm_multiple,
@@ -64,7 +63,7 @@ def virtual_character(G, rep):
     """The character of a virtual permutation module: the sum of its
     permutation characters with their coefficients."""
     total = 0 * perm_character(G, frozenset({0}))
-    for cid, m in rep.coeffs.items():
+    for cid, m in rep.items():
         total = total + m * perm_character(G, subgroup_rep(G, cid))
     return total
 
@@ -165,7 +164,7 @@ def test_minimal_perm_multiple_d21():
     for t in rational_irreducibles(G):
         k, exp = minimal_perm_multiple(G, t)
         assert k == 1
-        assert exp.coeffs == expected[t.label]
+        assert exp == expected[t.label]
         # the defining property, checked on characters
         assert virtual_character(G, exp) == t.sum_values
 
@@ -176,20 +175,20 @@ def test_minimal_perm_multiple_q8():
              if t.sum_values.degree() == 2)
     k, exp = minimal_perm_multiple(Q8, t)
     assert k == 2
-    assert exp.coeffs == {"1.1": 1, "2.1": -1}
+    assert exp == {"1.1": 1, "2.1": -1}
     assert virtual_character(Q8, exp) == 2 * t.sum_values
 
 
 def test_minimal_perm_multiple_trivial_and_c4():
     S3 = dihedral_group(3)
     k, exp = minimal_perm_multiple(S3, tau_by_label(S3, "tau_1"))
-    assert (k, exp.coeffs) == (1, {"6.1": 1})
+    assert (k, exp) == (1, {"6.1": 1})
 
     C4 = cyclic_group(4)
     t = next(t for t in rational_irreducibles(C4)
              if t.sum_values.degree() == 2)
     k, exp = minimal_perm_multiple(C4, t)
-    assert (k, exp.coeffs) == (1, {"1.1": 1, "2.1": -1})
+    assert (k, exp) == (1, {"1.1": 1, "2.1": -1})
 
 
 def test_minimal_perm_multiple_rejects_irrational():
@@ -368,7 +367,7 @@ def test_perm_matrix_rep_character(maker, cid):
 def test_invariant_pairing_properties():
     Q8 = quaternion_group()
     rep = MatrixRep(Q8, [QUAT_I, QUAT_J])
-    q = invariant_pairing(rep, seed=3)
+    q = invariant_pairing(rep)
     n = rep.dimension
     assert all(q[i][j] == q[j][i] for i in range(n) for j in range(n))
     assert rat_det(q) != 0
@@ -377,7 +376,10 @@ def test_invariant_pairing_properties():
         conj = [[sum(m[a][i] * q[a][b] * m[b][j] for a in range(n)
                      for b in range(n)) for j in range(n)] for i in range(n)]
         assert conj == q
-    assert invariant_pairing(rep, seed=3) == q
+    assert invariant_pairing(rep) == q
+    # the quaternion matrices are signed permutations, so each term M_g^T M_g
+    # is the identity
+    assert q == [[8 * x for x in row] for row in identity_matrix(4)]
 
 
 def test_pairing_validation():
@@ -407,24 +409,25 @@ def test_reg_const_matrix_quaternion():
     Q8 = quaternion_group()
     rep = MatrixRep(Q8, [QUAT_I, QUAT_J])
     theta = {"1.1": 1, "2.1": -1}
-    v_auto = reg_const_matrix(theta, rep, "auto", -1)
-    v_id = reg_const_matrix(theta, rep, identity_matrix(4), -1)
+    pairings = [identity_matrix(4), invariant_pairing(rep)]
+    assert pairings[0] != pairings[1]
+    v_id, v_inv = (reg_const_matrix(theta, rep, q, -1) for q in pairings)
     # the model carries the symplectic character twice, so the value is a
     # square no matter which pairing is used
     assert v_id.raw == 1
-    assert v_auto.is_norm() and same_mod_norms(v_auto, v_id)
-    assert reg_const_matrix(theta, rep, "auto", -1).raw == v_auto.raw
-    assert reg_const_matrix({}, rep, "auto", -1).raw == 1
+    assert v_inv.is_norm() and same_mod_norms(v_inv, v_id)
+    assert reg_const_matrix({}, rep, pairings[1], -1).raw == 1
 
 
 def test_pairing_choice_is_invisible_mod_norms():
     G = dihedral_group(21)
     rep = perm_matrix_rep(G, "6.1")
-    values = [
-        reg_const_matrix(D21_THETA, rep, identity_matrix(7), 21),
-        reg_const_matrix(D21_THETA, rep, "auto", 21, seed=0),
-        reg_const_matrix(D21_THETA, rep, "auto", 21, seed=5),
-    ]
+    ident = identity_matrix(7)
+    # I + J: the all-ones matrix J is invariant under every permutation
+    plus_ones = [[x + 1 for x in row] for row in ident]
+    pairings = [ident, plus_ones, invariant_pairing(rep)]
+    assert len({tuple(map(tuple, q)) for q in pairings}) == 3
+    values = [reg_const_matrix(D21_THETA, rep, q, 21) for q in pairings]
     for v in values[1:]:
         assert same_mod_norms(values[0], v)
     perm = reg_const_perm(G, D21_THETA, {"6.1": 1}, 21)
@@ -440,7 +443,8 @@ def test_matrix_and_perm_routes_agree(maker, d, cids):
     lat = k_relation_basis(G, d)
     theta = lat.basis[0]
     for cid in cids:
-        vm = reg_const_matrix(theta, perm_matrix_rep(G, cid), "auto", d)
+        rep = perm_matrix_rep(G, cid)
+        vm = reg_const_matrix(theta, rep, invariant_pairing(rep), d)
         vp = reg_const_perm(G, theta, {cid: 1}, d)
         assert same_mod_norms(vm, vp)
 
@@ -448,8 +452,9 @@ def test_matrix_and_perm_routes_agree(maker, d, cids):
 def test_virtual_matrix_route_d21():
     # sigma_7 = Q[G/S_3] - Q[G/G], evaluated one permutation model at a time
     G = dihedral_group(21)
-    num = reg_const_matrix(D21_THETA, perm_matrix_rep(G, "6.1"), "auto", 21)
-    den = reg_const_matrix(D21_THETA, perm_matrix_rep(G, "42.1"), "auto", 21)
+    num, den = (reg_const_matrix(D21_THETA, rep, invariant_pairing(rep), 21)
+                for rep in (perm_matrix_rep(G, "6.1"),
+                            perm_matrix_rep(G, "42.1")))
     assert is_norm_from_quadratic(num.raw / den.raw / 27, 21)
 
 
@@ -462,12 +467,12 @@ def test_multiplicative_in_theta_and_tau():
     lat = k_relation_basis(G, 21)
     rng = random.Random(11)
     thetas = random_lattice_elements(lat, rng, count=3)
-    tau1 = PermVirtualRep({"6.1": 1, "42.1": -1})
-    tau2 = PermVirtualRep({"14.1": 2})
+    tau1 = {"6.1": 1, "42.1": -1}
+    tau2 = {"14.1": 2}
     for theta in thetas:
         a = reg_const_perm(G, theta, tau1, 21)
         b = reg_const_perm(G, theta, tau2, 21)
-        both = PermVirtualRep(burnside_add(tau1.coeffs, tau2.coeffs))
+        both = burnside_add(tau1, tau2)
         assert reg_const_perm(G, theta, both, 21).raw == a.raw * b.raw
     t1, t2 = thetas[0], thetas[1]
     s = burnside_add(t1, t2)
@@ -475,7 +480,7 @@ def test_multiplicative_in_theta_and_tau():
         reg_const_perm(G, t1, tau1, 21).raw * reg_const_perm(G, t2, tau1, 21).raw
 
     rep = perm_matrix_rep(G, "6.1")
-    q = invariant_pairing(rep, seed=1)
+    q = invariant_pairing(rep)
     assert reg_const_matrix(s, rep, q, 21).raw == \
         reg_const_matrix(t1, rep, q, 21).raw * reg_const_matrix(t2, rep, q, 21).raw
 
@@ -596,21 +601,12 @@ def fraction_det(m):
     return det
 
 
-def fraction_pairing(elements, seed):
-    """The averaged seed form, drawing the seeds as invariant_pairing does."""
+def fraction_pairing(elements):
+    """The sum of M_g^T M_g over the group, entry by entry in Fractions."""
     n = len(elements[0])
-    rng = random.Random(seed)
-    for _ in range(regconst.PAIRING_ATTEMPTS):
-        s = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                s[i][j] = s[j][i] = Fraction(rng.randint(-3, 3))
-        total = [[sum((m[k][i] * s[k][l] * m[l][j]
-                       for m in elements for k in range(n) for l in range(n)),
-                      Fraction(0)) for j in range(n)] for i in range(n)]
-        if fraction_det(total):
-            return total
-    raise AssertionError("no non-degenerate pairing")
+    return [[sum((Fraction(m[k][i]) * m[k][j]
+                  for m in elements for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
 
 
 def fraction_fixed_det(elements, pairing, hrep):
@@ -658,14 +654,29 @@ def test_integral_models_match_a_fraction_only_oracle(name):
     elements = [rep.at(g) for g in range(G.order)]
     assert all(type(x) is int for m in elements for row in m for x in row)
     assert elements == fraction_elements(G, rep.images)
-    for seed in (0, 3):
-        q = invariant_pairing(rep, seed=seed)
-        assert all(type(x) is Fraction for row in q for x in row)
-        assert q == fraction_pairing(elements, seed)
-        for c in G.subgroup_classes():
-            det = matrix_fixed_det(rep, q, c.id)
-            assert type(det) is Fraction
-            assert det == fraction_fixed_det(elements, q, c.representative)
+    q = invariant_pairing(rep)
+    assert all(type(x) is Fraction for row in q for x in row)
+    assert q == fraction_pairing(elements)
+    assert fraction_det(q)
+    for c in G.subgroup_classes():
+        det = matrix_fixed_det(rep, q, c.id)
+        assert type(det) is Fraction
+        assert det == fraction_fixed_det(elements, q, c.representative)
+
+
+PAIRING_MODELS = {
+    **INTEGRAL_MODELS,
+    "D21/6.1": lambda: perm_matrix_rep(dihedral_group(21), "6.1"),
+    "A4/3.1": lambda: perm_matrix_rep(alternating4_group(), "3.1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_MODELS))
+def test_invariant_pairing_is_positive_definite(name):
+    q = invariant_pairing(PAIRING_MODELS[name]())
+    minors = [fraction_det([row[:k] for row in q[:k]])
+              for k in range(1, len(q) + 1)]
+    assert all(m > 0 for m in minors), minors
 
 
 def test_matrix_entries_are_ints_or_fractions():
