@@ -70,11 +70,20 @@ MUTANTS = [
      "return 2 if is_square_in_ext(key, e, f) else 4",
      "potentially multiplicative, odd e swaps 4 and 2"),
     (CURVELOCAL,
-     "    if is_square_in_ext(red.minus6b_class, e, f):\n"
-     "        return e * red.n",
-     "    if is_square_in_ext(red.minus6b_class, e, f):\n"
-     "        return 1",
-     "potentially multiplicative, even e and -6b square gives 1"),
+     "    if red.dprime is not None and h <= red.dprime:",
+     "    if red.dprime is not None:",
+     "potentially multiplicative, even e: split whenever D' exists"),
+    (CURVELOCAL,
+     "    if red.dprime is not None and h <= red.dprime:",
+     "    if is_square_in_ext(SquareClassLocal(\n"
+     "            1, red.minus_c6_class.unit_is_square == (p.q % 4 == 1)),\n"
+     "            e, f):",
+     "potentially multiplicative, even e: split when c6 = -(-c6) is a "
+     "square by (e, f) alone"),
+    (CURVELOCAL,
+     "(x.unit_is_square or f % 2 == 0)",
+     "x.unit_is_square",
+     "is_square_in_ext ignores f"),
     (CURVELOCAL,
      "exponent = (red.delta * e // 12) * f",
      "exponent = (red.delta * e // 12)",

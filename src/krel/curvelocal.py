@@ -70,11 +70,18 @@ class AddPotGood:
 
 @dataclass(frozen=True)
 class AddPotMult:
+    """Reduction of type I_n* (l >= 5), so v(c6) = 3 and ``minus_c6_class``
+    has odd valuation.  Over F_w with e_w odd it stays I_n*, and c is 4 or
+    2 by whether ``delta_class`` (n even) or ``b_class`` (n odd) is a
+    square there.  ``dprime`` is the subgroup of D_v fixing
+    Q_l(sqrt(-c6)), given exactly when the top field holds sqrt(-c6); with
+    e_w even the reduction is I_{n e_w}, split exactly when the local
+    subgroup lies in D'."""
+
     n: int
     minus_c6_class: SquareClassLocal
     b_class: SquareClassLocal
     delta_class: SquareClassLocal
-    minus6b_class: SquareClassLocal
     dprime: frozenset[int] | None = None
 
 
@@ -211,10 +218,10 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
         if p.l < 5:
             out.append(Diagnostic("additive-residue-char",
                                   "additive reduction requires l >= 5"))
-        if red.minus_c6_class.is_square():
+        if red.minus_c6_class.val_parity == 0:
             out.append(Diagnostic("not-additive",
-                                  "-c6 a square means split multiplicative "
-                                  "reduction, not additive"))
+                                  "v(c6) = 3 at I_n*: -c6 of even valuation "
+                                  "means multiplicative reduction"))
         in_f = is_square_in_ext(red.minus_c6_class, e1, f1)
         if red.dprime is None:
             if in_f:
@@ -230,11 +237,9 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
             elif _dprime_index_problem(G, p.dsub, red.dprime):
                 out.append(Diagnostic("d-prime-index",
                                       "D' must be an index-2 subgroup of D_v"))
-            elif (red.minus_c6_class.val_parity == 1) \
-                    != (not p.isub <= red.dprime):
-                out.append(Diagnostic(
-                    "d-prime-ramification",
-                    "ramification of F^{D'} disagrees with the -c6 class"))
+            elif p.isub <= red.dprime:
+                out.append(Diagnostic("d-prime-ramification",
+                                      "sqrt(-c6) is ramified: I_v not in D'"))
     return out
 
 
@@ -311,10 +316,9 @@ def reduction_case(p: PlaceDescriptor) -> str:
 def tamagawa(p: PlaceDescriptor, h: frozenset[int]) -> int:
     """Tamagawa number of the curve over the subfield fixed by h."""
     _require_validated(p)
-    red = p.reduction
-    if isinstance(red, Good):
+    if isinstance(p.reduction, Good):
         return 1
-    return _tamagawa_ef(red, *_place_ef(p, h))
+    return _tamagawa(p, h, *_place_ef(p, h))
 
 
 def _place_ef(p: PlaceDescriptor, h: frozenset[int]) -> tuple[int, int]:
@@ -324,8 +328,9 @@ def _place_ef(p: PlaceDescriptor, h: frozenset[int]) -> tuple[int, int]:
     return local_ef(p.dsub, p.isub, h)
 
 
-def _tamagawa_ef(red: ReductionData, e: int, f: int) -> int:
-    """Tamagawa number of a bad reduction type over a field with (e, f)."""
+def _tamagawa(p: PlaceDescriptor, h: frozenset[int], e: int, f: int) -> int:
+    """Tamagawa number of a bad place over F_w, the fixed field of h."""
+    red = p.reduction
     if isinstance(red, SplitMult):
         return e * red.n
     if isinstance(red, NonsplitMult):
@@ -346,7 +351,8 @@ def _tamagawa_ef(red: ReductionData, e: int, f: int) -> int:
     if e % 2 == 1:
         key = red.delta_class if red.n % 2 == 0 else red.b_class
         return 4 if is_square_in_ext(key, e, f) else 2
-    if is_square_in_ext(red.minus6b_class, e, f):
+    # e even: I_{ne}, split exactly when sqrt(-c6) lies in F_w, i.e. h in D'
+    if red.dprime is not None and h <= red.dprime:
         return e * red.n
     return 2
 
@@ -368,7 +374,7 @@ def fudge_C(p: PlaceDescriptor, h: frozenset[int]) -> Fraction:
         exponent = (red.delta * e // 12) * f
     else:
         exponent = (e // 2) * f
-    return _tamagawa_ef(red, e, f) * Fraction(p.q) ** exponent
+    return _tamagawa(p, h, e, f) * Fraction(p.q) ** exponent
 
 
 def default_additive_lambda(fe: int, q: int, dihedral: bool) -> int:
@@ -422,9 +428,8 @@ def _root_datum(p: PlaceDescriptor) -> RootDatum:
         rot = G.closure(p.isub | dprime)
         return _with_v(p, lam, lambda x: 2 + _SIGMA[_order_mod(G, x, dprime)]
                        if x in rot else 0)
-    # potentially multiplicative
-    ramified = red.minus_c6_class.val_parity == 1
-    lam = kronecker_symbol(-1, p.q) if ramified else 1
+    # potentially multiplicative: -c6 has odd valuation, so lambda = (-1 | q)
+    lam = kronecker_symbol(-1, p.q)
     if red.dprime is None:
         return RootDatum(lam)
     return _with_v(p, lam, lambda x: 1 if x in red.dprime else -1)

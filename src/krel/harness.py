@@ -199,11 +199,6 @@ def _residue_powers(e: int, residue: int):
     return tuple(out)
 
 
-def _negated_class(c: SquareClassLocal, q: int) -> SquareClassLocal:
-    """Square class of -x given the class of x over a residue field of size q."""
-    return SquareClassLocal(c.val_parity, c.unit_is_square == (q % 4 == 1))
-
-
 def _whole_group_place(G, isub, l, q, red, name="w") -> PlaceDescriptor:
     p = PlaceDescriptor(name, "finite", group=G, l=l, q=q,
                         dsub=frozenset(range(G.order)), isub=isub,
@@ -404,8 +399,7 @@ def appendix_tamagawa_check(case: str,
                         for bu in bus:
                             red = AddPotMult(
                                 n, mc, SquareClassLocal(0, bu),
-                                SquareClassLocal(n % 2, du),
-                                _negated_class(mc, q), dprime=dp)
+                                SquareClassLocal(n % 2, du), dprime=dp)
                             _whole_group_place(G, isub, l, q, red)
                             fn, values = potmult(n, du, bu, dp)
                             flags = (f"n={n}"
@@ -696,15 +690,14 @@ def _propose_place(G, dsub, isub, kind, rng, name):
                          lambda_override=rng.choice((None, None, 1, -1)))
         return PlaceDescriptor(name, "finite", group=G, l=l, q=q,
                                dsub=dsub, isub=isub, reduction=red)
-    # potentially multiplicative places keep odd inertia, where the declared
-    # square classes determine every subfield membership question exactly
+    # potentially multiplicative places keep odd inertia, where -c6 stays a
+    # non-square and takes no D'; drawing D' would move every seed's draws
     if e1 % 2 == 0:
         return None
     l, q = rng.choice(_ADDITIVE_QS)
     mc = rng.choice(_RAMIFIED_CLASSES)
     n = rng.randint(1, 3)
     red = AddPotMult(n, mc, SquareClassLocal(0, bool(rng.getrandbits(1))),
-                     SquareClassLocal(n % 2, bool(rng.getrandbits(1))),
-                     _negated_class(mc, q))
+                     SquareClassLocal(n % 2, bool(rng.getrandbits(1))))
     return PlaceDescriptor(name, "finite", group=G, l=l, q=q,
                            dsub=dsub, isub=isub, reduction=red)

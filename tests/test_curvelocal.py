@@ -1,10 +1,10 @@
 """Tests for local curve data: validation, Tamagawa numbers, fudge factors, root data."""
 
-import functools
 import random
 from fractions import Fraction
 
 import pytest
+from appendix_places import appendix_places
 
 from krel.characters import ClassFunction, character_table, inner_product, perm_character
 from krel.curvelocal import (
@@ -37,9 +37,7 @@ from krel.groups import (
     subgroup_as_group,
     subgroup_rep,
 )
-from krel import harness
-from krel.harness import (MetacyclicSpec, appendix_tamagawa_check,
-                          synthetic_model)
+from krel.harness import MetacyclicSpec, synthetic_model
 from krel.relations import (
     LocalFn,
     coset_profile,
@@ -95,11 +93,13 @@ def d21_dihedral_place(q=5):
     return finite_place(G, whole, isub, red, l=q, q=q)
 
 
-def c2_potmult_place(q=13, n=1, b=SQ_TRIV, delta=SQ_TRIV, minus6b=SQ_UNIF):
-    """Potentially multiplicative place with D_v = I_v = C_2 (ramified quadratic)."""
+def c2_potmult_place(q=13, n=1, b=SQ_TRIV, delta=SQ_TRIV, minus_c6=SQ_UNIF):
+    """Potentially multiplicative place with D_v = I_v = C_2 (ramified
+    quadratic); D' = 1 exactly when -c6 becomes a square over the top field."""
     C2 = cyclic_group(2)
     w = frozenset(range(2))
-    red = AddPotMult(n, SQ_UNIF, b, delta, minus6b, frozenset([0]))
+    dprime = frozenset([0]) if minus_c6.unit_is_square else None
+    red = AddPotMult(n, minus_c6, b, delta, dprime)
     return finite_place(C2, w, w, red, l=q, q=q)
 
 
@@ -401,13 +401,16 @@ def test_delta_square_forced():
 
 
 def test_not_additive_check():
-    # Potentially multiplicative with -c6 already a square means the curve was
-    # split multiplicative to begin with, not additive.
+    # At an I_n* place with l >= 5, v(c6) = 3: a -c6 of even valuation,
+    # square or not, means multiplicative reduction, not additive.  A square
+    # -c6 also asks for a D' here, since it is a square over the top field.
     C2 = cyclic_group(2)
     w = frozenset(range(2))
-    red = AddPotMult(1, SQ_TRIV, SQ_TRIV, SQ_TRIV, SQ_TRIV, None)
-    p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert "not-additive" in _diag_rules(p)
+    for minus_c6, rules in ((SQ_TRIV, ["not-additive", "d-prime-required"]),
+                            (SQ_UNIT, ["not-additive"])):
+        red = AddPotMult(1, minus_c6, SQ_TRIV, SQ_TRIV, None)
+        p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
+        assert _diag_rules(p) == rules
 
 
 def test_potmult_dprime_rules():
@@ -415,30 +418,32 @@ def test_potmult_dprime_rules():
     w = frozenset(range(2))
     ident = frozenset([0])
 
-    # A non-square unit -c6 stays non-square in a ramified quadratic (f = 1),
-    # so there is no quadratic subfield and D' must not be supplied.
-    red = AddPotMult(1, SQ_UNIT, SQ_TRIV, SQ_TRIV, SQ_UNIT, ident)
+    # -c6 a uniformizer times a non-square unit stays non-square in a
+    # ramified quadratic with f = 1, so there is no quadratic subfield and
+    # D' must not be supplied.
+    red = AddPotMult(1, sq(1, False), SQ_TRIV, SQ_TRIV, ident)
     p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert "d-prime-forbidden" in _diag_rules(p)
+    assert _diag_rules(p) == ["d-prime-forbidden"]
 
     # Conversely, once -c6 is a square in F_w the subfield exists and D'
     # becomes mandatory.
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF, None)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, None)
     p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert "d-prime-required" in _diag_rules(p)
+    assert _diag_rules(p) == ["d-prime-required"]
 
     # D' must have index 2.
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF, w)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, w)
     p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert "d-prime-index" in _diag_rules(p)
+    assert _diag_rules(p) == ["d-prime-index"]
 
-    # Ramified -c6 must put inertia outside D'.
+    # -c6 has odd valuation, so its square root is ramified: D' must not
+    # contain inertia.
     C4 = cyclic_group(4)
     w4 = frozenset(range(4))
     half = frozenset([0, 2])
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF, half)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, half)
     p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
-    assert "d-prime-ramification" in _diag_rules(p)
+    assert _diag_rules(p) == ["d-prime-ramification"]
 
 
 def test_potmult_dprime_index_is_checked_once_per_key(monkeypatch):
@@ -447,7 +452,7 @@ def test_potmult_dprime_index_is_checked_once_per_key(monkeypatch):
     C4 = cyclic_group(4)
     w4 = frozenset(range(4))
     half = frozenset([0, 2])
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF, half)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, half)
     p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
     assert _diag_rules(p) == ["d-prime-ramification"]
     closures = []
@@ -569,13 +574,15 @@ def test_tamagawa_potentially_multiplicative():
     ident = frozenset([0])
     w = frozenset(range(2))
 
-    # Even e: split if -6b becomes a square, giving c = en.
-    p = c2_potmult_place(q=13, n=1, minus6b=SQ_UNIF)
-    assert tamagawa(p, ident) == 2                # e = 2, split: en = 2
-    p2 = c2_potmult_place(q=13, n=3, minus6b=SQ_UNIF)
-    assert tamagawa(p2, ident) == 6               # e = 2, split: en = 6
-    p3 = c2_potmult_place(q=13, n=1, minus6b=sq(1, False))
-    assert tamagawa(p3, ident) == 2               # unit part non-square: nonsplit
+    # Even e: I_{ne}, split (c = en) when H lies in D', nonsplit (c = 2)
+    # otherwise, and always nonsplit when there is no D'.
+    p = c2_potmult_place(q=13, n=1)
+    assert tamagawa(p, ident) == 2                # e = 2, H in D' = 1: en = 2
+    p2 = c2_potmult_place(q=13, n=3)
+    assert tamagawa(p2, ident) == 6               # e = 2, H in D' = 1: en = 6
+    p3 = c2_potmult_place(q=13, n=3, minus_c6=sq(1, False))
+    assert p3.reduction.dprime is None
+    assert tamagawa(p3, ident) == 2               # no D': nonsplit, not en = 6
 
     # Odd e, odd n: the b class decides between 4 and 2.
     assert tamagawa(p, w) == 4                    # b square
@@ -716,8 +723,14 @@ def cyclic_place(reduction, order, inertia, q=13):
 POT_GOOD_2 = AddPotGood(2, SQ_TRIV, SQ_TRIV)
 POT_GOOD_3 = AddPotGood(3, SQ_TRIV, SQ_TRIV)
 POT_GOOD_4 = AddPotGood(4, SQ_TRIV, SQ_UNIT)
-POT_MULT_1 = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, SQ_UNIF)
-POT_MULT_2 = AddPotMult(2, SQ_UNIT, SQ_TRIV, SQ_UNIT, SQ_TRIV)
+POT_MULT_1 = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV)
+# -c6 becomes a square over the top field, so D' is the C_6 of C_12; it
+# holds every H with e even below, so all of them are split
+POT_MULT_2 = AddPotMult(2, SQ_UNIF, SQ_TRIV, SQ_UNIT,
+                        subgroup_rep(cyclic_group(12), "6.1"))
+# -c6 a uniformizer times a non-square unit stays non-square over the top
+# field (f = 3 is odd): no D', so every H with e even is nonsplit, c = 2
+POT_MULT_2_NO_DPRIME = AddPotMult(2, sq(1, False), SQ_TRIV, SQ_UNIT)
 
 # (reduction, |D_v| (D_v = G cyclic), |I_v|, |H|, (e, f) of the fixed field
 # of H, its Tamagawa number, its fudge factor), with q = 13 throughout.
@@ -759,12 +772,18 @@ BASE_CHANGE_TABLE = [
     (POT_MULT_2, 12, 4, 3, (4, 1), 8, 8 * 13 ** 2),
     (POT_MULT_2, 12, 4, 4, (1, 3), 2, 2),
     (POT_MULT_2, 12, 4, 6, (2, 1), 4, 4 * 13),
+    (POT_MULT_2_NO_DPRIME, 12, 4, 1, (4, 3), 2, 2 * 13 ** 6),
+    (POT_MULT_2_NO_DPRIME, 12, 4, 2, (2, 3), 2, 2 * 13 ** 3),
+    (POT_MULT_2_NO_DPRIME, 12, 4, 3, (4, 1), 2, 2 * 13 ** 2),
+    (POT_MULT_2_NO_DPRIME, 12, 4, 4, (1, 3), 2, 2),
+    (POT_MULT_2_NO_DPRIME, 12, 4, 6, (2, 1), 2, 2 * 13),
 ]
 
 
 @pytest.mark.parametrize(
     "red, order, inertia, h_order, ef, c, fudge", BASE_CHANGE_TABLE,
     ids=[f"{type(red).__name__}{getattr(red, 'n', getattr(red, 'delta', ''))}"
+         f"{'-noDprime' if red is POT_MULT_2_NO_DPRIME else ''}"
          f"-D{order}-I{inertia}-H{h}"
          for red, order, inertia, h, *_ in BASE_CHANGE_TABLE])
 def test_local_factors_under_base_change(red, order, inertia, h_order, ef,
@@ -875,23 +894,6 @@ def v_on_standalone_dv(p, rd):
                                     for cls in sub.conjugacy_classes()))
 
 
-@functools.cache
-def appendix_places(case, spec):
-    """The places that one appendix sweep validates, in order."""
-    places = []
-    real = harness.validate_place
-
-    def recording(p):
-        places.append(p)
-        return real(p)
-    harness.validate_place = recording
-    try:
-        appendix_tamagawa_check(case, spec)
-    finally:
-        harness.validate_place = real
-    return tuple(places)
-
-
 # every spec of order at most 32 that the appendix's 2D sweep takes
 DIHEDRAL_SPECS = [MetacyclicSpec(e, k, -1) for e in (3, 4, 6)
                   for k in range(1, 4) if e << k <= 32]
@@ -943,14 +945,19 @@ def test_root_datum_potentially_multiplicative():
     p7 = c2_potmult_place(q=7)
     assert root_datum(p7).lam == kronecker_symbol(-1, 7) == -1
 
-    # Unramified -c6 staying non-square (odd-degree extension): no quadratic
-    # subfield, lambda = +1, V = 0.
+    # No D' (-c6 stays non-square in the top field): lambda is still
+    # (-1 | q), and V = 0.
+    p_no = c2_potmult_place(q=7, minus_c6=sq(1, False))
+    rdn = root_datum(p_no)
+    assert rdn.lam == -1 and rdn.v is None
+
+    # An unramified -c6 (even valuation) would give lambda = +1, but
+    # v(c6) = 3 at every I_n* place with l >= 5: such a place is refused.
     C3 = cyclic_group(3)
     w3 = frozenset(range(3))
-    red = AddPotMult(1, SQ_UNIT, SQ_TRIV, SQ_TRIV, SQ_UNIT, None)
-    p_un = finite_place(C3, w3, w3, red, l=5, q=5)
-    rdu = root_datum(p_un)
-    assert rdu.lam == 1 and rdu.v is None
+    red = AddPotMult(1, SQ_UNIT, SQ_TRIV, SQ_TRIV, None)
+    p_un = PlaceDescriptor("v", "finite", C3, 5, 5, w3, w3, red)
+    assert _diag_rules(p_un) == ["not-additive"]
 
 
 def restricted_pairing(p, chi, rd):

@@ -6,16 +6,20 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from appendix_places import appendix_places
 
 from krel import curvelocal, harness, relations
+from krel.curvelocal import reduction_case, root_datum, tamagawa
 from krel.groups import (PermGroup, cyclic_group, dihedral_group,
                          metacyclic_group)
 from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
+                          _fine_potgood, _fine_potmult, _sqrt_field_subgroup,
                           _value_vector, appendix_differential_check,
                           appendix_tamagawa_check, build_metacyclic,
                           lemma_b3_check, quadratic_probe_fields,
                           quadratic_subfields_of_fixed_field)
-from krel.relations import k_relation_basis
+from krel.parity import CurveLocalModel, theorem_main_check
+from krel.relations import k_relation_basis, local_ef
 
 FIELDS = (-5, -3, -2, -1, 2, 3, 5)
 
@@ -118,6 +122,75 @@ def test_every_appendix_row_of_order_at_most_32_passes():
             assert r.passed, r.detail
         total += len(rows)
     assert total == 9372
+
+
+def distinct_places(case, spec):
+    """The places that the sweep of (case, spec) validates, one per
+    reduction datum, and at 2M one per (datum, lambda): lambda = (-1 | q)
+    is how q enters a potentially multiplicative one-place model."""
+    return list({(p.reduction, root_datum(p).lam if case == "2M" else None): p
+                 for p in appendix_places(case, spec)}.values())
+
+
+def test_engine_tamagawa_numbers_match_the_oracles():
+    # curvelocal.tamagawa against the sweeps' own _fine_potmult and
+    # _fine_potgood at every appendix place of order at most 32 and every
+    # subgroup class.  2M agrees everywhere: D' decides even e.  What is
+    # left in 2C and 2D is a class of odd valuation read over an F_w with
+    # e even, where (e, f) cannot tell which ramified quadratic F_w holds
+    # (B at gcd(delta*e, 12) = 4, the discriminant at 6); each such
+    # disagreement is counted by (case, gcd, that class's valuation, e mod 2)
+    pairs, disagree = Counter(), Counter()
+    for case, spec in admissible_appendix_calls(32):
+        _, rotation, frobenius = build_metacyclic(spec)
+        for p in distinct_places(case, spec):
+            G, red = p.group, p.reduction
+            du = red.delta_class.unit_is_square
+            bu = red.b_class.unit_is_square
+            wsub = _sqrt_field_subgroup(G, rotation, frobenius)
+            for c in G.subgroup_classes():
+                h = c.representative
+                pairs[case] += 1
+                if case == "2M":
+                    oracle = _fine_potmult(G, p.isub, red.dprime, red.n, du,
+                                           bu, h)
+                else:
+                    oracle = _fine_potgood(G, p.isub, wsub, red.delta, du, bu,
+                                           reduction_case(p) == "2D", h)
+                if tamagawa(p, h) == oracle:
+                    continue
+                if case == "2M":
+                    disagree[case, spec, red, c.id] += 1
+                    continue
+                e, _ = local_ef(p.dsub, p.isub, h)
+                g = math.gcd(red.delta * e, 12)
+                read = red.b_class if g == 4 else red.delta_class
+                disagree[case, g, read.val_parity, e % 2] += 1
+    assert pairs == {"2C": 536, "2D": 328, "2M": 6216}
+    # 50 in all, each of odd valuation over an even e
+    assert disagree == {("2C", 4, 1, 0): 14, ("2C", 6, 1, 0): 12,
+                        ("2D", 4, 1, 0): 12, ("2D", 6, 1, 0): 12}
+
+
+def test_one_place_congruence_at_potentially_multiplicative_places():
+    # the per-place theorem on CurveLocalModel(G, (p,)) at every 2M place
+    # of the sweeps of order at most 8, for every K-relation basis element
+    # of every probe field; its root-number side comes from V on D', not
+    # from the Tamagawa numbers
+    checks = 0
+    for case, spec in admissible_appendix_calls(8):
+        if case != "2M":
+            continue
+        got = distinct_places(case, spec)
+        G = got[0].group
+        models = [CurveLocalModel(G, (p,)) for p in got]
+        for d in quadratic_probe_fields(G):
+            for theta in k_relation_basis(G, d).basis:
+                for model in models:
+                    report = theorem_main_check(model, theta, d)
+                    assert report.congruent, (spec, model.places[0], d, theta)
+                    checks += 1
+    assert checks == 9800
 
 
 # Every admissible call of order 48 or 64.
