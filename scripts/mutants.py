@@ -182,6 +182,18 @@ MUTANTS = [
      "                       if x in p.isub else 0)",
      "dihedral V vanishes off I_v instead of off the rotations I_v D'"),
     (CURVELOCAL,
+     "_SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}",
+     "_SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: -1}",
+     "dihedral V reads sigma = -1 at rotations of order 6"),
+    (CURVELOCAL,
+     "_SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}",
+     "_SIGMA = {1: 2, 2: 2, 3: -1, 4: 0, 6: 1}",
+     "dihedral V reads sigma = +2 at rotations of order 2"),
+    (CURVELOCAL,
+     "        if red.delta_class.val_parity != v_delta % 2:",
+     "        if False:",
+     "the declared discriminant class may contradict v(Delta)"),
+    (CURVELOCAL,
      "        kernel = G.closure(p.isub | {G.mul(y, y) for y in p.dsub})",
      "        kernel = p.isub",
      "nonsplit V is +1 on I_v only, not on I_v and the squares"),

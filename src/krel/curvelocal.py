@@ -187,10 +187,17 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
     if isinstance(red, (SplitMult, NonsplitMult, AddPotMult)) and red.n < 1:
         out.append(Diagnostic("discriminant-valuation", "n must be >= 1"))
 
-    if isinstance(red, AddPotGood):
+    if isinstance(red, (AddPotGood, AddPotMult)):
         if p.l < 5:
             out.append(Diagnostic("additive-residue-char",
                                   "additive reduction requires l >= 5"))
+        # v(Delta) is delta when potentially good and n + 6 at I_n*
+        v_delta = red.delta if isinstance(red, AddPotGood) else red.n + 6
+        if red.delta_class.val_parity != v_delta % 2:
+            out.append(Diagnostic("delta-class-parity",
+                                  f"v(Delta) = {v_delta}, but the declared "
+                                  "discriminant class has the other parity"))
+    if isinstance(red, AddPotGood):
         if red.delta not in (2, 3, 4, 6, 8, 9, 10):
             out.append(Diagnostic("delta-range",
                                   f"delta = {red.delta} is not additive "
@@ -215,9 +222,6 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
                     "q = 1 mod 6 admits a tame cubic extension, so the "
                     "discriminant must already be a square"))
     elif isinstance(red, AddPotMult):
-        if p.l < 5:
-            out.append(Diagnostic("additive-residue-char",
-                                  "additive reduction requires l >= 5"))
         if red.minus_c6_class.val_parity == 0:
             out.append(Diagnostic("not-additive",
                                   "v(c6) = 3 at I_n*: -c6 of even valuation "

@@ -1,14 +1,15 @@
 """Brute-force sweeps behind the additive local-factor claims.
 
 The local functions attached to additive places (Tamagawa numbers, the
-differential weight, and their fixed-space-determinant counterparts) are
-claimed to be trivial on K-relations after taking suitable ratios.  The
-checks here enumerate the metacyclic decomposition groups where those claims
-live, instantiate every admissible combination of declared reduction flags,
-and norm-test the ratios on an explicit lattice basis for a battery of
-quadratic fields.  A second family of checks evaluates the differential
-weight functions on the cyclic elements Psi_n and compares the set of
-non-square values against the predicted membership tables.
+differential weight, and the fixed-space determinants of the root-number
+module V, a virtual permutation module) are claimed to be trivial on
+K-relations after taking suitable ratios.  The checks here enumerate the
+metacyclic decomposition groups where those claims live, instantiate every
+admissible combination of declared reduction flags, and norm-test the ratios
+on an explicit lattice basis for a battery of quadratic fields.  A second
+family of checks evaluates the differential weight functions on the cyclic
+elements Psi_n and compares the set of non-square values against the
+predicted membership tables.
 
 The module also houses the randomized model generator used by the global
 property sweeps; proposals are drawn from the subgroup lattice with
@@ -22,17 +23,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import _fundamental_discriminant, _quadratic_subfields
+from .characters import (ClassFunction, _fundamental_discriminant,
+                         _quadratic_subfields)
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
                          _is_prime_power, is_square_in_ext, ram_degree,
-                         validate_place)
-from .exactmath import (PLACE_INF, _as_fraction, divisors, factor_bounded,
-                        is_norm_from_quadratic, is_squarefree, isprime,
-                        kronecker_symbol, mobius, primerange)
+                         root_datum, validate_place)
+from .exactmath import (PLACE_INF, ExactCheckError, _as_fraction, divisors,
+                        factor_bounded, is_norm_from_quadratic, is_squarefree,
+                        isprime, kronecker_symbol, mobius, primerange,
+                        snf_solve)
 from .groups import PermGroup, metacyclic_generators
 from .parity import CurveLocalModel
-from .regconst import MatrixRep, invariant_pairing, matrix_fixed_det
+from .regconst import _rational_multiplicities, perm_fixed_det
 from .relations import (_cyclic_quotient, is_trivial_on_k_relations,
                         k_relation_basis)
 
@@ -210,33 +213,26 @@ def _whole_group_place(G, isub, l, q, red, name="w") -> PlaceDescriptor:
     return p
 
 
-def _dihedral_v_rep(G: PermGroup, e: int, rotation: int,
-                    frobenius: int) -> MatrixRep:
-    """The four-dimensional reference module 1 + eta + sigma on the group.
+def _v_fixed_det(G: PermGroup, v: dict[int, int]):
+    """h -> the unscaled fixed-space determinant of V at h, cached.
 
-    sigma is realized by the integral rotation matrix of trace 2cos(2pi/e)
-    and the swap reflection; eta is the character that is -1 exactly on the
-    coset of y.  Well-definedness is checked by the MatrixRep constructor.
+    v is V at each element, as a place with D_v = G has it.  V is solved as
+    the sum of m_D * Q[G/D] on the cached multiplicity Smith form
+    (``ExactCheckError`` if V needs a multiple), and Q[G/D] gives the
+    product over H\\G/D of [H : H ∩ xDx^-1]: ``perm_fixed_det`` times
+    |H|^dim Q[G/D]^H.
     """
-    c = {3: -1, 4: 0, 6: 1}[e]
-
-    def block(eta, m):
-        out = [[0] * 4 for _ in range(4)]
-        out[0][0] = 1
-        out[1][1] = eta
-        for i in range(2):
-            for j in range(2):
-                out[2 + i][2 + j] = m[i][j]
-        return out
-
-    by_gen = {rotation: block(1, [[0, -1], [1, c]]),
-              frobenius: block(-1, [[0, 1], [1, 0]])}
-    return MatrixRep(G, [by_gen[g] for g in G.generator_indices])
-
-
-def _unscaled_fixed_det(rep: MatrixRep, pairing, traces, h: frozenset[int]):
-    dimfix = int(sum(traces[x] for x in h)) // len(h)
-    return matrix_fixed_det(rep, pairing, h) * Fraction(len(h)) ** dimfix
+    cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
+    sol = snf_solve(G.data.multiplicity_matrix, _rational_multiplicities(
+        G, cf), G.data.multiplicity_smith)
+    if sol.minimal_m != 1:
+        raise ExactCheckError(f"V is a virtual permutation module only "
+                              f"{sol.minimal_m} times over")
+    module = [(c.representative, m)
+              for c, m in zip(G.subgroup_classes(), sol.witness) if m]
+    return functools.cache(lambda h: math.prod(
+        ((perm_fixed_det(G, h, d) * len(h) ** len(G.double_cosets(h, d)))
+         ** m for d, m in module), start=Fraction(1)))
 
 
 def _value_vector(G, fn) -> tuple[tuple[int, int], ...]:
@@ -286,9 +282,12 @@ def appendix_tamagawa_check(case: str,
     row records one (configuration, quadratic field) verdict; the claim
     under test holds when every row passes.  The fields d are
     :func:`quadratic_probe_fields` of the group, and the residue sizes q
-    come from :func:`_residue_powers`.  Case 2D values the module with
-    :func:`invariant_pairing`; any other invariant pairing gives the same
-    verdicts, since regulator constants do not depend on it up to norms.
+    come from :func:`_residue_powers`.  Case 2D reads V = 1 + eta + sigma
+    from ``root_datum(p).v`` of its first place, the V of the dihedral local
+    root number, and values it as a virtual permutation module with the
+    standard permutation pairing (:func:`_v_fixed_det`), once per group; any
+    other invariant pairing gives the same verdicts, since regulator
+    constants do not depend on it up to norms.
 
     The residue size q enters only the place, which is validated for every
     q in the pool, and the ``dihedral`` switch (q = -1 mod the ramification
@@ -320,15 +319,8 @@ def appendix_tamagawa_check(case: str,
         pool = _residue_powers(ram_degree(_DELTAS[spec.e][0]), residue)
         wsub = _sqrt_field_subgroup(G, rotation, frobenius)
         if case == "2D":
-            vrep = _dihedral_v_rep(G, spec.e, rotation, frobenius)
-            pairing = invariant_pairing(vrep)
-            traces = [sum(vrep.at(i)[j][j] for j in range(4))
-                      for i in range(G.order)]
             dprime = G.closure([G.mul(frobenius, frobenius)])
-            # depends on h alone: one determinant per subgroup, shared by
-            # every (delta, q, flags) below
-            fixed_det = functools.cache(functools.partial(
-                _unscaled_fixed_det, vrep, pairing, traces))
+        fixed_det = None  # V's, set at the first place: all share D_v, I_v, D'
 
         # one cached function and its value vector per parameter tuple,
         # shared by every q
@@ -362,7 +354,9 @@ def appendix_tamagawa_check(case: str,
                             delta, SquareClassLocal(delta % 2, du),
                             SquareClassLocal(_B_PARITY[delta], bu),
                             dprime=dprime if dihedral else None)
-                        _whole_group_place(G, isub, l, q, red)
+                        p = _whole_group_place(G, isub, l, q, red)
+                        if dihedral and fixed_det is None:
+                            fixed_det = _v_fixed_det(G, root_datum(p).v)
                         flags = f"delta={delta} dsq={du:d} bsq={bu:d}"
                         fn, values = potgood(delta, du, bu, dihedral)
                         _check_function(case, spec, G, q, flags, fn, values,

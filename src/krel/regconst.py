@@ -1,16 +1,16 @@
 """Regulator constants of virtual permutation modules and matrix models.
 
-The workhorse is the double-coset product for permutation modules; rational
-irreducibles are routed through it whenever an odd multiple is a virtual
-permutation character.  There is no automatic fallback: a rational
-irreducible with an orthogonal constituent and no odd permutation multiple
-raises :class:`NeedsMatrixModel` (``nrt_run`` records it as the
-``needs-matrix-model`` diagnostic), and its value has to come from an
-explicit matrix model through :func:`reg_const_matrix`.  Regulator constants
-do not depend on the G-invariant pairing up to norms, so one deterministic
-pairing serves every model: :func:`invariant_pairing`, the sum of M_g^T M_g
-over the group.  Values stay exact rationals; a verdict reads them modulo
-norms only at the very end.
+Every module the engine values goes through the permutation route, the
+double-coset product on Q[G/D]: rational irreducibles whenever an odd
+multiple is a virtual permutation character, and the appendix's dihedral V.
+A rational irreducible with an orthogonal constituent and no odd permutation
+multiple raises :class:`NeedsMatrixModel` (``nrt_run`` records it as the
+``needs-matrix-model`` diagnostic).  The matrix route (:class:`MatrixRep`,
+:func:`matrix_fixed_det`, :func:`reg_const_matrix`) has no engine caller: it
+is the tests' reference for the permutation route.  Regulator constants do
+not depend on the G-invariant pairing up to norms, so one pairing serves
+every model, :func:`invariant_pairing`, the sum of M_g^T M_g over the group.
+Values stay exact rationals; a verdict reads them modulo norms at the end.
 """
 
 from __future__ import annotations

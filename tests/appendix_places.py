@@ -4,7 +4,11 @@ check local data at them."""
 import functools
 
 from krel import harness
-from krel.harness import appendix_tamagawa_check
+from krel.harness import MetacyclicSpec, appendix_tamagawa_check
+
+# every spec of order at most 32 that the appendix's 2D sweep takes
+DIHEDRAL_SPECS = [MetacyclicSpec(e, k, -1) for e in (3, 4, 6)
+                  for k in range(1, 4) if e << k <= 32]
 
 
 @functools.cache

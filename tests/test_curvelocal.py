@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from appendix_places import appendix_places
+from appendix_places import DIHEDRAL_SPECS, appendix_places
 
 from krel.characters import ClassFunction, character_table, inner_product, perm_character
 from krel.curvelocal import (
@@ -37,7 +37,7 @@ from krel.groups import (
     subgroup_as_group,
     subgroup_rep,
 )
-from krel.harness import MetacyclicSpec, synthetic_model
+from krel.harness import MetacyclicSpec, build_metacyclic, synthetic_model
 from krel.relations import (
     LocalFn,
     coset_profile,
@@ -93,11 +93,14 @@ def d21_dihedral_place(q=5):
     return finite_place(G, whole, isub, red, l=q, q=q)
 
 
-def c2_potmult_place(q=13, n=1, b=SQ_TRIV, delta=SQ_TRIV, minus_c6=SQ_UNIF):
+def c2_potmult_place(q=13, n=1, b=SQ_TRIV, delta=None, minus_c6=SQ_UNIF):
     """Potentially multiplicative place with D_v = I_v = C_2 (ramified
-    quadratic); D' = 1 exactly when -c6 becomes a square over the top field."""
+    quadratic); D' = 1 exactly when -c6 becomes a square over the top field.
+    The discriminant class defaults to a square unit times pi^(n + 6)."""
     C2 = cyclic_group(2)
     w = frozenset(range(2))
+    if delta is None:
+        delta = sq(n % 2, True)
     dprime = frozenset([0]) if minus_c6.unit_is_square else None
     red = AddPotMult(n, minus_c6, b, delta, dprime)
     return finite_place(C2, w, w, red, l=q, q=q)
@@ -408,9 +411,38 @@ def test_not_additive_check():
     w = frozenset(range(2))
     for minus_c6, rules in ((SQ_TRIV, ["not-additive", "d-prime-required"]),
                             (SQ_UNIT, ["not-additive"])):
-        red = AddPotMult(1, minus_c6, SQ_TRIV, SQ_TRIV, None)
+        red = AddPotMult(1, minus_c6, SQ_TRIV, SQ_UNIF, None)
         p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
         assert _diag_rules(p) == rules
+
+
+def test_delta_class_parity_follows_the_discriminant_valuation():
+    # D6 with delta = 2: a declared Delta of odd valuation would read c = 2
+    # at the classes 2.3 and 4.1, where v(Delta) = 2 gives 1
+    G, rotation, frobenius = build_metacyclic(MetacyclicSpec(6, 1, -1))
+    whole = frozenset(range(G.order))
+    isub = G.closure([rotation])
+    dprime = G.closure([G.mul(frobenius, frobenius)])
+
+    def place(delta_class):
+        red = AddPotGood(2, delta_class, SQ_UNIF, dprime=dprime)
+        return PlaceDescriptor("v", "finite", G, 5, 5, whole, isub, red)
+    assert _diag_rules(place(SQ_UNIF)) == ["delta-class-parity"]
+    p = place(SQ_TRIV)
+    assert _diag_rules(p) == []
+    assert [tamagawa(p, subgroup_rep(G, cid)) for cid in ("2.3", "4.1")] \
+        == [1, 1]
+
+    # I_n*: v(Delta) = n + 6
+    C2 = cyclic_group(2)
+    w = frozenset(range(2))
+    for n, delta_class, rules in ((1, SQ_TRIV, ["delta-class-parity"]),
+                                  (1, SQ_UNIF, []),
+                                  (2, SQ_UNIF, ["delta-class-parity"]),
+                                  (2, SQ_UNIT, [])):
+        red = AddPotMult(n, SQ_UNIF, SQ_TRIV, delta_class, frozenset([0]))
+        p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
+        assert _diag_rules(p) == rules, (n, delta_class)
 
 
 def test_potmult_dprime_rules():
@@ -421,18 +453,18 @@ def test_potmult_dprime_rules():
     # -c6 a uniformizer times a non-square unit stays non-square in a
     # ramified quadratic with f = 1, so there is no quadratic subfield and
     # D' must not be supplied.
-    red = AddPotMult(1, sq(1, False), SQ_TRIV, SQ_TRIV, ident)
+    red = AddPotMult(1, sq(1, False), SQ_TRIV, SQ_UNIF, ident)
     p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
     assert _diag_rules(p) == ["d-prime-forbidden"]
 
     # Conversely, once -c6 is a square in F_w the subfield exists and D'
     # becomes mandatory.
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, None)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, None)
     p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
     assert _diag_rules(p) == ["d-prime-required"]
 
     # D' must have index 2.
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, w)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, w)
     p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
     assert _diag_rules(p) == ["d-prime-index"]
 
@@ -441,7 +473,7 @@ def test_potmult_dprime_rules():
     C4 = cyclic_group(4)
     w4 = frozenset(range(4))
     half = frozenset([0, 2])
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, half)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, half)
     p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
     assert _diag_rules(p) == ["d-prime-ramification"]
 
@@ -452,7 +484,7 @@ def test_potmult_dprime_index_is_checked_once_per_key(monkeypatch):
     C4 = cyclic_group(4)
     w4 = frozenset(range(4))
     half = frozenset([0, 2])
-    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV, half)
+    red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, half)
     p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
     assert _diag_rules(p) == ["d-prime-ramification"]
     closures = []
@@ -534,7 +566,7 @@ def test_tamagawa_potentially_good_kodaira_ladder():
     for k, h in by_order.items():
         assert tamagawa(p, h) == expected2[k], f"delta=2, |H|={k}"
 
-    p3 = finite_place(C12, w, w, AddPotGood(3, SQ_TRIV, SQ_TRIV), l=13, q=13)
+    p3 = finite_place(C12, w, w, AddPotGood(3, SQ_UNIF, SQ_TRIV), l=13, q=13)
     # gcd(3e, 12): 12, 6, 12, 3, 6, 3.  gcd 3 gives 2, gcd 6 gives 1 here.
     expected3 = {1: 1, 2: 1, 3: 1, 4: 2, 6: 1, 12: 2}
     for k, h in by_order.items():
@@ -721,9 +753,9 @@ def cyclic_place(reduction, order, inertia, q=13):
 
 
 POT_GOOD_2 = AddPotGood(2, SQ_TRIV, SQ_TRIV)
-POT_GOOD_3 = AddPotGood(3, SQ_TRIV, SQ_TRIV)
+POT_GOOD_3 = AddPotGood(3, SQ_UNIF, SQ_TRIV)
 POT_GOOD_4 = AddPotGood(4, SQ_TRIV, SQ_UNIT)
-POT_MULT_1 = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_TRIV)
+POT_MULT_1 = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF)
 # -c6 becomes a square over the top field, so D' is the C_6 of C_12; it
 # holds every H with e even below, so all of them are split
 POT_MULT_2 = AddPotMult(2, SQ_UNIF, SQ_TRIV, SQ_UNIT,
@@ -894,11 +926,6 @@ def v_on_standalone_dv(p, rd):
                                     for cls in sub.conjugacy_classes()))
 
 
-# every spec of order at most 32 that the appendix's 2D sweep takes
-DIHEDRAL_SPECS = [MetacyclicSpec(e, k, -1) for e in (3, 4, 6)
-                  for k in range(1, 4) if e << k <= 32]
-
-
 def test_root_datum_dihedral_character_is_genuine():
     # V must decompose with nonnegative integral multiplicities: it is the
     # character of an actual representation, 1 + eta + sigma, on D_v.
@@ -955,7 +982,7 @@ def test_root_datum_potentially_multiplicative():
     # v(c6) = 3 at every I_n* place with l >= 5: such a place is refused.
     C3 = cyclic_group(3)
     w3 = frozenset(range(3))
-    red = AddPotMult(1, SQ_UNIT, SQ_TRIV, SQ_TRIV, None)
+    red = AddPotMult(1, SQ_UNIT, SQ_TRIV, SQ_UNIF, None)
     p_un = PlaceDescriptor("v", "finite", C3, 5, 5, w3, w3, red)
     assert _diag_rules(p_un) == ["not-additive"]
 

@@ -1,9 +1,11 @@
 """Regulator constants: permutation route, matrix route, and their interplay."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from appendix_places import DIHEDRAL_SPECS, appendix_places
 
 from krel import regconst, relations
 from krel.characters import ClassFunction, perm_character, \
@@ -32,7 +34,9 @@ from krel.regconst import (
     reg_const_perm,
     reg_const_rational_irr,
 )
-from krel.harness import MetacyclicSpec, _dihedral_v_rep, build_metacyclic
+from krel.curvelocal import root_datum
+from krel.harness import (MetacyclicSpec, _v_fixed_det, build_metacyclic,
+                          quadratic_probe_fields)
 from krel.relations import LocalFn, eval_on_theta, \
     is_trivial_on_k_relations, k_relation_basis
 
@@ -634,9 +638,34 @@ def fraction_fixed_det(elements, pairing, hrep):
     return fraction_det(gram)
 
 
+def dihedral_v_rep(G, e, rotation, frobenius):
+    """The four-dimensional matrix model of V = 1 + eta + sigma on the
+    group of a dihedral appendix spec: the reference for the permutation
+    module that the 2D sweep values.
+
+    sigma is realized by the integral rotation matrix of trace 2cos(2pi/e)
+    and the swap reflection; eta is the character that is -1 exactly on the
+    coset of y.  Well-definedness is checked by the MatrixRep constructor.
+    """
+    c = {3: -1, 4: 0, 6: 1}[e]
+
+    def block(eta, m):
+        out = [[0] * 4 for _ in range(4)]
+        out[0][0] = 1
+        out[1][1] = eta
+        for i in range(2):
+            for j in range(2):
+                out[2 + i][2 + j] = m[i][j]
+        return out
+
+    by_gen = {rotation: block(1, [[0, -1], [1, c]]),
+              frobenius: block(-1, [[0, 1], [1, 0]])}
+    return MatrixRep(G, [by_gen[g] for g in G.generator_indices])
+
+
 def dihedral_model(e, k):
     G, rotation, frobenius = build_metacyclic(MetacyclicSpec(e, k, -1))
-    return _dihedral_v_rep(G, e, rotation, frobenius)
+    return dihedral_v_rep(G, e, rotation, frobenius)
 
 
 INTEGRAL_MODELS = {
@@ -690,3 +719,44 @@ def test_matrix_entries_are_ints_or_fractions():
     kinds = {type(x) for g in range(2) for row in rep.at(g) for x in row}
     assert kinds == {int, Fraction}
     assert rep.at(1) == [[0, Fraction(1, 2)], [2, 0]]
+
+
+# ---------------------------------------------------------------------------
+# the appendix's 2D module against its matrix model
+
+
+def trace(m):
+    return sum(m[i][i] for i in range(len(m)))
+
+
+def test_appendix_v_module_agrees_with_the_matrix_model():
+    # the matrix model's trace is V of the sweep's own place, and the
+    # permutation module that the sweep values agrees with the model's
+    # unscaled fixed-space determinant modulo norms on every K-relation
+    assert len(DIHEDRAL_SPECS) == 8
+    checks = 0
+    for spec in DIHEDRAL_SPECS:
+        p = appendix_places("2D", spec)[0]
+        G = p.group
+        built, rotation, frobenius = build_metacyclic(spec)
+        assert built.elements == G.elements  # so the indices agree
+        rep = dihedral_v_rep(G, spec.e, rotation, frobenius)
+        v = root_datum(p).v
+        assert [trace(rep.at(x)) for x in range(G.order)] == \
+            [v[x] for x in range(G.order)]
+        pairing = invariant_pairing(rep)
+        fixed_det = _v_fixed_det(G, v)
+
+        def ratio(h):
+            dimfix = sum(v[x] for x in h) // len(h)
+            matrix = matrix_fixed_det(rep, pairing, h) * len(h) ** dimfix
+            return fixed_det(h) / matrix
+
+        for d in quadratic_probe_fields(G):
+            for theta in k_relation_basis(G, d).basis:
+                value = math.prod(
+                    (ratio(G.subgroup_class_by_id(cid).representative) ** n
+                     for cid, n in theta.items()), start=Fraction(1))
+                assert is_norm_from_quadratic(value, d), (spec, d, theta)
+                checks += 1
+    assert checks == 604
