@@ -32,7 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TESTS = ("tests/test_curvelocal.py", "tests/test_parity.py",
                  "tests/test_harness.py", "tests/test_relations.py",
                  "tests/test_regconst.py", "tests/test_groups.py",
-                 "tests/test_groupdata.py")
+                 "tests/test_groupdata.py", "tests/test_characters.py",
+                 "tests/test_lift_and_lattice.py")
 
 CHARACTERS = "src/krel/characters.py"
 CURVELOCAL = "src/krel/curvelocal.py"
@@ -219,6 +220,20 @@ MUTANTS = [
      "            raise ValueError(\"pairing is not invariant\")\n",
      "",
      "a supplied pairing is not checked for invariance"),
+    (CHARACTERS,
+     "        if covered == d:\n            return sorted(spaces.items())",
+     "        if covered == d or start == 0:\n"
+     "            return sorted(spaces.items())",
+     "the eigenspace split stops after e_0's Krylov sequence"),
+    (CHARACTERS,
+     "        if total != (norm << shifts[a] if a in shifts else 0):",
+     "        if (total - (norm << shifts[a] if a in shifts else 0)"
+     " >> shifts.get(a, 0)) & ((1 << width) - 1):",
+     "the packed orthogonality check compares only the row's own slot"),
+    (CHARACTERS,
+     "    width = bound.bit_length() + 2",
+     "    width = bound.bit_length()",
+     "orthogonality slots lose the margin of a signed difference"),
 ]
 
 # Mutants that no parity verdict can see, each with the reason.  They are

@@ -15,8 +15,9 @@ the k-th power map, so the whole orbit is known at once, and every space
 it fills is dropped.  Each orbit's first eigenvector gives a degree and
 eigenvalue multiplicities, lifted through one fixed primitive root, and the
 whole table is verified before anything is returned: the degrees against
-|G|, closure under the Galois action, and orthogonality as one integer dot
-product per pair of an irreducible and the first member of an orbit.
+|G|, closure under the Galois action, and orthogonality as one packed
+integer dot product per irreducible, against the first member of every
+orbit at once.
 
 The multiplicities are lifted once per rational class, at its first class
 g: the other classes hold the unit powers g^k, and rho(g^k) has the
@@ -274,82 +275,70 @@ def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _min_poly(mat: list[list[int]], p: int) -> list[int]:
-    """Monic minimal polynomial, as the lcm over Krylov sequences of e_i."""
+def _krylov_poly(mat: list[list[int]], start: int, p: int) -> list[int]:
+    """The monic polynomial of least degree that kills e_start under mat,
+    coefficients low to high: the first dependence among e_start, mat
+    e_start, mat^2 e_start, ..."""
     n = len(mat)
-    result = [1]  # polynomial 1, coefficients low-to-high
-    for start in range(n):
-        if len(result) == n + 1:
-            break
-        w = [0] * n
-        w[start] = 1
-        # echelon rows: (pivot, reduced vector, poly coeffs of that vector)
-        rows: list[tuple[int, list[int], list[int]]] = []
-        deg = 0
-        while True:
-            vec = w[:]
-            coeffs = [0] * deg + [1]
-            for piv, evec, ecoef in rows:
-                f = vec[piv] % p
-                if f:
-                    vec = [(a - f * b) % p for a, b in zip(vec, evec)]
-                    coeffs = [(a - f * b) % p for a, b in zip(
-                        coeffs, ecoef + [0] * (len(coeffs) - len(ecoef)))]
-            if not any(vec):
-                result = _poly_lcm(result, coeffs, p)
+    w = [0] * n
+    w[start] = 1
+    # echelon rows: (pivot, reduced vector, poly coeffs of that vector)
+    rows: list[tuple[int, list[int], list[int]]] = []
+    deg = 0
+    while True:
+        vec = w[:]
+        coeffs = [0] * deg + [1]
+        for piv, evec, ecoef in rows:
+            f = vec[piv] % p
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, evec)]
+                coeffs = [(a - f * b) % p for a, b in zip(
+                    coeffs, ecoef + [0] * (len(coeffs) - len(ecoef)))]
+        if not any(vec):
+            return coeffs
+        piv = next(i for i, x in enumerate(vec) if x)
+        inv = pow(vec[piv], -1, p)
+        rows.append((piv, [(x * inv) % p for x in vec],
+                     [(c * inv) % p for c in coeffs]))
+        w = [sum(map(operator.mul, row, w)) % p for row in mat]
+        deg += 1
+
+
+def _eigenspaces(mat: list[list[int]], p: int
+                 ) -> list[tuple[int, list[list[int]]]]:
+    """Each eigenvalue lam of mat over GF(p), ascending, with a basis of the
+    kernel of mat - lam.
+
+    The Krylov sequences of e_0, e_1, ... are taken one at a time.  Each
+    root of a sequence's polynomial is an eigenvalue, and every eigenvalue
+    of a diagonalizable mat is a root of some e_i's; each root not seen yet
+    has its kernel taken.  Eigenspaces are independent, so once the kernel
+    dimensions sum to d no other eigenvalue is left and the sweep stops.
+    When every e_i is spent and they still fall short, mat is not
+    diagonalizable over GF(p).
+    """
+    d = len(mat)
+    spaces: dict[int, list[list[int]]] = {}
+    covered = 0
+    for start in range(d):
+        poly = _krylov_poly(mat, start, p)
+        roots = 0
+        for lam in range(p):
+            if roots == len(poly) - 1:
                 break
-            piv = next(i for i, x in enumerate(vec) if x)
-            inv = pow(vec[piv], -1, p)
-            rows.append((piv, [(x * inv) % p for x in vec],
-                         [(c * inv) % p for c in coeffs]))
-            w = [sum(map(operator.mul, row, w)) % p for row in mat]
-            deg += 1
-    return result
-
-
-def _poly_divmod(a, b, p):
-    a = a[:]
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] % p == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = (a[-1] * binv) % p
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * c) % p
-        a.pop()
-    while a and a[-1] % p == 0:
-        a.pop()
-    return q, a or [0]
-
-
-def _poly_gcd(a, b, p):
-    while any(c % p for c in b):
-        _, r = _poly_divmod(a, b, p)
-        a, b = b, r
-    inv = pow(a[-1], -1, p)
-    return [(c * inv) % p for c in a]
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_lcm(a, b, p):
-    g = _poly_gcd(a, b, p)
-    q, r = _poly_divmod(_poly_mul(a, b, p), g, p)
-    if r != [0]:
-        raise ModularMethodError(f"gcd {g} does not divide {a} * {b} mod {p}")
-    return q
+            if _poly_eval(poly, lam, p):
+                continue
+            roots += 1
+            if lam not in spaces:
+                shifted = [[(x - lam if a == b else x) % p
+                             for b, x in enumerate(row)]
+                           for a, row in enumerate(mat)]
+                spaces[lam] = _kernel(shifted, p)
+                covered += len(spaces[lam])
+        if covered == d:
+            return sorted(spaces.items())
+    raise ModularMethodError("class-sum matrix is not "
+                             "diagonalizable on a subspace")
 
 
 def _poly_eval(poly, x, p):
@@ -458,6 +447,33 @@ def _conjugate_lines(G: PermGroup, om: list[int]
     return out
 
 
+def _check_orthogonality(rows: list[tuple[list[int], list[int]]],
+                         heads: dict[int, list[int]], norm: int) -> None:
+    """Raise unless, for every row a and head b, the dot product of a with
+    v_b is ``norm`` when a is b and 0 otherwise.
+
+    rows[a] is (positions, coefficients); ``heads`` maps each head b to its
+    vector v_b over all positions.  The v_b are packed into one integer per
+    position, v_b in the slot of b, so each row takes one dot product, which
+    must be norm in a's own slot when a is a head and 0 in every other slot.
+    Each slot sum s has |s| <= B = max(norm, max |v| * max sum |c|), and its
+    target t is 0 or norm, so |s - t| <= 2B < 2^(w-1) for slots of w =
+    bitlen(B) + 2 bits.  Where the packed sum and the packed target agree,
+    their difference in the lowest slot that differs would be a nonzero
+    multiple of 2^w, so they agree in every slot.
+    """
+    bound = max(norm, max(abs(x) for v in heads.values() for x in v)
+                * max(sum(map(abs, c)) for _, c in rows))
+    width = bound.bit_length() + 2
+    shifts = {b: width * t for t, b in enumerate(heads)}
+    packed = [sum(x << s for x, s in zip(col, shifts.values()))
+              for col in zip(*heads.values())]
+    for a, (pos, coeffs) in enumerate(rows):
+        total = sum(map(operator.mul, coeffs, map(packed.__getitem__, pos)))
+        if total != (norm << shifts[a] if a in shifts else 0):
+            raise ModularMethodError("orthogonality check failed")
+
+
 def character_table(G: PermGroup) -> CharacterTable:
     return G.data.table
 
@@ -563,9 +579,15 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # chi's Galois conjugates follow from it with no split (see
     # _conjugate_lines).  A space is spanned by the lines whose eigenvalues
     # match its path, so it is dropped once the known such lines fill it.
+    # A matrix is kept as one (columns, coefficients) pair per row.  Where
+    # a class sum is not scalar on a space, its restriction is split by
+    # _eigenspaces, which takes the Krylov sequences of e_0, e_1, ... only
+    # until the kernels of their roots fill the space: eigenspaces are
+    # independent, so kernel dimensions that sum to d leave no other
+    # eigenvalue, and in the usual binary split e_0 alone suffices.
     first_classes = [o[0] for o in G.data.rational_classes]
     trial = first_classes[1:] + sorted(set(range(1, r)) - set(first_classes))
-    mats: dict[int, list[list[tuple[int, int]]]] = {}
+    mats: dict[int, list[tuple[list[int], list[int]]]] = {}
     # (om, the least unit k giving each other conjugate line)
     orbits: list[tuple[list[int], list[int]]] = []
     known: set[tuple[int, ...]] = set()
@@ -595,17 +617,20 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             pos += 1
             mat = mats.get(i)
             if mat is None:
-                mat = mats[i] = [[] for _ in range(r)]
+                ks: list[list[int]] = [[] for _ in range(r)]
+                cs: list[list[int]] = [[] for _ in range(r)]
                 for (j, k), a in _structure_constants(G, classes[i]).items():
                     if a % p:
-                        mat[j].append((k, a % p))
-            images = [[sum(a * vec[k] for k, a in row) % p for row in mat]
-                      for vec in basis]
+                        ks[j].append(k)
+                        cs[j].append(a % p)
+                mat = mats[i] = list(zip(ks, cs))
+            images = [[sum(map(operator.mul, c, map(vec.__getitem__, k))) % p
+                       for k, c in mat] for vec in basis]
             # Most steps find the class sum acting on the space as a scalar
-            # lam.  The general path below would then find the minimal
-            # polynomial x - lam and one kernel, the whole space, so keep
-            # the space as it is.  Each echelon row has a 1 at its pivot,
-            # which is where lam is read.
+            # lam.  The general path below would then find the one
+            # eigenvalue lam and one kernel, the whole space, so keep the
+            # space as it is.  Each echelon row has a 1 at its pivot, which
+            # is where lam is read.
             lam = images[0][pivots[0]]
             if all(img == [lam * x % p for x in vec]
                    for img, vec in zip(images, basis)):
@@ -613,15 +638,8 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                 continue
             cols = [_coords(basis, pivots, img, p) for img in images]
             restr = [[cols[j][a] for j in range(d)] for a in range(d)]
-            mp = _min_poly(restr, p)
-            roots = [lam for lam in range(p) if _poly_eval(mp, lam, p) == 0]
-            covered = 0
             subs = []
-            for lam in roots:
-                shifted = [[(restr[a][b] - (lam if a == b else 0)) % p
-                            for b in range(d)] for a in range(d)]
-                kern = _kernel(shifted, p)
-                covered += len(kern)
+            for lam, kern in _eigenspaces(restr, p):
                 sub = []
                 for kv in kern:
                     acc = [0] * r
@@ -630,9 +648,6 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                             acc = [x + c * y for x, y in zip(acc, row)]
                     sub.append([x % p for x in acc])
                 subs.append((*_rref(sub, p), pos, path + ((i, lam),)))
-            if covered != d:
-                raise ModularMethodError("class-sum matrix is not "
-                                         "diagonalizable on a subspace")
             stack.extend(reversed(subs))
             break
         else:
@@ -775,7 +790,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # against v_b(o, m) = |c|*|o|*L/phi(n) * sum of c_b*Tr(zeta_n^(m + m_b))
     # over the multiset of b at g^-1.  Each row is paired with the head b
     # of every orbit only: <a, sigma b> = <sigma^-1 a, b>, and sigma^-1 a is
-    # a row, so that checks every pair.  Among heads, b >= a suffices.
+    # a row, so that checks every pair (_check_orthogonality).
     levels = {n for _, n, _ in lifts}
     lcm_phi = math.lcm(*(euler_phi(n) for n in levels))
     traces = {n: _root_traces(n) for n in levels}
@@ -795,13 +810,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             v.extend(w * sum(cb * tr[(m + mb) % n] for mb, cb in db)
                      for m in range(n))
         vs[b] = v
-    for a, (pa, ca) in enumerate(us):
-        for b in heads:
-            if b < a and head[a] == a:
-                continue
-            total = sum(map(operator.mul, ca, map(vs[b].__getitem__, pa)))
-            if total != (G.order * lcm_phi if a == b else 0):
-                raise ModularMethodError("orthogonality check failed")
+    _check_orthogonality(us, vs, G.order * lcm_phi)
     if gap is not None:
         a, k = gap
         raise ModularMethodError(
@@ -890,6 +899,20 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     return tot.rational_value() / G.order
 
 
+def _rational_class_values(v: ClassFunction) -> list[Fraction]:
+    """The values of a rational virtual character v, one per rational
+    class, read at its first class; ValueError when v is not rational or
+    not constant on a rational class."""
+    if not v.is_rational():
+        raise ValueError("character values must be rational")
+    vals = [x.rational_value() for x in v.values]
+    orbits = v.group.data.rational_classes
+    if any(vals[c] != vals[orbit[0]] for orbit in orbits for c in orbit):
+        raise ValueError("not a virtual character: not constant on a "
+                         "rational class")
+    return [vals[o[0]] for o in orbits]
+
+
 def rational_inner_product(chi: ClassFunction, v: ClassFunction) -> Fraction:
     """<chi, v> for a character chi and a rational virtual character v.
 
@@ -900,16 +923,11 @@ def rational_inner_product(chi: ClassFunction, v: ClassFunction) -> Fraction:
     G = chi.group
     if v.group is not G:
         raise ValueError("different groups")
-    if not v.is_rational():
-        raise ValueError("character values must be rational")
-    vals = [x.rational_value() for x in v.values]
-    orbits = G.data.rational_classes
-    if any(vals[c] != vals[orbit[0]] for orbit in orbits for c in orbit):
-        raise ValueError("not a virtual character: not constant on a "
-                         "rational class")
+    vals = _rational_class_values(v)
     means = chi.galois_means
-    return sum(vals[o[0]] * s * means[o[0]] for o, s in
-               zip(orbits, G.data.rational_class_sizes)) / G.order
+    return sum(x * s * means[o[0]] for x, o, s in
+               zip(vals, G.data.rational_classes,
+                   G.data.rational_class_sizes)) / G.order
 
 
 def fs_indicator(chi: ClassFunction) -> int:

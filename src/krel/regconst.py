@@ -16,14 +16,15 @@ Values stay exact rationals; a verdict reads them modulo norms at the end.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import (
     ClassFunction,
     RationalCharacter,
+    _rational_class_values,
     character_table,
-    rational_inner_product,
 )
 from .exactmath import Rational, is_norm_from_quadratic, mat_mul, rat_det
 from .groups import PermGroup, subgroup_rep
@@ -111,13 +112,28 @@ def minimal_perm_multiple(G: PermGroup,
 
 def _rational_multiplicities(G: PermGroup,
                              cf: ClassFunction) -> tuple[int, ...]:
-    """<chi_j, cf> for every irreducible chi_j, for a rational cf."""
-    out = []
-    for chi in character_table(G).irreducibles:
-        m = rational_inner_product(chi, cf)
-        if m.denominator != 1:
+    """<chi_j, cf> for every irreducible chi_j, for a rational cf.
+
+    cf's values are read and checked once, one per rational class, and put
+    over a common denominator q; then |G| * q * <chi_j, cf> is their dot
+    product with the class weights of chi_j (its sums over the rational
+    classes), once per Galois orbit, since conjugates share their weights.
+    """
+    if cf.group is not G:
+        raise ValueError("different groups")
+    vals = _rational_class_values(cf)
+    q = math.lcm(*(x.denominator for x in vals))
+    nums = [x.numerator * (q // x.denominator) for x in vals]
+    out: list[int] = []
+    for j, orbit in enumerate(character_table(G).orbits):
+        if orbit[0] < j:
+            out.append(out[orbit[0]])
+            continue
+        m, rem = divmod(sum(map(operator.mul, nums, G.data.class_weights[j])),
+                        G.order * q)
+        if rem:
             raise ValueError("not a virtual character")
-        out.append(int(m))
+        out.append(m)
     return tuple(out)
 
 

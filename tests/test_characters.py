@@ -7,8 +7,9 @@ import pytest
 from krel import characters
 from krel.characters import (
     ModularMethodError,
+    _check_orthogonality,
     _conjugate_lines,
-    _min_poly,
+    _eigenspaces,
     _structure_constants,
     char_field_data,
     character_table,
@@ -304,8 +305,78 @@ def test_galois_orbit_sum_rational():
 
 
 # ---------------------------------------------------------------------------
+# The eigenspace helper of the split and the packed orthogonality check
+
+
+def _is_eigenvector(mat, lam, v, p):
+    return all((sum(x * y for x, y in zip(row, v)) - lam * v[a]) % p == 0
+               for a, row in enumerate(mat))
+
+
+def test_eigenspaces_reject_a_jordan_block():
+    with pytest.raises(ModularMethodError, match="not diagonalizable"):
+        _eigenspaces([[3, 1], [0, 3]], 7)
+
+
+def test_eigenspaces_reach_what_the_first_sequence_misses():
+    # e_0 is an eigenvector of diag(1, 2): its Krylov sequence sees only 1
+    assert _eigenspaces([[1, 0], [0, 2]], 7) == [(1, [[1, 0]]), (2, [[0, 1]])]
+
+
+def test_eigenspaces_keep_a_repeated_eigenvalue_whole():
+    p = 11
+    mat = [[2, 1, 0], [0, 3, 0], [0, 0, 2]]
+    got = _eigenspaces(mat, p)
+    assert [(lam, len(kern)) for lam, kern in got] == [(2, 2), (3, 1)]
+    assert all(_is_eigenvector(mat, lam, v, p)
+               for lam, kern in got for v in kern)
+
+
+def test_a_binary_split_takes_one_krylov_sequence(monkeypatch):
+    # the kernels of e_0's two roots fill the space, so no e_1 is tried
+    real = characters._krylov_poly
+    starts = []
+
+    def watched(mat, start, p):
+        starts.append(start)
+        return real(mat, start, p)
+    monkeypatch.setattr(characters, "_krylov_poly", watched)
+    character_table(dihedral_group(32))
+    assert starts and set(starts) == {0}
+
+
+def test_orthogonality_check_accepts_an_orthonormal_set():
+    # rows 0 and 2 head their orbits; row 1 is orthogonal to both
+    rows = [([0, 1], [1, 1]), ([0, 1], [1, -1]), ([2], [1])]
+    _check_orthogonality(rows, {0: [2, 2, 0], 2: [0, 0, 4]}, 4)
+
+
+@pytest.mark.parametrize("rows", [
+    # a head paired with an earlier head
+    [([0], [1]), ([0, 1], [1, 1])],
+    # a row that is not a head, off in a slot other than the first
+    [([0], [1]), ([1], [1]), ([0, 1], [0, 1])],
+    # the first head right in its own slot, off in the second
+    [([0, 1], [1, 3]), ([1], [1])],
+])
+def test_orthogonality_check_sees_every_slot(rows):
+    with pytest.raises(ModularMethodError, match="orthogonality"):
+        _check_orthogonality(rows, {0: [4, 0], len(rows) - 1: [0, 4]}, 4)
+
+
+def test_orthogonality_slots_are_wide_enough_for_a_signed_difference():
+    # B = 2 * 2 = 4 = norm.  Row 0 reads -4 against its own target 4 and 1
+    # in the slot of head 1: -4 - 4 = -2^3, so slots of bitlen(B) = 3 bits
+    # would carry the 1 into a false match.  Row 1 is right.
+    rows = [([0, 1], [1, 1]), ([2], [2])]
+    with pytest.raises(ModularMethodError, match="orthogonality"):
+        _check_orthogonality(rows, {0: [-2, -2, 0], 1: [2, -1, 2]}, 4)
+
+
+# ---------------------------------------------------------------------------
 # Closed forms that do not use the modular method, on large dihedral and
-# elementary abelian groups; and what the eigenspace split asks of _min_poly
+# elementary abelian groups; and what the eigenspace split asks of
+# _eigenspaces
 
 
 ORACLE_DIHEDRAL = (3, 4, 5, 6, 8, 15, 16, 32, 77, 128)
@@ -325,7 +396,7 @@ def elementary_abelian_2(k):
 @pytest.fixture(scope="module")
 def oracle_tables():
     """name -> (group, table, calls), each table computed fresh while the
-    split is watched: calls["_min_poly"] says, per call, whether the matrix
+    split is watched: calls["_eigenspaces"] says, per call, whether the matrix
     was scalar, calls["_structure_constants"] holds the class of each
     class-sum matrix built, and calls["_conjugate_lines"] holds each new
     line that the split reached."""
@@ -335,15 +406,15 @@ def oracle_tables():
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         for name, group in groups:
-            calls = {"_min_poly": [], "_structure_constants": [],
+            calls = {"_eigenspaces": [], "_structure_constants": [],
                      "_conjugate_lines": []}
 
-            def watched(mat, p, calls=calls["_min_poly"]):
+            def watched(mat, p, calls=calls["_eigenspaces"]):
                 lam = mat[0][0]
                 calls.append(all(x == (lam if a == b else 0)
                                  for a, row in enumerate(mat)
                                  for b, x in enumerate(row)))
-                return _min_poly(mat, p)
+                return _eigenspaces(mat, p)
 
             def constants(G, cls, calls=calls["_structure_constants"]):
                 calls.append(cls)
@@ -353,7 +424,7 @@ def oracle_tables():
                 calls.append(om)
                 return _conjugate_lines(G, om)
 
-            mp.setattr(characters, "_min_poly", watched)
+            mp.setattr(characters, "_eigenspaces", watched)
             mp.setattr(characters, "_structure_constants", constants)
             mp.setattr(characters, "_conjugate_lines", lines)
             out[name] = (group, character_table(group), calls)
@@ -461,17 +532,18 @@ def test_split_reaches_one_line_per_galois_orbit(oracle_tables, name, orbits):
 
 
 @pytest.mark.parametrize("name, most", [("D128", 20), ("C2^6", 70)])
-def test_split_hands_min_poly_no_scalar_matrix(oracle_tables, name, most):
+def test_split_hands_eigenspaces_no_scalar_matrix(oracle_tables, name,
+                                                  most):
     group, _, calls = oracle_tables[name]
     if all(len(c) == 1 for c in group.conjugacy_classes()):
         # every character of an abelian group is linear, read from G/G':
         # nothing is split and no class-sum matrix is built
-        assert calls == {"_min_poly": [], "_structure_constants": [],
+        assert calls == {"_eigenspaces": [], "_structure_constants": [],
                          "_conjugate_lines": []}
         return
     # 680 calls on D128 and 683 on C2^6 when every step took the general
     # path, and 62 on D128 when every line was split out of the class algebra
-    calls = calls["_min_poly"]
+    calls = calls["_eigenspaces"]
     assert calls and len(calls) <= most
     assert not any(calls)
 

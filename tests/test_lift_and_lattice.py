@@ -12,9 +12,7 @@ from krel import characters
 from krel.characters import (
     ModularMethodError,
     _coords,
-    _kernel,
-    _min_poly,
-    _poly_eval,
+    _eigenspaces,
     _rref,
     _structure_constants,
     admissible_prime,
@@ -86,14 +84,9 @@ def _reference_table(G):
                        for a in range(r)] for vec in basis]
             cols = [_coords(basis, pivots, img, p) for img in images]
             restr = [[cols[j][a] for j in range(d)] for a in range(d)]
-            mp = _min_poly(restr, p)
-            for lam in range(p):
-                if _poly_eval(mp, lam, p) == 0:
-                    shifted = [[(restr[a][b] - lam * (a == b)) % p
-                                for b in range(d)] for a in range(d)]
-                    nxt.append([[sum(kv[j] * basis[j][b] for j in range(d)) % p
-                                 for b in range(r)]
-                                for kv in _kernel(shifted, p)])
+            for _, kern in _eigenspaces(restr, p):
+                nxt.append([[sum(kv[j] * basis[j][b] for j in range(d)) % p
+                             for b in range(r)] for kv in kern])
         spaces = nxt
     assert len(spaces) == r
 

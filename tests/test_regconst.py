@@ -8,8 +8,8 @@ import pytest
 from appendix_places import DIHEDRAL_SPECS, appendix_places
 
 from krel import regconst, relations
-from krel.characters import ClassFunction, perm_character, \
-    rational_irreducibles
+from krel.characters import ClassFunction, character_table, \
+    perm_character, rational_inner_product, rational_irreducibles
 from krel.exactmath import is_norm_from_quadratic, rat_det
 from krel.groups import (
     alternating4_group,
@@ -25,6 +25,7 @@ from krel.groups import (
 from krel.regconst import (
     DegeneratePairingError,
     MatrixRep,
+    _rational_multiplicities,
     invariant_pairing,
     matrix_fixed_det,
     minimal_perm_multiple,
@@ -760,3 +761,33 @@ def test_appendix_v_module_agrees_with_the_matrix_model():
                 assert is_norm_from_quadratic(value, d), (spec, d, theta)
                 checks += 1
     assert checks == 604
+
+
+def test_rational_multiplicities_match_the_inner_products():
+    # cf is read once for all irreducibles: the multiplicities of V at the
+    # 2D places of order at most 32 agree with rational_inner_product
+    for spec in DIHEDRAL_SPECS:
+        p = appendix_places("2D", spec)[0]
+        G = p.group
+        v = root_datum(p).v
+        cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
+        got = _rational_multiplicities(G, cf)
+        assert got == tuple(rational_inner_product(chi, cf) for chi in
+                            character_table(G).irreducibles), spec
+        assert any(got)
+
+
+def test_rational_multiplicities_name_what_is_wrong():
+    G = cyclic_group(3)
+    faithful = next(chi for chi in character_table(G).irreducibles
+                    if not chi.is_rational())
+    with pytest.raises(ValueError,
+                       match="^character values must be rational$"):
+        _rational_multiplicities(G, faithful)
+    with pytest.raises(ValueError, match="^not a virtual character: not "
+                       "constant on a rational class$"):
+        _rational_multiplicities(G, ClassFunction(G, (1, 1, 0)))
+    with pytest.raises(ValueError, match="^not a virtual character$"):
+        _rational_multiplicities(G, ClassFunction(G, (1, 0, 0)))
+    with pytest.raises(ValueError, match="^different groups$"):
+        _rational_multiplicities(cyclic_group(3), ClassFunction(G, (3, 0, 0)))
