@@ -234,6 +234,22 @@ MUTANTS = [
      "    width = bound.bit_length() + 2",
      "    width = bound.bit_length()",
      "orthogonality slots lose the margin of a signed difference"),
+    (EXACTMATH,
+     "        if n > 0:\n"
+     "            num *= x.numerator ** n\n"
+     "            den *= x.denominator ** n",
+     "        if n:\n"
+     "            num *= x.numerator ** abs(n)\n"
+     "            den *= x.denominator ** abs(n)",
+     "fraction_product takes a negative exponent as its absolute value"),
+    (REGCONST,
+     "routes, j = G.data.perm_routes, tau.constituent_index",
+     "routes, j = G.data.perm_routes, tau.constituent.degree()",
+     "the kept route of a rational irreducible is keyed by its degree"),
+    (PARITY,
+     "    u_exponents = dict(model.u_exponents)",
+     "    u_exponents = model.u_exponents",
+     "theorem reports share the model's u dict instead of a copy"),
 ]
 
 # Mutants that no parity verdict can see, each with the reason.  They are

@@ -1006,6 +1006,8 @@ class GroupData:
         self.group = group
         self._perm_multiples: dict[tuple[int, ...],
                                    tuple[int, tuple[int, ...]]] = {}
+        # constituent index -> (k, expansion), for reg_const_rational_irr
+        self.perm_routes: dict[int, tuple[int, dict[str, int]]] = {}
         # (H, D) -> det of the H-fixed part of Q[G/D], for perm_fixed_det
         self.fixed_dets: dict[tuple[frozenset[int], frozenset[int]],
                               Fraction] = {}

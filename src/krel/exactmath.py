@@ -708,6 +708,21 @@ def fraction_sum(pairs, divisor: int = 1) -> Fraction:
     return Fraction(num, den * divisor)
 
 
+def fraction_product(pairs) -> Fraction:
+    """The product of x ** n over the pairs (x, n), x rational and n an
+    integer: one integer numerator and one denominator, and a single
+    Fraction at the end (so a zero x with n < 0 raises ZeroDivisionError)."""
+    num = den = 1
+    for x, n in pairs:
+        if n > 0:
+            num *= x.numerator ** n
+            den *= x.denominator ** n
+        elif n < 0:
+            num *= x.denominator ** -n
+            den *= x.numerator ** -n
+    return Fraction(num, den)
+
+
 class CycNumber:
     """An element of Q(zeta_n) in the power basis modulo Phi_n.
 

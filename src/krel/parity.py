@@ -8,9 +8,10 @@ listed; archimedean places must be listed because their count enters the
 global root number.
 
 Each model keeps one record, filled on first use: the bit u_{chi,v} per
-(irreducible chi of the table, place v), the fudge product C_v(H) per (bad
-finite place v, subgroup class H), and the NRT obstructions.  The global
-quantities below are reads of it (see :class:`CurveLocalModel`).
+(irreducible chi of the table, place v), the exponent u_tau per rational
+irreducible tau, the fudge product C_v(H) per (bad finite place v, subgroup
+class H), and the NRT obstructions.  The global quantities below are reads
+of it (see :class:`CurveLocalModel`).
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, prod
+from math import isqrt
 
 from .characters import ClassFunction, char_field_data, fs_indicator, \
     rational_irreducibles
 from .curvelocal import Diagnostic, Good, PlaceDescriptor, fudge_C, \
     local_u_contribution, validate_place
-from .exactmath import is_norm_from_quadratic
+from .exactmath import fraction_product, is_norm_from_quadratic
 from .groups import PermGroup
 from .regconst import NeedsMatrixModel, reg_const_rational_irr
 from .relations import find_norm_relation, is_k_relation
@@ -41,6 +42,8 @@ class CurveLocalModel:
 
     - ``_u_bits[j]``: the bits u_{chi_j,v} of the j-th irreducible of the
       table, one per place in order (:meth:`root_bits`);
+    - ``u_exponents``: {label: u_tau} over the rational irreducibles tau,
+      shared, so each report takes a copy;
     - ``_fudge[(i, cid)]``: C_v(H) for the i-th place v and H in the
       subgroup class cid (:meth:`fudge_product`);
     - ``obstructions``: :func:`nrt_obstructions` of the model.
@@ -73,6 +76,12 @@ class CurveLocalModel:
     def obstructions(self) -> tuple[Diagnostic, ...]:
         return tuple(nrt_obstructions(self))
 
+    @cached_property
+    def u_exponents(self) -> dict[str, int]:
+        """u_tau of each rational irreducible tau, read at its constituent."""
+        return {tau.label: global_root_sign(self, tau.constituent).u
+                for tau in rational_irreducibles(self.group)}
+
     def root_bits(self, chi: ClassFunction) -> tuple[int, ...]:
         """u_{chi,v} for each place v, all 0 unless chi is orthogonal;
         kept when chi is in the table."""
@@ -94,8 +103,9 @@ class CurveLocalModel:
         if (i, cid) not in self._fudge:
             p, G = self.places[i], self.group
             hrep = G.subgroup_class_by_id(cid).representative
-            self._fudge[i, cid] = prod(fudge_C(p, local) for _, local
-                                       in G.double_cosets(hrep, p.dsub))
+            self._fudge[i, cid] = fraction_product(
+                (fudge_C(p, local), 1) for _, local
+                in G.double_cosets(hrep, p.dsub))
         return self._fudge[i, cid]
 
 
@@ -111,13 +121,11 @@ def global_C_product(model: CurveLocalModel, theta: dict[str, int]) -> Fraction:
     read from the model's record (see :meth:`CurveLocalModel.fudge_product`).
     """
     _require_model(model)
-    val = Fraction(1)
-    for i, p in enumerate(model.places):
-        if p.is_finite() and not isinstance(p.reduction, Good):
-            for cid, coeff in theta.items():
-                if coeff:
-                    val *= model.fudge_product(i, cid) ** coeff
-    return val
+    return fraction_product(
+        (model.fudge_product(i, cid), coeff)
+        for i, p in enumerate(model.places)
+        if p.is_finite() and not isinstance(p.reduction, Good)
+        for cid, coeff in theta.items() if coeff)
 
 
 @dataclass(frozen=True)
@@ -158,19 +166,12 @@ def theorem_main_check(model: CurveLocalModel, theta: dict[str, int],
     if not is_k_relation(G, theta, d):
         raise ValueError(f"theta is not a relation for d = {d}")
     lhs = global_C_product(model, theta)
-    u_exponents = _u_exponents(model)
-    rhs = Fraction(1)
-    for tau in rational_irreducibles(G):
-        if u_exponents[tau.label]:
-            rhs *= reg_const_rational_irr(G, theta, tau, d).raw
+    u_exponents = dict(model.u_exponents)
+    rhs = fraction_product(
+        (reg_const_rational_irr(G, theta, tau, d).raw, 1)
+        for tau in rational_irreducibles(G) if u_exponents[tau.label])
     return TheoremReport(lhs, rhs, is_norm_from_quadratic(lhs / rhs, d),
                          u_exponents)
-
-
-def _u_exponents(model: CurveLocalModel) -> dict[str, int]:
-    """u_tau of each rational irreducible tau, read at its constituent."""
-    return {tau.label: global_root_sign(model, tau.constituent).u
-            for tau in rational_irreducibles(model.group)}
 
 
 def nrt_obstructions(model: CurveLocalModel) -> list[Diagnostic]:
@@ -254,7 +255,7 @@ def nrt_run(model: CurveLocalModel, rho: ClassFunction) -> NrtReport:
             continue
         constraints.append((labels, 1))
     prediction = not all(norm_verdicts.values()) or square_ok is False
-    u = _u_exponents(model)
+    u = dict(model.u_exponents)
     return NrtReport(rho.label or "", m, theta, product, norm_verdicts,
                      square_ok, prediction, constraints, warnings, u,
                      [sum(u[t] for t in labels) % 2 == parity

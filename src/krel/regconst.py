@@ -11,6 +11,11 @@ is the tests' reference for the permutation route.  Regulator constants do
 not depend on the G-invariant pairing up to norms, so one pairing serves
 every model, :func:`invariant_pairing`, the sum of M_g^T M_g over the group.
 Values stay exact rationals; a verdict reads them modulo norms at the end.
+
+:func:`reg_const_rational_irr` keeps the route of each rational irreducible
+of G, the (k, expansion) of :func:`minimal_perm_multiple`, in
+``G.data.perm_routes`` by constituent index, filled on first use; a tau of
+another group is refused.  :func:`minimal_perm_multiple` returns fresh dicts.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .characters import (
     _rational_class_values,
     character_table,
 )
-from .exactmath import Rational, is_norm_from_quadratic, mat_mul, rat_det
+from .exactmath import Rational, fraction_product, is_norm_from_quadratic, \
+    mat_mul, rat_det
 from .groups import PermGroup, subgroup_rep
 from .relations import is_k_relation
 
@@ -80,14 +86,9 @@ def reg_const_perm(G: PermGroup, theta: dict[str, int], tau: dict[str, int],
     tau, the sum of m * Q[G/D] over its {class id of D: m} entries."""
     if not is_k_relation(G, theta, d):
         raise ValueError("theta is not a K-relation for this field")
-    raw = Fraction(1)
-    for cid, n in theta.items():
-        if not n:
-            continue
-        for did, m in tau.items():
-            if m:
-                raw *= perm_fixed_det(G, cid, did) ** (n * m)
-    return RegConstValue(raw, d)
+    return RegConstValue(fraction_product(
+        (perm_fixed_det(G, cid, did), n * m) for cid, n in theta.items() if n
+        for did, m in tau.items() if m), d)
 
 
 def minimal_perm_multiple(G: PermGroup,
@@ -148,7 +149,13 @@ def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
     Either route checks once that theta is a K-relation: the odd one
     inside :func:`reg_const_perm`.
     """
-    k, expansion = minimal_perm_multiple(G, tau)
+    if isinstance(tau, RationalCharacter) and tau.constituent.group is G:
+        routes, j = G.data.perm_routes, tau.constituent_index
+        if j not in routes:
+            routes[j] = minimal_perm_multiple(G, tau)
+        k, expansion = routes[j]
+    else:
+        k, expansion = minimal_perm_multiple(G, tau)
     if k % 2 == 1:
         return reg_const_perm(G, theta, expansion, d)
     if not is_k_relation(G, theta, d):
@@ -343,8 +350,5 @@ def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing: Matrix,
     class modulo norms is canonical.
     """
     q = _check_pairing(rep, pairing)
-    raw = Fraction(1)
-    for cid, n in theta.items():
-        if n:
-            raw *= matrix_fixed_det(rep, q, cid) ** n
-    return RegConstValue(raw, d)
+    return RegConstValue(fraction_product(
+        (matrix_fixed_det(rep, q, cid), n) for cid, n in theta.items() if n), d)

@@ -25,6 +25,7 @@ from .exactmath import (
     _as_fraction,
     divisors,
     exact_quotient,
+    fraction_product,
     hermite_row_basis,
     is_squarefree,
     mobius,
@@ -383,12 +384,9 @@ def eval_on_theta(f, G: PermGroup, theta: dict[str, int]) -> Fraction:
     a float included, raises ``TypeError``.
     """
     _require_group(f, G)
-    val = Fraction(1)
-    for cid, coeff in theta.items():
-        if coeff:
-            val *= _as_fraction(
-                f(G.subgroup_class_by_id(cid).representative)) ** coeff
-    return val
+    return fraction_product(
+        (_as_fraction(f(G.subgroup_class_by_id(cid).representative)), coeff)
+        for cid, coeff in theta.items() if coeff)
 
 
 def _require_group(f, G: PermGroup) -> None:

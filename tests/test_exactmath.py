@@ -17,6 +17,7 @@ from krel.exactmath import (
     SquareClass,
     cyclotomic_galois_apply,
     factor_bounded,
+    fraction_product,
     hermite_row_basis,
     hilbert_symbol,
     is_norm_from_quadratic,
@@ -488,3 +489,29 @@ def test_conjugate_fixes_real_combinations():
     z = CycNumber.zeta(7)
     real = z + z.conjugate()
     assert real.conjugate() == real
+
+
+# ---------------------------------------------------------------------------
+# fraction_product
+
+
+def test_fraction_product_matches_powers_of_fractions():
+    grid = [Fraction(n, d) for n in (-6, -1, 1, 2, 9) for d in (1, 4, 15)]
+    grid += [2, -3]
+    exponents = (-3, -1, 0, 1, 2)
+    for x in grid:
+        for n in exponents:
+            assert fraction_product([(x, n)]) == Fraction(x) ** n
+    for k in range(len(grid) - 2):
+        pairs = [(grid[k + i], exponents[(k + i) % 5]) for i in range(3)]
+        got = fraction_product(pairs)
+        assert got == math.prod(Fraction(x) ** n for x, n in pairs)
+        assert type(got) is Fraction
+
+
+def test_fraction_product_of_nothing_and_of_zero():
+    assert fraction_product([]) == 1 and type(fraction_product([])) is Fraction
+    assert fraction_product([(Fraction(0), 2), (Fraction(3, 2), -1)]) == 0
+    assert fraction_product([(Fraction(0), 0)]) == Fraction(0) ** 0 == 1
+    with pytest.raises(ZeroDivisionError):
+        fraction_product([(Fraction(2), 1), (Fraction(0), -1)])

@@ -337,3 +337,33 @@ def test_warm_record_matches_fresh_models_and_the_reference(name):
         u = global_root_sign(warm, tau.constituent).u
         assert u == global_root_sign(fresh, tau.constituent).u
         assert u == direct_u(record_model(G, seed), tau)
+
+
+def test_u_exponents_are_read_once_per_model(monkeypatch):
+    G = group_from_cycles(4, ["(1 2 3 4)", "(1 2)"], name="S4")
+    model = synthetic_model(G, random.Random("u-once/S4"))
+    calls = Counter()
+    plain = CurveLocalModel.root_bits
+
+    def counted(self, chi):
+        calls[G.data.irreducible_index(chi)] += 1
+        return plain(self, chi)
+
+    monkeypatch.setattr(CurveLocalModel, "root_bits", counted)
+    reports = [theorem_main_check(model, theta, d) for d in FIELDS
+               for theta in k_relation_basis(G, d).basis]
+    reports += [nrt_run(model, rho)
+                for rho in character_table(G).irreducibles]
+    taus = rational_irreducibles(G)
+    assert set(calls) <= {tau.constituent_index for tau in taus}
+    assert max(calls.values()) == 1
+    want = dict(reports[0].u_exponents)
+    assert set(want) == {tau.label for tau in taus}
+    for report, after in zip(reports, reports[1:]):
+        assert report.u_exponents == want
+        report.u_exponents.clear()
+        assert after.u_exponents == want
+    theta = k_relation_basis(G, -1).basis[0]
+    assert theorem_main_check(model, theta, -1).u_exponents == want
+    rho = character_table(G).irreducibles[0]
+    assert nrt_run(model, rho).u_exponents == want

@@ -17,6 +17,7 @@ from krel.groups import (
     burnside_res,
     cyclic_group,
     dihedral_group,
+    group_from_cycles,
     metacyclic_group,
     quaternion_group,
     subgroup_as_group,
@@ -321,6 +322,62 @@ def test_rational_irr_checks_the_relation_once(monkeypatch):
         calls.clear()
         reg_const_rational_irr(*args)
         assert len(calls) == 1
+
+
+# the nine groups of the benchmark's global workload
+ROUTE_GROUPS = {
+    "S3": lambda: dihedral_group(3, name="S3"),
+    "D4": lambda: dihedral_group(4),
+    "Q8": quaternion_group,
+    "D6": lambda: dihedral_group(6),
+    "A4": alternating4_group,
+    "D21": lambda: dihedral_group(21),
+    "C3:C4": lambda: metacyclic_group(3, 4, 2),
+    "S4": lambda: group_from_cycles(4, ["(1 2 3 4)", "(1 2)"], name="S4"),
+    "C12:C4": lambda: metacyclic_group(12, 4, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GROUPS))
+def test_kept_route_matches_the_direct_route(name):
+    G = ROUTE_GROUPS[name]()
+    checked = 0
+    for d in (-1, 2, -3, 5):
+        for theta in k_relation_basis(G, d).basis:
+            for tau in rational_irreducibles(G):
+                routed = reg_const_rational_irr(G, theta, tau, d).raw
+                k, expansion = minimal_perm_multiple(G, tau)
+                if k % 2 == 1:
+                    assert routed == reg_const_perm(G, theta, expansion,
+                                                    d).raw, (d, theta, tau)
+                    checked += 1
+    assert checked > 0
+
+
+def test_route_is_refused_for_a_tau_of_another_group():
+    S3, D4 = dihedral_group(3, name="S3"), dihedral_group(4)
+    theta = k_relation_basis(D4, -1).basis[0]
+    # D4 keeps a route at every constituent index that an S3 tau carries
+    for tau in rational_irreducibles(D4):
+        reg_const_rational_irr(D4, theta, tau, -1)
+    for tau in rational_irreducibles(S3):
+        with pytest.raises(ValueError, match="tau lives on a different group"):
+            reg_const_rational_irr(D4, theta, tau, -1)
+
+
+def test_a_mutated_expansion_changes_no_later_constant():
+    G = dihedral_group(21)
+    tau = tau_by_label(G, "tau_3")
+    want = reg_const_rational_irr(G, D21_THETA, tau, 21).raw
+    k, expansion = minimal_perm_multiple(G, tau)
+    kept = dict(expansion)
+    expansion.clear()
+    expansion["1.1"] = 1
+    assert minimal_perm_multiple(G, tau) == (k, kept)
+    assert reg_const_rational_irr(G, D21_THETA, tau, 21).raw == want
+    _, norm_theta = relations.find_norm_relation(G, tau.constituent)
+    norm_theta["1.1"] = norm_theta.get("1.1", 0) + 5
+    assert relations.find_norm_relation(G, tau.constituent)[1] == kept
 
 
 # ---------------------------------------------------------------------------
