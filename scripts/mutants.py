@@ -242,10 +242,18 @@ MUTANTS = [
      "            num *= x.numerator ** abs(n)\n"
      "            den *= x.denominator ** abs(n)",
      "fraction_product takes a negative exponent as its absolute value"),
+    (RELATIONS,
+     "    head = character_table(G).orbits[idx][0]",
+     "    head = chi.degree()",
+     "the orbit record keyed by the irreducible's degree"),
     (REGCONST,
-     "routes, j = G.data.perm_routes, tau.constituent_index",
-     "routes, j = G.data.perm_routes, tau.constituent.degree()",
-     "the kept route of a rational irreducible is keyed by its degree"),
+     "    val = memo.get((hcid, dcid))\n"
+     "    if val is None:\n"
+     "        val = memo[hcid, dcid] = ",
+     "    val = memo.get(hcid)\n"
+     "    if val is None:\n"
+     "        val = memo[hcid] = ",
+     "fixed_dets keyed by the class id of H alone"),
     (PARITY,
      "    u_exponents = dict(model.u_exponents)",
      "    u_exponents = model.u_exponents",

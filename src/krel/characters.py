@@ -1004,13 +1004,12 @@ class GroupData:
 
     def __init__(self, group: PermGroup):
         self.group = group
-        self._perm_multiples: dict[tuple[int, ...],
-                                   tuple[int, tuple[int, ...]]] = {}
-        # constituent index -> (k, expansion), for reg_const_rational_irr
-        self.perm_routes: dict[int, tuple[int, dict[str, int]]] = {}
-        # (H, D) -> det of the H-fixed part of Q[G/D], for perm_fixed_det
-        self.fixed_dets: dict[tuple[frozenset[int], frozenset[int]],
-                              Fraction] = {}
+        # least member of a Galois orbit -> (m, theta) of its norm
+        # relation, for krel.relations.find_norm_relation
+        self.norm_relations: dict[int, tuple[int, dict[str, int]]] = {}
+        # (class id of H, class id of D) -> det of the H-fixed part of
+        # Q[G/D], for krel.regconst.perm_fixed_det
+        self.fixed_dets: dict[tuple[str, str], Fraction] = {}
         # (d, nonzero terms of theta) -> verdict of is_k_relation
         self.k_relation_verdicts: dict[tuple, bool] = {}
         # the structural rules of a place in G's own indices, checked once
@@ -1223,20 +1222,18 @@ class GroupData:
     def perm_multiple(self, target: tuple[int, ...]
                       ) -> tuple[int, tuple[int, ...]]:
         """Least m >= 1 and a reduced x with a*x = m*target, for a the
-        multiplicity matrix; memoised by target.
+        multiplicity matrix, solved on every call: the norm relation of an
+        irreducible's orbit is kept in :attr:`norm_relations`.
 
         x is the SNF witness reduced modulo :attr:`brauer_kernel` (see
         :func:`krel.exactmath.reduce_by_kernel`).
         """
-        got = self._perm_multiples.get(target)
-        if got is None:
-            a = self.multiplicity_matrix
-            sol = snf_solve(a, target, self.multiplicity_smith)
-            x = reduce_by_kernel(sol.witness, self.brauer_kernel)
-            m = sol.minimal_m
-            if any(sum(c * v for c, v in zip(row, x)) != m * t
-                   for row, t in zip(a, target)):
-                raise ExactCheckError("reduced witness does not solve "
-                                      "a*x = m*target")
-            got = self._perm_multiples[target] = (m, tuple(x))
-        return got
+        a = self.multiplicity_matrix
+        sol = snf_solve(a, target, self.multiplicity_smith)
+        x = reduce_by_kernel(sol.witness, self.brauer_kernel)
+        m = sol.minimal_m
+        if any(sum(c * v for c, v in zip(row, x)) != m * t
+               for row, t in zip(a, target)):
+            raise ExactCheckError("reduced witness does not solve "
+                                  "a*x = m*target")
+        return m, tuple(x)

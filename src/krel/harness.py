@@ -202,8 +202,8 @@ def _residue_powers(e: int, residue: int):
     return tuple(out)
 
 
-def _whole_group_place(G, isub, l, q, red, name="w") -> PlaceDescriptor:
-    p = PlaceDescriptor(name, "finite", group=G, l=l, q=q,
+def _whole_group_place(G, isub, l, q, red) -> PlaceDescriptor:
+    p = PlaceDescriptor("w", "finite", group=G, l=l, q=q,
                         dsub=frozenset(range(G.order)), isub=isub,
                         reduction=red)
     problems = validate_place(p)
@@ -228,11 +228,11 @@ def _v_fixed_det(G: PermGroup, v: dict[int, int]):
     if sol.minimal_m != 1:
         raise ExactCheckError(f"V is a virtual permutation module only "
                               f"{sol.minimal_m} times over")
-    module = [(c.representative, m)
-              for c, m in zip(G.subgroup_classes(), sol.witness) if m]
+    module = [(c, m) for c, m in zip(G.subgroup_classes(), sol.witness) if m]
     return functools.cache(lambda h: math.prod(
-        ((perm_fixed_det(G, h, d) * len(h) ** len(G.double_cosets(h, d)))
-         ** m for d, m in module), start=Fraction(1)))
+        ((perm_fixed_det(G, G.classify_subgroup(h).id, d.id)
+          * len(h) ** len(G.double_cosets(h, d.representative))) ** m
+         for d, m in module), start=Fraction(1)))
 
 
 def _value_vector(G, fn) -> tuple[tuple[int, int], ...]:
@@ -609,22 +609,20 @@ _ADDITIVE_QS = ((5, 5), (5, 25), (7, 7), (7, 49), (11, 11), (13, 13))
 
 
 def synthetic_model(G: PermGroup, rng, semistable: bool = False,
-                    max_places: int = 3, rational_base: bool | None = None,
-                    label: str = "") -> CurveLocalModel:
-    """Draw a random valid model over G.
+                    rational_base: bool | None = None) -> CurveLocalModel:
+    """Draw a random valid model over G, with one to three places.
 
     All randomness flows through the supplied rng, so a seeded generator
     reproduces the same model.  Proposals that fail validation are retried;
     a good place at a split prime is always available as a fallback, so the
     construction cannot fail.
     """
-    count = rng.randint(1, max_places)
+    count = rng.randint(1, 3)
     places = [_synthetic_place(G, rng, f"v{i}", semistable)
               for i in range(count)]
     if rational_base is None:
         rational_base = bool(rng.getrandbits(1))
-    return CurveLocalModel(G, places, label=label,
-                           rational_base=rational_base)
+    return CurveLocalModel(G, places, rational_base=rational_base)
 
 
 def _synthetic_place(G, rng, name, semistable):

@@ -7,11 +7,11 @@ everywhere, so only bad finite places and the archimedean places need to be
 listed; archimedean places must be listed because their count enters the
 global root number.
 
-Each model keeps one record, filled on first use: the bit u_{chi,v} per
-(irreducible chi of the table, place v), the exponent u_tau per rational
-irreducible tau, the fudge product C_v(H) per (bad finite place v, subgroup
-class H), and the NRT obstructions.  The global quantities below are reads
-of it (see :class:`CurveLocalModel`).
+Each model keeps one record, filled on first use: the exponent u_tau per
+rational irreducible tau, the fudge product C_v(H) per (bad finite place v,
+subgroup class H), and the NRT obstructions.  The global quantities below
+are reads of it (see :class:`CurveLocalModel`); the bits u_{chi,v} are
+summed once per tau, so they are computed and not kept.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ class CurveLocalModel:
     construction and not to be changed afterwards: the model keeps a record
     of what depends on them, each entry computed on first use.
 
-    - ``_u_bits[j]``: the bits u_{chi_j,v} of the j-th irreducible of the
-      table, one per place in order (:meth:`root_bits`);
     - ``u_exponents``: {label: u_tau} over the rational irreducibles tau,
-      shared, so each report takes a copy;
+      summed from :meth:`root_bits` once per tau; shared, so each report
+      takes a copy;
     - ``_fudge[(i, cid)]``: C_v(H) for the i-th place v and H in the
       subgroup class cid (:meth:`fudge_product`);
     - ``obstructions``: :func:`nrt_obstructions` of the model.
@@ -57,7 +56,6 @@ class CurveLocalModel:
     def __post_init__(self):
         self.places = tuple(self.places) + (
             (PlaceDescriptor("oo", "real"),) if self.rational_base else ())
-        self._u_bits: dict[int, tuple[int, ...]] = {}
         self._fudge: dict[tuple[int, str], Fraction] = {}
         problems = []
         for p in self.places:
@@ -83,17 +81,10 @@ class CurveLocalModel:
                 for tau in rational_irreducibles(self.group)}
 
     def root_bits(self, chi: ClassFunction) -> tuple[int, ...]:
-        """u_{chi,v} for each place v, all 0 unless chi is orthogonal;
-        kept when chi is in the table."""
-        j = self.group.data.irreducible_index(chi)
-        bits = self._u_bits.get(j)
-        if bits is None:
-            orthogonal = fs_indicator(chi) == 1
-            bits = tuple(local_u_contribution(p, chi) if orthogonal else 0
-                         for p in self.places)
-            if j is not None:
-                self._u_bits[j] = bits
-        return bits
+        """u_{chi,v} for each place v, all 0 unless chi is orthogonal."""
+        orthogonal = fs_indicator(chi) == 1
+        return tuple(local_u_contribution(p, chi) if orthogonal else 0
+                     for p in self.places)
 
     def fudge_product(self, i: int, cid: str) -> Fraction:
         """C_v(H) for the i-th place v and H in the class cid; kept.  The
@@ -138,8 +129,7 @@ def global_root_sign(model: CurveLocalModel, chi: ClassFunction) -> GlobalRootSi
     """Twisted root-number sign (-1)^u with u summed over all places.
 
     Only orthogonal characters acquire a sign; for non-self-dual or
-    symplectic chi the exponent is 0 by definition.  The bits are read from
-    the model's record.
+    symplectic chi the exponent is 0 by definition.
     """
     _require_model(model)
     u = sum(model.root_bits(chi)) % 2

@@ -12,10 +12,11 @@ not depend on the G-invariant pairing up to norms, so one pairing serves
 every model, :func:`invariant_pairing`, the sum of M_g^T M_g over the group.
 Values stay exact rationals; a verdict reads them modulo norms at the end.
 
-:func:`reg_const_rational_irr` keeps the route of each rational irreducible
-of G, the (k, expansion) of :func:`minimal_perm_multiple`, in
-``G.data.perm_routes`` by constituent index, filled on first use; a tau of
-another group is refused.  :func:`minimal_perm_multiple` returns fresh dicts.
+The route of a rational irreducible tau of G, the (k, expansion) of
+:func:`minimal_perm_multiple`, is the norm relation of its constituent,
+kept once per Galois orbit in ``G.data.norm_relations``; a tau of another
+group is refused.  :func:`perm_fixed_det` keeps its values in
+``G.data.fixed_dets`` by class-id pair.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .characters import (
 from .exactmath import Rational, fraction_product, is_norm_from_quadratic, \
     mat_mul, rat_det
 from .groups import PermGroup, subgroup_rep
-from .relations import is_k_relation
+from .relations import _vector_theta, find_norm_relation, is_k_relation
 
 Matrix = list[list[Rational]]
 
@@ -62,21 +63,21 @@ class RegConstValue:
 # Permutation route
 
 
-def perm_fixed_det(G: PermGroup, hsub, dsub) -> Fraction:
+def perm_fixed_det(G: PermGroup, hcid: str, dcid: str) -> Fraction:
     """det of the scaled standard pairing on the H-fixed part of Q[G/D].
 
     The H-orbit sums of cosets give an orthogonal basis whose scaled Gram
     determinant telescopes to the product of 1/|H ∩ wDw^-1| over double
     cosets: 1/|L| for each local subgroup L = D ∩ w^-1 H w that
-    :meth:`PermGroup.double_cosets` returns.  Memoised per group and
-    (H, D) representatives.
+    :meth:`PermGroup.double_cosets` returns.  H and D are given by class
+    ids, which key the memo; representatives are looked up only on a miss.
     """
-    key = (subgroup_rep(G, hsub), subgroup_rep(G, dsub))
     memo = G.data.fixed_dets
-    val = memo.get(key)
+    val = memo.get((hcid, dcid))
     if val is None:
-        val = memo[key] = Fraction(1, math.prod(
-            len(local) for _, local in G.double_cosets(*key)))
+        val = memo[hcid, dcid] = Fraction(1, math.prod(
+            len(local) for _, local in G.double_cosets(
+                subgroup_rep(G, hcid), subgroup_rep(G, dcid))))
     return val
 
 
@@ -97,18 +98,15 @@ def minimal_perm_multiple(G: PermGroup,
 
     tau may be a rational-valued ClassFunction or a RationalCharacter; the
     witness is a reduced (deterministic) solution, as {class id: coefficient}
-    with its nonzero entries, a fresh dict on every call.
+    with its nonzero entries, a fresh dict on every call.  A
+    RationalCharacter reads the kept :func:`find_norm_relation`.
     """
-    data = G.data
     if isinstance(tau, RationalCharacter):
         if tau.constituent.group is not G:
             raise ValueError("tau lives on a different group")
-        target = data.orbit_target(tau.constituent_index)
-    else:
-        target = _rational_multiplicities(G, tau)
-    k, x = data.perm_multiple(target)
-    classes = G.subgroup_classes()
-    return k, {classes[i].id: v for i, v in enumerate(x) if v}
+        return find_norm_relation(G, tau.constituent)
+    k, x = G.data.perm_multiple(_rational_multiplicities(G, tau))
+    return k, _vector_theta(G.subgroup_classes(), x)
 
 
 def _rational_multiplicities(G: PermGroup,
@@ -149,13 +147,7 @@ def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
     Either route checks once that theta is a K-relation: the odd one
     inside :func:`reg_const_perm`.
     """
-    if isinstance(tau, RationalCharacter) and tau.constituent.group is G:
-        routes, j = G.data.perm_routes, tau.constituent_index
-        if j not in routes:
-            routes[j] = minimal_perm_multiple(G, tau)
-        k, expansion = routes[j]
-    else:
-        k, expansion = minimal_perm_multiple(G, tau)
+    k, expansion = minimal_perm_multiple(G, tau)
     if k % 2 == 1:
         return reg_const_perm(G, theta, expansion, d)
     if not is_k_relation(G, theta, d):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .characters import ClassFunction
+from .characters import ClassFunction, character_table
 from .exactmath import (
     ExactCheckError,
     _as_fraction,
@@ -264,14 +264,20 @@ def find_norm_relation(G: PermGroup,
 
     Artin induction guarantees a solution for some m.  The witness is a
     reduced (deterministic) solution: one solution reduced modulo the
-    kernel of the multiplicity matrix, the Brauer relations.
+    kernel of the multiplicity matrix, the Brauer relations.  Kept per
+    Galois orbit in ``G.data.norm_relations``; each call gets a fresh dict.
     """
     data = G.data
     idx = data.irreducible_index(chi)
     if idx is None:
         raise ValueError("chi does not match an irreducible of the table")
-    m, x = data.perm_multiple(data.orbit_target(idx))
-    return m, _vector_theta(G.subgroup_classes(), x)
+    head = character_table(G).orbits[idx][0]
+    got = data.norm_relations.get(head)
+    if got is None:
+        m, x = data.perm_multiple(data.orbit_target(idx))
+        got = data.norm_relations[head] = (
+            m, _vector_theta(G.subgroup_classes(), x))
+    return got[0], dict(got[1])
 
 
 # ---------------------------------------------------------------------------

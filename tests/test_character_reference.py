@@ -135,8 +135,7 @@ def test_galois_means_are_computed_once_per_character(monkeypatch):
     irrs = character_table(G).irreducibles
     copies = [ClassFunction(G, chi.values) for chi in irrs]
     r = len(irrs)
-    model = synthetic_model(G, random.Random(3), max_places=3,
-                            rational_base=True)
+    model = synthetic_model(G, random.Random(3), rational_base=True)
     calls = counted_galois_means(monkeypatch)
     for _ in range(20):
         for chi in irrs:

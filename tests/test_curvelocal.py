@@ -350,6 +350,30 @@ def test_dihedral_dprime_normality_check():
     assert "d-prime-normality" in _diag_rules(p)
 
 
+def test_dihedral_inertia_image_check():
+    # Dihedral group of order 12, D' its centre: D_v/D' is S_3, but the
+    # inertia <r^2, s> meets D' trivially, so it maps onto all of D_v/D'
+    # and not onto the rotations.
+    D6 = metacyclic_group(6, 2, 5)
+    whole = frozenset(range(12))
+    r = next(x for x in range(12) if D6.element_order(x) == 6)
+    rot = D6.closure(frozenset([r]))
+    centre = frozenset([0, D6.mul(r, D6.mul(r, r))])
+    s = next(x for x in range(12) if x not in rot)
+    isub = D6.closure(frozenset([D6.mul(r, r), s]))
+    p = PlaceDescriptor(
+        "v", "finite", D6, 5, 5, whole, isub,
+        AddPotGood(4, SQ_UNIT, SQ_TRIV, None, centre),
+    )
+    assert _diag_rules(p) == ["inertia-image"]
+    # the same D' over the rotations C_6 passes every dihedral rule
+    p = PlaceDescriptor(
+        "v", "finite", D6, 5, 5, whole, rot,
+        AddPotGood(4, SQ_UNIT, SQ_TRIV, None, centre),
+    )
+    assert _diag_rules(p) == []
+
+
 def test_dihedral_dprime_quotient_shape_check():
     # C_6 modulo the trivial subgroup is cyclic of order 6, never dihedral.
     C6 = cyclic_group(6)

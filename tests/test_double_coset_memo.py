@@ -50,35 +50,39 @@ def naive_double_cosets(G, h, d):
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_memoised_values_match_naive_enumeration(name):
     G = GROUPS[name]()
-    reps = [c.representative for c in G.subgroup_classes()]
-    for h in reps:
-        for d in reps:
+    classes = G.subgroup_classes()
+    for hc in classes:
+        for dc in classes:
+            h, d = hc.representative, dc.representative
             want = naive_double_cosets(G, h, d)
             got = G.double_cosets(h, d)
             assert isinstance(got, tuple)
             assert list(got) == want
-            det = perm_fixed_det(G, h, d)
+            det = perm_fixed_det(G, hc.id, dc.id)
             prod = 1
             for _, local in want:
                 prod *= len(local)
             assert det == Fraction(1, prod)
             # a repeated call is a lookup
             assert G.double_cosets(set(h), set(d)) is got
-            assert perm_fixed_det(G, h, d) is det
+            assert perm_fixed_det(G, hc.id, dc.id) is det
+    # the determinants are kept by the pair of class ids
+    assert set(G.data.fixed_dets) == {(hc.id, dc.id) for hc in classes
+                                      for dc in classes}
 
 
 @pytest.mark.parametrize("name", ["S3", "S4"])
 def test_groups_built_alike_share_no_memo(name):
     G1, G2 = GROUPS[name](), GROUPS[name]()
-    h = G1.subgroup_classes()[1].representative
-    d = G1.subgroup_classes()[-1].representative
+    hc, dc = G1.subgroup_classes()[1], G1.subgroup_classes()[-1]
+    h, d = hc.representative, dc.representative
     first = G1.double_cosets(h, d)
-    det = perm_fixed_det(G1, h, d)
+    det = perm_fixed_det(G1, hc.id, dc.id)
     assert G2._double_cosets == {}
     assert G2.data.fixed_dets == {}
     again = G2.double_cosets(h, d)
     assert again == first and again is not first
-    assert perm_fixed_det(G2, h, d) == det
+    assert perm_fixed_det(G2, hc.id, dc.id) == det
     assert len(G1._double_cosets) == len(G2._double_cosets) == 1
 
 

@@ -2,6 +2,7 @@
 reduction case passes, and the probe fields are pinned to literal tuples."""
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -271,6 +272,54 @@ def test_lemma_b3_split_primes_are_norms(d):
 def test_lemma_b3_rejects_fields_of_other_shape():
     with pytest.raises(ValueError):
         lemma_b3_check(3)
+
+
+@pytest.mark.parametrize("d, ls", [(-1, (3,)), (-1, (2,)), (-1, (9,)),
+                                   (5, (11, 7))])
+def test_lemma_b3_rejects_primes_that_do_not_split(d, ls):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"l = {ls[-1]} is not split in "
+                                       f"Q(sqrt {d})")):
+        lemma_b3_check(d, ls=ls)
+    assert lemma_b3_check(d, ls=(29,)).tested == (29,)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((5, 1, 1), "e must be one of 2, 3, 4, 6, not 5"),
+    ((3, -1, 1), "k must be nonnegative"),
+    ((3, 1, 0), "sign must be +1 or -1"),
+    ((3, 0, -1), "sign -1 with k = 0 collapses; use sign +1"),
+])
+def test_metacyclic_spec_refuses_bad_parameters(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MetacyclicSpec(*args)
+
+
+@pytest.mark.parametrize("case, spec, message", [
+    ("2X", MetacyclicSpec(3, 1, 1), "unknown case '2X'"),
+    ("2C", MetacyclicSpec(3, 1, -1),
+     "case 2C pairs with the trivial action, sign +1"),
+    ("2D", MetacyclicSpec(3, 1, 1), "case 2D needs sign -1, e > 2 and k >= 1"),
+    ("2D", MetacyclicSpec(2, 1, -1), "case 2D needs sign -1, e > 2 and k >= 1"),
+    ("2D", MetacyclicSpec(2, 0, -1), "case 2D needs sign -1, e > 2 and k >= 1"),
+])
+def test_appendix_check_refuses_a_case_that_does_not_fit(case, spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        appendix_tamagawa_check(case, spec)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, 2, 7, 7, 12), "delta = 2 does not pair with e = 3"),
+    ((5, 4, 7, 7, 12), "delta = 4 does not pair with e = 5"),
+    ((3, 4, 3, 3, 12), "the residue characteristic must be a prime >= 5"),
+    ((3, 4, 9, 9, 12), "the residue characteristic must be a prime >= 5"),
+    ((3, 4, 7, 7, 14), "q must be invertible mod r"),
+])
+def test_differential_check_refuses_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        appendix_differential_check(*args)
+    # the valid call that the refused ones are varied from is accepted
+    assert appendix_differential_check(3, 4, 7, 7, 12).passed
 
 
 def test_differential_check_passes_for_every_delta_and_residue_size():

@@ -11,7 +11,8 @@ from krel import parity
 from krel.characters import character_table, fs_indicator, perm_character, \
     rational_irreducibles
 from krel.curvelocal import AddPotGood, AddPotMult, Good, PlaceDescriptor, \
-    SplitMult, SquareClassLocal, local_u_contribution, tamagawa
+    SplitMult, SquareClassLocal, local_u_contribution, tamagawa, \
+    validate_place
 from krel.groups import (alternating4_group, cyclic_group, dihedral_group,
                          group_from_cycles, metacyclic_group,
                          quaternion_group, subgroup_rep)
@@ -367,3 +368,43 @@ def test_u_exponents_are_read_once_per_model(monkeypatch):
     assert theorem_main_check(model, theta, -1).u_exponents == want
     rho = character_table(G).irreducibles[0]
     assert nrt_run(model, rho).u_exponents == want
+
+
+def s3_split_place(S3):
+    p = hand_place(S3, "v", range(6), subgroup_rep(S3, "3.1"), SplitMult(1))
+    assert validate_place(p) == []
+    return p
+
+
+def test_model_refuses_a_place_on_another_group():
+    S3 = dihedral_group(3)
+    p = s3_split_place(S3)
+    with pytest.raises(ValueError, match="v: place group is not the model "
+                                         "group"):
+        CurveLocalModel(dihedral_group(3), [p])
+    assert CurveLocalModel(S3, [p]).places == (p,)
+
+
+def test_a_place_invalidated_after_construction_is_refused():
+    S3 = dihedral_group(3)
+    p = s3_split_place(S3)
+    model = CurveLocalModel(S3, [p], rational_base=True)
+    theta = k_relation_basis(S3, -1).basis[0]
+    assert theorem_main_check(model, theta, -1).congruent
+    p.reduction = SplitMult(0)
+    assert validate_place(p)
+    chi = character_table(S3).irreducibles[0]
+    for call in (lambda: global_C_product(model, theta),
+                 lambda: theorem_main_check(model, theta, -1),
+                 lambda: global_root_sign(model, chi)):
+        with pytest.raises(ValueError,
+                           match="model contains unvalidated place 'v'"):
+            call()
+
+
+def test_theorem_check_refuses_a_theta_that_is_not_a_relation():
+    S3 = dihedral_group(3)
+    model = CurveLocalModel(S3, [s3_split_place(S3)], rational_base=True)
+    # C[S3/1] holds the trivial character once: not a K-relation for Q(i)
+    with pytest.raises(ValueError, match="theta is not a relation for d = -1"):
+        theorem_main_check(model, {"1.1": 1}, -1)

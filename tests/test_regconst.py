@@ -2,15 +2,16 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from appendix_places import DIHEDRAL_SPECS, appendix_places
 
 from krel import regconst, relations
-from krel.characters import ClassFunction, character_table, \
+from krel.characters import ClassFunction, GroupData, character_table, \
     perm_character, rational_inner_product, rational_irreducibles
-from krel.exactmath import is_norm_from_quadratic, rat_det
+from krel.exactmath import is_norm_from_quadratic, mat_mul, rat_det
 from krel.groups import (
     alternating4_group,
     burnside_add,
@@ -357,7 +358,7 @@ def test_kept_route_matches_the_direct_route(name):
 def test_route_is_refused_for_a_tau_of_another_group():
     S3, D4 = dihedral_group(3, name="S3"), dihedral_group(4)
     theta = k_relation_basis(D4, -1).basis[0]
-    # D4 keeps a route at every constituent index that an S3 tau carries
+    # D4 keeps a norm relation at every orbit head that an S3 tau carries
     for tau in rational_irreducibles(D4):
         reg_const_rational_irr(D4, theta, tau, -1)
     for tau in rational_irreducibles(S3):
@@ -380,8 +381,75 @@ def test_a_mutated_expansion_changes_no_later_constant():
     assert relations.find_norm_relation(G, tau.constituent)[1] == kept
 
 
+@pytest.mark.parametrize("name", sorted(ROUTE_GROUPS))
+def test_norm_relation_is_solved_once_per_galois_orbit(name, monkeypatch):
+    solves = Counter()
+    plain = GroupData.perm_multiple
+
+    def counted(self, target):
+        solves[target] += 1
+        return plain(self, target)
+
+    monkeypatch.setattr(GroupData, "perm_multiple", counted)
+    G = ROUTE_GROUPS[name]()
+    taus = rational_irreducibles(G)
+    for _ in range(2):
+        for chi in character_table(G).irreducibles:
+            relations.find_norm_relation(G, chi)
+        for tau in taus:
+            minimal_perm_multiple(G, tau)
+    assert sorted(G.data.norm_relations) == [t.constituent_index
+                                             for t in taus]
+    assert len(solves) == len(taus) and set(solves.values()) == {1}
+
+
+def test_fixed_dets_are_kept_by_class_id_pairs():
+    G = dihedral_group(21)
+    reg_const_rational_irr(G, D21_THETA, tau_by_label(G, "tau_3"), 21)
+    ids = {c.id for c in G.subgroup_classes()}
+    assert G.data.fixed_dets
+    for (hcid, dcid), det in G.data.fixed_dets.items():
+        assert hcid in ids and dcid in ids
+        cosets = G.double_cosets(subgroup_rep(G, hcid), subgroup_rep(G, dcid))
+        assert det == Fraction(1, math.prod(len(l) for _, l in cosets))
+
+
 # ---------------------------------------------------------------------------
 # matrix models
+
+
+def test_fixed_space_basis_in_a_skewed_regular_model():
+    # the regular representation of S3 conjugated by a rational unipotent
+    # upper triangular t: the projector's columns are no longer 0/1 orbit
+    # vectors, so a new pivot clears its column in earlier basis vectors
+    S3 = dihedral_group(3)
+    reg = perm_matrix_rep(S3, "1.1")
+    n = reg.dimension
+    nil = [[Fraction(j - i, i + 2) if j > i else 0 for j in range(n)]
+           for i in range(n)]
+    t = [[x + (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(nil)]
+    t_inv, power = identity_matrix(n), identity_matrix(n)
+    for k in range(1, n):
+        power = mat_mul(power, nil)
+        t_inv = [[a + (-1) ** k * b for a, b in zip(row, prow)]
+                 for row, prow in zip(t_inv, power)]
+    assert mat_mul(t, t_inv) == identity_matrix(n)
+    model = MatrixRep(S3, [mat_mul(mat_mul(t, m), t_inv)
+                           for m in reg.images])
+    for cls in S3.subgroup_classes():
+        h = cls.representative
+        basis = regconst._fixed_space_basis(model, h)
+        pivots = [next(i for i, x in enumerate(v) if x) for v in basis]
+        assert pivots == sorted(set(pivots))
+        for v, p in zip(basis, pivots):
+            assert v[p] == 1
+            assert all(w[p] == 0 for w in basis if w is not v)
+            for x in h:
+                assert [sum(a * b for a, b in zip(row, v))
+                        for row in model.at(x)] == v
+        trace = sum(model.at(x)[i][i] for x in h for i in range(n))
+        assert len(basis) == trace / len(h)
 
 
 def test_matrix_rep_quaternion_model():
@@ -612,7 +680,8 @@ def test_fixed_det_against_coset_counting():
     const = LocalFn(G, dsub, isub, lambda e, f: 6)
 
     def ratio(hrep):
-        return fn(hrep) / perm_fixed_det(G, hrep, dsub)
+        return fn(hrep) / perm_fixed_det(G, G.classify_subgroup(hrep).id,
+                                         "6.1")
 
     for c in G.subgroup_classes():
         assert ratio(c.representative) == const(c.id)
