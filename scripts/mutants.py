@@ -254,6 +254,10 @@ MUTANTS = [
      "    if val is None:\n"
      "        val = memo[hcid] = ",
      "fixed_dets keyed by the class id of H alone"),
+    (HARNESS,
+     "len(h) // len(local)",
+     "len(local)",
+     "V's determinant takes |H ∩ xDx^-1| for the index"),
     (PARITY,
      "    u_exponents = dict(model.u_exponents)",
      "    u_exponents = model.u_exponents",

@@ -37,10 +37,10 @@ stabilisers, and ``rational_irreducibles`` reads the orbits.
 Every rational reduction of character values instead reads the Galois
 means Tr(chi(g))/phi, one cached tuple per class function
 (``ClassFunction.galois_means``): class weights, Frobenius-Schur
-indicators, rational inner products, the orbit sums (|orbit| times the
-means) and the local root-number pairings of ``curvelocal``.  For the
-irreducibles of the table the means come from the multisets too, once per
-Galois orbit and with no cyclotomic value: Tr(zeta_n^j)/phi(n) is
+indicators, the orbit sums (|orbit| times the means) and the local
+root-number pairings of ``curvelocal``.  For the irreducibles of the
+table the means come from the multisets too, once per Galois orbit and
+with no cyclotomic value: Tr(zeta_n^j)/phi(n) is
 mu(m)/phi(m) for m = n/gcd(n, j), so the class weights are integer sums
 (``GroupData.class_weights``), the means are the weights over the class
 sizes, and the multiplicity columns follow once per orbit.  Only a
@@ -911,23 +911,6 @@ def _rational_class_values(v: ClassFunction) -> list[Fraction]:
         raise ValueError("not a virtual character: not constant on a "
                          "rational class")
     return [vals[o[0]] for o in orbits]
-
-
-def rational_inner_product(chi: ClassFunction, v: ClassFunction) -> Fraction:
-    """<chi, v> for a character chi and a rational virtual character v.
-
-    v is constant on rational classes, so the sum splits into the rational
-    classes, each |o| classes of one size times the Galois mean of chi at
-    its first class (see :attr:`ClassFunction.galois_means`).
-    """
-    G = chi.group
-    if v.group is not G:
-        raise ValueError("different groups")
-    vals = _rational_class_values(v)
-    means = chi.galois_means
-    return sum(x * s * means[o[0]] for x, o, s in
-               zip(vals, G.data.rational_classes,
-                   G.data.rational_class_sizes)) / G.order
 
 
 def fs_indicator(chi: ClassFunction) -> int:

@@ -1,6 +1,6 @@
-"""Exact arithmetic substrate: rationals, square classes, cyclotomic numbers,
-integer lattice normal forms, and the Kronecker/Hilbert symbol machinery that
-decides membership in norm groups of quadratic fields.
+"""Exact arithmetic substrate: rationals, cyclotomic numbers, integer lattice
+normal forms, and the Kronecker/Hilbert symbol machinery that decides
+membership in norm groups of quadratic fields.
 
 The small-integer number theory the engine needs is here too, on the
 standard library alone: bounded factoring (:func:`factor_bounded`), a prime
@@ -26,7 +26,8 @@ Rational = Union[int, Fraction]
 #: Archimedean place marker accepted by :func:`hilbert_symbol`.
 PLACE_INF = "inf"
 
-DEFAULT_FACTOR_BOUND = 10**6
+#: The largest prime factor :func:`factor_bounded` accepts.
+FACTOR_BOUND = 10**6
 
 
 class FactorBoundError(ValueError):
@@ -35,12 +36,13 @@ class FactorBoundError(ValueError):
     ``PSI_13``."""
 
 
-def factor_bounded(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Factor |n| into primes, refusing any prime factor above ``bound``.
+def factor_bounded(n: int) -> dict[int, int]:
+    """Factor |n| into primes, refusing any prime factor above
+    ``FACTOR_BOUND``.
 
-    Trial division by the primes up to min(sqrt(cofactor), bound): inputs
-    whose prime factors all lie within the bound succeed, anything else
-    raises FactorBoundError after at most that much work.
+    Trial division by the primes up to min(sqrt(cofactor), FACTOR_BOUND):
+    inputs whose prime factors all lie within the bound succeed, anything
+    else raises FactorBoundError after at most that much work.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -49,11 +51,11 @@ def factor_bounded(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     k = 0
     while n > 1:
         if k == len(_PRIMES):
-            _extend_primes(min(math.isqrt(n), bound))
+            _extend_primes(min(math.isqrt(n), FACTOR_BOUND))
             if k == len(_PRIMES):
                 break
         p = _PRIMES[k]
-        if p * p > n or p > bound:
+        if p * p > n or p > FACTOR_BOUND:
             break
         if n % p == 0:
             e = 0
@@ -63,11 +65,11 @@ def factor_bounded(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
             fac[p] = e
         k += 1
     if n > 1:
-        # no prime <= min(sqrt(n), bound) divides n: n is a prime or has one
-        # beyond the bound
-        if n > bound:
+        # no prime <= min(sqrt(n), FACTOR_BOUND) divides n: n is a prime or
+        # has one beyond the bound
+        if n > FACTOR_BOUND:
             raise FactorBoundError(
-                f"{n} has a prime factor above bound {bound}")
+                f"{n} has a prime factor above bound {FACTOR_BOUND}")
         fac[n] = 1
     return fac
 
@@ -200,40 +202,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-class SquareClass(NamedTuple):
-    """A nonzero rational modulo squares: sign and squarefree magnitude."""
-
-    sign: int
-    magnitude: int
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":  # type: ignore[override]
-        g = math.gcd(self.magnitude, other.magnitude)
-        return SquareClass(self.sign * other.sign,
-                           (self.magnitude // g) * (other.magnitude // g))
-
-    __truediv__ = __mul__  # every class is its own inverse
-
-    @property
-    def value(self) -> int:
-        return self.sign * self.magnitude
-
-
-def squarefree_class(x: Rational, bound: int = DEFAULT_FACTOR_BOUND) -> SquareClass:
-    """Reduce a nonzero rational modulo squares.
-
-    The class of p/q equals the class of p*q, so only one integer is factored.
-    """
-    x = _as_fraction(x)
-    if x == 0:
-        raise ValueError("zero has no square class")
-    n = abs(x.numerator * x.denominator)
-    mag = 1
-    for p, e in factor_bounded(n, bound).items():
-        if e % 2:
-            mag *= p
-    return SquareClass(1 if x > 0 else -1, mag)
 
 
 def is_squarefree(d: int) -> bool:
@@ -482,17 +450,17 @@ class NoMultipleError(ValueError):
 
 
 def snf_solve(a: Sequence[Sequence[int]], t: Sequence[int],
-              smith: SmithForm | None = None) -> SnfSolution:
+              smith: SmithForm) -> SnfSolution:
     """Solve a*x = m*t over the integers with m >= 1 minimal.
 
-    ``smith`` is the Smith form of ``a`` when the caller already holds it;
-    otherwise it is computed here.
+    ``smith`` is the Smith form of ``a``, ``smith_normal_form(a)``: every
+    caller already holds it.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(t) != rows:
         raise ValueError("dimension mismatch")
-    d, u, v = smith if smith is not None else smith_normal_form(a)
+    d, u, v = smith
     rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
     s = [sum(u[i][k] * t[k] for k in range(rows)) for i in range(rows)]
     if any(s[i] for i in range(rank, rows)):
@@ -692,7 +660,7 @@ def _galois_mean_row(n: int) -> tuple[tuple[int, ...], int]:
     return tuple(mobius(d) * (den // euler_phi(d)) for d in ds), den
 
 
-def fraction_sum(pairs, divisor: int = 1) -> Fraction:
+def fraction_sum(pairs, divisor: int) -> Fraction:
     """(1/divisor) * the sum of x * w over the pairs (x, w), x rational and
     w an integer: one numerator over the lcm of the denominators seen,
     and a single Fraction at the end."""

@@ -30,12 +30,12 @@ from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          _is_prime_power, is_square_in_ext, ram_degree,
                          root_datum, validate_place)
 from .exactmath import (PLACE_INF, ExactCheckError, _as_fraction, divisors,
-                        factor_bounded, is_norm_from_quadratic, is_squarefree,
-                        isprime, kronecker_symbol, mobius, primerange,
-                        snf_solve)
+                        factor_bounded, fraction_product,
+                        is_norm_from_quadratic, is_squarefree, isprime,
+                        kronecker_symbol, mobius, primerange, snf_solve)
 from .groups import PermGroup, metacyclic_generators
 from .parity import CurveLocalModel
-from .regconst import _rational_multiplicities, perm_fixed_det
+from .regconst import _rational_multiplicities
 from .relations import (_cyclic_quotient, is_trivial_on_k_relations,
                         k_relation_basis)
 
@@ -185,7 +185,7 @@ class TamagawaCheckRow:
     flags: str
     d: int
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 def _residue_powers(e: int, residue: int):
@@ -218,9 +218,9 @@ def _v_fixed_det(G: PermGroup, v: dict[int, int]):
 
     v is V at each element, as a place with D_v = G has it.  V is solved as
     the sum of m_D * Q[G/D] on the cached multiplicity Smith form
-    (``ExactCheckError`` if V needs a multiple), and Q[G/D] gives the
-    product over H\\G/D of [H : H ∩ xDx^-1]: ``perm_fixed_det`` times
-    |H|^dim Q[G/D]^H.
+    (``ExactCheckError`` if V needs a multiple), and the value at h is the
+    product over D of (the product over H\\G/D of [H : H ∩ xDx^-1]) ** m_D,
+    read from one double-coset walk per (H, D); m_D may be negative.
     """
     cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
     sol = snf_solve(G.data.multiplicity_matrix, _rational_multiplicities(
@@ -228,11 +228,11 @@ def _v_fixed_det(G: PermGroup, v: dict[int, int]):
     if sol.minimal_m != 1:
         raise ExactCheckError(f"V is a virtual permutation module only "
                               f"{sol.minimal_m} times over")
-    module = [(c, m) for c, m in zip(G.subgroup_classes(), sol.witness) if m]
-    return functools.cache(lambda h: math.prod(
-        ((perm_fixed_det(G, G.classify_subgroup(h).id, d.id)
-          * len(h) ** len(G.double_cosets(h, d.representative))) ** m
-         for d, m in module), start=Fraction(1)))
+    module = [(c.representative, m)
+              for c, m in zip(G.subgroup_classes(), sol.witness) if m]
+    return functools.cache(lambda h: fraction_product(
+        (math.prod(len(h) // len(local) for _, local
+                   in G.double_cosets(h, d)), m) for d, m in module))
 
 
 def _value_vector(G, fn) -> tuple[tuple[int, int], ...]:
@@ -528,6 +528,10 @@ def appendix_differential_check(e: int, delta: int, l: int, q: int,
     quadratic subfield of the fixed field of ^q in the n-th cyclotomic
     field, and the set of n with non-square h value must match the
     reference table exactly.
+
+    The argument checks make q a power of a prime l >= 5, so q is prime to
+    6 and q is 1 or -1 mod e for each e in {3, 4, 6}: the case is 2C or 2D
+    with no third option.
     """
     if e not in (2, 3, 4, 6) or ram_degree(delta) != e:
         raise ValueError(f"delta = {delta} does not pair with e = {e}")
@@ -537,8 +541,6 @@ def appendix_differential_check(e: int, delta: int, l: int, q: int,
         raise ValueError("q must be invertible mod r")
     if not _is_prime_power(q, l):
         raise ValueError(f"q = {q} is not a power of l = {l}")
-    if e > 2 and q % e not in (1, e - 1):
-        raise ValueError("q must be +-1 mod e")
     case = "2D" if e > 2 and q % e == e - 1 else "2C"
 
     values: dict[int, Fraction] = {}

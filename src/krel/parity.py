@@ -16,7 +16,7 @@ summed once per tau, so they are computed and not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -50,7 +50,6 @@ class CurveLocalModel:
 
     group: PermGroup
     places: tuple[PlaceDescriptor, ...]
-    label: str = ""
     rational_base: bool = False
 
     def __post_init__(self):
@@ -209,10 +208,10 @@ class NrtReport:
     norm_verdicts: dict[int, bool]
     square_ok: bool | None
     prediction: bool
-    constraints: list[tuple[tuple[str, ...], int]] = field(default_factory=list)
-    warnings: list[Diagnostic] = field(default_factory=list)
-    u_exponents: dict[str, int] = field(default_factory=dict)
-    parity_holds: list[bool] = field(default_factory=list)
+    constraints: list[tuple[tuple[str, ...], int]]
+    warnings: list[Diagnostic]
+    u_exponents: dict[str, int]
+    parity_holds: list[bool]
 
 
 def _is_rational_square(x: Fraction) -> bool:

@@ -13,8 +13,8 @@ from krel.exactmath import (
     CycNumber,
     ExactCheckError,
     FactorBoundError,
+    FACTOR_BOUND,
     NoMultipleError,
-    SquareClass,
     cyclotomic_galois_apply,
     factor_bounded,
     fraction_product,
@@ -29,8 +29,8 @@ from krel.exactmath import (
     smith_kernel,
     smith_normal_form,
     snf_solve,
-    squarefree_class,
 )
+from sympy import factorint
 
 # ---------------------------------------------------------------------------
 # Independent oracle: local solvability of a^2 - D*b^2 = x*c^2
@@ -82,9 +82,20 @@ def _two_local_solvable(D, x):
     return False
 
 
+def squarefree_part(x):
+    """The squarefree integer in the square class of a nonzero rational x,
+    from sympy's factorisation of its numerator times its denominator."""
+    x = Fraction(x)
+    out = 1 if x > 0 else -1
+    for p, e in factorint(abs(x.numerator * x.denominator)).items():
+        if e % 2:
+            out *= p
+    return out
+
+
 def oracle_is_norm(x, D):
     """Two-sided oracle: complete local solvability check at every relevant place."""
-    return _oracle_is_norm(squarefree_class(Fraction(x)).value, D)
+    return _oracle_is_norm(squarefree_part(x), D)
 
 
 @functools.cache
@@ -133,24 +144,14 @@ def witness_search(x, D, bound=500):
 
 
 # ---------------------------------------------------------------------------
-# squarefree_class / factor_bounded
-
-
-def test_squarefree_class_examples():
-    assert squarefree_class(189) == (1, 21)
-    assert squarefree_class(1) == (1, 1)
-    assert squarefree_class(Fraction(-8, 9)) == (-1, 2)
-
-
-def test_squarefree_class_rejects_zero():
-    with pytest.raises(ValueError):
-        squarefree_class(0)
+# factor_bounded
 
 
 def test_factor_bound_error():
     with pytest.raises(FactorBoundError):
-        factor_bounded(1000003, bound=10**6)  # prime just over the bound
-    assert factor_bounded(999983, bound=10**6) == {999983: 1}
+        factor_bounded(1000003)  # prime just over the bound
+    assert FACTOR_BOUND == 10**6
+    assert factor_bounded(999983) == {999983: 1}
 
 
 def test_factor_bounded_fails_fast_on_large_prime_factors():
@@ -165,18 +166,6 @@ def test_factor_bounded_fails_fast_on_large_prime_factors():
     assert factor_bounded(2**5 * 999983**2) == {2: 5, 999983: 2}
     with pytest.raises(FactorBoundError):
         factor_bounded(999983 * 1000003)
-
-
-@given(st.integers(min_value=-300, max_value=300).filter(bool),
-       st.integers(min_value=-300, max_value=300).filter(bool))
-def test_squarefree_class_multiplicative(x, y):
-    assert squarefree_class(x * y) == squarefree_class(x) * squarefree_class(y)
-
-
-def test_square_class_algebra():
-    a = SquareClass(-1, 6)
-    assert a * a == (1, 1)
-    assert (a / SquareClass(1, 10)).magnitude == 15
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +307,7 @@ def test_norm_agrees_with_local_solvability_oracle():
             # the oracle's odd-prime search is quadratic in p^2, so the
             # place-by-place comparison keeps to the small corner
             if abs(x) <= 15 and abs(D) <= 15:
-                xs = squarefree_class(x).value
+                xs = squarefree_part(x)
                 assert obs == oracle_obstruction(xs, D), (x, D)
             if got:
                 w = witness_search(x, D)
@@ -397,34 +386,38 @@ def test_snf_postconditions(rows):
 def test_snf_solve_minimal_multiple():
     # x + y even lattice: t = (1,) over A = [[1, 1]] has m = 1; A = [[2]] and
     # t = (1,) needs m = 2
-    sol = snf_solve([[2]], [1])
+    sol = snf_solve([[2]], [1], smith_normal_form([[2]]))
     assert sol.minimal_m == 2 and sol.witness == [1]
-    sol = snf_solve([[1, 1]], [3])
+    sol = snf_solve([[1, 1]], [3], smith_normal_form([[1, 1]]))
     assert sol.minimal_m == 1
     assert sum(sol.witness) == 3
     assert len(smith_kernel(smith_normal_form([[1, 1]]))) == 1
 
 
 def test_snf_solve_zero_target():
-    sol = snf_solve([[1, 2], [3, 4]], [0, 0])
+    a = [[1, 2], [3, 4]]
+    sol = snf_solve(a, [0, 0], smith_normal_form(a))
     assert sol.minimal_m == 1 and sol.witness == [0, 0]
 
 
 def test_snf_solve_no_multiple():
     with pytest.raises(NoMultipleError):
-        snf_solve([[1, 1], [1, 1]], [1, 2])
+        snf_solve([[1, 1], [1, 1]], [1, 2],
+                  smith_normal_form([[1, 1], [1, 1]]))
 
 
 def test_hermite_row_basis_membership():
     gens = [[2, 0, 4], [0, 2, 2], [2, 2, 6], [0, 0, 8]]
     basis = hermite_row_basis(gens)
     # every generator must lie in the lattice spanned by the basis
+    a = [list(col) for col in zip(*basis)]
     for g in gens:
-        sol = snf_solve([list(col) for col in zip(*basis)], g)
+        sol = snf_solve(a, g, smith_normal_form(a))
         assert sol.minimal_m == 1
     # and conversely
+    a = [list(col) for col in zip(*gens)]
     for b in basis:
-        sol = snf_solve([list(col) for col in zip(*gens)], b)
+        sol = snf_solve(a, b, smith_normal_form(a))
         assert sol.minimal_m == 1
 
 

@@ -10,7 +10,6 @@ from krel.characters import (
     fs_indicator,
     inner_product,
     perm_character,
-    rational_inner_product,
     rational_irreducibles,
 )
 from krel.exactmath import (
@@ -30,7 +29,7 @@ from krel.groups import (
     quaternion_group,
 )
 from krel.harness import MetacyclicSpec, build_metacyclic
-from krel.regconst import minimal_perm_multiple
+from krel.regconst import _rational_multiplicities, minimal_perm_multiple
 from krel.relations import _multiplicity_rows, find_norm_relation
 
 from test_lift_and_lattice import TABLE_GROUPS
@@ -76,7 +75,7 @@ def test_integer_rows_match_inner_products(name):
     oracle = [[inner_product(pc, chi) for chi in irrs] for pc in perms]
     assert _multiplicity_rows(G) == oracle
     for pc, row in zip(perms, oracle):
-        assert [rational_inner_product(chi, pc) for chi in irrs] == row
+        assert list(_rational_multiplicities(G, pc)) == row
     for chi in irrs:
         assert fs_indicator(chi) == indicator_oracle(chi)
     for tau in rational_irreducibles(G):

@@ -10,8 +10,9 @@ from appendix_places import DIHEDRAL_SPECS, appendix_places
 
 from krel import regconst, relations
 from krel.characters import ClassFunction, GroupData, character_table, \
-    perm_character, rational_inner_product, rational_irreducibles
-from krel.exactmath import is_norm_from_quadratic, mat_mul, rat_det
+    inner_product, perm_character, rational_irreducibles
+from krel.exactmath import is_norm_from_quadratic, mat_mul, rat_det, \
+    smith_normal_form, snf_solve
 from krel.groups import (
     alternating4_group,
     burnside_add,
@@ -40,6 +41,8 @@ from krel.regconst import (
 from krel.curvelocal import root_datum
 from krel.harness import (MetacyclicSpec, _v_fixed_det, build_metacyclic,
                           quadratic_probe_fields)
+from test_double_coset_memo import naive_double_cosets
+
 from krel.relations import LocalFn, eval_on_theta, \
     is_trivial_on_k_relations, k_relation_basis
 
@@ -889,16 +892,52 @@ def test_appendix_v_module_agrees_with_the_matrix_model():
     assert checks == 604
 
 
+def test_v_fixed_det_is_the_index_product_of_the_solved_module():
+    # at every 2D place of order at most 32 and every subgroup class H, V's
+    # determinant is the product over D of (the product over H\\G/D of
+    # [H : H ∩ xDx^-1]) ** m_D, with V = sum of m_D * Q[G/D] solved from the
+    # inner products on a fresh Smith form and the double cosets enumerated
+    # naively; some m_D is negative, so the powers must be exact
+    negative = 0
+    for spec in DIHEDRAL_SPECS:
+        p = appendix_places("2D", spec)[0]
+        G = p.group
+        v = root_datum(p).v
+        cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
+        target = [inner_product(chi, cf) for chi in
+                  character_table(G).irreducibles]
+        assert all(x.denominator == 1 for x in target)
+        target = [x.numerator for x in target]
+        a = G.data.multiplicity_matrix
+        sol = snf_solve(a, target, smith_normal_form(a))
+        assert sol.minimal_m == 1, spec
+        module = [(c.representative, m)
+                  for c, m in zip(G.subgroup_classes(), sol.witness) if m]
+        negative += sum(m < 0 for _, m in module)
+        fixed_det = _v_fixed_det(G, v)
+        for hc in G.subgroup_classes():
+            h = hc.representative
+            want = Fraction(1)
+            for d, m in module:
+                index = math.prod(Fraction(len(h), len(local))
+                                  for _, local in naive_double_cosets(G, h, d))
+                want *= index ** m
+            got = fixed_det(h)
+            assert isinstance(got, Fraction)
+            assert got == want, (spec, hc.id)
+    assert negative
+
+
 def test_rational_multiplicities_match_the_inner_products():
     # cf is read once for all irreducibles: the multiplicities of V at the
-    # 2D places of order at most 32 agree with rational_inner_product
+    # 2D places of order at most 32 agree with inner_product
     for spec in DIHEDRAL_SPECS:
         p = appendix_places("2D", spec)[0]
         G = p.group
         v = root_datum(p).v
         cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
         got = _rational_multiplicities(G, cf)
-        assert got == tuple(rational_inner_product(chi, cf) for chi in
+        assert got == tuple(inner_product(chi, cf) for chi in
                             character_table(G).irreducibles), spec
         assert any(got)
 

@@ -17,7 +17,7 @@ from krel.characters import (
 )
 from krel.exactmath import (CycNumber, ExactCheckError, FactorBoundError,
                             hermite_row_basis, is_norm_from_quadratic,
-                            norm_obstruction, snf_solve)
+                            norm_obstruction, smith_normal_form, snf_solve)
 from krel.groups import (
     alternating4_group,
     burnside_ind,
@@ -171,7 +171,7 @@ def test_s3_relation_spans_the_brauer_lattice():
     # membership cross-check through an integer linear solve
     cols = [[b.get(c.id, 0) for b in lat.basis] for c in S3.subgroup_classes()]
     target = [S3_RELATION.get(c.id, 0) for c in S3.subgroup_classes()]
-    assert snf_solve(cols, target).minimal_m == 1
+    assert snf_solve(cols, target, smith_normal_form(cols)).minimal_m == 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def lattice_membership_by_solver(G, lat, theta):
     cols = [[b.get(c.id, 0) for b in lat.basis] for c in G.subgroup_classes()]
     target = [theta.get(c.id, 0) for c in G.subgroup_classes()]
     try:
-        return snf_solve(cols, target).minimal_m == 1
+        return snf_solve(cols, target, smith_normal_form(cols)).minimal_m == 1
     except Exception:
         return False
 
