@@ -262,6 +262,18 @@ MUTANTS = [
      "    u_exponents = dict(model.u_exponents)",
      "    u_exponents = model.u_exponents",
      "theorem reports share the model's u dict instead of a copy"),
+    (CURVELOCAL,
+     "    f = exact_quotient(len(dsub) * li, len(isub) * len(lsub), what)",
+     "    f = exact_quotient(len(dsub), len(isub), what)",
+     "local_ef reads f as [D : I], ignoring the local subgroup"),
+    (PARITY,
+     "                if not is_norm_from_quadratic(\n",
+     "                if is_norm_from_quadratic(\n",
+     "NRT constraints list the tau whose regulator constant is a norm"),
+    (CURVELOCAL,
+     "    p.validated = not out\n    p._root = None\n",
+     "    p.validated = not out\n",
+     "validate_place keeps the root datum of the place's old fields"),
 ]
 
 # Mutants that no parity verdict can see, each with the reason.  They are

@@ -995,10 +995,10 @@ class GroupData:
         self.fixed_dets: dict[tuple[str, str], Fraction] = {}
         # (d, nonzero terms of theta) -> verdict of is_k_relation
         self.k_relation_verdicts: dict[tuple, bool] = {}
-        # the structural rules of a place in G's own indices, checked once
-        # per key: (D_v, I_v) -> krel.relations.decomposition_pair_problem,
-        # (D_v, I_v, D', |D_v/D'| / 2) -> the dihedral D' rules of
-        # krel.curvelocal, ("d-prime-index", D_v, D') -> the 2M one
+        # the structural rules of a place, checked once per key by
+        # krel.curvelocal: (D_v, I_v) -> decomposition_pair_problem,
+        # (D_v, I_v, D', |D_v/D'| / 2) -> the dihedral D' rules,
+        # ("d-prime-index", D_v, D') -> the 2M one
         self.place_problems: dict[tuple, object] = {}
         # the parity conditions of a quadratic field, as a frozenset of
         # parity_masks -> (Hermite rows, odd masks) of its K-relation

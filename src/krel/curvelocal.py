@@ -4,9 +4,9 @@ A place descriptor packages the decomposition and inertia groups at one
 place together with declared reduction data (type, discriminant valuation,
 square classes of the invariants involved).  Everything downstream is a
 function of these inputs; no Weierstrass models are processed.  Additive
-cases assume residue characteristic at least 5 throughout.  V and the
-dihedral D' rules are read in G's own element indices: no place builds a
-group of its own.
+cases assume residue characteristic at least 5 throughout.  The module owns
+the (D_v, I_v) rules, the (e, f) of a local subgroup and the D' rules, all
+in G's own element indices: no place builds a group of its own.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from fractions import Fraction
 from math import gcd
 
 from .characters import ClassFunction
-from .exactmath import (ExactCheckError, FactorBoundError, fraction_sum,
-                        isprime, kronecker_symbol)
+from .exactmath import (ExactCheckError, FactorBoundError, exact_quotient,
+                        fraction_sum, isprime, kronecker_symbol)
 from .groups import PermGroup
-from .relations import _order_mod, decomposition_pair_problem, local_ef
 
 CASE_GOOD = "1G"
 CASE_SPLIT = "1S"
@@ -39,9 +38,6 @@ class SquareClassLocal:
     def __post_init__(self):
         if self.val_parity not in (0, 1):
             raise ValueError("val_parity must be 0 or 1")
-
-    def is_square(self) -> bool:
-        return self.val_parity == 0 and self.unit_is_square
 
 
 @dataclass(frozen=True)
@@ -148,15 +144,76 @@ def _is_prime_power(q: int, l: int) -> bool:
     return q == 1
 
 
+def _order_mod(G: PermGroup, x: int, sub: frozenset[int]) -> int:
+    """The order of x modulo sub: the least t >= 1 with x^t in sub."""
+    t, y = 1, x
+    while y not in sub:
+        y = G.mul(y, x)
+        t += 1
+    return t
+
+
+def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
+                     isub: frozenset[int]) -> bool:
+    """Is D/I cyclic, for I normal in D?"""
+    index = len(dsub) // len(isub)
+    return any(_order_mod(G, x, isub) == index for x in dsub)
+
+
+def decomposition_pair_problem(G: PermGroup, dsub: frozenset[int],
+                               isub: frozenset[int]) -> tuple[str, str] | None:
+    """The first rule that (D_v, I_v) breaks, as (rule, message), or None.
+
+    D_v must be a subgroup, I_v a normal subgroup of it, and D_v/I_v
+    cyclic.  Checked once per group and pair, and kept on
+    ``G.data.place_problems``.
+    """
+    key = (frozenset(dsub), frozenset(isub))
+    memo = G.data.place_problems
+    if key not in memo:
+        memo[key] = _pair_problem(G, *key)
+    return memo[key]
+
+
+def _pair_problem(G: PermGroup, dsub: frozenset[int],
+                  isub: frozenset[int]) -> tuple[str, str] | None:
+    if G.closure(dsub) != dsub:
+        return "decomposition-closed", "D_v is not a subgroup"
+    if not isub <= dsub or G.closure(isub) != isub:
+        return "inertia-subgroup", "I_v is not a subgroup of D_v"
+    if any(G.conjugate_subgroup(isub, g) != isub
+           for g in G.generating_indices(dsub)):
+        return "inertia-normality", "I_v is not normal in D_v"
+    if not _cyclic_quotient(G, dsub, isub):
+        return "quotient-cyclic", "D_v/I_v is not cyclic"
+    return None
+
+
+def local_ef(dsub: frozenset[int], isub: frozenset[int],
+             lsub: frozenset[int]) -> tuple[int, int]:
+    """(e, f) of the place with local subgroup L, a subgroup of D.
+
+    D and I are the decomposition and inertia groups below; the fixed field
+    of L has ramification degree e = |I| / |L ∩ I| and residue degree
+    f = [D : I] / [L : L ∩ I] over the base.
+    """
+    li = len(lsub & isub)
+    what = f"(e, f) of a local subgroup of order {len(lsub)}"
+    e = exact_quotient(len(isub), li, what)
+    f = exact_quotient(len(dsub) * li, len(isub) * len(lsub), what)
+    return e, f
+
+
 def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
     """Check a descriptor against the structural and arithmetic rules.
 
     An empty list marks the place validated; any violated rule appears as a
     named diagnostic and marks the place unusable for evaluation, even if
-    it was validated before.
+    it was validated before.  Either way it drops the kept root datum.
     """
     out = _place_problems(p)
     p.validated = not out
+    p._root = None
     return out
 
 
@@ -216,7 +273,7 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
             if red.dprime is not None:
                 out.append(Diagnostic("d-prime-not-needed",
                                       "cyclic case takes no D'"))
-            if fe == 6 and not red.delta_class.is_square():
+            if fe == 6 and not is_square_in_ext(red.delta_class, 1, 1):
                 out.append(Diagnostic(
                     "delta-square-forced",
                     "q = 1 mod 6 admits a tame cubic extension, so the "
@@ -394,8 +451,8 @@ _SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 
 def root_datum(p: PlaceDescriptor) -> RootDatum:
-    """Local twisted-root-number data (lambda, V) for this place, computed
-    once and kept on it; a finite place must be validated."""
+    """Local twisted-root-number data (lambda, V) for this place, kept on
+    it until it is validated again; a finite place must be validated."""
     if p.is_finite():
         _require_validated(p)
     if p._root is None:

@@ -27,8 +27,8 @@ from .characters import (ClassFunction, _fundamental_discriminant,
                          _quadratic_subfields)
 from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
                          PlaceDescriptor, SplitMult, SquareClassLocal,
-                         _is_prime_power, is_square_in_ext, ram_degree,
-                         root_datum, validate_place)
+                         _cyclic_quotient, _is_prime_power, is_square_in_ext,
+                         ram_degree, root_datum, validate_place)
 from .exactmath import (PLACE_INF, ExactCheckError, _as_fraction, divisors,
                         factor_bounded, fraction_product,
                         is_norm_from_quadratic, is_squarefree, isprime,
@@ -36,8 +36,7 @@ from .exactmath import (PLACE_INF, ExactCheckError, _as_fraction, divisors,
 from .groups import PermGroup, metacyclic_generators
 from .parity import CurveLocalModel
 from .regconst import _rational_multiplicities
-from .relations import (_cyclic_quotient, is_trivial_on_k_relations,
-                        k_relation_basis)
+from .relations import is_trivial_on_k_relations, k_relation_basis
 
 __all__ = [
     "MetacyclicSpec", "build_metacyclic", "quadratic_probe_fields",
@@ -581,7 +580,8 @@ def lemma_b3_check(d: int, ls=None) -> SplitNormReport:
 
     Valid d are -1, 2, -2 and p* (the prime field discriminant, p* = 1 mod
     4); for these, any prime with trivial Artin symbol is already a global
-    norm, which the brute-force oracle must confirm.
+    norm, which the brute-force oracle must confirm.  ls, any iterable of
+    split primes, is read once; an empty one is refused.
     """
     special = d in (-1, 2, -2)
     starred = d % 4 == 1 and is_squarefree(d) and isprime(abs(d))
@@ -592,11 +592,13 @@ def lemma_b3_check(d: int, ls=None) -> SplitNormReport:
         ls = tuple(l for l in primerange(2, 200)
                    if disc % l and kronecker_symbol(disc, l) == 1)
     else:
+        ls = tuple(ls)
+        if not ls:
+            raise ValueError("ls is empty: no split prime to test")
         for l in ls:
             if not isprime(l) or disc % l == 0 \
                     or kronecker_symbol(disc, l) != 1:
                 raise ValueError(f"l = {l} is not split in Q(sqrt {d})")
-        ls = tuple(ls)
     failures = tuple(l for l in ls if not is_norm_from_quadratic(l, d))
     return SplitNormReport(d, ls, failures, not failures)
 

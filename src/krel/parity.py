@@ -157,7 +157,7 @@ def theorem_main_check(model: CurveLocalModel, theta: dict[str, int],
     lhs = global_C_product(model, theta)
     u_exponents = dict(model.u_exponents)
     rhs = fraction_product(
-        (reg_const_rational_irr(G, theta, tau, d).raw, 1)
+        (reg_const_rational_irr(G, theta, tau, d), 1)
         for tau in rational_irreducibles(G) if u_exponents[tau.label])
     return TheoremReport(lhs, rhs, is_norm_from_quadratic(lhs / rhs, d),
                          u_exponents)
@@ -236,7 +236,8 @@ def nrt_run(model: CurveLocalModel, rho: ClassFunction) -> NrtReport:
         try:
             labels = tuple(
                 tau.label for tau in rational_irreducibles(G)
-                if not reg_const_rational_irr(G, theta, tau, d).is_norm())
+                if not is_norm_from_quadratic(
+                    reg_const_rational_irr(G, theta, tau, d), d))
         except NeedsMatrixModel as exc:
             warnings.append(Diagnostic(
                 "needs-matrix-model",

@@ -10,13 +10,13 @@ multiple raises :class:`NeedsMatrixModel` (``nrt_run`` records it as the
 is the tests' reference for the permutation route.  Regulator constants do
 not depend on the G-invariant pairing up to norms, so one pairing serves
 every model, :func:`invariant_pairing`, the sum of M_g^T M_g over the group.
-Values stay exact rationals; a verdict reads them modulo norms at the end.
+Regulator constants are plain ``Fraction``s, read modulo norms at the end.
 
-The route of a rational irreducible tau of G, the (k, expansion) of
-:func:`minimal_perm_multiple`, is the norm relation of its constituent,
-kept once per Galois orbit in ``G.data.norm_relations``; a tau of another
-group is refused.  :func:`perm_fixed_det` keeps its values in
-``G.data.fixed_dets`` by class-id pair.
+The route takes a :class:`RationalCharacter` of G only: the (k, expansion)
+of :func:`minimal_perm_multiple` is the norm relation of its constituent,
+kept once per Galois orbit in ``G.data.norm_relations``.
+:func:`perm_fixed_det` keeps its values in ``G.data.fixed_dets`` by
+class-id pair.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from .characters import (
     _rational_class_values,
     character_table,
 )
-from .exactmath import Rational, fraction_product, is_norm_from_quadratic, \
-    mat_mul, rat_det
+from .exactmath import Rational, fraction_product, mat_mul, rat_det
 from .groups import PermGroup, subgroup_rep
-from .relations import _vector_theta, find_norm_relation, is_k_relation
+from .relations import find_norm_relation, is_k_relation
 
 Matrix = list[list[Rational]]
 
@@ -48,15 +47,6 @@ class NeedsMatrixModel(RuntimeError):
 
 class DegeneratePairingError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RegConstValue:
-    raw: Fraction
-    d: int
-
-    def is_norm(self) -> bool:
-        return is_norm_from_quadratic(self.raw, self.d)
 
 
 # ---------------------------------------------------------------------------
@@ -82,31 +72,29 @@ def perm_fixed_det(G: PermGroup, hcid: str, dcid: str) -> Fraction:
 
 
 def reg_const_perm(G: PermGroup, theta: dict[str, int], tau: dict[str, int],
-                   d: int) -> RegConstValue:
+                   d: int) -> Fraction:
     """Regulator constant on a K-relation of the virtual permutation module
     tau, the sum of m * Q[G/D] over its {class id of D: m} entries."""
     if not is_k_relation(G, theta, d):
         raise ValueError("theta is not a K-relation for this field")
-    return RegConstValue(fraction_product(
+    return fraction_product(
         (perm_fixed_det(G, cid, did), n * m) for cid, n in theta.items() if n
-        for did, m in tau.items() if m), d)
+        for did, m in tau.items() if m)
 
 
-def minimal_perm_multiple(G: PermGroup,
-                          tau) -> tuple[int, dict[str, int]]:
+def minimal_perm_multiple(G: PermGroup, tau: RationalCharacter
+                          ) -> tuple[int, dict[str, int]]:
     """Least k >= 1 with k*tau a virtual permutation character, plus witness.
 
-    tau may be a rational-valued ClassFunction or a RationalCharacter; the
-    witness is a reduced (deterministic) solution, as {class id: coefficient}
-    with its nonzero entries, a fresh dict on every call.  A
-    RationalCharacter reads the kept :func:`find_norm_relation`.
+    tau must be a :class:`RationalCharacter` of G, else ``ValueError``.
+    The answer is the kept :func:`find_norm_relation` of its constituent,
+    with the witness as {class id: coefficient}, a fresh dict per call.
     """
-    if isinstance(tau, RationalCharacter):
-        if tau.constituent.group is not G:
-            raise ValueError("tau lives on a different group")
-        return find_norm_relation(G, tau.constituent)
-    k, x = G.data.perm_multiple(_rational_multiplicities(G, tau))
-    return k, _vector_theta(G.subgroup_classes(), x)
+    if not isinstance(tau, RationalCharacter):
+        raise ValueError("the route takes a RationalCharacter only")
+    if tau.constituent.group is not G:
+        raise ValueError("tau lives on a different group")
+    return find_norm_relation(G, tau.constituent)
 
 
 def _rational_multiplicities(G: PermGroup,
@@ -136,9 +124,10 @@ def _rational_multiplicities(G: PermGroup,
     return tuple(out)
 
 
-def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
-                           d: int) -> RegConstValue:
-    """Regulator constant of a rational irreducible, routed by self-duality.
+def reg_const_rational_irr(G: PermGroup, theta: dict[str, int],
+                           tau: RationalCharacter, d: int) -> Fraction:
+    """Regulator constant of a :class:`RationalCharacter` tau of G, routed
+    by self-duality.
 
     When some odd multiple k*tau is a virtual permutation character the
     permutation value is returned (an odd power, so the same square class).
@@ -152,10 +141,8 @@ def reg_const_rational_irr(G: PermGroup, theta: dict[str, int], tau,
         return reg_const_perm(G, theta, expansion, d)
     if not is_k_relation(G, theta, d):
         raise ValueError("theta is not a K-relation for this field")
-    if not isinstance(tau, RationalCharacter):
-        raise ValueError("self-duality check needs a rational irreducible")
     if tau.indicator in (0, -1):
-        return RegConstValue(Fraction(1), d)
+        return Fraction(1)
     raise NeedsMatrixModel(
         f"{tau.label} has no odd permutation multiple "
         "and an orthogonal constituent")
@@ -333,7 +320,7 @@ def matrix_fixed_det(rep: MatrixRep, pairing: Matrix, hsub) -> Fraction:
 
 
 def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing: Matrix,
-                     d: int) -> RegConstValue:
+                     d: int) -> Fraction:
     """Regulator constant from an explicit matrix model.
 
     pairing is a symmetric, nondegenerate, G-invariant rational matrix,
@@ -342,5 +329,5 @@ def reg_const_matrix(theta: dict[str, int], rep: MatrixRep, pairing: Matrix,
     class modulo norms is canonical.
     """
     q = _check_pairing(rep, pairing)
-    return RegConstValue(fraction_product(
-        (matrix_fixed_det(rep, q, cid), n) for cid, n in theta.items() if n), d)
+    return fraction_product(
+        (matrix_fixed_det(rep, q, cid), n) for cid, n in theta.items() if n)

@@ -1,4 +1,4 @@
-"""Brauer relations, quadratic K-relations, and local functions on them.
+"""Brauer relations, quadratic K-relations, and subgroup functions on them.
 
 A virtual sum of transitive G-sets is a dict mapping subgroup class ids to
 integer coefficients, as in :mod:`krel.groups`.  This module decides when
@@ -6,10 +6,8 @@ such a sum is a K-relation, produces lattice bases of all of them, searches
 for the minimal norm relation attached to an irreducible character, and
 tests subgroup functions for triviality on K-relations, with a certificate.
 
-A subgroup function is any callable on subgroup representatives with
-``int`` or ``Fraction`` values.  A :class:`LocalFn` (G, D, I, psi) is one:
-called on H it multiplies psi(e, f) over the H\\G/D double cosets, where
-psi is a plain callable, say ``lambda e, f: e * f``.
+A subgroup function is any callable on subgroup representatives, constant
+on conjugacy classes, with ``int`` or ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -17,21 +15,20 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .characters import ClassFunction, character_table
 from .exactmath import (
     ExactCheckError,
     _as_fraction,
     divisors,
-    exact_quotient,
     fraction_product,
     hermite_row_basis,
     is_squarefree,
     mobius,
     norm_obstruction,
 )
-from .groups import PermGroup, SubgroupClass, subgroup_rep
+from .groups import PermGroup, SubgroupClass
 
 #: The ``d`` of the lattice :func:`brauer_basis` returns, in place of a
 #: quadratic discriminant: its relations have a vanishing permutation
@@ -281,106 +278,7 @@ def find_norm_relation(G: PermGroup,
 
 
 # ---------------------------------------------------------------------------
-# Local functions
-
-
-def _order_mod(G: PermGroup, x: int, sub: frozenset[int]) -> int:
-    """The order of x modulo sub: the least t >= 1 with x^t in sub."""
-    t, y = 1, x
-    while y not in sub:
-        y = G.mul(y, x)
-        t += 1
-    return t
-
-
-def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
-                     isub: frozenset[int]) -> bool:
-    """Is D/I cyclic, for I normal in D?"""
-    index = len(dsub) // len(isub)
-    return any(_order_mod(G, x, isub) == index for x in dsub)
-
-
-def decomposition_pair_problem(G: PermGroup, dsub: frozenset[int],
-                               isub: frozenset[int]) -> tuple[str, str] | None:
-    """The first rule that (D_v, I_v) breaks, as (rule, message), or None.
-
-    D_v must be a subgroup, I_v a normal subgroup of it, and D_v/I_v
-    cyclic.  Checked once per group and pair, and kept on
-    ``G.data.place_problems``.
-    """
-    key = (frozenset(dsub), frozenset(isub))
-    memo = G.data.place_problems
-    if key not in memo:
-        memo[key] = _pair_problem(G, *key)
-    return memo[key]
-
-
-def _pair_problem(G: PermGroup, dsub: frozenset[int],
-                  isub: frozenset[int]) -> tuple[str, str] | None:
-    if G.closure(dsub) != dsub:
-        return "decomposition-closed", "D_v is not a subgroup"
-    if not isub <= dsub or G.closure(isub) != isub:
-        return "inertia-subgroup", "I_v is not a subgroup of D_v"
-    if any(G.conjugate_subgroup(isub, g) != isub
-           for g in G.generating_indices(dsub)):
-        return "inertia-normality", "I_v is not normal in D_v"
-    if not _cyclic_quotient(G, dsub, isub):
-        return "quotient-cyclic", "D_v/I_v is not cyclic"
-    return None
-
-
-@dataclass(eq=False)
-class LocalFn:
-    """A function H -> prod over H\\G/D of psi(e, f).
-
-    Here e is the ramification-like part |I| / |H ∩ xIx^-1| and f the
-    residue-like part [D:I] / [H ∩ xDx^-1 : H ∩ xIx^-1], one factor per
-    double coset representative x.  psi takes (e, f) to an ``int`` or a
-    ``Fraction``; any other value, a float included, raises ``TypeError``.
-    """
-
-    group: PermGroup
-    dsub: frozenset
-    isub: frozenset
-    psi: Callable[[int, int], int | Fraction]
-
-    def __post_init__(self):
-        self.dsub = frozenset(self.dsub)
-        self.isub = frozenset(self.isub)
-        problem = decomposition_pair_problem(self.group, self.dsub, self.isub)
-        if problem is not None:
-            raise ValueError(problem[1])
-
-    def __call__(self, h) -> Fraction:
-        """The value at a subgroup (frozenset, SubgroupClass, or class id)."""
-        val = Fraction(1)
-        for e, f in coset_profile(self.group, self.dsub, self.isub,
-                                  subgroup_rep(self.group, h)):
-            val *= _as_fraction(self.psi(e, f))
-        return val
-
-
-def local_ef(dsub: frozenset[int], isub: frozenset[int],
-             lsub: frozenset[int]) -> tuple[int, int]:
-    """(e, f) of the place with local subgroup L, a subgroup of D.
-
-    D and I are the decomposition and inertia groups below; the fixed field
-    of L has ramification degree e = |I| / |L ∩ I| and residue degree
-    f = [D : I] / [L : L ∩ I] over the base.
-    """
-    li = len(lsub & isub)
-    what = f"(e, f) of a local subgroup of order {len(lsub)}"
-    e = exact_quotient(len(isub), li, what)
-    f = exact_quotient(len(dsub) * li, len(isub) * len(lsub), what)
-    return e, f
-
-
-def coset_profile(G: PermGroup, dsub: frozenset[int], isub: frozenset[int],
-                  hsub: frozenset[int]) -> list[tuple[int, int]]:
-    """The pairs (e, f), one per H\\G/D double coset, read off its local
-    subgroup D ∩ x^-1 H x."""
-    return [local_ef(dsub, isub, local)
-            for _, local in G.double_cosets(hsub, dsub)]
+# Subgroup functions on relations
 
 
 def eval_on_theta(f, G: PermGroup, theta: dict[str, int]) -> Fraction:
@@ -389,15 +287,9 @@ def eval_on_theta(f, G: PermGroup, theta: dict[str, int]) -> Fraction:
     Values of f must be exact: an ``int`` or a ``Fraction``; anything else,
     a float included, raises ``TypeError``.
     """
-    _require_group(f, G)
     return fraction_product(
         (_as_fraction(f(G.subgroup_class_by_id(cid).representative)), coeff)
         for cid, coeff in theta.items() if coeff)
-
-
-def _require_group(f, G: PermGroup) -> None:
-    if isinstance(f, LocalFn) and f.group is not G:
-        raise ValueError("local function lives on a different group")
 
 
 @dataclass
@@ -416,13 +308,14 @@ class TrivialityReport:
 
 
 def is_trivial_on_k_relations(f, G: PermGroup, d: int,
-                              lattice: KRelationLattice | None = None,
-                              ) -> TrivialityReport:
+                              lattice: KRelationLattice) -> TrivialityReport:
     """Certificate test for f(theta) being a norm on every K-relation.
 
-    f is a LocalFn or any callable on subgroup representatives that is
-    constant on conjugacy classes, with ``int`` or ``Fraction`` values; any
-    other value, a float included, raises ``TypeError``.  Values of f land
+    f is any callable on subgroup representatives that is constant on
+    conjugacy classes, with ``int`` or ``Fraction`` values; any other
+    value, a float included, raises ``TypeError``.  lattice is the
+    caller's :func:`k_relation_basis` of (G, d), else ``ValueError``.
+    Values of f land
     in the group Q^x / N(K^x) of exponent two, so checking a lattice basis
     settles the whole lattice; a failing basis element is returned as
     certificate.
@@ -440,11 +333,8 @@ def is_trivial_on_k_relations(f, G: PermGroup, d: int,
     basis elements it enters.
     """
     _check_quadratic(d)
-    if lattice is None:
-        lattice = k_relation_basis(G, d)
-    elif lattice.d != d or lattice.group is not G:
+    if lattice.d != d or lattice.group is not G:
         raise ValueError("lattice does not match the requested field")
-    _require_group(f, G)
     obstructed: dict = {}  # place -> bit mask of the classes obstructed there
     for cls in G.subgroup_classes():
         for v in norm_obstruction(f(cls.representative), d):

@@ -17,9 +17,11 @@ from krel.curvelocal import (
     SquareClassLocal,
     _root_datum,
     _with_v,
+    decomposition_pair_problem,
     default_additive_lambda,
     fudge_C,
     is_square_in_ext,
+    local_ef,
     local_u_contribution,
     reduction_case,
     root_datum,
@@ -39,13 +41,11 @@ from krel.groups import (
 )
 from krel.harness import MetacyclicSpec, build_metacyclic, synthetic_model
 from krel.relations import (
-    LocalFn,
-    coset_profile,
     eval_on_theta,
     is_trivial_on_k_relations,
     k_relation_basis,
-    local_ef,
 )
+from local_functions import local_fn
 
 sq = SquareClassLocal
 
@@ -259,9 +259,8 @@ def test_localfn_and_validate_place_reject_the_same_pairs(rule):
     diags = validate_place(p)
     assert [d.rule for d in diags] == [rule]
     assert not p.validated
-    with pytest.raises(ValueError) as exc:
-        LocalFn(G, dsub, isub, lambda e, f: e * f)
-    assert str(exc.value) == diags[0].message
+    assert decomposition_pair_problem(G, dsub, isub) == (rule,
+                                                         diags[0].message)
 
 
 def test_multiplicative_n_positive():
@@ -658,7 +657,8 @@ def test_ramification_profile_monotone():
     S3, whole, rot = p.group, p.dsub, p.isub
     refl = next(frozenset([0, x]) for x in range(6) if S3.element_order(x) == 2)
     for chain in ([frozenset([0]), rot, whole], [frozenset([0]), refl, whole]):
-        profiles = [coset_profile(S3, whole, rot, h)[0] for h in chain]
+        profiles = [local_ef(whole, rot, S3.double_cosets(h, whole)[0][1])
+                    for h in chain]
         for (e_small, f_small), (e_big, f_big) in zip(profiles, profiles[1:]):
             assert e_small % e_big == 0
             assert f_small % f_big == 0
@@ -721,7 +721,7 @@ def test_fudge_matches_localfn_algebra():
     C6 = cyclic_group(6)
     w6 = frozenset(range(6))
     p = finite_place(C6, w6, w6, AddPotGood(6, SQ_TRIV, SQ_TRIV), l=7, q=7)
-    fn = LocalFn(C6, w6, w6, lambda e, f: 7 ** ((6 * e // 12) * f))
+    fn = local_fn(C6, w6, w6, lambda e, f: 7 ** ((6 * e // 12) * f))
     for cls in C6.subgroup_classes():
         h = subgroup_rep(C6, cls.id)
         assert fudge_C(p, h) == tamagawa(p, h) * fn(h)
@@ -729,7 +729,7 @@ def test_fudge_matches_localfn_algebra():
     pm = c2_potmult_place(q=13)
     C2 = pm.group
     w = frozenset(range(2))
-    fnm = LocalFn(C2, w, w, lambda e, f: 13 ** ((e // 2) * f))
+    fnm = local_fn(C2, w, w, lambda e, f: 13 ** ((e // 2) * f))
     for h in (frozenset([0]), w):
         assert fudge_C(pm, h) == tamagawa(pm, h) * fnm(h)
 
@@ -737,7 +737,7 @@ def test_fudge_matches_localfn_algebra():
 def test_split_mult_fudge_is_e_times_n():
     p = s3_split_place(n=3)
     S3 = p.group
-    fn = LocalFn(S3, p.dsub, p.isub, lambda e, f: e * 3)
+    fn = local_fn(S3, p.dsub, p.isub, lambda e, f: e * 3)
     for cls in S3.subgroup_classes():
         h = subgroup_rep(S3, cls.id)
         assert fudge_C(p, h) == fn(h)
@@ -752,7 +752,7 @@ def test_fudge_unit_rescale_is_invisible_to_relations():
     d = 21
 
     def f_of(h):
-        return coset_profile(G, whole, isub, h)[0][1]
+        return local_ef(whole, isub, G.double_cosets(h, whole)[0][1])[1]
 
     lattice = k_relation_basis(G, d)
     for alpha in (2, 3, 5):
@@ -1046,6 +1046,21 @@ def test_root_datum_is_kept_on_the_place(make):
             if rd.v is not None:
                 want += restricted_pairing(p, chi, rd)
             assert local_u_contribution(p, chi) == want % 2
+
+
+def test_revalidation_drops_the_kept_root_datum():
+    # a nonsplit place with D_v = C2 and I_v = 1 has V = (1, -1); once its
+    # reduction is made split and the place validated again, root_datum
+    # reads V = (1, 1), as a fresh split place does
+    C2 = cyclic_group(2)
+    w = frozenset(range(2))
+    p = finite_place(C2, w, frozenset([0]), NonsplitMult(1), l=5, q=5)
+    assert root_datum(p).v == {0: 1, 1: -1}
+    p.reduction = SplitMult(1)
+    assert validate_place(p) == []
+    fresh = finite_place(C2, w, frozenset([0]), SplitMult(1), l=5, q=5)
+    assert root_datum(fresh).v == {0: 1, 1: 1}
+    assert root_datum(p) == root_datum(fresh)
 
 
 @pytest.mark.parametrize("case", ["2D", "2M"])

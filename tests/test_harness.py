@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from appendix_places import appendix_places
 
-from krel import curvelocal, harness, relations
-from krel.curvelocal import reduction_case, root_datum, tamagawa
+from krel import curvelocal, harness
+from krel.curvelocal import local_ef, reduction_case, root_datum, tamagawa
 from krel.groups import (PermGroup, cyclic_group, dihedral_group,
                          metacyclic_group)
 from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
@@ -20,7 +20,7 @@ from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
                           lemma_b3_check, quadratic_probe_fields,
                           quadratic_subfields_of_fixed_field)
 from krel.parity import CurveLocalModel, theorem_main_check
-from krel.relations import k_relation_basis, local_ef
+from krel.relations import k_relation_basis
 
 FIELDS = (-5, -3, -2, -1, 2, 3, 5)
 
@@ -284,6 +284,17 @@ def test_lemma_b3_rejects_primes_that_do_not_split(d, ls):
     assert lemma_b3_check(d, ls=(29,)).tested == (29,)
 
 
+def test_lemma_b3_reads_a_generator_of_primes_once():
+    report = lemma_b3_check(-1, ls=(l for l in (5, 13)))
+    assert report.tested == (5, 13)
+    assert report.passed
+
+
+def test_lemma_b3_refuses_an_empty_list_of_primes():
+    with pytest.raises(ValueError, match="ls is empty"):
+        lemma_b3_check(-1, ls=[])
+
+
 @pytest.mark.parametrize("args, message", [
     ((5, 1, 1), "e must be one of 2, 3, 4, 6, not 5"),
     ((3, -1, 1), "k must be nonnegative"),
@@ -480,7 +491,7 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, attr, wrapper)
 
-    counting("pair", relations, "_pair_problem", lambda a: a[1:])
+    counting("pair", curvelocal, "_pair_problem", lambda a: a[1:])
     counting("dihedral", curvelocal, "_dihedral_problem", lambda a: a[1:])
     real_init = PermGroup.__init__
 

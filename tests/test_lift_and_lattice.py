@@ -29,9 +29,9 @@ from krel.groups import (
     quaternion_group,
 )
 from krel.harness import MetacyclicSpec, build_metacyclic
+from krel.curvelocal import local_ef
 from krel.relations import (
     _multiplicity_rows,
-    coset_profile,
     gf2_relation_lattice,
     is_k_relation,
     k_relation_basis,
@@ -333,6 +333,6 @@ def test_coset_profile_rejects_inconsistent_subgroups():
         [0] + [x for x in range(G.order) if G.element_order(x) == 2][:2])
     assert G.closure(not_subgroup) != not_subgroup
     with pytest.raises(ExactCheckError, match=r"\(e, f\)"):
-        coset_profile(G, whole, not_subgroup, hsub)
+        local_ef(whole, not_subgroup, hsub)
     with pytest.raises(ExactCheckError):
-        coset_profile(G, whole, frozenset({1}), frozenset({0}))
+        local_ef(whole, frozenset({1}), frozenset({0}))

@@ -11,7 +11,7 @@ from krel import parity
 from krel.characters import character_table, fs_indicator, perm_character, \
     rational_irreducibles
 from krel.curvelocal import AddPotGood, AddPotMult, Good, PlaceDescriptor, \
-    SplitMult, SquareClassLocal, local_u_contribution, tamagawa, \
+    SplitMult, SquareClassLocal, local_ef, local_u_contribution, tamagawa, \
     validate_place
 from krel.groups import (alternating4_group, cyclic_group, dihedral_group,
                          group_from_cycles, metacyclic_group,
@@ -19,7 +19,7 @@ from krel.groups import (alternating4_group, cyclic_group, dihedral_group,
 from krel.harness import synthetic_model
 from krel.parity import CurveLocalModel, global_C_product, global_root_sign, \
     nrt_run, theorem_main_check
-from krel.relations import k_relation_basis, local_ef
+from krel.relations import k_relation_basis
 
 GROUPS = {
     "S3": lambda: dihedral_group(3, name="S3"),
@@ -178,6 +178,23 @@ def test_nrt_constraints_hold_on_the_parity_side():
                         == parity_bit
                 constraints += len(report.constraints)
     assert constraints > 0
+
+
+def test_nrt_constraint_names_the_non_norm_constants():
+    # D21 with one split multiplicative place, D_v = S3 and I_v = C3: for a
+    # constituent of tau_5 the norm relation is 2.1 - 6.1 - 14.1 + 42.1 and
+    # the fudge product 27 is no norm from Q(sqrt 21).  The regulator
+    # constants of tau_1, ..., tau_5 there are 1, 1, 7, 27 and 1/189, so
+    # the constraint names tau_4 and tau_5, the two that are not norms
+    G = dihedral_group(21)
+    place = PlaceDescriptor("v", "finite", G, 13, 13, subgroup_rep(G, "6.1"),
+                            subgroup_rep(G, "3.1"), SplitMult(1))
+    tau5 = next(t for t in rational_irreducibles(G) if t.label == "tau_5")
+    report = nrt_run(CurveLocalModel(G, (place,)), tau5.constituent)
+    assert report.theta == {"2.1": 1, "6.1": -1, "14.1": -1, "42.1": 1}
+    assert report.product == 27 and report.norm_verdicts == {21: False}
+    assert report.constraints == [(("tau_4", "tau_5"), 1)]
+    assert report.parity_holds == [True]
 
 
 def test_square_branch_needs_no_factoring():

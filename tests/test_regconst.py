@@ -43,8 +43,9 @@ from krel.harness import (MetacyclicSpec, _v_fixed_det, build_metacyclic,
                           quadratic_probe_fields)
 from test_double_coset_memo import naive_double_cosets
 
-from krel.relations import LocalFn, eval_on_theta, \
-    is_trivial_on_k_relations, k_relation_basis
+from krel.relations import eval_on_theta, is_trivial_on_k_relations, \
+    k_relation_basis
+from local_functions import local_fn
 
 D21_THETA = {"2.1": 1, "6.1": -1, "14.1": -1, "42.1": 1}
 
@@ -63,10 +64,11 @@ def is_cyclic_class(G, cls):
 
 
 def same_mod_norms(a, b):
-    """Do two regulator-constant values agree modulo norms from their field?"""
-    if a.d != b.d:
+    """Do two regulator constants, each given as (value, d), agree modulo
+    norms from their field?"""
+    if a[1] != b[1]:
         raise ValueError("values live over different fields")
-    return is_norm_from_quadratic(a.raw / b.raw, a.d)
+    return is_norm_from_quadratic(a[0] / b[0], a[1])
 
 
 def virtual_character(G, rep):
@@ -219,19 +221,19 @@ def test_reg_const_perm_d21_golden():
     for t in rational_irreducibles(G):
         _, exp = minimal_perm_multiple(G, t)
         raws[t.label] = reg_const_perm(G, D21_THETA, exp, 21)
-    assert raws["tau_1"].raw == 1
-    assert raws["tau_2"].raw == 1
-    assert raws["tau_3"].raw == 7
-    assert raws["tau_4"].raw == 27
-    assert raws["tau_5"].raw == Fraction(1, 189)
+    assert raws["tau_1"] == 1
+    assert raws["tau_2"] == 1
+    assert raws["tau_3"] == 7
+    assert raws["tau_4"] == 27
+    assert raws["tau_5"] == Fraction(1, 189)
     # square classes modulo norms from Q(sqrt(21)): (1, 1, 1, 3, 3)
     for label in ("tau_1", "tau_2", "tau_3"):
-        assert raws[label].is_norm()
+        assert is_norm_from_quadratic(raws[label], 21)
     for label in ("tau_4", "tau_5"):
-        assert not raws[label].is_norm()
-        assert is_norm_from_quadratic(raws[label].raw / 3, 21)
+        assert not is_norm_from_quadratic(raws[label], 21)
+        assert is_norm_from_quadratic(raws[label] / 3, 21)
     # dihedral p=3, q=7 pattern: value on the degree-(p-1) piece is q^((p-1)/2)
-    assert raws["tau_3"].raw == 7 ** ((3 - 1) // 2)
+    assert raws["tau_3"] == 7 ** ((3 - 1) // 2)
 
 
 def test_reg_const_perm_validates():
@@ -241,14 +243,14 @@ def test_reg_const_perm_validates():
     with pytest.raises(ValueError):
         reg_const_perm(G, D21_THETA, {"42.1": 1}, 20)
     v = reg_const_perm(G, {}, {"6.1": 3}, 21)
-    assert v.raw == 1 and v.is_norm()
+    assert v == 1 and is_norm_from_quadratic(v, 21)
 
 
 def test_reg_const_value_field_mismatch():
     G = dihedral_group(21)
     Q8 = quaternion_group()
-    a = reg_const_perm(G, D21_THETA, {"42.1": 1}, 21)
-    b = reg_const_perm(Q8, {"1.1": 1, "2.1": -1}, {"8.1": 1}, -1)
+    a = reg_const_perm(G, D21_THETA, {"42.1": 1}, 21), 21
+    b = reg_const_perm(Q8, {"1.1": 1, "2.1": -1}, {"8.1": 1}, -1), -1
     with pytest.raises(ValueError):
         same_mod_norms(a, b)
 
@@ -260,7 +262,7 @@ def test_reg_const_value_field_mismatch():
 def test_rational_irr_odd_multiple_uses_perm_route():
     G = dihedral_group(21)
     v = reg_const_rational_irr(G, D21_THETA, tau_by_label(G, "tau_3"), 21)
-    assert v.raw == 7 and v.is_norm()
+    assert v == 7 and is_norm_from_quadratic(v, 21)
 
     # C_4: the faithful rational character has Frobenius-Schur indicator 0
     # on its constituent but k = 1, so the perm value must come back verbatim
@@ -270,7 +272,7 @@ def test_rational_irr_odd_multiple_uses_perm_route():
     _, exp = minimal_perm_multiple(C4, t)
     direct = reg_const_perm(C4, {"1.1": 1, "2.1": -1}, exp, -1)
     routed = reg_const_rational_irr(C4, {"1.1": 1, "2.1": -1}, t, -1)
-    assert routed.raw == direct.raw
+    assert routed == direct
 
 
 def test_rational_irr_symplectic_gives_one():
@@ -278,7 +280,7 @@ def test_rational_irr_symplectic_gives_one():
     t = next(t for t in rational_irreducibles(Q8)
              if t.sum_values.degree() == 2)
     v = reg_const_rational_irr(Q8, {"1.1": 1, "2.1": -1}, t, -1)
-    assert v.raw == 1
+    assert v == 1
 
 
 def test_rational_irr_needs_constituent_on_even_multiple():
@@ -349,11 +351,11 @@ def test_kept_route_matches_the_direct_route(name):
     for d in (-1, 2, -3, 5):
         for theta in k_relation_basis(G, d).basis:
             for tau in rational_irreducibles(G):
-                routed = reg_const_rational_irr(G, theta, tau, d).raw
+                routed = reg_const_rational_irr(G, theta, tau, d)
                 k, expansion = minimal_perm_multiple(G, tau)
                 if k % 2 == 1:
                     assert routed == reg_const_perm(G, theta, expansion,
-                                                    d).raw, (d, theta, tau)
+                                                    d), (d, theta, tau)
                     checked += 1
     assert checked > 0
 
@@ -372,13 +374,13 @@ def test_route_is_refused_for_a_tau_of_another_group():
 def test_a_mutated_expansion_changes_no_later_constant():
     G = dihedral_group(21)
     tau = tau_by_label(G, "tau_3")
-    want = reg_const_rational_irr(G, D21_THETA, tau, 21).raw
+    want = reg_const_rational_irr(G, D21_THETA, tau, 21)
     k, expansion = minimal_perm_multiple(G, tau)
     kept = dict(expansion)
     expansion.clear()
     expansion["1.1"] = 1
     assert minimal_perm_multiple(G, tau) == (k, kept)
-    assert reg_const_rational_irr(G, D21_THETA, tau, 21).raw == want
+    assert reg_const_rational_irr(G, D21_THETA, tau, 21) == want
     _, norm_theta = relations.find_norm_relation(G, tau.constituent)
     norm_theta["1.1"] = norm_theta.get("1.1", 0) + 5
     assert relations.find_norm_relation(G, tau.constituent)[1] == kept
@@ -535,7 +537,7 @@ def test_matrix_fixed_det_c2_regular():
     assert matrix_fixed_det(rep, ident, "2.1") == 1
     assert matrix_fixed_det(rep, ident, "1.1") == 1
     v = reg_const_matrix({"1.1": 2, "2.1": -2}, rep, ident, -1)
-    assert v.raw == 1
+    assert v == 1
 
 
 def test_reg_const_matrix_quaternion():
@@ -547,9 +549,10 @@ def test_reg_const_matrix_quaternion():
     v_id, v_inv = (reg_const_matrix(theta, rep, q, -1) for q in pairings)
     # the model carries the symplectic character twice, so the value is a
     # square no matter which pairing is used
-    assert v_id.raw == 1
-    assert v_inv.is_norm() and same_mod_norms(v_inv, v_id)
-    assert reg_const_matrix({}, rep, pairings[1], -1).raw == 1
+    assert v_id == 1
+    assert is_norm_from_quadratic(v_inv, -1) \
+        and same_mod_norms((v_inv, -1), (v_id, -1))
+    assert reg_const_matrix({}, rep, pairings[1], -1) == 1
 
 
 def test_pairing_choice_is_invisible_mod_norms():
@@ -560,10 +563,10 @@ def test_pairing_choice_is_invisible_mod_norms():
     plus_ones = [[x + 1 for x in row] for row in ident]
     pairings = [ident, plus_ones, invariant_pairing(rep)]
     assert len({tuple(map(tuple, q)) for q in pairings}) == 3
-    values = [reg_const_matrix(D21_THETA, rep, q, 21) for q in pairings]
+    values = [(reg_const_matrix(D21_THETA, rep, q, 21), 21) for q in pairings]
     for v in values[1:]:
         assert same_mod_norms(values[0], v)
-    perm = reg_const_perm(G, D21_THETA, {"6.1": 1}, 21)
+    perm = reg_const_perm(G, D21_THETA, {"6.1": 1}, 21), 21
     assert same_mod_norms(values[0], perm)
 
 
@@ -577,8 +580,8 @@ def test_matrix_and_perm_routes_agree(maker, d, cids):
     theta = lat.basis[0]
     for cid in cids:
         rep = perm_matrix_rep(G, cid)
-        vm = reg_const_matrix(theta, rep, invariant_pairing(rep), d)
-        vp = reg_const_perm(G, theta, {cid: 1}, d)
+        vm = reg_const_matrix(theta, rep, invariant_pairing(rep), d), d
+        vp = reg_const_perm(G, theta, {cid: 1}, d), d
         assert same_mod_norms(vm, vp)
 
 
@@ -588,7 +591,7 @@ def test_virtual_matrix_route_d21():
     num, den = (reg_const_matrix(D21_THETA, rep, invariant_pairing(rep), 21)
                 for rep in (perm_matrix_rep(G, "6.1"),
                             perm_matrix_rep(G, "42.1")))
-    assert is_norm_from_quadratic(num.raw / den.raw / 27, 21)
+    assert is_norm_from_quadratic(num / den / 27, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +609,16 @@ def test_multiplicative_in_theta_and_tau():
         a = reg_const_perm(G, theta, tau1, 21)
         b = reg_const_perm(G, theta, tau2, 21)
         both = burnside_add(tau1, tau2)
-        assert reg_const_perm(G, theta, both, 21).raw == a.raw * b.raw
+        assert reg_const_perm(G, theta, both, 21) == a * b
     t1, t2 = thetas[0], thetas[1]
     s = burnside_add(t1, t2)
-    assert reg_const_perm(G, s, tau1, 21).raw == \
-        reg_const_perm(G, t1, tau1, 21).raw * reg_const_perm(G, t2, tau1, 21).raw
+    assert reg_const_perm(G, s, tau1, 21) == \
+        reg_const_perm(G, t1, tau1, 21) * reg_const_perm(G, t2, tau1, 21)
 
     rep = perm_matrix_rep(G, "6.1")
     q = invariant_pairing(rep)
-    assert reg_const_matrix(s, rep, q, 21).raw == \
-        reg_const_matrix(t1, rep, q, 21).raw * reg_const_matrix(t2, rep, q, 21).raw
+    assert reg_const_matrix(s, rep, q, 21) == \
+        reg_const_matrix(t1, rep, q, 21) * reg_const_matrix(t2, rep, q, 21)
 
 
 @pytest.mark.parametrize("maker,d", [
@@ -630,7 +633,8 @@ def test_cyclic_perm_modules_are_norms(maker, d):
     assert cyclic
     for theta in lat.basis:
         for cid in cyclic:
-            assert reg_const_perm(G, theta, {cid: 1}, d).is_norm()
+            assert is_norm_from_quadratic(
+                reg_const_perm(G, theta, {cid: 1}, d), d)
 
 
 def test_cyclic_group_everything_is_a_norm():
@@ -638,7 +642,8 @@ def test_cyclic_group_everything_is_a_norm():
     lat = k_relation_basis(C12, -3)
     for t in rational_irreducibles(C12):
         for theta in lat.basis:
-            assert reg_const_rational_irr(C12, theta, t, -3).is_norm()
+            assert is_norm_from_quadratic(
+                reg_const_rational_irr(C12, theta, t, -3), -3)
 
 
 @pytest.mark.parametrize("d", [-7, 21])
@@ -647,9 +652,11 @@ def test_odd_order_everything_is_a_norm(d):
     lat = k_relation_basis(F21, d)
     for theta in lat.basis:
         for t in rational_irreducibles(F21):
-            assert reg_const_rational_irr(F21, theta, t, d).is_norm()
+            assert is_norm_from_quadratic(
+                reg_const_rational_irr(F21, theta, t, d), d)
         for c in F21.subgroup_classes():
-            assert reg_const_perm(F21, theta, {c.id: 1}, d).is_norm()
+            assert is_norm_from_quadratic(
+                reg_const_perm(F21, theta, {c.id: 1}, d), d)
 
 
 @pytest.mark.parametrize("maker,d,hid,theta", [
@@ -667,8 +674,9 @@ def test_induction_restriction_compatibility(maker, d, hid, theta):
     res = push_to_standalone(G, hsub, H, to_sub, burnside_res(G, theta, hsub))
     for c in H.subgroup_classes():
         u_in_g = frozenset(back[x] for x in c.representative)
-        lhs = reg_const_perm(G, theta, {G.classify_subgroup(u_in_g).id: 1}, d)
-        rhs = reg_const_perm(H, res, {c.id: 1}, d)
+        lhs = reg_const_perm(G, theta, {G.classify_subgroup(u_in_g).id: 1},
+                             d), d
+        rhs = reg_const_perm(H, res, {c.id: 1}, d), d
         assert same_mod_norms(lhs, rhs)
 
 
@@ -679,8 +687,8 @@ def test_fixed_det_against_coset_counting():
     G = dihedral_group(21)
     dsub = subgroup_rep(G, "6.1")
     isub = subgroup_rep(G, "3.1")
-    fn = LocalFn(G, dsub, isub, lambda e, f: e * f)
-    const = LocalFn(G, dsub, isub, lambda e, f: 6)
+    fn = local_fn(G, dsub, isub, lambda e, f: e * f)
+    const = local_fn(G, dsub, isub, lambda e, f: 6)
 
     def ratio(hrep):
         return fn(hrep) / perm_fixed_det(G, G.classify_subgroup(hrep).id,
@@ -688,7 +696,7 @@ def test_fixed_det_against_coset_counting():
 
     for c in G.subgroup_classes():
         assert ratio(c.representative) == const(c.id)
-    report = is_trivial_on_k_relations(ratio, G, 21)
+    report = is_trivial_on_k_relations(ratio, G, 21, k_relation_basis(G, 21))
     assert report.trivial
     theta_value = eval_on_theta(ratio, G, D21_THETA)
     assert is_norm_from_quadratic(theta_value, 21)

@@ -32,12 +32,11 @@ from krel.groups import (
 )
 from krel.harness import (MetacyclicSpec, build_metacyclic,
                           quadratic_probe_fields)
+from krel.curvelocal import decomposition_pair_problem, local_ef
 from krel.relations import (
     BRAUER,
     KRelationLattice,
-    LocalFn,
     brauer_basis,
-    coset_profile,
     eval_on_theta,
     find_norm_relation,
     is_brauer_relation,
@@ -48,6 +47,7 @@ from krel.relations import (
 )
 
 from character_oracles import galois_orbit
+from local_functions import local_fn
 from test_lift_and_lattice import TABLE_GROUPS
 
 SAMPLE = {}
@@ -442,29 +442,29 @@ def test_localfn_validation():
     S3 = sample("S3")
     c2 = S3.subgroup_class_by_id("2.1").representative
     c3 = S3.subgroup_class_by_id("3.1").representative
-    with pytest.raises(ValueError):
-        LocalFn(S3, whole(S3), c2, ef)  # not normal
+    assert decomposition_pair_problem(S3, whole(S3), c2)[0] \
+        == "inertia-normality"
     Q8 = sample("Q8")
-    with pytest.raises(ValueError):
-        LocalFn(Q8, whole(Q8), frozenset({0}), ef)  # quotient not cyclic
-    with pytest.raises(ValueError):
-        LocalFn(S3, c3, c2, ef)  # I outside D
-    LocalFn(Q8, whole(Q8), Q8.subgroup_class_by_id("4.1").representative, index)
+    assert decomposition_pair_problem(Q8, whole(Q8), frozenset({0}))[0] \
+        == "quotient-cyclic"
+    assert decomposition_pair_problem(S3, c3, c2)[0] == "inertia-subgroup"
+    assert decomposition_pair_problem(
+        Q8, whole(Q8), Q8.subgroup_class_by_id("4.1").representative) is None
 
 
 def test_eval_ef_at_trivial_subgroup_gives_group_order():
     S3 = sample("S3")
     c3 = S3.subgroup_class_by_id("3.1").representative
-    fn = LocalFn(S3, whole(S3), c3, ef)
+    fn = local_fn(S3, whole(S3), c3, ef)
     assert fn(frozenset({0})) == 6
     C6 = sample("C6")
-    fn6 = LocalFn(C6, whole(C6), frozenset({0}), ef)
+    fn6 = local_fn(C6, whole(C6), frozenset({0}), ef)
     assert fn6("1.1") == 6
 
 
 def test_eval_constant_on_psi_d_is_one():
     C6 = sample("C6")
-    fn = LocalFn(C6, whole(C6), frozenset({0}), lambda e, f: Fraction(7, 3))
+    fn = local_fn(C6, whole(C6), frozenset({0}), lambda e, f: Fraction(7, 3))
     for d in (2, 3, 6):
         assert eval_on_theta(fn, C6, psi_d(6, d)) == 1
     assert eval_on_theta(fn, C6, psi_d(6, 1)) == Fraction(7, 3)
@@ -473,7 +473,7 @@ def test_eval_constant_on_psi_d_is_one():
 @pytest.mark.parametrize("n,ds", [(6, (2, 3, 6)), (4, (2, 4)), (12, (2, 3, 4, 6, 12))])
 def test_index_function_on_psi_d_gives_cyclotomic_value(n, ds):
     G = cyclic_group(n)
-    fn = LocalFn(G, whole(G), whole(G), index)
+    fn = local_fn(G, whole(G), whole(G), index)
     for d in ds:
         assert eval_on_theta(fn, G, psi_d(n, d)) == cyclotomic_poly(d, 1)
 
@@ -486,7 +486,8 @@ def test_coset_profile_internal_consistency():
         dsub = G.subgroup_class_by_id(did).representative
         isub = G.subgroup_class_by_id(iid).representative
         for cls in G.subgroup_classes():
-            for e, f in coset_profile(G, dsub, isub, cls.representative):
+            for _, local in G.double_cosets(cls.representative, dsub):
+                e, f = local_ef(dsub, isub, local)
                 assert len(isub) % e == 0
                 assert (len(dsub) // len(isub)) % f == 0
 
@@ -494,19 +495,15 @@ def test_coset_profile_internal_consistency():
 def test_localfn_values_are_exact():
     C6 = sample("C6")
     S3 = sample("S3")
-    fn = LocalFn(C6, whole(C6), whole(C6), lambda e, f: Fraction(e * f, 2))
+    fn = local_fn(C6, whole(C6), whole(C6), lambda e, f: Fraction(e * f, 2))
     # one double coset, e = [G:H], f = 1
     assert fn("2.1") == Fraction(3, 2)
     assert fn(C6.subgroup_class_by_id("2.1")) == Fraction(3, 2)
     assert fn("6.1") == Fraction(1, 2)
     for bad in (lambda e, f: 0.5 * e, lambda e, f: "3"):
         with pytest.raises(TypeError):
-            LocalFn(C6, whole(C6), whole(C6), bad)("1.1")
-        with pytest.raises(TypeError):
-            eval_on_theta(LocalFn(C6, whole(C6), whole(C6), bad), C6,
+            eval_on_theta(local_fn(C6, whole(C6), whole(C6), bad), C6,
                           {"1.1": 1})
-    with pytest.raises(ValueError):
-        is_trivial_on_k_relations(fn, S3, -1)
 
 
 def test_descent_to_smaller_inertia_for_product_functions():
@@ -520,11 +517,11 @@ def test_descent_to_smaller_inertia_for_product_functions():
         dsub = G.subgroup_class_by_id(did).representative
         isub = G.subgroup_class_by_id(iid).representative
         for psi in (ef, lambda e, f: 3, lambda e, f: 2 * e * f):
-            fn = LocalFn(G, dsub, isub, psi)
+            fn = local_fn(G, dsub, isub, psi)
             for iid0 in smaller:
                 isub0 = G.subgroup_class_by_id(iid0).representative
                 assert isub0 < isub
-                fn0 = LocalFn(G, dsub, isub0, psi)
+                fn0 = local_fn(G, dsub, isub0, psi)
                 for cls in G.subgroup_classes():
                     assert fn(cls) == fn0(cls)
 
@@ -536,9 +533,9 @@ def test_descent_to_smaller_inertia_for_product_functions():
 def test_index_function_is_trivial_on_cyclic_groups():
     for n in (4, 6, 12):
         G = cyclic_group(n)
-        fn = LocalFn(G, whole(G), whole(G), index)
+        fn = local_fn(G, whole(G), whole(G), index)
         for d in (-1, -3, 5, 21, -7):
-            assert is_trivial_on_k_relations(fn, G, d)
+            assert is_trivial_on_k_relations(fn, G, d, k_relation_basis(G, d))
 
 
 def test_constants_are_trivial():
@@ -548,24 +545,25 @@ def test_constants_are_trivial():
                 if name == "Q8" else
                 G.subgroup_class_by_id("3.1").representative
                 if name == "S3" else frozenset({0}))
-        fn = LocalFn(G, whole(G), isub, lambda e, f: Fraction(7))
+        fn = local_fn(G, whole(G), isub, lambda e, f: Fraction(7))
         for d in (-1, -3, 5):
-            assert is_trivial_on_k_relations(fn, G, d)
+            assert is_trivial_on_k_relations(fn, G, d, k_relation_basis(G, d))
 
 
 def test_cond_divides_with_a_cyclotomic_norm_ratio_is_trivial():
     C6 = sample("C6")
     # 3 = N(1 - zeta_3) is a norm from Q(zeta_3)
-    fn = LocalFn(C6, whole(C6), frozenset({0}),
-                 lambda e, f: 3 if f % 3 == 0 else 1)
+    fn = local_fn(C6, whole(C6), frozenset({0}),
+                  lambda e, f: 3 if f % 3 == 0 else 1)
     for d in (-1, -3, 5, 21):
-        assert is_trivial_on_k_relations(fn, C6, d)
+        assert is_trivial_on_k_relations(fn, C6, d, k_relation_basis(C6, d))
     C12 = sample("C12")
     # 2 = N(1 + i) is a norm from Q(zeta_4)
-    fn4 = LocalFn(C12, whole(C12), frozenset({0}),
-                  lambda e, f: 2 if f % 4 == 0 else 1)
+    fn4 = local_fn(C12, whole(C12), frozenset({0}),
+                   lambda e, f: 2 if f % 4 == 0 else 1)
     for d in (-1, -3, 5):
-        assert is_trivial_on_k_relations(fn4, C12, d)
+        assert is_trivial_on_k_relations(fn4, C12, d,
+                                         k_relation_basis(C12, d))
 
 
 def test_even_index_branch_is_trivial():
@@ -578,13 +576,15 @@ def test_even_index_branch_is_trivial():
 
         def branchy(rep, G=G, dsub=dsub, isub=isub):
             val = Fraction(1)
-            for _, f in coset_profile(G, dsub, isub, rep):
+            for _, local in G.double_cosets(rep, dsub):
+                _, f = local_ef(dsub, isub, local)
                 if f % 2 == 0:
                     val *= f
             return val
 
         for d in (-1, -3, 5, 21):
-            assert is_trivial_on_k_relations(branchy, G, d)
+            assert is_trivial_on_k_relations(branchy, G, d,
+                                             k_relation_basis(G, d))
 
 
 def test_certificate_for_a_nontrivial_function():
@@ -711,15 +711,12 @@ def test_class_values_are_norm_tested_before_any_theta():
 
 def test_triviality_report_validates_inputs():
     C6 = sample("C6")
-    fn = LocalFn(C6, whole(C6), whole(C6), index)
+    fn = local_fn(C6, whole(C6), whole(C6), index)
     lat = k_relation_basis(C6, -3)
     with pytest.raises(ValueError):
         is_trivial_on_k_relations(fn, C6, 5, lat)
     with pytest.raises(ValueError):
-        is_trivial_on_k_relations(fn, C6, BRAUER)
-    S3 = sample("S3")
-    with pytest.raises(ValueError):
-        eval_on_theta(fn, S3, {"1.1": 1})
+        is_trivial_on_k_relations(fn, C6, BRAUER, lat)
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +788,10 @@ def test_k_relations_close_under_res_ind_proj(name, d, did, nid):
                          ids=["half_order", "tenth", "string"])
 def test_inexact_class_values_raise_type_error(bad):
     S3 = sample("S3")
-    theta = k_relation_basis(S3, -1).basis[0]
+    lat = k_relation_basis(S3, -1)
+    theta = lat.basis[0]
     with pytest.raises(TypeError):
-        is_trivial_on_k_relations(bad, S3, -1)
+        is_trivial_on_k_relations(bad, S3, -1, lat)
     with pytest.raises(TypeError):
         eval_on_theta(bad, S3, theta)
     with pytest.raises(TypeError):
@@ -803,9 +801,11 @@ def test_inexact_class_values_raise_type_error(bad):
 def test_int_and_fraction_class_values_are_accepted():
     S3 = sample("S3")
     for d in (-1, 2, -3, 5):
-        theta = k_relation_basis(S3, d).basis[0]
-        as_int = is_trivial_on_k_relations(lambda h: len(h), S3, d)
-        as_frac = is_trivial_on_k_relations(lambda h: Fraction(len(h)), S3, d)
+        lat = k_relation_basis(S3, d)
+        theta = lat.basis[0]
+        as_int = is_trivial_on_k_relations(lambda h: len(h), S3, d, lat)
+        as_frac = is_trivial_on_k_relations(lambda h: Fraction(len(h)), S3, d,
+                                            lat)
         assert as_int.trivial == as_frac.trivial
         assert as_int.certificate == as_frac.certificate
         assert as_int.value == as_frac.value
