@@ -179,8 +179,8 @@ MUTANTS = [
      "_SIGMA = {1: 2, 2: -2, 3: 1, 4: 0, 6: 1}",
      "dihedral V reads sigma = +1 at rotations of order 3"),
     (CURVELOCAL,
-     "                       if x in rot else 0)",
-     "                       if x in p.isub else 0)",
+     "                G, x, dprime)] if x in rot else 0)",
+     "                G, x, dprime)] if x in self.isub else 0)",
      "dihedral V vanishes off I_v instead of off the rotations I_v D'"),
     (CURVELOCAL,
      "_SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}",
@@ -195,8 +195,9 @@ MUTANTS = [
      "        if False:",
      "the declared discriminant class may contradict v(Delta)"),
     (CURVELOCAL,
-     "        kernel = G.closure(p.isub | {G.mul(y, y) for y in p.dsub})",
-     "        kernel = p.isub",
+     "            kernel = G.closure(self.isub | {G.mul(y, y) for y in "
+     "self.dsub})",
+     "            kernel = self.isub",
      "nonsplit V is +1 on I_v only, not on I_v and the squares"),
     (CURVELOCAL,
      "    if (x is None or G.mul(y, y) not in dprime\n            or ",
@@ -271,17 +272,26 @@ MUTANTS = [
      "                if is_norm_from_quadratic(\n",
      "NRT constraints list the tau whose regulator constant is a norm"),
     (CURVELOCAL,
-     "    p.validated = not out\n    p._root = None\n",
-     "    p.validated = not out\n",
-     "validate_place keeps the root datum of the place's old fields"),
+     "        if problems:\n            raise InvalidPlace(",
+     "        if False:\n            raise InvalidPlace(",
+     "a place that breaks a rule is built without complaint"),
+    (CURVELOCAL,
+     "@dataclass(frozen=True)\nclass PlaceDescriptor:",
+     "@dataclass\nclass PlaceDescriptor:",
+     "places are mutable, so a model's record can go stale"),
+    (PARITY,
+     "    if chi.group is not model.group:\n"
+     "        raise ValueError(\"chi is not a character of the model's group\")\n",
+     "",
+     "global_root_sign takes a character of another group"),
 ]
 
 # Mutants that no parity verdict can see, each with the reason.  They are
 # run and reported like the others, but a survivor here is no failure.
 EQUIVALENT = [
     (CURVELOCAL,
-     "        return _with_v(p, 1, lambda x: 1 if x in kernel else -1)",
-     "        return _with_v(p, 1, lambda x: -1 if x in kernel else 1)",
+     "            return _with_v(self, 1, lambda x: 1 if x in kernel else -1)",
+     "            return _with_v(self, 1, lambda x: -1 if x in kernel else 1)",
      "nonsplit V negated: <chi, -V> = -<chi, V> = <chi, V> mod 2, so every "
      "u bit is unchanged; only the tests that restate V see it"),
 ]

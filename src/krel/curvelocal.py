@@ -2,7 +2,8 @@
 
 A place descriptor packages the decomposition and inertia groups at one
 place together with declared reduction data (type, discriminant valuation,
-square classes of the invariants involved).  Everything downstream is a
+square classes of the invariants involved), a frozen value checked by
+:func:`validate_place` where it is built.  Everything downstream is a
 function of these inputs; no Weierstrass models are processed.  Additive
 cases assume residue characteristic at least 5 throughout.  The module owns
 the (D_v, I_v) rules, the (e, f) of a local subgroup and the D' rules, all
@@ -11,8 +12,9 @@ in G's own element indices: no place builds a group of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .characters import ClassFunction
@@ -98,8 +100,20 @@ class Diagnostic:
         return f"{self.rule}: {self.message}"
 
 
-@dataclass
+class InvalidPlace(ValueError):
+    """A place that breaks the rules listed in ``diagnostics``."""
+
+    def __init__(self, name: str, diagnostics: list[Diagnostic]):
+        super().__init__(f"invalid place {name!r}: "
+                         + "; ".join(map(str, diagnostics)))
+        self.diagnostics = diagnostics
+
+
+@dataclass(frozen=True)
 class PlaceDescriptor:
+    """One place, validated where it is built (an invalid one raises
+    :class:`InvalidPlace`); ``dataclasses.replace`` builds a changed one."""
+
     name: str
     kind: str  # "real" | "complex" | "finite"
     group: PermGroup | None = None
@@ -108,11 +122,51 @@ class PlaceDescriptor:
     dsub: frozenset[int] | None = None
     isub: frozenset[int] | None = None
     reduction: ReductionData | None = None
-    validated: bool = field(default=False, compare=False)
-    _root: RootDatum | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        problems = validate_place(self)
+        if problems:
+            raise InvalidPlace(self.name, problems)
 
     def is_finite(self) -> bool:
         return self.kind == "finite"
+
+    @cached_property
+    def root_datum(self) -> RootDatum:
+        """Local twisted-root-number data (lambda, V) for this place."""
+        if self.kind in ("real", "complex"):
+            return RootDatum(-1)
+        G, red = self.group, self.reduction
+        if isinstance(red, Good):
+            return RootDatum(1)
+        if isinstance(red, SplitMult):
+            return _with_v(self, 1, lambda x: 1)
+        if isinstance(red, NonsplitMult):
+            if len(self.dsub) // len(self.isub) % 2 == 1:
+                return RootDatum(1)
+            # the unramified quadratic character, trivial on I_v and squares
+            kernel = G.closure(self.isub | {G.mul(y, y) for y in self.dsub})
+            return _with_v(self, 1, lambda x: 1 if x in kernel else -1)
+        if isinstance(red, AddPotGood):
+            fe = ram_degree(red.delta)
+            dihedral = reduction_case(self) == CASE_DIHEDRAL
+            lam = red.lambda_override
+            if lam is None:
+                lam = default_additive_lambda(fe, self.q, dihedral)
+            if not dihedral:
+                return RootDatum(lam)
+            # V = 1 + eta + sigma, pulled back from the dihedral D_v/D': on
+            # the rotations R = I_v D' it is 2 + sigma of the order modulo
+            # D', and off R, where eta = -1 and sigma = 0, it vanishes
+            dprime = red.dprime
+            rot = G.closure(self.isub | dprime)
+            return _with_v(self, lam, lambda x: 2 + _SIGMA[_order_mod(
+                G, x, dprime)] if x in rot else 0)
+        # potentially multiplicative: v(-c6) is odd, so lambda = (-1 | q)
+        lam = kronecker_symbol(-1, self.q)
+        if red.dprime is None:
+            return RootDatum(lam)
+        return _with_v(self, lam, lambda x: 1 if x in red.dprime else -1)
 
 
 @dataclass(frozen=True)
@@ -205,19 +259,9 @@ def local_ef(dsub: frozenset[int], isub: frozenset[int],
 
 
 def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
-    """Check a descriptor against the structural and arithmetic rules.
-
-    An empty list marks the place validated; any violated rule appears as a
-    named diagnostic and marks the place unusable for evaluation, even if
-    it was validated before.  Either way it drops the kept root datum.
-    """
-    out = _place_problems(p)
-    p.validated = not out
-    p._root = None
-    return out
-
-
-def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
+    """Check a descriptor against the structural and arithmetic rules: each
+    violated rule appears as a named diagnostic, and an empty list means
+    the place is valid."""
     out: list[Diagnostic] = []
     if p.kind in ("real", "complex"):
         return out
@@ -228,6 +272,8 @@ def _place_problems(p: PlaceDescriptor) -> list[Diagnostic]:
     if G is None or p.dsub is None or p.isub is None or red is None:
         return [Diagnostic("incomplete", "finite place needs group, D_v, I_v "
                            "and reduction data")]
+    if not isinstance(p.dsub, frozenset) or not isinstance(p.isub, frozenset):
+        return [Diagnostic("subgroup-type", "D_v and I_v must be frozensets")]
     try:
         l_prime = p.l is not None and isprime(p.l)
     except FactorBoundError as exc:
@@ -354,11 +400,6 @@ def _dihedral_problem(G: PermGroup, dsub: frozenset[int],
     return None
 
 
-def _require_validated(p: PlaceDescriptor):
-    if not p.validated:
-        raise ValueError(f"place {p.name!r} has not been validated")
-
-
 def reduction_case(p: PlaceDescriptor) -> str:
     """Reduction case label: 1G, 1S, 1NS, 2C, 2D or 2M."""
     red = p.reduction
@@ -376,13 +417,14 @@ def reduction_case(p: PlaceDescriptor) -> str:
 
 def tamagawa(p: PlaceDescriptor, h: frozenset[int]) -> int:
     """Tamagawa number of the curve over the subfield fixed by h."""
-    _require_validated(p)
     if isinstance(p.reduction, Good):
         return 1
     return _tamagawa(p, h, *_place_ef(p, h))
 
 
 def _place_ef(p: PlaceDescriptor, h: frozenset[int]) -> tuple[int, int]:
+    if not p.is_finite():
+        raise ValueError(f"place {p.name!r} is not finite")
     h = frozenset(h)
     if not h <= p.dsub:
         raise ValueError("H must be a subgroup of D_v")
@@ -426,7 +468,6 @@ def fudge_C(p: PlaceDescriptor, h: frozenset[int]) -> Fraction:
     potentially good reduction, q^(floor(e/2)*f) for potentially
     multiplicative reduction, and 1 otherwise.
     """
-    _require_validated(p)
     red = p.reduction
     if not isinstance(red, (AddPotGood, AddPotMult)):
         return Fraction(tamagawa(p, h))
@@ -448,52 +489,6 @@ def default_additive_lambda(fe: int, q: int, dihedral: bool) -> int:
 # sigma(o) = 2cos(2 pi / o): the faithful two-dimensional character of a
 # dihedral group of order 2fe, fe in {3, 4, 6}, at a rotation of order o
 _SIGMA = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
-
-
-def root_datum(p: PlaceDescriptor) -> RootDatum:
-    """Local twisted-root-number data (lambda, V) for this place, kept on
-    it until it is validated again; a finite place must be validated."""
-    if p.is_finite():
-        _require_validated(p)
-    if p._root is None:
-        p._root = _root_datum(p)
-    return p._root
-
-
-def _root_datum(p: PlaceDescriptor) -> RootDatum:
-    if p.kind in ("real", "complex"):
-        return RootDatum(-1)
-    G, red = p.group, p.reduction
-    if isinstance(red, Good):
-        return RootDatum(1)
-    if isinstance(red, SplitMult):
-        return _with_v(p, 1, lambda x: 1)
-    if isinstance(red, NonsplitMult):
-        if len(p.dsub) // len(p.isub) % 2 == 1:
-            return RootDatum(1)
-        # the unramified quadratic character, trivial on I_v and the squares
-        kernel = G.closure(p.isub | {G.mul(y, y) for y in p.dsub})
-        return _with_v(p, 1, lambda x: 1 if x in kernel else -1)
-    if isinstance(red, AddPotGood):
-        fe = ram_degree(red.delta)
-        dihedral = reduction_case(p) == CASE_DIHEDRAL
-        lam = red.lambda_override
-        if lam is None:
-            lam = default_additive_lambda(fe, p.q, dihedral)
-        if not dihedral:
-            return RootDatum(lam)
-        # V = 1 + eta + sigma, pulled back from the dihedral D_v/D': on the
-        # rotations R = I_v D' it is 2 + sigma of the order modulo D', and
-        # off R, where eta = -1 and sigma = 0, it vanishes
-        dprime = red.dprime
-        rot = G.closure(p.isub | dprime)
-        return _with_v(p, lam, lambda x: 2 + _SIGMA[_order_mod(G, x, dprime)]
-                       if x in rot else 0)
-    # potentially multiplicative: -c6 has odd valuation, so lambda = (-1 | q)
-    lam = kronecker_symbol(-1, p.q)
-    if red.dprime is None:
-        return RootDatum(lam)
-    return _with_v(p, lam, lambda x: 1 if x in red.dprime else -1)
 
 
 def _with_v(p: PlaceDescriptor, lam: int, value) -> RootDatum:
@@ -528,7 +523,7 @@ def local_u_contribution(p: PlaceDescriptor, chi: ClassFunction) -> int:
     class of G that holds x: the sum is then one term per class of G.
     """
     dim = int(chi.degree())
-    rd = root_datum(p)
+    rd = p.root_datum
     pairing = 0
     if rd.v is not None:
         means = chi.galois_means

@@ -215,7 +215,8 @@ def is_squarefree(d: int) -> bool:
 
 
 def kronecker_symbol(a: int, n: int) -> int:
-    """Standard Kronecker symbol (a|n), multiplicative in both arguments."""
+    """Standard Kronecker symbol (a|n): multiplicative in n away from 0, and
+    in a except at n = -1, where (0|-1) = 1 but (0|-1)(-1|-1) = -1."""
     if n == 0:
         return 1 if a in (1, -1) else 0
     sign = 1

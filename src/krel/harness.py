@@ -13,7 +13,8 @@ predicted membership tables.
 
 The module also houses the randomized model generator used by the global
 property sweeps; proposals are drawn from the subgroup lattice with
-coherent valuation parities and validated before use.
+coherent valuation parities, and a proposal that is not a valid place is
+dropped.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from fractions import Fraction
 
 from .characters import (ClassFunction, _fundamental_discriminant,
                          _quadratic_subfields)
-from .curvelocal import (AddPotGood, AddPotMult, Good, NonsplitMult,
-                         PlaceDescriptor, SplitMult, SquareClassLocal,
-                         _cyclic_quotient, _is_prime_power, is_square_in_ext,
-                         ram_degree, root_datum, validate_place)
+from .curvelocal import (AddPotGood, AddPotMult, Good, InvalidPlace,
+                         NonsplitMult, PlaceDescriptor, SplitMult,
+                         SquareClassLocal, _cyclic_quotient, _is_prime_power,
+                         is_square_in_ext, ram_degree)
 from .exactmath import (PLACE_INF, ExactCheckError, _as_fraction, divisors,
                         factor_bounded, fraction_product,
                         is_norm_from_quadratic, is_squarefree, isprime,
@@ -202,14 +203,9 @@ def _residue_powers(e: int, residue: int):
 
 
 def _whole_group_place(G, isub, l, q, red) -> PlaceDescriptor:
-    p = PlaceDescriptor("w", "finite", group=G, l=l, q=q,
-                        dsub=frozenset(range(G.order)), isub=isub,
-                        reduction=red)
-    problems = validate_place(p)
-    if problems:
-        raise ValueError("sweep produced an invalid place: "
-                         + "; ".join(str(x) for x in problems))
-    return p
+    return PlaceDescriptor("w", "finite", group=G, l=l, q=q,
+                           dsub=frozenset(range(G.order)), isub=isub,
+                           reduction=red)
 
 
 def _v_fixed_det(G: PermGroup, v: dict[int, int]):
@@ -282,16 +278,16 @@ def appendix_tamagawa_check(case: str,
     under test holds when every row passes.  The fields d are
     :func:`quadratic_probe_fields` of the group, and the residue sizes q
     come from :func:`_residue_powers`.  Case 2D reads V = 1 + eta + sigma
-    from ``root_datum(p).v`` of its first place, the V of the dihedral local
+    from ``p.root_datum.v`` of its first place, the V of the dihedral local
     root number, and values it as a virtual permutation module with the
     standard permutation pairing (:func:`_v_fixed_det`), once per group; any
     other invariant pairing gives the same verdicts, since regulator
     constants do not depend on it up to norms.
 
-    The residue size q enters only the place, which is validated for every
-    q in the pool, and the ``dihedral`` switch (q = -1 mod the ramification
-    degree of delta); no local function reads q itself.  So each local
-    function and its vector of values on the subgroup classes
+    The residue size q enters only the place, built and so validated for
+    every q in the pool, and the ``dihedral`` switch (q = -1 mod the
+    ramification degree of delta); no local function reads q itself.  So
+    each local function and its vector of values on the subgroup classes
     (:func:`_value_vector`) are built once per parameter tuple and serve
     every q, and each distinct function is norm-tested once per field: the
     call keeps one memo keyed by (d, that vector).  The K-relation basis
@@ -355,7 +351,7 @@ def appendix_tamagawa_check(case: str,
                             dprime=dprime if dihedral else None)
                         p = _whole_group_place(G, isub, l, q, red)
                         if dihedral and fixed_det is None:
-                            fixed_det = _v_fixed_det(G, root_datum(p).v)
+                            fixed_det = _v_fixed_det(G, p.root_datum.v)
                         flags = f"delta={delta} dsq={du:d} bsq={bu:d}"
                         fn, values = potgood(delta, du, bu, dihedral)
                         _check_function(case, spec, G, q, flags, fn, values,
@@ -617,9 +613,9 @@ def synthetic_model(G: PermGroup, rng, semistable: bool = False,
     """Draw a random valid model over G, with one to three places.
 
     All randomness flows through the supplied rng, so a seeded generator
-    reproduces the same model.  Proposals that fail validation are retried;
-    a good place at a split prime is always available as a fallback, so the
-    construction cannot fail.
+    reproduces the same model.  A proposal that is not a valid place is
+    dropped and another drawn; a good place at a split prime is always
+    available as a fallback, so the construction cannot fail.
     """
     count = rng.randint(1, 3)
     places = [_synthetic_place(G, rng, f"v{i}", semistable)
@@ -642,14 +638,15 @@ def _synthetic_place(G, rng, name, semistable):
         if not inert:
             continue
         isub = rng.choice(inert)
-        p = _propose_place(G, dsub, isub, rng.choice(kinds), rng, name)
-        if p is not None and not validate_place(p):
+        try:
+            p = _propose_place(G, dsub, isub, rng.choice(kinds), rng, name)
+        except InvalidPlace:
+            continue
+        if p is not None:
             return p
-    p = PlaceDescriptor(name, "finite", group=G, l=5, q=5,
-                        dsub=frozenset([0]), isub=frozenset([0]),
-                        reduction=Good())
-    validate_place(p)
-    return p
+    return PlaceDescriptor(name, "finite", group=G, l=5, q=5,
+                           dsub=frozenset([0]), isub=frozenset([0]),
+                           reduction=Good())
 
 
 def _centralizes(G, dsub, isub) -> bool:

@@ -16,7 +16,7 @@ summed once per tau, so they are computed and not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -24,21 +24,21 @@ from math import isqrt
 from .characters import ClassFunction, char_field_data, fs_indicator, \
     rational_irreducibles
 from .curvelocal import Diagnostic, Good, PlaceDescriptor, fudge_C, \
-    local_u_contribution, validate_place
+    local_u_contribution
 from .exactmath import fraction_product, is_norm_from_quadratic
 from .groups import PermGroup
 from .regconst import NeedsMatrixModel, reg_const_rational_irr
 from .relations import find_norm_relation, is_k_relation
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurveLocalModel:
-    """A group with validated place descriptors; the global side of the data.
+    """A group with place descriptors; the global side of the data.
 
     With rational_base=True one real place is appended, the usual setting of
-    a curve over the rationals.  The places are a tuple, validated once at
-    construction and not to be changed afterwards: the model keeps a record
-    of what depends on them, each entry computed on first use.
+    a curve over the rationals.  The model and its places are frozen, so
+    the record it keeps of what depends on them, each entry computed on
+    first use, cannot go stale: a changed place means a new model.
 
     - ``u_exponents``: {label: u_tau} over the rational irreducibles tau,
       summed from :meth:`root_bits` once per tau; shared, so each report
@@ -51,18 +51,15 @@ class CurveLocalModel:
     group: PermGroup
     places: tuple[PlaceDescriptor, ...]
     rational_base: bool = False
+    _fudge: dict[tuple[int, str], Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.places = tuple(self.places) + (
-            (PlaceDescriptor("oo", "real"),) if self.rational_base else ())
-        self._fudge: dict[tuple[int, str], Fraction] = {}
-        problems = []
-        for p in self.places:
-            if p.is_finite() and p.group is not self.group:
-                problems.append(f"{p.name}: place group is not the model group")
-                continue
-            if not p.validated:
-                problems.extend(f"{p.name}: {d}" for d in validate_place(p))
+        object.__setattr__(self, "places", tuple(self.places) + (
+            (PlaceDescriptor("oo", "real"),) if self.rational_base else ()))
+        problems = [f"{p.name}: place group is not the model group"
+                    for p in self.places
+                    if p.is_finite() and p.group is not self.group]
         if problems:
             raise ValueError("invalid model: " + "; ".join(problems))
 
@@ -99,18 +96,11 @@ class CurveLocalModel:
         return self._fudge[i, cid]
 
 
-def _require_model(model: CurveLocalModel):
-    for p in model.places:
-        if not p.validated:
-            raise ValueError(f"model contains unvalidated place {p.name!r}")
-
-
 def global_C_product(model: CurveLocalModel, theta: dict[str, int]) -> Fraction:
     """Product over the relation of all local fudge factors: C_v(H) to the
     power theta_H for each bad finite place v and each H in the relation,
     read from the model's record (see :meth:`CurveLocalModel.fudge_product`).
     """
-    _require_model(model)
     return fraction_product(
         (model.fudge_product(i, cid), coeff)
         for i, p in enumerate(model.places)
@@ -130,7 +120,8 @@ def global_root_sign(model: CurveLocalModel, chi: ClassFunction) -> GlobalRootSi
     Only orthogonal characters acquire a sign; for non-self-dual or
     symplectic chi the exponent is 0 by definition.
     """
-    _require_model(model)
+    if chi.group is not model.group:
+        raise ValueError("chi is not a character of the model's group")
     u = sum(model.root_bits(chi)) % 2
     return GlobalRootSign(-1 if u else 1, u)
 

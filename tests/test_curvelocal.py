@@ -1,7 +1,9 @@
 """Tests for local curve data: validation, Tamagawa numbers, fudge factors, root data."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from appendix_places import DIHEDRAL_SPECS, appendix_places
@@ -11,11 +13,11 @@ from krel.curvelocal import (
     AddPotGood,
     AddPotMult,
     Good,
+    InvalidPlace,
     NonsplitMult,
     PlaceDescriptor,
     SplitMult,
     SquareClassLocal,
-    _root_datum,
     _with_v,
     decomposition_pair_problem,
     default_additive_lambda,
@@ -24,7 +26,6 @@ from krel.curvelocal import (
     local_ef,
     local_u_contribution,
     reduction_case,
-    root_datum,
     tamagawa,
     validate_place,
 )
@@ -55,10 +56,7 @@ SQ_UNIF = sq(1, True)        # uniformizer times a square
 
 
 def finite_place(group, dsub, isub, reduction, l=13, q=13, name="v"):
-    p = PlaceDescriptor(name, "finite", group, l, q, dsub, isub, reduction)
-    diags = validate_place(p)
-    assert diags == [], [str(d) for d in diags]
-    return p
+    return PlaceDescriptor(name, "finite", group, l, q, dsub, isub, reduction)
 
 
 def d21_split_place(n=1):
@@ -138,43 +136,56 @@ def test_validate_good_place():
     C2 = cyclic_group(2)
     p = PlaceDescriptor("w", "finite", C2, 5, 5, frozenset(range(2)), frozenset([0]), Good())
     assert validate_place(p) == []
-    assert p.validated
+
+
+def test_archimedean_place_has_no_tamagawa_number():
+    real = PlaceDescriptor("oo", "real")
+    for fn in (tamagawa, fudge_C):
+        with pytest.raises(ValueError, match="place 'oo' is not finite"):
+            fn(real, frozenset([0]))
+
+
+def _rules(build, *args, **kwargs):
+    """The rules that build(*args, **kwargs) breaks, as the diagnostics of
+    its InvalidPlace; [] when the place it builds is valid."""
+    try:
+        build(*args, **kwargs)
+    except InvalidPlace as exc:
+        return [d.rule for d in exc.diagnostics]
+    return []
+
+
+def _diag_rules(*fields):
+    return _rules(PlaceDescriptor, *fields)
 
 
 def test_validate_archimedean_and_unknown_kind():
     for kind in ("real", "complex"):
         p = PlaceDescriptor("oo", kind)
         assert validate_place(p) == []
-        assert p.validated
-    bad = PlaceDescriptor("x", "padic")
-    assert [d.rule for d in validate_place(bad)] == ["kind"]
-
-
-def test_unvalidated_place_is_rejected():
-    p = d21_split_place()
-    p.validated = False
-    with pytest.raises(ValueError):
-        tamagawa(p, frozenset([0]))
-
-
-def _diag_rules(p):
-    return [d.rule for d in validate_place(p)]
+    assert _diag_rules("x", "padic") == ["kind"]
 
 
 def test_missing_fields_flagged():
     C2 = cyclic_group(2)
-    p = PlaceDescriptor("w", "finite", C2, 5, 5, None, None, None)
-    assert "incomplete" in _diag_rules(p)
-    assert not p.validated
+    assert "incomplete" in _diag_rules("w", "finite", C2, 5, 5, None, None, None)
+
+
+def test_subgroups_must_be_frozensets():
+    # a list D_v or I_v would break fudge_C's subgroup test and the hash
+    C2 = cyclic_group(2)
+    for dsub, isub in (([0, 1], frozenset([0])), (frozenset(range(2)), [0])):
+        assert _diag_rules("w", "finite", C2, 5, 5, dsub, isub,
+                           Good()) == ["subgroup-type"]
 
 
 def test_residue_size_checks():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
-    bad_l = PlaceDescriptor("w", "finite", C2, 6, 6, w, frozenset([0]), Good())
-    assert "residue-size" in _diag_rules(bad_l)
-    bad_q = PlaceDescriptor("w", "finite", C2, 5, 10, w, frozenset([0]), Good())
-    assert "residue-size" in _diag_rules(bad_q)
+    assert "residue-size" in _diag_rules(
+        "w", "finite", C2, 6, 6, w, frozenset([0]), Good())
+    assert "residue-size" in _diag_rules(
+        "w", "finite", C2, 5, 10, w, frozenset([0]), Good())
 
 
 def test_decomposition_and_inertia_closure_checks():
@@ -182,49 +193,41 @@ def test_decomposition_and_inertia_closure_checks():
     dsub = subgroup_rep(G, "6.1")
     isub = frozenset(x for x in dsub if G.element_order(x) in (1, 3))
     not_closed = frozenset(list(dsub)[:4])
-    p = PlaceDescriptor("v", "finite", G, 13, 13, not_closed, isub, SplitMult(1))
-    assert "decomposition-closed" in _diag_rules(p)
-    swapped = PlaceDescriptor("v", "finite", G, 13, 13, isub, dsub, SplitMult(1))
-    assert "inertia-subgroup" in _diag_rules(swapped)
+    assert "decomposition-closed" in _diag_rules(
+        "v", "finite", G, 13, 13, not_closed, isub, SplitMult(1))
+    assert "inertia-subgroup" in _diag_rules(
+        "v", "finite", G, 13, 13, isub, dsub, SplitMult(1))
 
 
 def test_inertia_normality_check():
     S3 = dihedral_group(3)
     refl = next(x for x in range(6) if S3.element_order(x) == 2)
-    p = PlaceDescriptor(
+    assert "inertia-normality" in _diag_rules(
         "v", "finite", S3, 5, 5, frozenset(range(6)),
         frozenset([0, refl]), SplitMult(1),
     )
-    assert "inertia-normality" in _diag_rules(p)
 
 
 def test_quotient_cyclic_check():
     # D_v/I_v must be cyclic: S_3 over trivial inertia is not.
     S3 = dihedral_group(3)
-    p = PlaceDescriptor(
+    assert "quotient-cyclic" in _diag_rules(
         "v", "finite", S3, 5, 5, frozenset(range(6)), frozenset([0]), SplitMult(1)
     )
-    assert "quotient-cyclic" in _diag_rules(p)
 
 
 def test_failed_revalidation_clears_the_flag():
-    # validated with D_v = S_3 and I_v = C_3, then given a trivial I_v: the
-    # quotient is no longer cyclic, and the place must stop being usable
+    # a place with D_v = S_3 and I_v = C_3 cannot be remade with a trivial
+    # I_v: the quotient is no longer cyclic, and the old place stays usable
     p = s3_split_place()
-    assert p.validated
-    p.isub = frozenset([0])
-    assert _diag_rules(p) == ["quotient-cyclic"]
-    assert not p.validated
-    with pytest.raises(ValueError):
-        fudge_C(p, frozenset([0]))
-    # every other early return clears it too
+    assert _rules(replace, p, isub=frozenset([0])) == ["quotient-cyclic"]
+    assert p.isub == subgroup_rep(p.group, "3.1")
+    assert fudge_C(p, frozenset([0])) == 3
+    # every other early return refuses the new place too
     for field, bad, rule in [("kind", "padic", "kind"),
                              ("reduction", None, "incomplete"),
                              ("q", 10, "residue-size")]:
-        p = s3_split_place()
-        setattr(p, field, bad)
-        assert _diag_rules(p) == [rule]
-        assert not p.validated
+        assert _rules(replace, p, **{field: bad}) == [rule]
 
 
 BAD_PAIRS = {
@@ -255,10 +258,10 @@ def test_localfn_and_validate_place_reject_the_same_pairs(rule):
     make, dsub_of, isub_of = BAD_PAIRS[rule]
     G = make()
     dsub, isub = dsub_of(G), isub_of(G)
-    p = PlaceDescriptor("v", "finite", G, 13, 13, dsub, isub, SplitMult(1))
-    diags = validate_place(p)
+    with pytest.raises(InvalidPlace) as exc:
+        PlaceDescriptor("v", "finite", G, 13, 13, dsub, isub, SplitMult(1))
+    diags = exc.value.diagnostics
     assert [d.rule for d in diags] == [rule]
-    assert not p.validated
     assert decomposition_pair_problem(G, dsub, isub) == (rule,
                                                          diags[0].message)
 
@@ -266,23 +269,22 @@ def test_localfn_and_validate_place_reject_the_same_pairs(rule):
 def test_multiplicative_n_positive():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
-    p = PlaceDescriptor("v", "finite", C2, 5, 5, w, frozenset([0]), SplitMult(0))
-    assert "discriminant-valuation" in _diag_rules(p)
+    assert "discriminant-valuation" in _diag_rules(
+        "v", "finite", C2, 5, 5, w, frozenset([0]), SplitMult(0))
 
 
 def test_additive_residue_char_check():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
     red = AddPotGood(6, SQ_TRIV, SQ_TRIV)
-    p = PlaceDescriptor("v", "finite", C2, 3, 3, w, w, red)
-    assert "additive-residue-char" in _diag_rules(p)
+    assert "additive-residue-char" in _diag_rules("v", "finite", C2, 3, 3, w, w, red)
 
 
 def test_delta_range_check():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
-    p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, AddPotGood(5, SQ_TRIV, SQ_TRIV))
-    assert "delta-range" in _diag_rules(p)
+    assert "delta-range" in _diag_rules(
+        "v", "finite", C2, 5, 5, w, w, AddPotGood(5, SQ_TRIV, SQ_TRIV))
 
 
 def test_good_not_attained_check():
@@ -291,47 +293,41 @@ def test_good_not_attained_check():
     G = metacyclic_group(21, 2, 20)
     dsub = subgroup_rep(G, "6.1")
     isub = frozenset(x for x in dsub if G.element_order(x) in (1, 3))
-    p = PlaceDescriptor(
+    assert "good-not-attained" in _diag_rules(
         "v", "finite", G, 13, 13, dsub, isub, AddPotGood(2, SQ_TRIV, SQ_TRIV)
     )
-    assert "good-not-attained" in _diag_rules(p)
 
 
 def test_lambda_override_range():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
     red = AddPotGood(6, SQ_TRIV, SQ_TRIV, lambda_override=2)
-    p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert "lambda-range" in _diag_rules(p)
+    assert "lambda-range" in _diag_rules("v", "finite", C2, 5, 5, w, w, red)
 
 
 def test_dihedral_dprime_required_and_checked():
     S3 = dihedral_group(3)
     whole = frozenset(range(6))
     rot = subgroup_rep(S3, "3.1")
-    missing = PlaceDescriptor(
+    assert "d-prime-missing" in _diag_rules(
         "v", "finite", S3, 5, 5, whole, rot, AddPotGood(4, SQ_UNIT, SQ_TRIV)
     )
-    assert "d-prime-missing" in _diag_rules(missing)
 
-    not_closed = PlaceDescriptor(
+    assert "d-prime-subgroup" in _diag_rules(
         "v", "finite", S3, 5, 5, whole, rot,
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, frozenset([1])),
     )
-    assert "d-prime-subgroup" in _diag_rules(not_closed)
 
     refl = next(x for x in range(6) if S3.element_order(x) == 2)
-    wrong_index = PlaceDescriptor(
+    assert "d-prime-index" in _diag_rules(
         "v", "finite", S3, 5, 5, whole, rot,
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, frozenset([0, refl])),
     )
-    assert "d-prime-index" in _diag_rules(wrong_index)
 
-    too_big = PlaceDescriptor(
+    assert "d-prime-index" in _diag_rules(
         "v", "finite", S3, 5, 5, whole, rot,
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, rot),
     )
-    assert "d-prime-index" in _diag_rules(too_big)
 
 
 def test_dihedral_dprime_normality_check():
@@ -342,11 +338,10 @@ def test_dihedral_dprime_normality_check():
     r = next(x for x in range(12) if D6.element_order(x) == 6)
     rot = D6.closure(frozenset([r]))
     y = next(x for x in range(12) if x not in rot and D6.element_order(x) == 2)
-    p = PlaceDescriptor(
+    assert "d-prime-normality" in _diag_rules(
         "v", "finite", D6, 5, 5, whole, rot,
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, frozenset([0, y])),
     )
-    assert "d-prime-normality" in _diag_rules(p)
 
 
 def test_dihedral_inertia_image_check():
@@ -360,17 +355,15 @@ def test_dihedral_inertia_image_check():
     centre = frozenset([0, D6.mul(r, D6.mul(r, r))])
     s = next(x for x in range(12) if x not in rot)
     isub = D6.closure(frozenset([D6.mul(r, r), s]))
-    p = PlaceDescriptor(
+    assert _diag_rules(
         "v", "finite", D6, 5, 5, whole, isub,
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, centre),
-    )
-    assert _diag_rules(p) == ["inertia-image"]
+    ) == ["inertia-image"]
     # the same D' over the rotations C_6 passes every dihedral rule
-    p = PlaceDescriptor(
+    assert _diag_rules(
         "v", "finite", D6, 5, 5, whole, rot,
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, centre),
-    )
-    assert _diag_rules(p) == []
+    ) == []
 
 
 def test_dihedral_dprime_quotient_shape_check():
@@ -378,11 +371,10 @@ def test_dihedral_dprime_quotient_shape_check():
     C6 = cyclic_group(6)
     w6 = frozenset(range(6))
     rot = frozenset([0, 2, 4])
-    p = PlaceDescriptor(
+    assert "d-prime-quotient" in _diag_rules(
         "v", "finite", C6, 5, 5, w6, rot,
         AddPotGood(4, SQ_UNIT, SQ_TRIV, None, frozenset([0])),
     )
-    assert "d-prime-quotient" in _diag_rules(p)
 
 
 @pytest.mark.parametrize("make, inertia_order, delta, q", [
@@ -399,20 +391,21 @@ def test_dicyclic_quotient_is_not_dihedral(make, inertia_order, delta, q):
                 if c.order == inertia_order and c.is_cyclic)
     red = AddPotGood(delta, SquareClassLocal(delta % 2, True), SQ_TRIV,
                      None, frozenset([0]))
-    p = PlaceDescriptor("v", "finite", G, q, q, whole, isub, red)
-    assert reduction_case(p) == "2D"
-    assert _diag_rules(p) == ["d-prime-quotient"]
+    # the case label reads only the reduction and q, so it is read off a
+    # stand-in: no place with these fields can be built
+    assert reduction_case(SimpleNamespace(reduction=red, q=q)) == "2D"
+    assert _diag_rules("v", "finite", G, q, q, whole, isub, red) == [
+        "d-prime-quotient"]
 
 
 def test_cyclic_case_rejects_dprime():
     # q = 7 is 1 mod 3, so the extension is cyclic and D' has no meaning.
     C3 = cyclic_group(3)
     w = frozenset(range(3))
-    p = PlaceDescriptor(
+    assert "d-prime-not-needed" in _diag_rules(
         "v", "finite", C3, 7, 7, w, w,
         AddPotGood(4, SQ_TRIV, SQ_TRIV, None, frozenset([0])),
     )
-    assert "d-prime-not-needed" in _diag_rules(p)
 
 
 def test_delta_square_forced():
@@ -420,10 +413,9 @@ def test_delta_square_forced():
     # square root of the discriminant, so the class must already be trivial.
     C6 = cyclic_group(6)
     w = frozenset(range(6))
-    p = PlaceDescriptor(
+    assert "delta-square-forced" in _diag_rules(
         "v", "finite", C6, 7, 7, w, w, AddPotGood(2, SQ_UNIT, SQ_TRIV)
     )
-    assert "delta-square-forced" in _diag_rules(p)
 
 
 def test_not_additive_check():
@@ -435,8 +427,7 @@ def test_not_additive_check():
     for minus_c6, rules in ((SQ_TRIV, ["not-additive", "d-prime-required"]),
                             (SQ_UNIT, ["not-additive"])):
         red = AddPotMult(1, minus_c6, SQ_TRIV, SQ_UNIF, None)
-        p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-        assert _diag_rules(p) == rules
+        assert _diag_rules("v", "finite", C2, 5, 5, w, w, red) == rules
 
 
 def test_delta_class_parity_follows_the_discriminant_valuation():
@@ -450,9 +441,9 @@ def test_delta_class_parity_follows_the_discriminant_valuation():
     def place(delta_class):
         red = AddPotGood(2, delta_class, SQ_UNIF, dprime=dprime)
         return PlaceDescriptor("v", "finite", G, 5, 5, whole, isub, red)
-    assert _diag_rules(place(SQ_UNIF)) == ["delta-class-parity"]
+    assert _rules(place, SQ_UNIF) == ["delta-class-parity"]
     p = place(SQ_TRIV)
-    assert _diag_rules(p) == []
+    assert validate_place(p) == []
     assert [tamagawa(p, subgroup_rep(G, cid)) for cid in ("2.3", "4.1")] \
         == [1, 1]
 
@@ -464,8 +455,7 @@ def test_delta_class_parity_follows_the_discriminant_valuation():
                                   (2, SQ_UNIF, ["delta-class-parity"]),
                                   (2, SQ_UNIT, [])):
         red = AddPotMult(n, SQ_UNIF, SQ_TRIV, delta_class, frozenset([0]))
-        p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-        assert _diag_rules(p) == rules, (n, delta_class)
+        assert _diag_rules("v", "finite", C2, 5, 5, w, w, red) == rules, (n, delta_class)
 
 
 def test_potmult_dprime_rules():
@@ -477,19 +467,16 @@ def test_potmult_dprime_rules():
     # ramified quadratic with f = 1, so there is no quadratic subfield and
     # D' must not be supplied.
     red = AddPotMult(1, sq(1, False), SQ_TRIV, SQ_UNIF, ident)
-    p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert _diag_rules(p) == ["d-prime-forbidden"]
+    assert _diag_rules("v", "finite", C2, 5, 5, w, w, red) == ["d-prime-forbidden"]
 
     # Conversely, once -c6 is a square in F_w the subfield exists and D'
     # becomes mandatory.
     red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, None)
-    p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert _diag_rules(p) == ["d-prime-required"]
+    assert _diag_rules("v", "finite", C2, 5, 5, w, w, red) == ["d-prime-required"]
 
     # D' must have index 2.
     red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, w)
-    p = PlaceDescriptor("v", "finite", C2, 5, 5, w, w, red)
-    assert _diag_rules(p) == ["d-prime-index"]
+    assert _diag_rules("v", "finite", C2, 5, 5, w, w, red) == ["d-prime-index"]
 
     # -c6 has odd valuation, so its square root is ramified: D' must not
     # contain inertia.
@@ -497,8 +484,8 @@ def test_potmult_dprime_rules():
     w4 = frozenset(range(4))
     half = frozenset([0, 2])
     red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, half)
-    p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
-    assert _diag_rules(p) == ["d-prime-ramification"]
+    assert _diag_rules("v", "finite", C4, 5, 5, w4, half, red) == [
+        "d-prime-ramification"]
 
 
 def test_potmult_dprime_index_is_checked_once_per_key(monkeypatch):
@@ -508,14 +495,14 @@ def test_potmult_dprime_index_is_checked_once_per_key(monkeypatch):
     w4 = frozenset(range(4))
     half = frozenset([0, 2])
     red = AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, half)
-    p = PlaceDescriptor("v", "finite", C4, 5, 5, w4, half, red)
-    assert _diag_rules(p) == ["d-prime-ramification"]
+    assert _diag_rules("v", "finite", C4, 5, 5, w4, half, red) == [
+        "d-prime-ramification"]
     closures = []
     real = PermGroup.closure
     monkeypatch.setattr(PermGroup, "closure", lambda self, seeds:
                         closures.append(seeds) or real(self, seeds))
-    again = PlaceDescriptor("w", "finite", C4, 5, 5, w4, half, red)
-    assert _diag_rules(again) == ["d-prime-ramification"]
+    assert _diag_rules("w", "finite", C4, 5, 5, w4, half, red) == [
+        "d-prime-ramification"]
     assert closures == []
 
 
@@ -865,22 +852,20 @@ def test_root_datum_good_and_archimedean():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
     p = finite_place(C2, w, frozenset([0]), Good(), l=5, q=5)
-    rd = root_datum(p)
+    rd = p.root_datum
     assert rd.lam == 1 and rd.v is None and v_dimension(rd) == 0
 
     real = PlaceDescriptor("oo", "real")
-    validate_place(real)
-    rd = root_datum(real)
+    rd = real.root_datum
     assert rd.lam == -1 and rd.v is None
 
     cplx = PlaceDescriptor("oo'", "complex")
-    validate_place(cplx)
-    assert root_datum(cplx).lam == -1
+    assert cplx.root_datum.lam == -1
 
 
 def test_root_datum_split_mult_is_trivial_character():
     p = d21_split_place()
-    rd = root_datum(p)
+    rd = p.root_datum
     assert rd.lam == 1
     assert rd.v is not None
     assert all(v == 1 for v in rd.v.values())
@@ -892,7 +877,7 @@ def test_root_datum_nonsplit_mult():
     C4 = cyclic_group(4)
     w4 = frozenset(range(4))
     p = finite_place(C4, w4, frozenset([0]), NonsplitMult(1), l=3, q=3)
-    rd = root_datum(p)
+    rd = p.root_datum
     assert rd.lam == 1
     assert sorted(rd.v.values()) == [-1, -1, 1, 1]
     # eta is trivial exactly on the squares, the unique index-2 subgroup.
@@ -905,7 +890,7 @@ def test_root_datum_nonsplit_mult():
     C3 = cyclic_group(3)
     w3 = frozenset(range(3))
     podd = finite_place(C3, w3, frozenset([0]), NonsplitMult(1), l=2, q=2)
-    rdo = root_datum(podd)
+    rdo = podd.root_datum
     assert rdo.lam == 1 and rdo.v is None
 
 
@@ -913,24 +898,24 @@ def test_root_datum_cyclic_additive():
     C3 = cyclic_group(3)
     w3 = frozenset(range(3))
     p = finite_place(C3, w3, w3, AddPotGood(4, SQ_TRIV, SQ_TRIV), l=7, q=7)
-    rd = root_datum(p)
+    rd = p.root_datum
     assert rd.v is None
     assert rd.lam == kronecker_symbol(-3, 7) == 1
 
     p2 = finite_place(C3, w3, w3, AddPotGood(4, SQ_TRIV, SQ_TRIV, lambda_override=-1),
                       l=13, q=13)
-    assert root_datum(p2).lam == -1
+    assert p2.root_datum.lam == -1
 
     # Ramification degree 2 uses the (-1 | q) sign.
     C2 = cyclic_group(2)
     w2 = frozenset(range(2))
     p3 = finite_place(C2, w2, w2, AddPotGood(6, SQ_TRIV, SQ_TRIV), l=7, q=7)
-    assert root_datum(p3).lam == kronecker_symbol(-1, 7) == -1
+    assert p3.root_datum.lam == kronecker_symbol(-1, 7) == -1
 
 
 def test_root_datum_dihedral():
     p = s3_dihedral_place(delta=4, q=5)
-    rd = root_datum(p)
+    rd = p.root_datum
     # The cyclic-case sign would be (-3 | 5) = -1; dihedral flips it.
     assert rd.lam == -kronecker_symbol(-3, 5) == 1
     assert v_dimension(rd) == 4
@@ -961,7 +946,7 @@ def test_root_datum_dihedral_character_is_genuine():
         assert got, spec
         places.extend(got[:1])
     for p in places:
-        rd = root_datum(p)
+        rd = p.root_datum
         v = v_on_standalone_dv(p, rd)
         table = character_table(v.group)
         mults = [inner_product(v, chi) for chi in table.irreducibles]
@@ -977,7 +962,7 @@ def test_root_datum_dihedral_factors_through_dprime():
     # With D' = C_7 inside the order-42 group, V is pulled back from the S_3
     # quotient: constant on D', and reading e, rho, s off the element order.
     p = d21_dihedral_place()
-    rd = root_datum(p)
+    rd = p.root_datum
     assert rd.lam == -kronecker_symbol(-3, 5) == 1
     expected = {1: 4, 7: 4, 3: 1, 21: 1, 2: 0}
     assert len(rd.v) == p.group.order == 42
@@ -988,18 +973,18 @@ def test_root_datum_dihedral_factors_through_dprime():
 
 def test_root_datum_potentially_multiplicative():
     p = c2_potmult_place(q=13)
-    rd = root_datum(p)
+    rd = p.root_datum
     assert rd.lam == kronecker_symbol(-1, 13) == 1
     assert sorted(rd.v.values()) == [-1, 1]
 
     # q = 7: the ramified lambda flips sign.
     p7 = c2_potmult_place(q=7)
-    assert root_datum(p7).lam == kronecker_symbol(-1, 7) == -1
+    assert p7.root_datum.lam == kronecker_symbol(-1, 7) == -1
 
     # No D' (-c6 stays non-square in the top field): lambda is still
     # (-1 | q), and V = 0.
     p_no = c2_potmult_place(q=7, minus_c6=sq(1, False))
-    rdn = root_datum(p_no)
+    rdn = p_no.root_datum
     assert rdn.lam == -1 and rdn.v is None
 
     # An unramified -c6 (even valuation) would give lambda = +1, but
@@ -1007,8 +992,7 @@ def test_root_datum_potentially_multiplicative():
     C3 = cyclic_group(3)
     w3 = frozenset(range(3))
     red = AddPotMult(1, SQ_UNIT, SQ_TRIV, SQ_UNIF, None)
-    p_un = PlaceDescriptor("v", "finite", C3, 5, 5, w3, w3, red)
-    assert _diag_rules(p_un) == ["not-additive"]
+    assert _diag_rules("v", "finite", C3, 5, 5, w3, w3, red) == ["not-additive"]
 
 
 def restricted_pairing(p, chi, rd):
@@ -1035,11 +1019,11 @@ def test_root_datum_is_kept_on_the_place(make):
         "1G", "1S", "1NS"}
     irrs = character_table(G).irreducibles
     for p in places:
-        rd = root_datum(p)
-        assert root_datum(p) is rd
+        rd = p.root_datum
+        assert p.root_datum is rd
         if not p.is_finite():
             continue
-        fresh = _root_datum(p)
+        fresh = replace(p).root_datum  # an equal place, nothing kept
         assert fresh is not rd and fresh == rd
         for chi in irrs:
             want = int(chi.degree()) * (rd.lam == -1)
@@ -1049,18 +1033,18 @@ def test_root_datum_is_kept_on_the_place(make):
 
 
 def test_revalidation_drops_the_kept_root_datum():
-    # a nonsplit place with D_v = C2 and I_v = 1 has V = (1, -1); once its
-    # reduction is made split and the place validated again, root_datum
-    # reads V = (1, 1), as a fresh split place does
+    # a nonsplit place with D_v = C2 and I_v = 1 has V = (1, -1); the place
+    # remade with split reduction reads V = (1, 1), as a fresh split place
+    # does, and the nonsplit place keeps its own datum
     C2 = cyclic_group(2)
     w = frozenset(range(2))
     p = finite_place(C2, w, frozenset([0]), NonsplitMult(1), l=5, q=5)
-    assert root_datum(p).v == {0: 1, 1: -1}
-    p.reduction = SplitMult(1)
-    assert validate_place(p) == []
+    assert p.root_datum.v == {0: 1, 1: -1}
+    split = replace(p, reduction=SplitMult(1))
     fresh = finite_place(C2, w, frozenset([0]), SplitMult(1), l=5, q=5)
-    assert root_datum(fresh).v == {0: 1, 1: 1}
-    assert root_datum(p) == root_datum(fresh)
+    assert fresh.root_datum.v == {0: 1, 1: 1}
+    assert split.root_datum == fresh.root_datum
+    assert split == fresh and p.root_datum.v == {0: 1, 1: -1}
 
 
 @pytest.mark.parametrize("case", ["2D", "2M"])
@@ -1075,7 +1059,7 @@ def test_u_contribution_at_appendix_places_with_v(case):
     for spec in specs:
         pairings = {}
         for p in appendix_places(case, spec):
-            rd = root_datum(p)
+            rd = p.root_datum
             if rd.v is None:
                 continue
             assert reduction_case(p) == case
@@ -1100,7 +1084,7 @@ def test_root_datum_rejects_a_v_that_is_not_rational():
     p = finite_place(C3, w3, frozenset([0]), SplitMult(1))
     with pytest.raises(ExactCheckError, match="not rational"):
         _with_v(p, 1, lambda x: 2 if x == 1 else 1)
-    assert _with_v(p, 1, lambda x: 1) == root_datum(p)
+    assert _with_v(p, 1, lambda x: 1) == p.root_datum
 
 
 def test_default_additive_lambda_table():
@@ -1128,7 +1112,6 @@ def test_u_contribution_trivial_character():
     assert local_u_contribution(good, triv) == 0
 
     real = PlaceDescriptor("oo", "real")
-    validate_place(real)
     # lambda = -1 and V = 0: the contribution is dim(chi) mod 2.
     assert local_u_contribution(real, triv) == 1
 

@@ -10,7 +10,7 @@ import pytest
 from appendix_places import appendix_places
 
 from krel import curvelocal, harness
-from krel.curvelocal import local_ef, reduction_case, root_datum, tamagawa
+from krel.curvelocal import local_ef, reduction_case, tamagawa
 from krel.groups import (PermGroup, cyclic_group, dihedral_group,
                          metacyclic_group)
 from krel.harness import (_DELTAS, MetacyclicSpec, _check_function,
@@ -129,7 +129,7 @@ def distinct_places(case, spec):
     """The places that the sweep of (case, spec) validates, one per
     reduction datum, and at 2M one per (datum, lambda): lambda = (-1 | q)
     is how q enters a potentially multiplicative one-place model."""
-    return list({(p.reduction, root_datum(p).lam if case == "2M" else None): p
+    return list({(p.reduction, p.root_datum.lam if case == "2M" else None): p
                  for p in appendix_places(case, spec)}.values())
 
 
@@ -481,7 +481,7 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
     # once per key; the D' rules and every place's root datum read D_v in
     # G's own element indices, so no group besides G is ever built
     counts = {name: Counter() for name in ("pair", "dihedral")}
-    places, validated, built = [], [], []
+    places, built = [], []
 
     def counting(name, module, attr, key):
         real = getattr(module, attr)
@@ -499,24 +499,21 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
         built.append(self)
         real_init(self, *args, **kwargs)
     monkeypatch.setattr(PermGroup, "__init__", init)
-    real_validate = harness.validate_place
+    real_place = harness._whole_group_place
 
-    def validate(p):
-        places.append(p)
-        validated.append(p.validated)
-        return real_validate(p)
-    monkeypatch.setattr(harness, "validate_place", validate)
+    def place(*args):
+        places.append(real_place(*args))
+        return places[-1]
+    monkeypatch.setattr(harness, "_whole_group_place", place)
 
     spec = MetacyclicSpec(4, 3, -1)
     rows = appendix_tamagawa_check("2D", spec)
     assert all(r.passed for r in rows)
-    for p in places:
-        curvelocal.root_datum(p)
+    assert all(p.root_datum.lam in (1, -1) for p in places)
     G = places[0].group
     assert built == [G] and all(p.group is G for p in places)
-    assert len(validated) * len(quadratic_probe_fields(G)) == len(rows)
-    assert not any(validated)  # each place is fresh when it is validated
+    assert len(places) * len(quadratic_probe_fields(G)) == len(rows)
     for name, counter in counts.items():
         assert counter, name
         assert set(counter.values()) == {1}, name
-    assert len(validated) > sum(counts["dihedral"].values())
+    assert len(places) > sum(counts["dihedral"].values())

@@ -10,7 +10,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.specialpolys import dup_zz_cyclotomic_poly
 
-from krel.curvelocal import Good, PlaceDescriptor, validate_place
+from krel.curvelocal import Good, InvalidPlace, PlaceDescriptor
 from krel.exactmath import (
     PSI_13,
     FactorBoundError,
@@ -101,8 +101,8 @@ def test_validate_place_with_a_huge_residue_characteristic_is_a_diagnostic():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
     for l in (PSI_13, M89):
-        place = PlaceDescriptor("w", "finite", C2, l, l, w, frozenset([0]),
-                                Good())
-        diags = validate_place(place)
+        with pytest.raises(InvalidPlace) as exc:
+            PlaceDescriptor("w", "finite", C2, l, l, w, frozenset([0]), Good())
+        diags = exc.value.diagnostics
         assert [d.rule for d in diags] == ["residue-size"]
         assert str(PSI_13) in diags[0].message

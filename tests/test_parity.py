@@ -3,6 +3,7 @@ relations test's multiplier and relation."""
 
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,9 @@ import pytest
 from krel import parity
 from krel.characters import character_table, fs_indicator, perm_character, \
     rational_irreducibles
-from krel.curvelocal import AddPotGood, AddPotMult, Good, PlaceDescriptor, \
-    SplitMult, SquareClassLocal, local_ef, local_u_contribution, tamagawa, \
-    validate_place
+from krel.curvelocal import AddPotGood, AddPotMult, Good, InvalidPlace, \
+    NonsplitMult, PlaceDescriptor, SplitMult, SquareClassLocal, local_ef, \
+    local_u_contribution, tamagawa, validate_place
 from krel.groups import (alternating4_group, cyclic_group, dihedral_group,
                          group_from_cycles, metacyclic_group,
                          quaternion_group, subgroup_rep)
@@ -402,21 +403,53 @@ def test_model_refuses_a_place_on_another_group():
     assert CurveLocalModel(S3, [p]).places == (p,)
 
 
-def test_a_place_invalidated_after_construction_is_refused():
+def test_places_and_models_are_frozen():
     S3 = dihedral_group(3)
     p = s3_split_place(S3)
     model = CurveLocalModel(S3, [p], rational_base=True)
-    theta = k_relation_basis(S3, -1).basis[0]
-    assert theorem_main_check(model, theta, -1).congruent
-    p.reduction = SplitMult(0)
-    assert validate_place(p)
-    chi = character_table(S3).irreducibles[0]
-    for call in (lambda: global_C_product(model, theta),
-                 lambda: theorem_main_check(model, theta, -1),
-                 lambda: global_root_sign(model, chi)):
-        with pytest.raises(ValueError,
-                           match="model contains unvalidated place 'v'"):
-            call()
+    for f in fields(PlaceDescriptor):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, f.name, None)
+    with pytest.raises(FrozenInstanceError):
+        model.places = (p,)
+    assert model.places == (p, PlaceDescriptor("oo", "real"))
+    assert hash(p) == hash(replace(p))
+
+
+def test_a_changed_place_makes_a_new_model():
+    # D_v = C2, I_v = 1 on S3, theta every subgroup class once: the model of
+    # the split place keeps its values once the place is remade nonsplit
+    S3 = dihedral_group(3)
+    p = hand_place(S3, "v", subgroup_rep(S3, "2.1"), [0], SplitMult(3))
+    theta = {c.id: 1 for c in S3.subgroup_classes()}
+    split = CurveLocalModel(S3, [p])
+    assert global_C_product(split, theta) == 2187
+    assert list(split.u_exponents.values()) == [1, 0, 1]
+    nonsplit = CurveLocalModel(S3, [replace(p, reduction=NonsplitMult(3))])
+    assert global_C_product(nonsplit, theta) == 243
+    assert list(nonsplit.u_exponents.values()) == [0, 1, 1]
+    assert global_C_product(split, theta) == 2187
+    assert list(split.u_exponents.values()) == [1, 0, 1]
+
+
+def test_an_invalid_replace_raises_invalid_place():
+    S3 = dihedral_group(3)
+    p = s3_split_place(S3)
+    with pytest.raises(InvalidPlace, match="invalid place 'v': "
+                                           "quotient-cyclic") as exc:
+        replace(p, isub=frozenset([0]))
+    assert isinstance(exc.value, ValueError)
+    assert [d.rule for d in exc.value.diagnostics] == ["quotient-cyclic"]
+
+
+def test_global_root_sign_refuses_a_character_of_another_group():
+    S3 = dihedral_group(3)
+    model = CurveLocalModel(S3, [s3_split_place(S3)], rational_base=True)
+    for G in (cyclic_group(3), cyclic_group(2), dihedral_group(3)):
+        chi = character_table(G).irreducibles[-1]
+        with pytest.raises(ValueError, match="not a character of the "
+                                             "model's group"):
+            global_root_sign(model, chi)
 
 
 def test_theorem_check_refuses_a_theta_that_is_not_a_relation():

@@ -38,7 +38,6 @@ from krel.regconst import (
     reg_const_perm,
     reg_const_rational_irr,
 )
-from krel.curvelocal import root_datum
 from krel.harness import (MetacyclicSpec, _v_fixed_det, build_metacyclic,
                           quadratic_probe_fields)
 from test_double_coset_memo import naive_double_cosets
@@ -879,7 +878,7 @@ def test_appendix_v_module_agrees_with_the_matrix_model():
         built, rotation, frobenius = build_metacyclic(spec)
         assert built.elements == G.elements  # so the indices agree
         rep = dihedral_v_rep(G, spec.e, rotation, frobenius)
-        v = root_datum(p).v
+        v = p.root_datum.v
         assert [trace(rep.at(x)) for x in range(G.order)] == \
             [v[x] for x in range(G.order)]
         pairing = invariant_pairing(rep)
@@ -910,7 +909,7 @@ def test_v_fixed_det_is_the_index_product_of_the_solved_module():
     for spec in DIHEDRAL_SPECS:
         p = appendix_places("2D", spec)[0]
         G = p.group
-        v = root_datum(p).v
+        v = p.root_datum.v
         cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
         target = [inner_product(chi, cf) for chi in
                   character_table(G).irreducibles]
@@ -942,7 +941,7 @@ def test_rational_multiplicities_match_the_inner_products():
     for spec in DIHEDRAL_SPECS:
         p = appendix_places("2D", spec)[0]
         G = p.group
-        v = root_datum(p).v
+        v = p.root_datum.v
         cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
         got = _rational_multiplicities(G, cf)
         assert got == tuple(inner_product(chi, cf) for chi in
