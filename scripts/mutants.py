@@ -284,6 +284,15 @@ MUTANTS = [
      "        raise ValueError(\"chi is not a character of the model's group\")\n",
      "",
      "global_root_sign takes a character of another group"),
+    (CHARACTERS,
+     "                if fd.degree_factor(d) == 2)",
+     "                if fd.degree_factor(d) == 1)",
+     "K-membership takes the conditions of the chi with "
+     "[K : K ∩ Q(chi)] = 1"),
+    (CURVELOCAL,
+     "    return fe > 2 and q % fe == fe - 1",
+     "    return fe >= 2 and q % fe == fe - 1",
+     "the dihedral criterion admits fe = 2"),
 ]
 
 # Mutants that no parity verdict can see, each with the reason.  They are

@@ -979,10 +979,10 @@ class GroupData:
     one, are put in Hermite form once, as :attr:`brauer_kernel`.  What
     depends on an irreducible only through its Galois orbit is computed
     once per orbit from the table's integer multisets: the Galois means,
-    the class weights and the multiplicity columns.  The K-relation
-    lattice of a quadratic field depends only on its set of parity
-    conditions (:attr:`parity_masks`), so it is reduced once per set and
-    kept in ``k_lattices``.
+    the class weights and the multiplicity columns.  A quadratic field's
+    K-relation rule is its set of parity conditions (:meth:`k_conditions`),
+    made once per d; its K-relation lattice depends only on that set, so
+    it is reduced once per set and kept in ``k_lattices``.
     """
 
     def __init__(self, group: PermGroup):
@@ -993,15 +993,12 @@ class GroupData:
         # (class id of H, class id of D) -> det of the H-fixed part of
         # Q[G/D], for krel.regconst.perm_fixed_det
         self.fixed_dets: dict[tuple[str, str], Fraction] = {}
-        # (d, nonzero terms of theta) -> verdict of is_k_relation
-        self.k_relation_verdicts: dict[tuple, bool] = {}
-        # the structural rules of a place, checked once per key by
-        # krel.curvelocal: (D_v, I_v) -> decomposition_pair_problem,
-        # (D_v, I_v, D', |D_v/D'| / 2) -> the dihedral D' rules,
-        # ("d-prime-index", D_v, D') -> the 2M one
+        # (rule, key) -> the verdict of a place's structural rule, the
+        # function that checks it, for krel.curvelocal._place_rule
         self.place_problems: dict[tuple, object] = {}
-        # the parity conditions of a quadratic field, as a frozenset of
-        # parity_masks -> (Hermite rows, odd masks) of its K-relation
+        # d -> its parity conditions, for k_conditions
+        self._k_conditions: dict[int, frozenset[int]] = {}
+        # parity conditions -> (Hermite rows, odd masks) of their K-relation
         # lattice, for krel.relations.k_relation_basis
         self.k_lattices: dict[frozenset[int], tuple] = {}
 
@@ -1121,12 +1118,23 @@ class GroupData:
     @cached_property
     def parity_masks(self) -> tuple[int, ...]:
         """For each irreducible chi_j, the int whose bit i is set when
-        mult[i][j] is odd: a relation theta has an even multiplicity of
-        chi_j exactly when its odd coefficients meet this mask in an even
-        number of classes."""
+        mult[i][j] is odd."""
         rows = self.multiplicity_rows
         return tuple(sum(1 << i for i, row in enumerate(rows) if row[j] & 1)
                      for j in range(len(rows[0])))
+
+    def k_conditions(self, d: int) -> frozenset[int]:
+        """The parity conditions of K = Q(sqrt(d)), kept per d: the
+        :attr:`parity_masks` of the chi_j with [K : K ∩ Q(chi_j)] = 2.
+        theta has an even multiplicity of each such chi_j exactly when its
+        odd coefficients meet every condition in an even number of
+        classes."""
+        got = self._k_conditions.get(d)
+        if got is None:
+            got = self._k_conditions[d] = frozenset(
+                mask for mask, fd in zip(self.parity_masks, self.field_data)
+                if fd.degree_factor(d) == 2)
+        return got
 
     @cached_property
     def multiplicity_matrix(self) -> list[list[int]]:

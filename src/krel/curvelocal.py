@@ -214,23 +214,20 @@ def _cyclic_quotient(G: PermGroup, dsub: frozenset[int],
     return any(_order_mod(G, x, isub) == index for x in dsub)
 
 
+def _place_rule(G: PermGroup, rule, *key):
+    """rule(G, *key), a structural rule of a place, checked once per group
+    and (rule, key) and kept on ``G.data.place_problems``."""
+    memo, k = G.data.place_problems, (rule, *key)
+    if k not in memo:
+        memo[k] = rule(G, *key)
+    return memo[k]
+
+
 def decomposition_pair_problem(G: PermGroup, dsub: frozenset[int],
                                isub: frozenset[int]) -> tuple[str, str] | None:
-    """The first rule that (D_v, I_v) breaks, as (rule, message), or None.
-
+    """The first rule that (D_v, I_v) breaks, as (rule, message), or None:
     D_v must be a subgroup, I_v a normal subgroup of it, and D_v/I_v
-    cyclic.  Checked once per group and pair, and kept on
-    ``G.data.place_problems``.
-    """
-    key = (frozenset(dsub), frozenset(isub))
-    memo = G.data.place_problems
-    if key not in memo:
-        memo[key] = _pair_problem(G, *key)
-    return memo[key]
-
-
-def _pair_problem(G: PermGroup, dsub: frozenset[int],
-                  isub: frozenset[int]) -> tuple[str, str] | None:
+    cyclic."""
     if G.closure(dsub) != dsub:
         return "decomposition-closed", "D_v is not a subgroup"
     if not isub <= dsub or G.closure(isub) != isub:
@@ -272,8 +269,11 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
     if G is None or p.dsub is None or p.isub is None or red is None:
         return [Diagnostic("incomplete", "finite place needs group, D_v, I_v "
                            "and reduction data")]
-    if not isinstance(p.dsub, frozenset) or not isinstance(p.isub, frozenset):
-        return [Diagnostic("subgroup-type", "D_v and I_v must be frozensets")]
+    dprime = getattr(red, "dprime", None)
+    if not all(isinstance(s, frozenset) for s in (p.dsub, p.isub, dprime)
+               if s is not None):
+        return [Diagnostic("subgroup-type",
+                           "D_v, I_v and D' must be frozensets")]
     try:
         l_prime = p.l is not None and isprime(p.l)
     except FactorBoundError as exc:
@@ -282,7 +282,7 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
         out.append(Diagnostic("residue-size",
                               f"q = {p.q} is not a power of the prime l = {p.l}"))
         return out
-    problem = decomposition_pair_problem(G, p.dsub, p.isub)
+    problem = _place_rule(G, decomposition_pair_problem, p.dsub, p.isub)
     if problem is not None:
         return [Diagnostic(*problem)]
 
@@ -314,9 +314,11 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
         if red.lambda_override not in (None, 1, -1):
             out.append(Diagnostic("lambda-range", "lambda must be +-1"))
         if reduction_case(p) == CASE_DIHEDRAL:
-            out.extend(_check_dihedral_dprime(p, red.dprime, fe))
+            if problem := _place_rule(G, _dihedral_problem, p.dsub, p.isub,
+                                      dprime, fe):
+                out.append(problem)
         else:
-            if red.dprime is not None:
+            if dprime is not None:
                 out.append(Diagnostic("d-prime-not-needed",
                                       "cyclic case takes no D'"))
             if fe == 6 and not is_square_in_ext(red.delta_class, 1, 1):
@@ -330,53 +332,43 @@ def validate_place(p: PlaceDescriptor) -> list[Diagnostic]:
                                   "v(c6) = 3 at I_n*: -c6 of even valuation "
                                   "means multiplicative reduction"))
         in_f = is_square_in_ext(red.minus_c6_class, e1, f1)
-        if red.dprime is None:
+        if dprime is None:
             if in_f:
                 out.append(Diagnostic(
                     "d-prime-required",
                     "-c6 becomes a square in F_w, so the quadratic subfield "
                     "exists and D' must be given"))
-        else:
-            if not in_f:
-                out.append(Diagnostic(
-                    "d-prime-forbidden",
-                    "-c6 stays non-square in F_w, so no D' exists"))
-            elif _dprime_index_problem(G, p.dsub, red.dprime):
-                out.append(Diagnostic("d-prime-index",
-                                      "D' must be an index-2 subgroup of D_v"))
-            elif p.isub <= red.dprime:
-                out.append(Diagnostic("d-prime-ramification",
-                                      "sqrt(-c6) is ramified: I_v not in D'"))
+        elif not in_f:
+            out.append(Diagnostic(
+                "d-prime-forbidden",
+                "-c6 stays non-square in F_w, so no D' exists"))
+        elif problem := _place_rule(G, _dprime_index_problem, p.dsub,
+                                    dprime):
+            out.append(problem)
+        elif p.isub <= dprime:
+            out.append(Diagnostic("d-prime-ramification",
+                                  "sqrt(-c6) is ramified: I_v not in D'"))
     return out
 
 
-def _dprime_index_problem(G: PermGroup, dsub, dprime) -> bool:
-    """Whether D' fails to be an index-2 subgroup of D_v, checked once per
-    group and (D_v, D') and kept on ``G.data.place_problems``."""
-    key = ("d-prime-index", frozenset(dsub), frozenset(dprime))
-    memo = G.data.place_problems
-    if key not in memo:
-        memo[key] = (G.closure(dprime) != dprime or not dprime <= dsub
-                     or 2 * len(dprime) != len(dsub))
-    return memo[key]
-
-
-def _check_dihedral_dprime(p: PlaceDescriptor, dprime, fe) -> list[Diagnostic]:
-    """The dihedral D' rules, checked once per group and (D_v, I_v, D', fe)
-    and kept on ``G.data.place_problems``."""
-    if dprime is None:
-        return [Diagnostic("d-prime-missing",
-                           "dihedral case needs D' with D_v/D' dihedral")]
-    key = (frozenset(p.dsub), frozenset(p.isub), frozenset(dprime), fe)
-    memo = p.group.data.place_problems
-    if key not in memo:
-        memo[key] = _dihedral_problem(p.group, *key)
-    return [memo[key]] if memo[key] else []
+def _dprime_index_problem(G: PermGroup, dsub: frozenset[int],
+                          dprime: frozenset[int]) -> Diagnostic | None:
+    """The 2M D' rule: D' is an index-2 subgroup of D_v."""
+    if (G.closure(dprime) != dprime or not dprime <= dsub
+            or 2 * len(dprime) != len(dsub)):
+        return Diagnostic("d-prime-index",
+                          "D' must be an index-2 subgroup of D_v")
+    return None
 
 
 def _dihedral_problem(G: PermGroup, dsub: frozenset[int],
-                      isub: frozenset[int], dprime: frozenset[int],
+                      isub: frozenset[int], dprime: frozenset[int] | None,
                       fe: int) -> Diagnostic | None:
+    """The first dihedral D' rule broken: D' given, normal in D_v with
+    D_v/D' dihedral of order 2fe, and inertia onto its rotations."""
+    if dprime is None:
+        return Diagnostic("d-prime-missing",
+                          "dihedral case needs D' with D_v/D' dihedral")
     if G.closure(dprime) != dprime or not dprime <= dsub:
         return Diagnostic("d-prime-subgroup", "D' is not a subgroup of D_v")
     if len(dsub) != 2 * fe * len(dprime):
@@ -400,6 +392,12 @@ def _dihedral_problem(G: PermGroup, dsub: frozenset[int],
     return None
 
 
+def is_dihedral(fe: int, q: int) -> bool:
+    """Case 2D, not 2C: the splitting field's ramification degree fe is
+    above 2 and Frobenius inverts inertia, q = -1 mod fe."""
+    return fe > 2 and q % fe == fe - 1
+
+
 def reduction_case(p: PlaceDescriptor) -> str:
     """Reduction case label: 1G, 1S, 1NS, 2C, 2D or 2M."""
     red = p.reduction
@@ -410,15 +408,13 @@ def reduction_case(p: PlaceDescriptor) -> str:
     if isinstance(red, NonsplitMult):
         return CASE_NONSPLIT
     if isinstance(red, AddPotGood):
-        fe = ram_degree(red.delta)
-        return CASE_DIHEDRAL if fe > 2 and p.q % fe == fe - 1 else CASE_CYCLIC
+        dihedral = is_dihedral(ram_degree(red.delta), p.q)
+        return CASE_DIHEDRAL if dihedral else CASE_CYCLIC
     return CASE_POTMULT
 
 
 def tamagawa(p: PlaceDescriptor, h: frozenset[int]) -> int:
     """Tamagawa number of the curve over the subfield fixed by h."""
-    if isinstance(p.reduction, Good):
-        return 1
     return _tamagawa(p, h, *_place_ef(p, h))
 
 
@@ -432,8 +428,10 @@ def _place_ef(p: PlaceDescriptor, h: frozenset[int]) -> tuple[int, int]:
 
 
 def _tamagawa(p: PlaceDescriptor, h: frozenset[int], e: int, f: int) -> int:
-    """Tamagawa number of a bad place over F_w, the fixed field of h."""
+    """Tamagawa number over F_w, the fixed field of h."""
     red = p.reduction
+    if isinstance(red, Good):
+        return 1
     if isinstance(red, SplitMult):
         return e * red.n
     if isinstance(red, NonsplitMult):

@@ -29,7 +29,7 @@ from .characters import (ClassFunction, _fundamental_discriminant,
 from .curvelocal import (AddPotGood, AddPotMult, Good, InvalidPlace,
                          NonsplitMult, PlaceDescriptor, SplitMult,
                          SquareClassLocal, _cyclic_quotient, _is_prime_power,
-                         is_square_in_ext, ram_degree)
+                         is_dihedral, is_square_in_ext, ram_degree)
 from .exactmath import (PLACE_INF, ExactCheckError, _as_fraction, divisors,
                         factor_bounded, fraction_product,
                         is_norm_from_quadratic, is_squarefree, isprime,
@@ -332,7 +332,7 @@ def appendix_tamagawa_check(case: str,
         for delta in _DELTAS[spec.e]:
             fe = ram_degree(delta)
             for l, q in pool:
-                dihedral = fe > 2 and q % fe == fe - 1
+                dihedral = is_dihedral(fe, q)
                 if delta % 2 or (not dihedral and fe == 6):
                     d_units = (True,)
                 else:
@@ -536,7 +536,7 @@ def appendix_differential_check(e: int, delta: int, l: int, q: int,
         raise ValueError("q must be invertible mod r")
     if not _is_prime_power(q, l):
         raise ValueError(f"q = {q} is not a power of l = {l}")
-    case = "2D" if e > 2 and q % e == e - 1 else "2C"
+    case = "2D" if is_dihedral(e, q) else "2C"
 
     values: dict[int, Fraction] = {}
     subfields: dict[int, tuple[int, ...]] = {}

@@ -83,27 +83,28 @@ def psi_d(n: int, d: int) -> dict[str, int]:
     return out
 
 
-def _multiplicities(G: PermGroup, theta: dict[str, int],
-                    js: Iterable[int]) -> list[int]:
-    """Multiplicities of the irreducibles chi_j, j in js, in the permutation
-    character of theta, summed over its nonzero terms only."""
-    mult = _multiplicity_rows(G)
-    terms = [(mult[G.subgroup_class_by_id(cid).index], c)
-             for cid, c in theta.items() if c]
-    return [sum(c * row[j] for row, c in terms) for j in js]
-
-
 def is_brauer_relation(G: PermGroup, theta: dict[str, int]) -> bool:
     """True when the permutation character of theta vanishes."""
     mult = _multiplicity_rows(G)
-    return not any(_multiplicities(G, theta, range(len(mult[0]))))
+    terms = [(mult[G.subgroup_class_by_id(cid).index], c)
+             for cid, c in theta.items() if c]
+    return not any(sum(c * row[j] for row, c in terms)
+                   for j in range(len(mult[0])))
 
 
-def _parity_test(G: PermGroup, theta: dict[str, int], d: int) -> bool:
-    """The test of :func:`is_k_relation`, computed and not kept."""
-    odd = [j for j, fd in enumerate(G.data.field_data)
-           if fd.degree_factor(d) == 2]
-    return not any(m % 2 for m in _multiplicities(G, theta, odd))
+def _odd_mask(G: PermGroup, theta: dict[str, int]) -> int:
+    """Bit i set when theta is odd at the i-th subgroup class; an unknown
+    class id raises ``KeyError`` at any nonzero coefficient."""
+    by_id, odd = G.subgroup_class_by_id, 0
+    for cid, c in theta.items():
+        if c:
+            odd |= (c & 1) << by_id(cid).index
+    return odd
+
+
+def _meets_evenly(odd: int, cond: Iterable[int]) -> bool:
+    """The K-relation rule: odd meets each condition in an even bit count."""
+    return not odd or not any((odd & c).bit_count() % 2 for c in cond)
 
 
 def is_k_relation(G: PermGroup, theta: dict[str, int], d: int) -> bool:
@@ -112,16 +113,12 @@ def is_k_relation(G: PermGroup, theta: dict[str, int], d: int) -> bool:
     For K = Q(sqrt(d)), d a squarefree integer != 1, the multiplicity of
     each complex irreducible chi in the permutation character must be
     divisible by [K : K ∩ Q(chi)], which is 1 or 2 according to whether
-    sqrt(d) lies in the character field.  The verdict is kept on
-    ``G.data``, keyed by d and the nonzero terms.
+    sqrt(d) lies in the character field: the parity conditions of d
+    (:meth:`~krel.characters.GroupData.k_conditions`) on theta's odd
+    coefficients, the rule that :func:`k_relation_basis` reduces.
     """
     _check_quadratic(d)
-    key = (d, tuple(sorted((cid, c) for cid, c in theta.items() if c)))
-    memo = G.data.k_relation_verdicts
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = _parity_test(G, theta, d)
-    return got
+    return _meets_evenly(_odd_mask(G, theta), G.data.k_conditions(d))
 
 
 @dataclass
@@ -143,9 +140,7 @@ class KRelationLattice:
 
     def __post_init__(self):
         if self.odd_masks is None:
-            by_id = self.group.subgroup_class_by_id
-            self.odd_masks = tuple(sum(1 << by_id(cid).index
-                                       for cid, c in theta.items() if c % 2)
+            self.odd_masks = tuple(_odd_mask(self.group, theta)
                                    for theta in self.basis)
 
     @property
@@ -212,25 +207,22 @@ def gf2_relation_lattice(cond: Iterable[int], s: int) -> list[dict[int, int]]:
 def k_relation_basis(G: PermGroup, d: int) -> KRelationLattice:
     """Basis of the full-rank lattice of K-relations for K = Q(sqrt(d)).
 
-    The parity conditions of :func:`is_k_relation` cut out
-    L = lift(V) + 2Z^s, V their GF(2) kernel; the basis is the Hermite form
-    of L, written straight from the reduced echelon form of V (see
-    :func:`gf2_relation_lattice`).  Each condition is the parity mask of an
-    irreducible chi with [K : K ∩ Q(chi)] = 2
-    (:attr:`~krel.characters.GroupData.parity_masks`), and L depends on d
-    only through that set of masks: the rows and their odd masks are made
-    once per set and kept in ``G.data.k_lattices``, and every d gets its
-    own lattice with fresh basis dicts.  A new set is checked against its
-    conditions as bit masks: s distinct leading columns, and the odd
-    coefficients of each element meeting each condition in an even number
-    of classes.  So the check adds no verdict to the memo.
+    The parity conditions of d
+    (:meth:`~krel.characters.GroupData.k_conditions`), the rule of
+    :func:`is_k_relation`, cut out L = lift(V) + 2Z^s, V their GF(2)
+    kernel; the basis is the Hermite form of L, written straight from the
+    reduced echelon form of V (see :func:`gf2_relation_lattice`).  Each
+    condition is the parity mask of an irreducible chi with
+    [K : K ∩ Q(chi)] = 2, and L depends on d only through that set of
+    masks: the rows and their odd masks are made once per set and kept in
+    ``G.data.k_lattices``, and every d gets its own lattice with fresh
+    basis dicts.  A new set is checked: s distinct leading columns, and
+    each element's odd mask passing the rule of :func:`is_k_relation`.
     """
     _check_quadratic(d)
     data = G.data
     classes = G.subgroup_classes()
-    cond = frozenset(mask for mask, fd in zip(data.parity_masks,
-                                              data.field_data)
-                     if fd.degree_factor(d) == 2)
+    cond = data.k_conditions(d)
     got = data.k_lattices.get(cond)
     if got is None:
         got = data.k_lattices[cond] = _k_lattice_rows(cond, len(classes))
@@ -249,7 +241,7 @@ def _k_lattice_rows(cond: frozenset[int], s: int
         raise ExactCheckError(f"K-relation lattice has rank < {s}")
     odd_masks = tuple(sum(1 << i for i, c in v.items() if c % 2)
                       for v in rows)
-    if any((mask & c).bit_count() % 2 for mask in odd_masks for c in cond):
+    if not all(_meets_evenly(mask, cond) for mask in odd_masks):
         raise ExactCheckError("K-relation basis element fails the parity test")
     return rows, odd_masks
 

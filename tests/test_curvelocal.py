@@ -179,6 +179,21 @@ def test_subgroups_must_be_frozensets():
                            Good()) == ["subgroup-type"]
 
 
+def test_dprime_must_be_a_frozenset():
+    # a list D' would break the root datum and the hash at a 2D place, and
+    # read as the wrong index at a 2M one
+    S3 = dihedral_group(3)
+    rot = subgroup_rep(S3, "3.1")
+    assert _diag_rules("v", "finite", S3, 5, 5, frozenset(range(6)), rot,
+                       AddPotGood(4, SQ_UNIT, SQ_TRIV, None, [0])
+                       ) == ["subgroup-type"]
+    C2 = cyclic_group(2)
+    w = frozenset(range(2))
+    assert _diag_rules("v", "finite", C2, 5, 5, w, w,
+                       AddPotMult(1, SQ_UNIF, SQ_TRIV, SQ_UNIF, [0])
+                       ) == ["subgroup-type"]
+
+
 def test_residue_size_checks():
     C2 = cyclic_group(2)
     w = frozenset(range(2))
@@ -667,6 +682,19 @@ def test_fudge_good_is_one():
     p = finite_place(C2, w, frozenset([0]), Good(), l=5, q=5)
     assert fudge_C(p, w) == 1
     assert fudge_C(p, frozenset([0])) == 1
+
+
+def test_good_place_checks_h_like_every_reduction():
+    # D_v trivial: H = C2 is no subgroup of it, at a good place as at a
+    # split multiplicative one
+    C2 = cyclic_group(2)
+    one = frozenset([0])
+    for red in (Good(), SplitMult(1)):
+        p = finite_place(C2, one, one, red, l=5, q=5)
+        for fn in (tamagawa, fudge_C):
+            assert fn(p, one) == 1
+            with pytest.raises(ValueError, match="H must be a subgroup"):
+                fn(p, frozenset(range(2)))
 
 
 def test_fudge_multiplicative_equals_tamagawa():

@@ -481,7 +481,7 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
     # once per key; the D' rules and every place's root datum read D_v in
     # G's own element indices, so no group besides G is ever built
     counts = {name: Counter() for name in ("pair", "dihedral")}
-    places, built = [], []
+    rules, places, built = {}, [], []
 
     def counting(name, module, attr, key):
         real = getattr(module, attr)
@@ -490,8 +490,10 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
             counts[name][key(args)] += 1
             return real(*args)
         monkeypatch.setattr(module, attr, wrapper)
+        rules[name] = wrapper
 
-    counting("pair", curvelocal, "_pair_problem", lambda a: a[1:])
+    counting("pair", curvelocal, "decomposition_pair_problem",
+             lambda a: a[1:])
     counting("dihedral", curvelocal, "_dihedral_problem", lambda a: a[1:])
     real_init = PermGroup.__init__
 
@@ -517,3 +519,7 @@ def test_place_structure_is_checked_once_per_key(monkeypatch):
         assert counter, name
         assert set(counter.values()) == {1}, name
     assert len(places) > sum(counts["dihedral"].values())
+    # the memo holds one (rule, key) entry per check and nothing else
+    assert set(G.data.place_problems) == {
+        (rules[name], *key) for name, counter in counts.items()
+        for key in counter}

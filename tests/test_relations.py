@@ -36,6 +36,7 @@ from krel.curvelocal import decomposition_pair_problem, local_ef
 from krel.relations import (
     BRAUER,
     KRelationLattice,
+    _multiplicity_rows,
     brauer_basis,
     eval_on_theta,
     find_norm_relation,
@@ -49,6 +50,7 @@ from krel.relations import (
 from character_oracles import galois_orbit
 from local_functions import local_fn
 from test_lift_and_lattice import TABLE_GROUPS
+from test_parity import WALK_GROUPS
 
 SAMPLE = {}
 
@@ -276,11 +278,49 @@ def test_both_constructors_return_the_hermite_form(name):
         assert hermite_row_basis(rows) == rows
 
 
-def test_k_relation_basis_keeps_no_verdicts():
-    G = group_from_cycles(4, ["(1 2 3 4)", "(1 2)"], name="S4")
-    for d in (-1, 2, -3, 5):
-        k_relation_basis(G, d)
-    assert G.data.k_relation_verdicts == {}
+def multiplicity_k_rule(G, theta, d):
+    """The K-relation rule read from the multiplicities: each chi_j with
+    [K : K ∩ Q(chi_j)] = 2 occurs an even number of times in the
+    permutation character of theta."""
+    mult = _multiplicity_rows(G)
+    terms = [(mult[G.subgroup_class_by_id(cid).index], c)
+             for cid, c in theta.items() if c]
+    return all(sum(c * row[j] for row, c in terms) % 2 == 0
+               for j, fd in enumerate(G.data.field_data)
+               if fd.degree_factor(d) == 2)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GROUPS))
+def test_k_membership_matches_the_multiplicity_rule(name):
+    # random theta, and each K-basis element with one odd unit added, over
+    # the probe fields and every quadratic subfield of a character field
+    G = WALK_GROUPS[name]()
+    rng = random.Random(f"k-rule/{name}")
+    ids = [c.id for c in G.subgroup_classes()]
+    fields = {-1, 2, -3, 5}.union(*(fd.quadratic_subfields
+                                     for fd in G.data.field_data))
+    seen = set()
+    for d in sorted(fields):
+        thetas = [{cid: rng.randint(-3, 3)
+                   for cid in rng.sample(ids, rng.randint(1, len(ids)))}
+                  for _ in range(20)]
+        for b in k_relation_basis(G, d).basis:
+            unit = rng.choice(ids)
+            thetas.append({**b, unit: b.get(unit, 0) + rng.choice((-1, 1))})
+        for theta in thetas:
+            got = is_k_relation(G, theta, d)
+            assert got == multiplicity_k_rule(G, theta, d), (d, theta)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_unknown_class_is_refused_at_any_nonzero_coefficient():
+    # the rule reads odd coefficients only, but every term is looked up
+    S3 = sample("S3")
+    for theta in ({"1.1": 1, "5.9": 2}, {"5.9": -2}, {"5.9": 1}):
+        with pytest.raises(KeyError, match="5.9"):
+            is_k_relation(S3, theta, -1)
+    assert is_k_relation(S3, {"1.1": 2, "5.9": 0}, -1)
 
 
 def test_corrupt_k_relation_basis_is_refused(monkeypatch):
