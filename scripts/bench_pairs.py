@@ -15,10 +15,13 @@ run it deletes every ``__pycache__`` in both checkouts, and it runs with
 
 The output file has, per workload, the median and quartiles (inclusive
 method) of each side for every end-to-end metric, ``change_wins`` (the
-pairs where the change's value is lower), the digests, reference verdicts
-and failure counts of each side, and every run.  The exit status is 1 when
-a run fails an operation or the two sides' digests differ.  Standard
-library only.
+pairs where the change's value is lower), a verdict per metric, the
+digests, reference verdicts and failure counts of each side, and every
+run.  Each metric's bound, a fraction of the parent's median, and its
+better direction are read from ``BENCHMARK.json`` at the root of this
+script's checkout; :func:`verdict` says how they are used.  The exit
+status is 1 when a run fails an operation or the two sides' digests
+differ.  Standard library only.
 """
 
 import argparse
@@ -30,8 +33,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20  # the run_seconds of BENCHMARK.json
 SIDES = ("parent", "change")
+# BENCHMARK.json's end-to-end metrics by name, each with its bound and
+# better direction
+END_TO_END = {m["name"]: m for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def _clean(root: Path) -> None:
@@ -73,6 +81,46 @@ def summarize(runs: dict[str, list[dict[str, float]]]) -> dict[str, dict]:
     return out
 
 
+def verdict(parent: list[float], change: list[float], bound: float,
+            better: str) -> str:
+    """``regressed``, ``gain``, ``unresolved`` or ``unchanged`` for one
+    metric, from the runs of each side in pair order.
+
+    With values signed so that lower is better, and the spread the
+    distance between the parent's quartiles: ``regressed`` when the
+    change's median is worse than the parent's by more than ``bound``
+    times the parent's median; ``gain`` when the change wins at least
+    nine tenths of the pairs, ties for neither, and its median is better
+    by more than the spread; ``unresolved`` when the spread is wider than
+    the bound, unless every run of the change is better than every run of
+    the parent; ``unchanged`` otherwise.
+    """
+    sign = 1 if better == "lower" else -1
+    p = [sign * x for x in parent]
+    c = [sign * x for x in change]
+    q1, pm, q3 = statistics.quantiles(p, n=4, method="inclusive")
+    cm = statistics.median(c)
+    limit = bound * abs(pm)
+    if cm - pm > limit:
+        return "regressed"
+    wins = sum(y < x for x, y in zip(p, c))
+    if 10 * wins >= 9 * len(p) and pm - cm > q3 - q1:
+        return "gain"
+    if q3 - q1 > limit and not max(c) < min(p):
+        return "unresolved"
+    return "unchanged"
+
+
+def verdicts(runs: dict[str, list[dict[str, float]]],
+             end_to_end: dict[str, dict]) -> dict[str, str]:
+    """The :func:`verdict` of each metric of ``end_to_end``, the entries
+    of BENCHMARK.json's ``end_to_end`` list by name."""
+    return {name: verdict([r[name] for r in runs["parent"]],
+                          [r[name] for r in runs["change"]],
+                          spec["bound"], spec["better"])
+            for name, spec in end_to_end.items()}
+
+
 def _workload(roots: dict[str, Path], workload: str, seed: int,
               pairs: int) -> tuple[dict, dict]:
     runs = {s: [] for s in SIDES}
@@ -98,6 +146,7 @@ def _workload(roots: dict[str, Path], workload: str, seed: int,
         "command": (f"python3 perfbench/run.py --workload {workload} "
                     f"--seed {seed} --seconds {SECONDS} --trace 0"),
         "metrics": summarize(runs),
+        "verdicts": verdicts(runs, END_TO_END),
         "digest": digests, "reference": references, "failed": failed,
         "runs": runs,
     }, env
@@ -122,10 +171,12 @@ def main(argv: list[str] | None = None) -> int:
         "checkout, PYTHONDONTWRITEBYTECODE=1 and no __pycache__ in either "
         "checkout before each run; medians and quartiles (inclusive "
         "method) of each side; change_wins counts pairs where the "
-        "change's value is lower"), "workloads": {}}
+        "change's value is lower; verdicts as scripts/bench_pairs.py's "
+        "verdict() defines them"), "workloads": {}}
     bad = []
     for workload in args.workload:
         got, env = _workload(roots, workload, args.seed, args.pairs)
+        print(f"{workload} verdicts: {got['verdicts']}", file=sys.stderr)
         report["host"] = report["host"] or env
         report["workloads"][workload] = got
         if any(got["failed"].values()):

@@ -33,7 +33,8 @@ DEFAULT_TESTS = ("tests/test_curvelocal.py", "tests/test_parity.py",
                  "tests/test_harness.py", "tests/test_relations.py",
                  "tests/test_regconst.py", "tests/test_groups.py",
                  "tests/test_groupdata.py", "tests/test_characters.py",
-                 "tests/test_lift_and_lattice.py")
+                 "tests/test_lift_and_lattice.py",
+                 "tests/test_brauer_parity.py")
 
 CHARACTERS = "src/krel/characters.py"
 CURVELOCAL = "src/krel/curvelocal.py"
@@ -293,6 +294,22 @@ MUTANTS = [
      "    return fe > 2 and q % fe == fe - 1",
      "    return fe >= 2 and q % fe == fe - 1",
      "the dihedral criterion admits fe = 2"),
+    (CURVELOCAL,
+     "        return Fraction(tamagawa(p, h))\n",
+     "        return Fraction(tamagawa(p, h)) * (\n"
+     "            241 if p.name == \"v0\" and len(h) == 1 else 1)\n",
+     "fudge_C gains 241, a norm from Q(i), Q(sqrt 2), Q(sqrt -3) and "
+     "Q(sqrt 5) but no square, at the trivial subgroup of place v0"),
+    (CURVELOCAL,
+     "    m = fraction_sum(((means[k], w) for k, w in rd.v_terms), "
+     "len(p.dsub))",
+     "    m = fraction_sum(((means[k], w) for k, w in rd.v_terms), "
+     "p.group.order)",
+     "V's pairing divides by |G| instead of |D_v|"),
+    (CHARACTERS,
+     "        if self.table_index is not None:\n            ((_, dim),) = ",
+     "        if False:\n            ((_, dim),) = ",
+     "an irreducible of the table reads its degree from a cyclotomic value"),
 ]
 
 # Mutants that no parity verdict can see, each with the reason.  They are

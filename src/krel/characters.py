@@ -24,7 +24,11 @@ g: the other classes hold the unit powers g^k, and rho(g^k) has the
 eigenvalues of rho(g) raised to the k-th power, so their multisets are
 relabellings, exact with no further lift.  The orthogonality check, the
 field degrees, the values and their sort keys are all integer arithmetic;
-each value becomes a :class:`CycNumber` once, at the end.
+each value becomes a :class:`CycNumber` once, at the end.  That build is
+the only engine code that makes or reads one on the theorem and appendix
+paths: an irreducible's degree is its multiset at the identity
+(:meth:`ClassFunction.degree`), and every other reduction reads the
+integer records below.
 
 The table keeps each irreducible's multisets at the first classes
 (``CharacterTable.multisets``), and the Galois action is read from them:
@@ -37,9 +41,9 @@ stabilisers, and ``rational_irreducibles`` reads the orbits.
 Every rational reduction of character values instead reads the Galois
 means Tr(chi(g))/phi, one cached tuple per class function
 (``ClassFunction.galois_means``): class weights, Frobenius-Schur
-indicators, the orbit sums (|orbit| times the means) and the local
-root-number pairings of ``curvelocal``.  For the irreducibles of the
-table the means come from the multisets too, once per Galois orbit and
+indicators and the local root-number pairings of ``curvelocal``, which
+also give the multiplicities of the appendix's V.  For the irreducibles of
+the table the means come from the multisets too, once per Galois orbit and
 with no cyclotomic value: Tr(zeta_n^j)/phi(n) is
 mu(m)/phi(m) for m = n/gcd(n, j), so the class weights are integer sums
 (``GroupData.class_weights``), the means are the weights over the class
@@ -103,6 +107,13 @@ class ClassFunction:
         return self.values[self.group.class_of(i)]
 
     def degree(self) -> Fraction:
+        """chi(1).  An irreducible of the table reads its eigenvalue
+        multiset at the identity, ((0, chi(1)),), with no cyclotomic value;
+        any other class function reads its value there."""
+        if self.table_index is not None:
+            ((_, dim),) = character_table(
+                self.group).multisets[self.table_index][0]
+            return Fraction(dim)
         return self.values[0].rational_value()
 
     @cached_property
@@ -201,7 +212,6 @@ class CharacterTable:
 @dataclass
 class RationalCharacter:
     label: str
-    sum_values: ClassFunction
     constituent: ClassFunction
     constituent_index: int
     orbit_indices: tuple[int, ...]
@@ -899,20 +909,6 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     return tot.rational_value() / G.order
 
 
-def _rational_class_values(v: ClassFunction) -> list[Fraction]:
-    """The values of a rational virtual character v, one per rational
-    class, read at its first class; ValueError when v is not rational or
-    not constant on a rational class."""
-    if not v.is_rational():
-        raise ValueError("character values must be rational")
-    vals = [x.rational_value() for x in v.values]
-    orbits = v.group.data.rational_classes
-    if any(vals[c] != vals[orbit[0]] for orbit in orbits for c in orbit):
-        raise ValueError("not a virtual character: not constant on a "
-                         "rational class")
-    return [vals[o[0]] for o in orbits]
-
-
 def fs_indicator(chi: ClassFunction) -> int:
     """Frobenius-Schur indicator (1/|G|) * sum of chi(g^2) of a character.
 
@@ -1172,12 +1168,10 @@ class GroupData:
     @cached_property
     def rational_irreducibles(self) -> tuple[RationalCharacter, ...]:
         """The Galois orbits of the table (``CharacterTable.orbits``), in
-        the order of their least member, each with its sum and the
-        indicator of that member.  The orbit sum is rational: |orbit| times
-        the Galois means of the member.
-        """
-        G = self.group
-        table = character_table(G)
+        the order of their least member, each with that member and its
+        indicator.  No orbit sum is built: the engine reads a rational
+        irreducible through its constituent and its orbit."""
+        table = character_table(self.group)
         out = []
         for idx, chi in enumerate(table.irreducibles):
             members = table.orbits[idx]
@@ -1185,8 +1179,6 @@ class GroupData:
                 continue
             out.append(RationalCharacter(
                 label=f"tau_{len(out) + 1}",
-                sum_values=ClassFunction(G, tuple(
-                    len(members) * m for m in chi.galois_means)),
                 constituent=chi,
                 constituent_index=idx,
                 orbit_indices=members,

@@ -174,7 +174,7 @@ class RootDatum:
     """The local sign lambda and V, a character of D_v: ``v`` maps each x
     in D_v (G's element indices) to V(x), None when V = 0; ``v_terms`` has
     (class k of G, sum of V(x) over x in D_v ∩ k), the nonzero terms of
-    <Res chi, V> * |D_v| (see :func:`local_u_contribution`)."""
+    <Res chi, V> * |D_v| (see :func:`v_pairing`)."""
 
     lam: int
     v: dict[int, int] | None = None
@@ -494,7 +494,7 @@ def _with_v(p: PlaceDescriptor, lam: int, value) -> RootDatum:
 
     V is a rational character, so V(x^k) = V(x) for every k prime to the
     order of x; that is what lets the pairing with a character of G read
-    Galois means (see :func:`local_u_contribution`), and it is checked.
+    Galois means (see :func:`v_pairing`), and it is checked.
     """
     G = p.group
     v = {x: value(x) for x in p.dsub}
@@ -512,22 +512,30 @@ def _with_v(p: PlaceDescriptor, lam: int, value) -> RootDatum:
                                           if w)))
 
 
-def local_u_contribution(p: PlaceDescriptor, chi: ClassFunction) -> int:
-    """Parity bit this place adds to the twisted-root-number exponent.
+def v_pairing(p: PlaceDescriptor, chi: ClassFunction) -> int:
+    """<Res chi, V> over D_v, an exact integer; 0 where V = 0.
 
-    The pairing <Res chi, V> over D_v is (1/|D_v|) * sum of V(x) * chi(x)
-    over the x in D_v.  V is rational, V(x^k) = V(x) for k prime to the
-    order of x, so chi(x) may be replaced by its Galois mean, read at the
-    class of G that holds x: the sum is then one term per class of G.
+    The pairing is (1/|D_v|) * sum of V(x) * chi(x) over the x in D_v.  V
+    is rational, V(x^k) = V(x) for k prime to the order of x, so chi(x) may
+    be replaced by its Galois mean, read at the class of G that holds x:
+    the sum is then one term per class of G (``RootDatum.v_terms``).  At a
+    place with D_v = G these are V's multiplicities in the irreducibles.
     """
-    dim = int(chi.degree())
     rd = p.root_datum
-    pairing = 0
-    if rd.v is not None:
-        means = chi.galois_means
-        m = fraction_sum(((means[k], w) for k, w in rd.v_terms),
-                         len(p.dsub))
-        if m.denominator != 1:
-            raise ValueError("character does not restrict integrally")
-        pairing = int(m)
-    return (pairing + dim * (1 if rd.lam == -1 else 0)) % 2
+    if rd.v is None:
+        return 0
+    means = chi.galois_means
+    m = fraction_sum(((means[k], w) for k, w in rd.v_terms), len(p.dsub))
+    if m.denominator != 1:
+        raise ValueError("character does not restrict integrally")
+    return int(m)
+
+
+def local_u_contribution(p: PlaceDescriptor, chi: ClassFunction) -> int:
+    """Parity bit this place adds to the twisted-root-number exponent:
+    <Res chi, V> (:func:`v_pairing`), plus dim chi where lambda = -1,
+    modulo 2."""
+    bit = v_pairing(p, chi)
+    if p.root_datum.lam == -1:
+        bit += int(chi.degree())
+    return bit % 2

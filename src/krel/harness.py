@@ -24,19 +24,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import (ClassFunction, _fundamental_discriminant,
-                         _quadratic_subfields)
+from .characters import (_fundamental_discriminant, _quadratic_subfields,
+                         character_table)
 from .curvelocal import (AddPotGood, AddPotMult, Good, InvalidPlace,
                          NonsplitMult, PlaceDescriptor, SplitMult,
                          SquareClassLocal, _cyclic_quotient, _is_prime_power,
-                         is_dihedral, is_square_in_ext, ram_degree)
+                         is_dihedral, is_square_in_ext, ram_degree, v_pairing)
 from .exactmath import (PLACE_INF, ExactCheckError, _as_fraction, divisors,
                         factor_bounded, fraction_product,
                         is_norm_from_quadratic, is_squarefree, isprime,
                         kronecker_symbol, mobius, primerange, snf_solve)
 from .groups import PermGroup, metacyclic_generators
 from .parity import CurveLocalModel
-from .regconst import _rational_multiplicities
 from .relations import is_trivial_on_k_relations, k_relation_basis
 
 __all__ = [
@@ -208,18 +207,22 @@ def _whole_group_place(G, isub, l, q, red) -> PlaceDescriptor:
                            reduction=red)
 
 
-def _v_fixed_det(G: PermGroup, v: dict[int, int]):
-    """h -> the unscaled fixed-space determinant of V at h, cached.
+def _v_fixed_det(p: PlaceDescriptor):
+    """h -> the unscaled fixed-space determinant of V at h, cached, for the
+    V of a place p with D_v = G.
 
-    v is V at each element, as a place with D_v = G has it.  V is solved as
-    the sum of m_D * Q[G/D] on the cached multiplicity Smith form
-    (``ExactCheckError`` if V needs a multiple), and the value at h is the
-    product over D of (the product over H\\G/D of [H : H ∩ xDx^-1]) ** m_D,
-    read from one double-coset walk per (H, D); m_D may be negative.
+    V's multiplicities are its integer pairings with the irreducibles of G
+    (:func:`v_pairing`).  V is solved from them as the sum of m_D * Q[G/D]
+    on the cached multiplicity Smith form (``ExactCheckError`` if V needs a
+    multiple), and the value at h is the product over D of (the product
+    over H\\G/D of [H : H ∩ xDx^-1]) ** m_D, read from one double-coset
+    walk per (H, D); m_D may be negative.
     """
-    cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
-    sol = snf_solve(G.data.multiplicity_matrix, _rational_multiplicities(
-        G, cf), G.data.multiplicity_smith)
+    G = p.group
+    sol = snf_solve(G.data.multiplicity_matrix,
+                    [v_pairing(p, chi)
+                     for chi in character_table(G).irreducibles],
+                    G.data.multiplicity_smith)
     if sol.minimal_m != 1:
         raise ExactCheckError(f"V is a virtual permutation module only "
                               f"{sol.minimal_m} times over")
@@ -277,12 +280,14 @@ def appendix_tamagawa_check(case: str,
     row records one (configuration, quadratic field) verdict; the claim
     under test holds when every row passes.  The fields d are
     :func:`quadratic_probe_fields` of the group, and the residue sizes q
-    come from :func:`_residue_powers`.  Case 2D reads V = 1 + eta + sigma
-    from ``p.root_datum.v`` of its first place, the V of the dihedral local
-    root number, and values it as a virtual permutation module with the
-    standard permutation pairing (:func:`_v_fixed_det`), once per group; any
-    other invariant pairing gives the same verdicts, since regulator
-    constants do not depend on it up to norms.
+    come from :func:`_residue_powers`.  Case 2D takes V = 1 + eta + sigma,
+    the V of the dihedral local root number, from its first place: its
+    multiplicities are that place's integer pairings with the irreducibles
+    (:func:`v_pairing`), with no class function of V.  It values V as a
+    virtual permutation module with the standard permutation pairing
+    (:func:`_v_fixed_det`), once per group; any other invariant pairing
+    gives the same verdicts, since regulator constants do not depend on it
+    up to norms.
 
     The residue size q enters only the place, built and so validated for
     every q in the pool, and the ``dihedral`` switch (q = -1 mod the
@@ -351,7 +356,7 @@ def appendix_tamagawa_check(case: str,
                             dprime=dprime if dihedral else None)
                         p = _whole_group_place(G, isub, l, q, red)
                         if dihedral and fixed_det is None:
-                            fixed_det = _v_fixed_det(G, p.root_datum.v)
+                            fixed_det = _v_fixed_det(p)
                         flags = f"delta={delta} dsq={du:d} bsq={bu:d}"
                         fn, values = potgood(delta, du, bu, dihedral)
                         _check_function(case, spec, G, q, flags, fn, values,

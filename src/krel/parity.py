@@ -73,7 +73,7 @@ class CurveLocalModel:
     @cached_property
     def u_exponents(self) -> dict[str, int]:
         """u_tau of each rational irreducible tau, read at its constituent."""
-        return {tau.label: global_root_sign(self, tau.constituent).u
+        return {tau.label: global_root_sign(self, tau.constituent)
                 for tau in rational_irreducibles(self.group)}
 
     def root_bits(self, chi: ClassFunction) -> tuple[int, ...]:
@@ -108,22 +108,16 @@ def global_C_product(model: CurveLocalModel, theta: dict[str, int]) -> Fraction:
         for cid, coeff in theta.items() if coeff)
 
 
-@dataclass(frozen=True)
-class GlobalRootSign:
-    sign: int
-    u: int
-
-
-def global_root_sign(model: CurveLocalModel, chi: ClassFunction) -> GlobalRootSign:
-    """Twisted root-number sign (-1)^u with u summed over all places.
+def global_root_sign(model: CurveLocalModel, chi: ClassFunction) -> int:
+    """The exponent u of the twisted root-number sign (-1)^u: the bits
+    u_{chi,v} summed over all places, modulo 2.
 
     Only orthogonal characters acquire a sign; for non-self-dual or
     symplectic chi the exponent is 0 by definition.
     """
     if chi.group is not model.group:
         raise ValueError("chi is not a character of the model's group")
-    u = sum(model.root_bits(chi)) % 2
-    return GlobalRootSign(-1 if u else 1, u)
+    return sum(model.root_bits(chi)) % 2
 
 
 @dataclass(frozen=True)

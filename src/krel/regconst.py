@@ -2,7 +2,9 @@
 
 Every module the engine values goes through the permutation route, the
 double-coset product on Q[G/D]: rational irreducibles whenever an odd
-multiple is a virtual permutation character, and the appendix's dihedral V.
+multiple is a virtual permutation character, and the appendix's dihedral V,
+solved in ``krel.harness`` from its integer pairings with the irreducibles
+(``krel.curvelocal.v_pairing``), so no class function of V is built.
 A rational irreducible with an orthogonal constituent and no odd permutation
 multiple raises :class:`NeedsMatrixModel` (``nrt_run`` records it as the
 ``needs-matrix-model`` diagnostic).  The matrix route (:class:`MatrixRep`,
@@ -22,16 +24,10 @@ class-id pair.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import (
-    ClassFunction,
-    RationalCharacter,
-    _rational_class_values,
-    character_table,
-)
+from .characters import RationalCharacter
 from .exactmath import Rational, fraction_product, mat_mul, rat_det
 from .groups import PermGroup, subgroup_rep
 from .relations import find_norm_relation, is_k_relation
@@ -95,33 +91,6 @@ def minimal_perm_multiple(G: PermGroup, tau: RationalCharacter
     if tau.constituent.group is not G:
         raise ValueError("tau lives on a different group")
     return find_norm_relation(G, tau.constituent)
-
-
-def _rational_multiplicities(G: PermGroup,
-                             cf: ClassFunction) -> tuple[int, ...]:
-    """<chi_j, cf> for every irreducible chi_j, for a rational cf.
-
-    cf's values are read and checked once, one per rational class, and put
-    over a common denominator q; then |G| * q * <chi_j, cf> is their dot
-    product with the class weights of chi_j (its sums over the rational
-    classes), once per Galois orbit, since conjugates share their weights.
-    """
-    if cf.group is not G:
-        raise ValueError("different groups")
-    vals = _rational_class_values(cf)
-    q = math.lcm(*(x.denominator for x in vals))
-    nums = [x.numerator * (q // x.denominator) for x in vals]
-    out: list[int] = []
-    for j, orbit in enumerate(character_table(G).orbits):
-        if orbit[0] < j:
-            out.append(out[orbit[0]])
-            continue
-        m, rem = divmod(sum(map(operator.mul, nums, G.data.class_weights[j])),
-                        G.order * q)
-        if rem:
-            raise ValueError("not a virtual character")
-        out.append(m)
-    return tuple(out)
 
 
 def reg_const_rational_irr(G: PermGroup, theta: dict[str, int],

@@ -128,20 +128,17 @@ class KRelationLattice:
     :func:`hermite_row_basis` writes, over ``subgroup_classes()``; both
     constructors return it, and :meth:`contains` relies on it.
 
-    ``odd_masks`` holds, for each basis element, the int whose bit i is set
-    when its coefficient at the i-th subgroup class is odd; it is read
-    from the basis when not given.
+    ``odd_masks`` holds, for each basis element of a K-relation lattice,
+    the int whose bit i is set when its coefficient at the i-th subgroup
+    class is odd, as :func:`k_relation_basis` writes them.  The Brauer
+    lattice has none: :func:`is_trivial_on_k_relations`, their one reader,
+    refuses it.
     """
 
     group: PermGroup
     d: int | str
     basis: list[dict[str, int]]
     odd_masks: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.odd_masks is None:
-            self.odd_masks = tuple(_odd_mask(self.group, theta)
-                                   for theta in self.basis)
 
     @property
     def rank(self) -> int:

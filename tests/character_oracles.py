@@ -52,13 +52,15 @@ def fs_indicator(chi):
     return int(val)
 
 
-def rational_inner_product(chi, v):
-    G = chi.group
+def rational_multiplicities(v, weights):
+    """<chi_j, v> for each irreducible chi_j, for a rational class function
+    v, from the rows of :func:`class_weights` of its group."""
+    G = v.group
     vals = [x.rational_value() for x in v.values]
     orbits = G.data.rational_classes
     assert all(vals[c] == vals[o[0]] for o in orbits for c in o)
-    sums = class_sums(G, chi.values)
-    return sum(vals[o[0]] * s for o, s in zip(orbits, sums)) / G.order
+    return [sum(vals[o[0]] * w for o, w in zip(orbits, row)) / G.order
+            for row in weights]
 
 
 def class_weights(G):
@@ -92,8 +94,18 @@ def char_field_data(chi):
                          field_degree=len(units) // len(stab))
 
 
+def orbit_sum(tau):
+    """The sum of a rational irreducible's Galois orbit, added in
+    cyclotomic arithmetic: the rational character tau itself."""
+    irrs = character_table(tau.constituent.group).irreducibles
+    total = irrs[tau.orbit_indices[0]]
+    for m in tau.orbit_indices[1:]:
+        total = total + irrs[m]
+    return total
+
+
 def rational_irreducibles(G):
-    """Orbits by value keys, summed in cyclotomic arithmetic."""
+    """Orbits by value keys."""
     table = character_table(G)
     r = len(table.class_sizes)
     keys = [value_keys(chi) for chi in table.irreducibles]
@@ -107,12 +119,8 @@ def rational_irreducibles(G):
             key_to_idx[tuple(keys[idx][G.power_class(i, k)] for i in range(r))]
             for k in G.data.units})
         used.update(members)
-        total = table.irreducibles[members[0]]
-        for m in members[1:]:
-            total = total + table.irreducibles[m]
         out.append(RationalCharacter(
             label=f"tau_{len(out) + 1}",
-            sum_values=total,
             constituent=chi,
             constituent_index=idx,
             orbit_indices=tuple(members),

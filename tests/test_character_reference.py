@@ -27,7 +27,6 @@ from krel.groups import (
 )
 from krel.harness import MetacyclicSpec, build_metacyclic, synthetic_model
 from krel.parity import global_root_sign
-from krel.regconst import _rational_multiplicities
 
 import character_oracles as oracle
 
@@ -103,6 +102,7 @@ def test_galois_data_matches_the_value_key_forms(name):
         assert char_field_data(chi) == oracle.char_field_data(chi)
         assert fs_indicator(chi) == oracle.fs_indicator(chi)
     got, want = rational_irreducibles(G), oracle.rational_irreducibles(G)
+    weights = oracle.class_weights(G)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.label == b.label
@@ -110,10 +110,14 @@ def test_galois_data_matches_the_value_key_forms(name):
         assert a.constituent_index == b.constituent_index
         assert a.orbit_indices == b.orbit_indices
         assert a.indicator == b.indicator
-        assert a.sum_values == b.sum_values
-        assert a.sum_values.is_rational()
-        assert _rational_multiplicities(G, a.sum_values) == tuple(
-            oracle.rational_inner_product(chi, b.sum_values) for chi in irrs)
+        # the orbit sum is |orbit| times the constituent's Galois means
+        total = oracle.orbit_sum(b)
+        assert ClassFunction(G, tuple(
+            len(a.orbit_indices) * m for m in a.constituent.galois_means)) \
+            == total
+        assert total.is_rational()
+        assert oracle.rational_multiplicities(total, weights) \
+            == list(G.data.orbit_target(a.constituent_index))
     check_means_and_weights(G, irrs)
 
 
@@ -157,8 +161,9 @@ def test_fresh_group_computes_no_cyclotomic_mean(monkeypatch, name):
     G.data.multiplicity_rows
     taus = rational_irreducibles(G)
     assert calls == []
-    # the orbit sums and indicators were read from the multisets
-    assert all(tau.sum_values.is_rational() for tau in taus)
+    # the indicators were read from the multisets, and the orbit sums are
+    # rational
+    assert all(oracle.orbit_sum(tau).is_rational() for tau in taus)
     assert [tau.indicator for tau in taus] \
         == [oracle.fs_indicator(tau.constituent) for tau in taus]
     # the oracle reads the values, through the counter

@@ -27,6 +27,7 @@ from krel.curvelocal import (
     local_u_contribution,
     reduction_case,
     tamagawa,
+    v_pairing,
     validate_place,
 )
 from krel.exactmath import (ExactCheckError, is_norm_from_quadratic,
@@ -1054,9 +1055,9 @@ def test_root_datum_is_kept_on_the_place(make):
         fresh = replace(p).root_datum  # an equal place, nothing kept
         assert fresh is not rd and fresh == rd
         for chi in irrs:
-            want = int(chi.degree()) * (rd.lam == -1)
-            if rd.v is not None:
-                want += restricted_pairing(p, chi, rd)
+            pairing = 0 if rd.v is None else restricted_pairing(p, chi, rd)
+            assert v_pairing(p, chi) == pairing
+            want = pairing + int(chi.degree()) * (rd.lam == -1)
             assert local_u_contribution(p, chi) == want % 2
 
 
@@ -1097,6 +1098,7 @@ def test_u_contribution_at_appendix_places_with_v(case):
                 pairings[key] = [restricted_pairing(p, chi, rd)
                                  for chi in irrs]
             for chi, pairing in zip(irrs, pairings[key]):
+                assert v_pairing(p, chi) == pairing
                 want = pairing + int(chi.degree()) * (rd.lam == -1)
                 assert local_u_contribution(p, chi) == want % 2
             seen += 1
@@ -1177,5 +1179,7 @@ def test_u_contribution_nonintegral_rejected():
     G = p.group
     half = ClassFunction(G, tuple(
         Fraction(1, 2) for _ in G.conjugacy_classes()))
-    with pytest.raises(ValueError):
-        local_u_contribution(p, half)
+    for fn in (v_pairing, local_u_contribution):
+        with pytest.raises(ValueError, match="^character does not restrict "
+                                             "integrally$"):
+            fn(p, half)

@@ -29,9 +29,10 @@ from krel.groups import (
     quaternion_group,
 )
 from krel.harness import MetacyclicSpec, build_metacyclic
-from krel.regconst import _rational_multiplicities, minimal_perm_multiple
+from krel.regconst import minimal_perm_multiple
 from krel.relations import _multiplicity_rows, find_norm_relation
 
+import character_oracles
 from test_lift_and_lattice import TABLE_GROUPS
 
 
@@ -74,8 +75,9 @@ def test_integer_rows_match_inner_products(name):
     perms = [perm_character(G, c.representative) for c in G.subgroup_classes()]
     oracle = [[inner_product(pc, chi) for chi in irrs] for pc in perms]
     assert _multiplicity_rows(G) == oracle
+    weights = character_oracles.class_weights(G)
     for pc, row in zip(perms, oracle):
-        assert list(_rational_multiplicities(G, pc)) == row
+        assert character_oracles.rational_multiplicities(pc, weights) == row
     for chi in irrs:
         assert fs_indicator(chi) == indicator_oracle(chi)
     for tau in rational_irreducibles(G):
@@ -86,6 +88,7 @@ def test_integer_rows_match_inner_products(name):
 def test_memoised_multiples_are_fresh_and_agree(name):
     G = GROUPS[name]()
     data = G.data
+    weights = character_oracles.class_weights(G)
     for tau in rational_irreducibles(G):
         k, rep = minimal_perm_multiple(G, tau)
         want = dict(rep)
@@ -93,7 +96,9 @@ def test_memoised_multiples_are_fresh_and_agree(name):
         again = minimal_perm_multiple(G, tau)
         assert again == (k, want)
         # the solve of tau's rational class function gives the same answer
-        plain = data.perm_multiple(_rational_multiplicities(G, tau.sum_values))
+        plain = data.perm_multiple(tuple(
+            int(m) for m in character_oracles.rational_multiplicities(
+                character_oracles.orbit_sum(tau), weights)))
         assert plain == (k, tuple(want.get(c.id, 0)
                                   for c in G.subgroup_classes()))
         m, theta = find_norm_relation(G, tau.constituent)

@@ -2,25 +2,30 @@
 relations test's multiplier and relation."""
 
 import random
+import types
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
 
-from krel import parity
+from krel import characters, harness, parity
 from krel.characters import character_table, fs_indicator, perm_character, \
     rational_irreducibles
 from krel.curvelocal import AddPotGood, AddPotMult, Good, InvalidPlace, \
     NonsplitMult, PlaceDescriptor, SplitMult, SquareClassLocal, local_ef, \
     local_u_contribution, tamagawa, validate_place
+from krel.exactmath import CycNumber
 from krel.groups import (alternating4_group, cyclic_group, dihedral_group,
                          group_from_cycles, metacyclic_group,
                          quaternion_group, subgroup_rep)
-from krel.harness import synthetic_model
+from krel.harness import MetacyclicSpec, appendix_tamagawa_check, \
+    synthetic_model
 from krel.parity import CurveLocalModel, global_C_product, global_root_sign, \
     nrt_run, theorem_main_check
 from krel.relations import k_relation_basis
+
+from character_oracles import orbit_sum
 
 GROUPS = {
     "S3": lambda: dihedral_group(3, name="S3"),
@@ -65,7 +70,7 @@ def test_nrt_relation_realises_m_times_the_orbit_sum(name):
             report = nrt_run(model, rho)
             tau = next(t for t in taus if j in t.orbit_indices)
             assert report.m >= 1
-            assert theta_character(G, report.theta) == report.m * tau.sum_values
+            assert theta_character(G, report.theta) == report.m * orbit_sum(tau)
             failed = any(not ok for ok in report.norm_verdicts.values())
             assert report.prediction == (failed or report.square_ok is False)
             assert (report.square_ok is None) == (report.m % 2 == 1)
@@ -353,8 +358,8 @@ def test_warm_record_matches_fresh_models_and_the_reference(name):
                 == reference_global_C_product(record_model(G, seed), theta)
     fresh = record_model(G, seed)
     for tau in rational_irreducibles(G):
-        u = global_root_sign(warm, tau.constituent).u
-        assert u == global_root_sign(fresh, tau.constituent).u
+        u = global_root_sign(warm, tau.constituent)
+        assert u == global_root_sign(fresh, tau.constituent)
         assert u == direct_u(record_model(G, seed), tau)
 
 
@@ -458,3 +463,57 @@ def test_theorem_check_refuses_a_theta_that_is_not_a_relation():
     # C[S3/1] holds the trivial character once: not a K-relation for Q(i)
     with pytest.raises(ValueError, match="theta is not a relation for d = -1"):
         theorem_main_check(model, {"1.1": 1}, -1)
+
+
+# ---------------------------------------------------------------------------
+# Characters stay integers outside the table build
+
+
+def test_theorem_and_appendix_paths_use_no_cyclotomic_value(monkeypatch):
+    # fresh groups, so each table is built under watch: outside
+    # _compute_character_table no CycNumber is built and none is read,
+    # through an attribute, a method or an operator
+    building, built, seen = [], [], Counter()
+    plain_build = characters._compute_character_table
+
+    def build(G):
+        building.append(G)
+        built.append(G)
+        try:
+            return plain_build(G)
+        finally:
+            building.pop()
+
+    def watched(name, plain):
+        def method(self, *args):
+            if not building:
+                seen[name] += 1
+            return plain(self, *args)
+        return method
+
+    monkeypatch.setattr(characters, "_compute_character_table", build)
+    monkeypatch.setattr(CycNumber, "__getattribute__",
+                        watched("__getattribute__", object.__getattribute__))
+    for name, plain in list(vars(CycNumber).items()):
+        if isinstance(plain, types.FunctionType):
+            monkeypatch.setattr(CycNumber, name, watched(name, plain))
+    v_solved = []
+    plain_v = harness._v_fixed_det
+    monkeypatch.setattr(harness, "_v_fixed_det",
+                        lambda *a: v_solved.append(a) or plain_v(*a))
+    checks = 0
+    for name, make in sorted(WALK_GROUPS.items()):
+        G = make()
+        bases = {d: k_relation_basis(G, d).basis for d in FIELDS}
+        model = synthetic_model(G, random.Random(f"integers/{name}"),
+                                rational_base=True)
+        for d, basis in bases.items():
+            for theta in basis[:2]:
+                assert theorem_main_check(model, theta, d).congruent
+                checks += 1
+        for rho in character_table(G).irreducibles:
+            nrt_run(model, rho)
+    rows = appendix_tamagawa_check("2D", MetacyclicSpec(3, 1, -1))
+    assert checks == 9 * 4 * 2 and len(built) == 10 and len(v_solved) == 1
+    assert rows and all(row.passed for row in rows)
+    assert seen == Counter()

@@ -28,7 +28,6 @@ from krel.groups import (
 from krel.regconst import (
     DegeneratePairingError,
     MatrixRep,
-    _rational_multiplicities,
     invariant_pairing,
     matrix_fixed_det,
     minimal_perm_multiple,
@@ -38,6 +37,7 @@ from krel.regconst import (
     reg_const_perm,
     reg_const_rational_irr,
 )
+from krel.curvelocal import v_pairing
 from krel.harness import (MetacyclicSpec, _v_fixed_det, build_metacyclic,
                           quadratic_probe_fields)
 from test_double_coset_memo import naive_double_cosets
@@ -45,6 +45,7 @@ from test_double_coset_memo import naive_double_cosets
 from krel.relations import eval_on_theta, is_trivial_on_k_relations, \
     k_relation_basis
 from local_functions import local_fn
+from character_oracles import orbit_sum
 
 D21_THETA = {"2.1": 1, "6.1": -1, "14.1": -1, "42.1": 1}
 
@@ -177,17 +178,17 @@ def test_minimal_perm_multiple_d21():
         assert k == 1
         assert exp == expected[t.label]
         # the defining property, checked on characters
-        assert virtual_character(G, exp) == t.sum_values
+        assert virtual_character(G, exp) == orbit_sum(t)
 
 
 def test_minimal_perm_multiple_q8():
     Q8 = quaternion_group()
     t = next(t for t in rational_irreducibles(Q8)
-             if t.sum_values.degree() == 2)
+             if orbit_sum(t).degree() == 2)
     k, exp = minimal_perm_multiple(Q8, t)
     assert k == 2
     assert exp == {"1.1": 1, "2.1": -1}
-    assert virtual_character(Q8, exp) == 2 * t.sum_values
+    assert virtual_character(Q8, exp) == 2 * orbit_sum(t)
 
 
 def test_minimal_perm_multiple_trivial_and_c4():
@@ -197,7 +198,7 @@ def test_minimal_perm_multiple_trivial_and_c4():
 
     C4 = cyclic_group(4)
     t = next(t for t in rational_irreducibles(C4)
-             if t.sum_values.degree() == 2)
+             if orbit_sum(t).degree() == 2)
     k, exp = minimal_perm_multiple(C4, t)
     assert (k, exp) == (1, {"1.1": 1, "2.1": -1})
 
@@ -205,7 +206,7 @@ def test_minimal_perm_multiple_trivial_and_c4():
 def test_minimal_perm_multiple_rejects_irrational():
     C4 = cyclic_group(4)
     t = next(t for t in rational_irreducibles(C4)
-             if t.sum_values.degree() == 2)
+             if orbit_sum(t).degree() == 2)
     with pytest.raises(ValueError):
         minimal_perm_multiple(C4, t.constituent)
 
@@ -267,7 +268,7 @@ def test_rational_irr_odd_multiple_uses_perm_route():
     # on its constituent but k = 1, so the perm value must come back verbatim
     C4 = cyclic_group(4)
     t = next(t for t in rational_irreducibles(C4)
-             if t.sum_values.degree() == 2)
+             if orbit_sum(t).degree() == 2)
     _, exp = minimal_perm_multiple(C4, t)
     direct = reg_const_perm(C4, {"1.1": 1, "2.1": -1}, exp, -1)
     routed = reg_const_rational_irr(C4, {"1.1": 1, "2.1": -1}, t, -1)
@@ -277,7 +278,7 @@ def test_rational_irr_odd_multiple_uses_perm_route():
 def test_rational_irr_symplectic_gives_one():
     Q8 = quaternion_group()
     t = next(t for t in rational_irreducibles(Q8)
-             if t.sum_values.degree() == 2)
+             if orbit_sum(t).degree() == 2)
     v = reg_const_rational_irr(Q8, {"1.1": 1, "2.1": -1}, t, -1)
     assert v == 1
 
@@ -285,15 +286,15 @@ def test_rational_irr_symplectic_gives_one():
 def test_rational_irr_needs_constituent_on_even_multiple():
     Q8 = quaternion_group()
     t = next(t for t in rational_irreducibles(Q8)
-             if t.sum_values.degree() == 2)
+             if orbit_sum(t).degree() == 2)
     with pytest.raises(ValueError):
-        reg_const_rational_irr(Q8, {"1.1": 1, "2.1": -1}, t.sum_values, -1)
+        reg_const_rational_irr(Q8, {"1.1": 1, "2.1": -1}, orbit_sum(t), -1)
 
 
 def q8_symplectic_tau():
     Q8 = quaternion_group()
     t = next(t for t in rational_irreducibles(Q8)
-             if t.sum_values.degree() == 2)
+             if orbit_sum(t).degree() == 2)
     assert t.indicator == -1
     return Q8, t
 
@@ -882,7 +883,7 @@ def test_appendix_v_module_agrees_with_the_matrix_model():
         assert [trace(rep.at(x)) for x in range(G.order)] == \
             [v[x] for x in range(G.order)]
         pairing = invariant_pairing(rep)
-        fixed_det = _v_fixed_det(G, v)
+        fixed_det = _v_fixed_det(p)
 
         def ratio(h):
             dimfix = sum(v[x] for x in h) // len(h)
@@ -921,7 +922,7 @@ def test_v_fixed_det_is_the_index_product_of_the_solved_module():
         module = [(c.representative, m)
                   for c, m in zip(G.subgroup_classes(), sol.witness) if m]
         negative += sum(m < 0 for _, m in module)
-        fixed_det = _v_fixed_det(G, v)
+        fixed_det = _v_fixed_det(p)
         for hc in G.subgroup_classes():
             h = hc.representative
             want = Fraction(1)
@@ -936,30 +937,14 @@ def test_v_fixed_det_is_the_index_product_of_the_solved_module():
 
 
 def test_rational_multiplicities_match_the_inner_products():
-    # cf is read once for all irreducibles: the multiplicities of V at the
-    # 2D places of order at most 32 agree with inner_product
+    # V's multiplicities are its pairings at the 2D places of order at most
+    # 32, which have D_v = G; they agree with inner_product
     for spec in DIHEDRAL_SPECS:
         p = appendix_places("2D", spec)[0]
         G = p.group
         v = p.root_datum.v
         cf = ClassFunction(G, tuple(v[c[0]] for c in G.conjugacy_classes()))
-        got = _rational_multiplicities(G, cf)
-        assert got == tuple(inner_product(chi, cf) for chi in
-                            character_table(G).irreducibles), spec
+        irrs = character_table(G).irreducibles
+        got = [v_pairing(p, chi) for chi in irrs]
+        assert got == [inner_product(chi, cf) for chi in irrs], spec
         assert any(got)
-
-
-def test_rational_multiplicities_name_what_is_wrong():
-    G = cyclic_group(3)
-    faithful = next(chi for chi in character_table(G).irreducibles
-                    if not chi.is_rational())
-    with pytest.raises(ValueError,
-                       match="^character values must be rational$"):
-        _rational_multiplicities(G, faithful)
-    with pytest.raises(ValueError, match="^not a virtual character: not "
-                       "constant on a rational class$"):
-        _rational_multiplicities(G, ClassFunction(G, (1, 1, 0)))
-    with pytest.raises(ValueError, match="^not a virtual character$"):
-        _rational_multiplicities(G, ClassFunction(G, (1, 0, 0)))
-    with pytest.raises(ValueError, match="^different groups$"):
-        _rational_multiplicities(cyclic_group(3), ClassFunction(G, (3, 0, 0)))

@@ -35,7 +35,6 @@ from krel.harness import (MetacyclicSpec, build_metacyclic,
 from krel.curvelocal import decomposition_pair_problem, local_ef
 from krel.relations import (
     BRAUER,
-    KRelationLattice,
     _multiplicity_rows,
     brauer_basis,
     eval_on_theta,
@@ -360,7 +359,8 @@ def test_kept_lattices_match_the_string_row_route(name):
         want, _ = string_row_basis(G, d)
         assert lat.d == d and lat.group is G
         assert lat.basis == want
-        assert lat.odd_masks == KRelationLattice(G, d, want).odd_masks
+        assert lat.odd_masks == tuple(relations._odd_mask(G, theta)
+                                      for theta in want)
 
 
 def test_one_lattice_per_condition_set(monkeypatch):
