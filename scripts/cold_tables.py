@@ -24,7 +24,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from krel.characters import character_table  # noqa: E402
-from krel.groups import PermGroup, cyclic_group, dihedral_group  # noqa: E402
+from krel.groups import (  # noqa: E402
+    PermGroup, cyclic_group, dihedral_group, metacyclic_group)
 from krel.relations import brauer_basis, k_relation_basis  # noqa: E402
 
 REPEATS = 5
@@ -53,6 +54,7 @@ ROWS = {
     "D256": (lambda: dihedral_group(256), TABLE_STEPS),
     "C512": (lambda: cyclic_group(512), TABLE_STEPS),
     "C2^6": (lambda: elementary_abelian_2(6), TABLE_STEPS),
+    "C16:C32": (lambda: metacyclic_group(16, 32, 3), TABLE_STEPS),
     "brauer_basis(D77)": (lambda: dihedral_group(77),
                           LAYERS + (("job", brauer_basis),)),
     "k_relation_basis(C2^5, -1)": (

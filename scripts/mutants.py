@@ -147,9 +147,23 @@ MUTANTS = [
      "            if orbit[0] < j:\n                out.append(out[j - 1])",
      "a Galois conjugate takes the weight row of the irreducible before it"),
     (CHARACTERS,
-     "                row.append(row[head] if head < j else",
-     "                row.append(row[0] if head < j else",
+     "            rows.append([mults[slot[orbit[0]]] for orbit in orbits])",
+     "            rows.append([mults[slot[orbit[0]]] if orbit[0] == j\n"
+     "                         else mults[0]\n"
+     "                         for j, orbit in enumerate(orbits)])",
      "a Galois conjugate takes the first multiplicity of the row"),
+    (CHARACTERS,
+     "        bias = sum(half << s for s in shifts)",
+     "        bias = sum(half << (s + width) for s in shifts)",
+     "the packed multiplicity rows' sign bias shifted by one slot"),
+    (CHARACTERS,
+     "            spaces.append((lam, _rref(rows, p)))",
+     "            spaces.append((mu, _rref(rows, p)))",
+     "the two children of a binary split swap their eigenvalue labels"),
+    (CHARACTERS,
+     "    if sum(len(rows) for _, (rows, _) in spaces) != d:",
+     "    if not spaces:",
+     "a binary split is taken without the check that its ranks sum to d"),
     (CHARACTERS,
      "        if j is not None and j < len(irrs) and irrs[j] is chi:",
      "        if j is not None:",

@@ -9,15 +9,19 @@ zeta_e^a(g).  Only their complement, the vectors summing to 0 over the
 classes of each coset of G', is split into common eigenvectors of the
 sparse class-sum matrices over a prime field GF(p) with p ≡ 1 (mod exp G)
 and p > 2·sqrt(|G|); an abelian group leaves nothing to split and builds
-no class-sum matrix.  The split reaches one eigenvector per Galois orbit:
-sigma_k chi has the eigenvector of chi with its coordinates permuted by
-the k-th power map, so the whole orbit is known at once, and every space
-it fills is dropped.  Each orbit's first eigenvector gives a degree and
-eigenvalue multiplicities, lifted through one fixed primitive root, and the
-whole table is verified before anything is returned: the degrees against
-|G|, closure under the Galois action, and orthogonality as one packed
-integer dot product per irreducible, against the first member of every
-orbit at once.
+no class-sum matrix.  The class sums are tried cheapest first, by class
+size, and each is applied to a whole space at once, as sums of vectors
+packed into integers.  A binary split takes its two eigenspaces as the
+images of M - lam, checked by their ranks, and only a split into more
+eigenspaces takes kernels.  The split reaches one eigenvector per Galois
+orbit: sigma_k chi has the eigenvector of chi with its coordinates
+permuted by the k-th power map, so the whole orbit is known at once, and
+every space it fills is dropped.  Each orbit's first eigenvector gives a
+degree and eigenvalue multiplicities, lifted through one fixed primitive
+root as one packed DFT per rational class, and the whole table is
+verified before anything is returned: the degrees against |G|, closure
+under the Galois action, and orthogonality as one packed integer dot
+product per irreducible, against the first member of every orbit at once.
 
 The multiplicities are lifted once per rational class, at its first class
 g: the other classes hold the unit powers g^k, and rho(g^k) has the
@@ -56,6 +60,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,39 +242,41 @@ class CharFieldData:
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [r[:] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
+    """The reduced row echelon form of rows over GF(p), entries in [0, p),
+    as (its nonzero rows, their pivots): each row in turn is reduced by the
+    pivot rows so far, and a remainder that is not 0 joins them."""
+    found: dict[int, list[int]] = {}
+    for row in rows:
+        for c, b in found.items():
+            f = row[c]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        inv = pow(row[c], -1, p)
+        row = [x * inv % p for x in row]
+        for k, b in found.items():
+            f = b[c]
+            if f:
+                found[k] = [(x - f * y) % p for x, y in zip(b, row)]
+        found[c] = row
+    pivots = sorted(found)
+    return [found[c] for c in pivots], pivots
 
 
-def _coords(rref_rows, pivots, vec, p):
-    vec = vec[:]
-    out = []
-    for row, c in zip(rref_rows, pivots):
-        f = vec[c] % p
-        out.append(f)
-        if f:
-            vec = [(a - f * b) % p for a, b in zip(vec, row)]
-    if any(x % p for x in vec):
-        raise ModularMethodError("vector left the invariant subspace")
-    return out
+def _pack(vec: list[int]) -> int:
+    """vec as one integer, entry t in the t-th unsigned 64-bit slot.  The
+    split's sums of packed vectors add at most r products below p^2 in a
+    slot, and _compute_character_table refuses a prime with r (p - 1)^2 >=
+    2^64, so no slot carries into the next."""
+    return int.from_bytes(struct.pack(f"{len(vec)}Q", *vec), sys.byteorder)
+
+
+def _unpack(x: int, d: int, p: int) -> list[int]:
+    """The d 64-bit slots of x, each reduced mod p."""
+    return [v % p for v in memoryview(x.to_bytes(8 * d, sys.byteorder)
+                                      ).cast("Q")]
 
 
 def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
@@ -331,14 +339,7 @@ def _eigenspaces(mat: list[list[int]], p: int
     spaces: dict[int, list[list[int]]] = {}
     covered = 0
     for start in range(d):
-        poly = _krylov_poly(mat, start, p)
-        roots = 0
-        for lam in range(p):
-            if roots == len(poly) - 1:
-                break
-            if _poly_eval(poly, lam, p):
-                continue
-            roots += 1
+        for lam in _roots(_krylov_poly(mat, start, p), p):
             if lam not in spaces:
                 shifted = [[(x - lam if a == b else x) % p
                              for b, x in enumerate(row)]
@@ -351,11 +352,66 @@ def _eigenspaces(mat: list[list[int]], p: int
                              "diagonalizable on a subspace")
 
 
-def _poly_eval(poly, x, p):
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
+def _roots(poly: list[int], p: int) -> list[int]:
+    """The distinct roots of poly over GF(p), ascending.  GF(p) is scanned
+    in blocks of 256, each evaluated at once by Horner's rule, until the
+    roots number poly's degree."""
+    roots: list[int] = []
+    for lo in range(0, p, 256):
+        if len(roots) == len(poly) - 1:
+            break
+        xs = range(lo, min(lo + 256, p))
+        vals = [0] * len(xs)
+        for c in reversed(poly):
+            vals = [(v * x + c) % p for v, x in zip(vals, xs)]
+        roots += [x for x, v in zip(xs, vals) if not v]
+    return roots
+
+
+def _split_space(basis: list[list[int]], pivots: list[int],
+                 img: list[list[int]], p: int
+                 ) -> list[tuple[int, tuple[list[list[int]], list[int]]]]:
+    """The eigenspaces of M on an M-invariant space, ascending by
+    eigenvalue, each as (lam, (rows, pivots)) of its reduced echelon form.
+
+    The space is (basis, pivots), and img[a][t] is coordinate a of M
+    basis[t], mod p.  The basis has the identity at its pivots, so
+    restr[a][t] = img[pivots[a]][t] are the coordinates of M basis[t], and
+    they fix every other entry of an image in the space; an image that
+    breaks this raises :class:`ModularMethodError`.  Where basis[0] has
+    the polynomial (x - lam1)(x - lam2), lam1 < lam2, the two eigenspaces
+    are the images of M - lam2 and M - lam1: the kernels of M - lam1 and
+    M - lam2 are independent, so the two ranks sum to d exactly when the
+    kernels fill the space, and a missed eigenvalue or a Jordan block
+    makes the sum larger.  Otherwise the kernels of restr are taken
+    (:func:`_eigenspaces`).
+    Each echelon form is found in the coordinates and taken back through
+    the basis, where it is the eigenspace's own.
+    """
+    d = len(basis)
+    restr = [img[c] for c in pivots]
+    packed = [_pack(row) for row in restr]
+    for a in sorted(set(range(len(img))) - set(pivots)):
+        if img[a] != _unpack(sum(map(operator.mul, [row[a] for row in basis],
+                                     packed)), d, p):
+            raise ModularMethodError("vector left the invariant subspace")
+    poly = _krylov_poly(restr, 0, p)
+    roots = _roots(poly, p)
+    spaces = []
+    if len(roots) == 2 == len(poly) - 1:
+        for lam, mu in zip(roots, reversed(roots)):
+            rows = [list(col) for col in zip(*restr)]
+            for t, row in enumerate(rows):
+                row[t] = (row[t] - mu) % p
+            spaces.append((lam, _rref(rows, p)))
+    if sum(len(rows) for _, (rows, _) in spaces) != d:
+        spaces = [(lam, _rref(kern, p))
+                  for lam, kern in _eigenspaces(restr, p)]
+    basis_rows = [_pack(row) for row in basis]
+    return [(lam, ([_unpack(sum(map(operator.mul, row, basis_rows)),
+                            len(img), p) for row in rows],
+                   [pivots[q] for q in qs]))
+            for lam, (rows, qs) in spaces]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +496,7 @@ def _relabel(multisets, k: int, orders) -> tuple:
                  for ms, n in zip(multisets, orders))
 
 
-def _conjugate_lines(G: PermGroup, om: list[int]
+def _conjugate_lines(powers: list[tuple[int, list[int]]], om: list[int]
                      ) -> dict[tuple[int, ...], int]:
     """The lines of the Galois conjugates of chi, from chi's own line om,
     each mapped to the least unit k mod exp G that gives it.
@@ -448,12 +504,12 @@ def _conjugate_lines(G: PermGroup, om: list[int]
     om[i] = omega_chi(C_i) = |C_i| chi(g_i) / chi(1) mod p, and
     omega_{sigma_k chi}(C_i) = omega_chi(C_{i^k}) holds exactly in Z[zeta],
     so the line of sigma_k chi is om with its coordinates permuted by the
-    k-th power map.
+    k-th power map.  ``powers`` holds (k, [the class of g_i^k for each
+    class i]) for every unit k, ascending.
     """
-    prows = [G.power_class_row(i) for i in range(len(om))]
     out: dict[tuple[int, ...], int] = {}
-    for k in G.data.units:
-        out.setdefault(tuple(om[row[k % len(row)]] for row in prows), k)
+    for k, classes in powers:
+        out.setdefault(tuple(map(om.__getitem__, classes)), k)
     return out
 
 
@@ -553,6 +609,9 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     reps = [c[0] for c in classes]
     e = G.exponent()
     p = admissible_prime(G)
+    if r * (p - 1) ** 2 >> 64:
+        raise ModularMethodError(
+            f"{r} classes mod {p} overflow the 64-bit slots of the split")
     orders = [G.element_order(reps[i]) for i in range(r)]
 
     # The linear characters are exact from G/G'.  Their eigenvectors
@@ -579,29 +638,37 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
         start.append(row)
 
     # Split the complement into common eigenspaces of the class-sum
-    # matrices one space at a time, depth first, trying the first class of
-    # each rational class before the others; each matrix is built sparse
-    # when the split first needs it.  A space is kept as (rows, pivots) of
-    # its reduced echelon form, the position of the next class to try, and
-    # its path: the (class, eigenvalue) pairs that cut it out.  A line,
-    # scaled to 1 at the identity, is om = omega_chi for an irreducible chi,
-    # and om[i] is the eigenvalue of the i-th class sum on it; the lines of
-    # chi's Galois conjugates follow from it with no split (see
+    # matrices one space at a time, depth first.  The classes are tried
+    # cheapest first, the first classes of the rational classes before the
+    # others, each part by size: large classes are often scalar (on D128's
+    # complement both reflection classes act as 0).  Each matrix is built
+    # sparse when the split first needs it, as one (columns, coefficients)
+    # pair per row.  A space is kept as (rows, pivots) of its reduced
+    # echelon form, the position of the next class to try, and its path:
+    # the (class, eigenvalue) pairs that cut it out.  A line, scaled to 1
+    # at the identity, is om = omega_chi for an irreducible chi, and om[i]
+    # is the eigenvalue of the i-th class sum on it; the lines of chi's
+    # Galois conjugates follow from it with no split (see
     # _conjugate_lines).  A space is spanned by the lines whose eigenvalues
     # match its path, so it is dropped once the known such lines fill it.
-    # A matrix is kept as one (columns, coefficients) pair per row.  Where
-    # a class sum is not scalar on a space, its restriction is split by
-    # _eigenspaces, which takes the Krylov sequences of e_0, e_1, ... only
-    # until the kernels of their roots fill the space: eigenspaces are
-    # independent, so kernel dimensions that sum to d leave no other
-    # eigenvalue, and in the usual binary split e_0 alone suffices.
-    first_classes = [o[0] for o in G.data.rational_classes]
-    trial = first_classes[1:] + sorted(set(range(1, r)) - set(first_classes))
+    # A class sum that is not scalar on a space splits it (_split_space):
+    # a binary split from the images of M - lam, checked by their ranks,
+    # and any other by kernels.
+    firsts = {o[0] for o in G.data.rational_classes}
+    trial = sorted(range(1, r), key=lambda i: (i not in firsts, sizes[i], i))
     mats: dict[int, list[tuple[list[int], list[int]]]] = {}
     # (om, the least unit k giving each other conjugate line)
     orbits: list[tuple[list[int], list[int]]] = []
     known: set[tuple[int, ...]] = set()
-    stack = [(start, pivots, 0, ())] if start else []
+    stack: list = []
+    # (k, the class of g_i^k for each class i) for every unit k, needed
+    # only where there is something to split
+    power_maps: list[tuple[int, list[int]]] = []
+    if start:
+        stack.append((start, pivots, 0, ()))
+        prows = [G.power_class_row(i) for i in range(r)]
+        power_maps = [(k, [row[k % len(row)] for row in prows])
+                      for k in G.data.units]
     while stack:
         basis, pivots, pos, path = stack.pop()
         d = len(basis)
@@ -614,7 +681,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                     "eigenvector vanishes on the identity class")
             norm = pow(vec[0], -1, p)
             om = [(v * norm) % p for v in vec]
-            lines = _conjugate_lines(G, om)
+            lines = _conjugate_lines(power_maps, om)
             if not known.isdisjoint(lines):
                 raise ModularMethodError(
                     "a new line has a known Galois conjugate: the lines are "
@@ -622,6 +689,8 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             known.update(lines)
             orbits.append((om, [k for k in lines.values() if k != 1]))
             continue
+        cols = list(zip(*basis))
+        packed_cols = [_pack(col) for col in cols]
         while pos < len(trial):
             i = trial[pos]
             pos += 1
@@ -634,31 +703,24 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                         ks[j].append(k)
                         cs[j].append(a % p)
                 mat = mats[i] = list(zip(ks, cs))
-            images = [[sum(map(operator.mul, c, map(vec.__getitem__, k))) % p
-                       for k, c in mat] for vec in basis]
-            # Most steps find the class sum acting on the space as a scalar
-            # lam.  The general path below would then find the one
-            # eigenvalue lam and one kernel, the whole space, so keep the
-            # space as it is.  Each echelon row has a 1 at its pivot, which
-            # is where lam is read.
-            lam = images[0][pivots[0]]
-            if all(img == [lam * x % p for x in vec]
-                   for img, vec in zip(images, basis)):
+            # The images of all d basis vectors, one coordinate at a time:
+            # img[a][t] is coordinate a of M basis[t], one packed sum of
+            # products per row of the matrix.
+            img = [_unpack(sum(map(operator.mul, coeffs,
+                                   map(packed_cols.__getitem__, where))),
+                           d, p)
+                   for where, coeffs in mat]
+            # A class sum that acts on the space as a scalar lam, read at
+            # the first pivot, where basis[0] has its 1, keeps the space as
+            # it is.
+            lam = img[pivots[0]][0]
+            if all(row == [lam * x % p for x in col]
+                   for row, col in zip(img, cols)):
                 path += ((i, lam),)
                 continue
-            cols = [_coords(basis, pivots, img, p) for img in images]
-            restr = [[cols[j][a] for j in range(d)] for a in range(d)]
-            subs = []
-            for lam, kern in _eigenspaces(restr, p):
-                sub = []
-                for kv in kern:
-                    acc = [0] * r
-                    for c, row in zip(kv, basis):
-                        if c:
-                            acc = [x + c * y for x, y in zip(acc, row)]
-                    sub.append([x % p for x in acc])
-                subs.append((*_rref(sub, p), pos, path + ((i, lam),)))
-            stack.extend(reversed(subs))
+            stack.extend((rows, piv, pos, path + ((i, lam),))
+                         for lam, (rows, piv) in reversed(
+                             _split_space(basis, pivots, img, p)))
             break
         else:
             raise ModularMethodError("class algebra did not split into lines")
@@ -685,11 +747,14 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             if math.gcd(k, n) == 1:
                 unit_of.setdefault(prow[k], k)
         lifts.append((i, n, [(c, unit_of[c]) for c in orbit]))
-    # dft[n][j][t] = theta^(-jt) for theta the image of zeta_n in GF(p),
-    # made when the first character that is not linear needs it
-    dft: dict[int, list[list[int]]] = {}
+    # dft[n] = (w, theta^(-jt) packed over j in slots of w bits, for each
+    # t), theta the image of zeta_n in GF(p), made when the first character
+    # that is not linear needs it: a lift at order n is one sum of products
+    # whose slot j, below n (p - 1)^2 < 2^w, is n c_j before reduction.
+    dft: dict[int, tuple[int, list[int]]] = {}
 
     rc_orders = G.data.rational_class_orders
+    power_of = dict(power_maps)
     shared: dict[tuple, tuple] = {}  # one tuple per distinct multiset
     # a linear character lambda = zeta_e^a has the one eigenvalue
     # zeta_n^(a n/e) at a class of order n
@@ -711,6 +776,8 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # Only the first line of each orbit is lifted.  sigma_k chi has at a
     # class the multiset of chi at the k-th power of the class, and at the
     # first classes the multisets of chi relabelled j -> jk (_relabel).
+    # conjugate_of[a] is (the lifted row, k) for the row a of sigma_k chi.
+    conjugate_of: dict[int, tuple[int, int]] = {}
     for om, units in orbits:
         s = sum(om[i] * om[inv_class[i]] * size_inv[i] for i in range(r)) % p
         d2 = (G.order * pow(s, -1, p)) % p
@@ -723,14 +790,19 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
         firsts = []
         for i, n, members in lifts:
             if n not in dft:
-                tpow = [pow(omega_e, -(e // n) * m, p) for m in range(n)]
-                dft[n] = [[tpow[(j * t) % n] for t in range(n)]
-                          for j in range(n)]
+                size = (n * (p - 1) ** 2).bit_length() // 8 + 1
+                slots = [pow(omega_e, -(e // n) * m, p).to_bytes(
+                    size, "little") for m in range(n)]
+                dft[n] = (8 * size, [int.from_bytes(b"".join(
+                    [slots[j * t % n] for j in range(n)]), "little")
+                    for t in range(n)])
+            width, columns = dft[n]
             vals = [chi_mod[c] for c in G.power_class_row(i)]
-            n_inv = pow(n, -1, p)
+            total = sum(map(operator.mul, vals, columns))
+            n_inv, mask = pow(n, -1, p), (1 << width) - 1
             powers = {}
-            for j, w in enumerate(dft[n]):
-                cj = sum(map(operator.mul, vals, w)) * n_inv % p
+            for j in range(n):
+                cj = (total >> width * j & mask) * n_inv % p
                 if cj:
                     if cj > deg:
                         raise ModularMethodError("eigenvalue multiplicity lift "
@@ -740,10 +812,12 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                 multisets[c] = {j * k % n: cj for j, cj in powers.items()}
             ms = tuple(powers.items())
             firsts.append(shared.setdefault(ms, ms))
+        lifted = len(rows)
         rows.append((deg, multisets, tuple(firsts)))
         for k in units:
+            conjugate_of[len(rows)] = (lifted, k)
             rows.append((deg,
-                         [multisets[G.power_class(i, k)] for i in range(r)],
+                         [multisets[c] for c in power_of[k]],
                          tuple(shared.setdefault(ms, ms) for ms in
                                _relabel(firsts, k, rc_orders))))
 
@@ -828,11 +902,19 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
             "rows are not closed under the Galois action")
 
     # values and sort keys from integer coefficient vectors: the value at
-    # level n, and minus the value raised to level e for the key
+    # level n, and minus the value raised to level e for the key.  The
+    # values of sigma_k chi are chi's at the classes of the k-th powers, so
+    # a lifted row's values and keys, permuted, are its conjugates'.
     values_of, keys_of = [], []
     converted: dict[tuple, tuple[CycNumber, tuple[int, ...]]] = {}
+    fracs: dict[int, Fraction] = {}  # one Fraction per integer coefficient
     key_table = cyclotomic_reduction_table(e)
-    for _, multisets, _ in rows:
+    for a, (_, multisets, _) in enumerate(rows):
+        if a in conjugate_of:
+            b, k = conjugate_of[a]
+            values_of.append(tuple(map(values_of[b].__getitem__, power_of[k])))
+            keys_of.append(tuple(map(keys_of[b].__getitem__, power_of[k])))
+            continue
         vals, keys = [], []
         for i, powers in enumerate(multisets):
             n = orders[i]
@@ -846,6 +928,8 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
                     vec = [v + c * t for v, t in zip(vec, table[j])]
                     key = [v - c * t
                            for v, t in zip(key, key_table[j * (e // n)])]
+                vec = [fracs[v] if v in fracs else
+                       fracs.setdefault(v, Fraction(v)) for v in vec]
                 got = converted[memo] = (CycNumber(n, vec), tuple(key))
             vals.append(got[0])
             keys.append(got[1])
@@ -1089,26 +1173,42 @@ class GroupData:
         count is 0 on a rational class that misses H, so the dot product
         runs over the rational classes that meet H only.  Galois
         conjugates share their weights, so there is one dot product per
-        orbit, at its least member.
+        orbit, at its head, its least member.
+
+        The heads' weights at each rational class are packed into one
+        integer, the t-th head in the t-th slot of w bits, so a subgroup
+        class costs one multiply-add per rational class it meets.  A
+        fixed-coset count is at most |G|, so a head's sum S has |S| <= B =
+        |G| * (the largest sum of |weights| of a head); with w = bitlen(B)
+        + 1, each slot plus 2^(w-1) lies in [0, 2^w), and S reads back.
         """
         G = self.group
         classes = G.conjugacy_classes()
         weights = self.class_weights
-        heads = [orbit[0] for orbit in character_table(G).orbits]
+        orbits = character_table(G).orbits
+        heads = sorted({orbit[0] for orbit in orbits})
+        width = (G.order * max(sum(map(abs, weights[h])) for h in heads)
+                 ).bit_length() + 1
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        shifts = [width * t for t in range(len(heads))]
+        bias = sum(half << s for s in shifts)
+        packed = [sum(weights[h][o] << s for h, s in zip(heads, shifts))
+                  for o in range(len(self.rational_classes))]
+        slot = {h: t for t, h in enumerate(heads)}
         rows = []
         for cls in G.subgroup_classes():
             hits = Counter(G.class_of(h) for h in cls.representative)
-            fixed = [(o, exact_quotient(G.order * hits[orbit[0]],
-                                        len(classes[orbit[0]]) * cls.order,
-                                        "fixed-coset count"))
-                     for o, orbit in enumerate(self.rational_classes)
-                     if hits[orbit[0]]]
+            total = bias
+            for o, orbit in enumerate(self.rational_classes):
+                if hits[orbit[0]]:
+                    total += packed[o] * exact_quotient(
+                        G.order * hits[orbit[0]],
+                        len(classes[orbit[0]]) * cls.order,
+                        "fixed-coset count")
             what = f"multiplicity in [{cls.id}]"
-            row: list[int] = []
-            for j, head in enumerate(heads):
-                row.append(row[head] if head < j else exact_quotient(
-                    sum(f * weights[j][o] for o, f in fixed), G.order, what))
-            rows.append(row)
+            mults = [exact_quotient((total >> s & mask) - half, G.order, what)
+                     for s in shifts]
+            rows.append([mults[slot[orbit[0]]] for orbit in orbits])
         return rows
 
     @cached_property

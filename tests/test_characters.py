@@ -10,6 +10,7 @@ from krel.characters import (
     _check_orthogonality,
     _conjugate_lines,
     _eigenspaces,
+    _split_space,
     _structure_constants,
     char_field_data,
     character_table,
@@ -332,17 +333,82 @@ def test_eigenspaces_keep_a_repeated_eigenvalue_whole():
                for lam, kern in got for v in kern)
 
 
-def test_a_binary_split_takes_one_krylov_sequence(monkeypatch):
-    # the kernels of e_0's two roots fill the space, so no e_1 is tried
-    real = characters._krylov_poly
-    starts = []
+BINARY_SPLITS = {
+    "D128": lambda: dihedral_group(128),
+    "C12:C4": lambda: metacyclic_group(12, 4, 5),
+    "C16:C8": lambda: metacyclic_group(16, 8, 3),
+}
 
-    def watched(mat, start, p):
-        starts.append(start)
-        return real(mat, start, p)
-    monkeypatch.setattr(characters, "_krylov_poly", watched)
-    character_table(dihedral_group(32))
-    assert starts and set(starts) == {0}
+
+@pytest.mark.parametrize("name", sorted(BINARY_SPLITS))
+def test_binary_splits_take_no_kernel(monkeypatch, name):
+    # every split of these tables is binary: its two eigenspaces are the
+    # images of M - lam2 and M - lam1, so no kernel is taken
+    splits, kernels = [], []
+    real_split, real_kernel = characters._split_space, characters._kernel
+
+    def split(*args):
+        splits.append(len(args[0]))
+        return real_split(*args)
+
+    def kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+    monkeypatch.setattr(characters, "_split_space", split)
+    monkeypatch.setattr(characters, "_kernel", kernel)
+    character_table(BINARY_SPLITS[name]())
+    assert splits and kernels == []
+
+
+IDENTITY = {n: [[int(a == b) for b in range(n)] for a in range(n)]
+            for n in (2, 3)}
+
+
+def test_split_space_takes_a_binary_split_from_images():
+    # M = [[2, 0], [1, 1]] over GF(7), on the whole space: e_0 has the
+    # polynomial (x - 1)(x - 2); the image of M - 2 is the 1-space, spanned
+    # by (0, 1), and the image of M - 1 the 2-space, spanned by (1, 1)
+    got = _split_space(IDENTITY[2], [0, 1], [[2, 0], [1, 1]], 7)
+    assert got == [(1, ([[0, 1]], [1])), (2, ([[1, 1]], [0]))]
+
+
+def test_split_space_checks_the_ranks_of_a_binary_split(monkeypatch):
+    # M = [[1, 0, 0], [1, 2, 0], [0, 0, 3]] over GF(7): e_0 = (1, -1, 0) +
+    # (0, 1, 0) lies in the 1- and 2-spaces only, so its polynomial is
+    # (x - 1)(x - 2), but the images of M - 2 and M - 1 have ranks 2 + 2 >
+    # 3; the general path finds all three eigenspaces
+    general = []
+    monkeypatch.setattr(characters, "_eigenspaces",
+                        lambda mat, p: general.append(mat) or _eigenspaces(
+                            mat, p))
+    mat = [[1, 0, 0], [1, 2, 0], [0, 0, 3]]
+    got = _split_space(IDENTITY[3], [0, 1, 2], mat, 7)
+    assert got == [(1, ([[1, 6, 0]], [0])), (2, ([[0, 1, 0]], [1])),
+                   (3, ([[0, 0, 1]], [2]))]
+    assert general == [mat]
+
+
+def test_split_space_rejects_a_jordan_block():
+    # e_0 has the polynomial (x - 3)^2: one root, so the general path
+    # takes it, and finds one eigenvector where the space has two dimensions
+    with pytest.raises(ModularMethodError, match="not diagonalizable"):
+        _split_space(IDENTITY[2], [0, 1], [[3, 0], [1, 3]], 7)
+
+
+def test_split_space_rejects_a_jordan_block_behind_two_roots():
+    # e_0 = u + w with M u = u, M w = 2w, and a Jordan chain M w' = 2w' +
+    # w: e_0 has the polynomial (x - 1)(x - 2), but the ranks of M - 2 and
+    # M - 1 sum to 4 > 3, and the general path finds M not diagonalizable
+    with pytest.raises(ModularMethodError, match="not diagonalizable"):
+        _split_space(IDENTITY[3], [0, 1, 2],
+                     [[1, 0, 0], [1, 2, 1], [0, 0, 2]], 7)
+
+
+def test_split_space_sees_an_image_leave_the_space():
+    # the space is spanned by e_0 and e_1 of GF(7)^3, and M e_0 = e_0 + e_2
+    with pytest.raises(ModularMethodError, match="left the invariant"):
+        _split_space([[1, 0, 0], [0, 1, 0]], [0, 1],
+                     [[1, 0], [0, 2], [1, 0]], 7)
 
 
 def test_orthogonality_check_accepts_an_orthonormal_set():
@@ -420,9 +486,9 @@ def oracle_tables():
                 calls.append(cls)
                 return _structure_constants(G, cls)
 
-            def lines(G, om, calls=calls["_conjugate_lines"]):
+            def lines(powers, om, calls=calls["_conjugate_lines"]):
                 calls.append(om)
-                return _conjugate_lines(G, om)
+                return _conjugate_lines(powers, om)
 
             mp.setattr(characters, "_eigenspaces", watched)
             mp.setattr(characters, "_structure_constants", constants)
@@ -531,9 +597,10 @@ def test_split_reaches_one_line_per_galois_orbit(oracle_tables, name, orbits):
     assert len(calls["_conjugate_lines"]) == orbits
 
 
-@pytest.mark.parametrize("name, most", [("D128", 20), ("C2^6", 70)])
-def test_split_hands_eigenspaces_no_scalar_matrix(oracle_tables, name,
-                                                  most):
+@pytest.mark.parametrize("name, general", [("D128", 0), ("D77", 3),
+                                           ("C2^6", 0)])
+def test_only_splits_that_are_not_binary_reach_eigenspaces(oracle_tables,
+                                                          name, general):
     group, _, calls = oracle_tables[name]
     if all(len(c) == 1 for c in group.conjugacy_classes()):
         # every character of an abelian group is linear, read from G/G':
@@ -541,11 +608,21 @@ def test_split_hands_eigenspaces_no_scalar_matrix(oracle_tables, name,
         assert calls == {"_eigenspaces": [], "_structure_constants": [],
                          "_conjugate_lines": []}
         return
-    # 680 calls on D128 and 683 on C2^6 when every step took the general
-    # path, and 62 on D128 when every line was split out of the class algebra
+    # D128's 20 splits are all binary; 3 of D77's 4 are not, and none of
+    # them is handed a scalar matrix
     calls = calls["_eigenspaces"]
-    assert calls and len(calls) <= most
+    assert len(calls) == general
     assert not any(calls)
+
+
+def test_small_classes_are_tried_before_the_reflections(oracle_tables):
+    # D128's reflections form two classes of 64, and both act on the
+    # complement of the linear characters as 0: the split tries a class of
+    # size 1 or 2 first, and never builds a reflection class's matrix
+    _, _, calls = oracle_tables["D128"]
+    sizes = [len(cls) for cls in calls["_structure_constants"]]
+    assert sizes[0] <= 2
+    assert 64 not in sizes
 
 
 def _conjugates_patched(change):
@@ -553,8 +630,8 @@ def _conjugates_patched(change):
     has at least three lines, and the others left as they are."""
     done = []
 
-    def patched(G, om):
-        lines = _conjugate_lines(G, om)
+    def patched(powers, om):
+        lines = _conjugate_lines(powers, om)
         if done or len(lines) < 3:
             return lines
         done.append(om)

@@ -2,6 +2,8 @@
 cyclotomic inner-product oracle, the memoised permutation multiples, and
 the exact checks that guard them."""
 
+from collections import Counter
+
 import pytest
 
 from krel.characters import (
@@ -33,7 +35,8 @@ from krel.regconst import minimal_perm_multiple
 from krel.relations import _multiplicity_rows, find_norm_relation
 
 import character_oracles
-from test_lift_and_lattice import TABLE_GROUPS
+from test_lift_and_lattice import TABLE_GROUPS, elementary_abelian_2
+from test_parity import WALK_GROUPS
 
 
 def metacyclic_specs(max_order):
@@ -82,6 +85,43 @@ def test_integer_rows_match_inner_products(name):
         assert fs_indicator(chi) == indicator_oracle(chi)
     for tau in rational_irreducibles(G):
         assert tau.indicator == indicator_oracle(tau.constituent)
+
+
+def per_entry_rows(G, weights):
+    """The multiplicity rows one entry at a time: |G| mult[i][j] is the sum
+    over the rational classes o of the fixed-coset count of H_i at o times
+    weights[j][o]."""
+    classes = G.conjugacy_classes()
+    rows = []
+    for cls in G.subgroup_classes():
+        hits = Counter(G.class_of(h) for h in cls.representative)
+        fixed = [G.order * hits[o[0]] // (len(classes[o[0]]) * cls.order)
+                 for o in G.data.rational_classes]
+        row = []
+        for w in weights:
+            total = sum(f * x for f, x in zip(fixed, w))
+            assert total % G.order == 0
+            row.append(total // G.order)
+        rows.append(row)
+    return rows
+
+
+PACKED_ROW_GROUPS = dict(WALK_GROUPS,
+                         **{"C2^5": lambda: elementary_abelian_2(5)})
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_ROW_GROUPS))
+def test_packed_multiplicity_rows_match_the_per_entry_formula(name):
+    G = PACKED_ROW_GROUPS[name]()
+    weights = G.data.class_weights
+    assert any(x < 0 for w in weights for x in w)
+    assert G.data.multiplicity_rows == per_entry_rows(G, weights)
+    # with every weight negated every sum is at most 0, and the slots still
+    # read back: a fresh record of the same group, given the negated weights
+    H = PACKED_ROW_GROUPS[name]()
+    negated = [[-x for x in w] for w in weights]
+    H.data.class_weights = negated
+    assert H.data.multiplicity_rows == per_entry_rows(H, negated)
 
 
 @pytest.mark.parametrize("name", ["Q8", "D21", "C12:C4"])

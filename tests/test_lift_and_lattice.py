@@ -11,7 +11,6 @@ from sympy import primitive_root
 from krel import characters
 from krel.characters import (
     ModularMethodError,
-    _coords,
     _eigenspaces,
     _rref,
     _structure_constants,
@@ -51,6 +50,19 @@ def elementary_abelian_2(n):
 
 # ---------------------------------------------------------------------------
 # Reference: dense class-sum tensor, a lift at every class, CycNumber keys
+
+
+def _coords(rref_rows, pivots, vec, p):
+    """The coordinates of vec in the echelon basis, one row at a time."""
+    vec = vec[:]
+    out = []
+    for row, c in zip(rref_rows, pivots):
+        f = vec[c] % p
+        out.append(f)
+        if f:
+            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+    assert not any(x % p for x in vec), "vector left the invariant subspace"
+    return out
 
 
 def _reference_table(G):
@@ -140,6 +152,8 @@ TABLE_GROUPS = {
     "7:6": lambda: metacyclic_group(7, 6, 3),
     "9:6": lambda: metacyclic_group(9, 6, 2),
     "16:4": lambda: metacyclic_group(16, 4, 3),
+    # not dihedral, and every split of its table is binary
+    "16:8": lambda: metacyclic_group(16, 8, 3),
     "D21": lambda: dihedral_group(21),
     "C2^5": lambda: elementary_abelian_2(5),
     # abelian groups that are not elementary, and groups whose
@@ -213,6 +227,33 @@ def test_table_rejects_wrong_linear_characters(monkeypatch):
     monkeypatch.setattr(characters, "_linear_characters", doubled)
     with pytest.raises(ModularMethodError, match="orthogonality"):
         character_table(alternating4_group())
+
+
+def test_table_refuses_a_prime_too_large_for_its_slots(monkeypatch):
+    # the split packs vectors in 64-bit slots, each summing at most r
+    # products below p^2
+    monkeypatch.setattr(characters, "admissible_prime",
+                        lambda G: 2 ** 61 - 1)
+    with pytest.raises(ModularMethodError, match="64-bit slots"):
+        character_table(dihedral_group(5))
+
+
+def test_table_rejects_a_class_sum_that_leaves_the_space(monkeypatch):
+    # D5's complement of the linear characters is 0 on the reflections;
+    # a rotation class sum that also sends r to the reflections leaves it
+    G = dihedral_group(5)
+    reflections = next(i for i, c in enumerate(G.conjugacy_classes())
+                       if len(c) == 5)
+    real = characters._structure_constants
+
+    def leaking(G, cls):
+        out = real(G, cls)
+        if len(cls) == 2:
+            out[reflections, G.class_of(cls[0])] = 1
+        return out
+    monkeypatch.setattr(characters, "_structure_constants", leaking)
+    with pytest.raises(ModularMethodError, match="left the invariant"):
+        character_table(G)
 
 
 # ---------------------------------------------------------------------------
