@@ -157,14 +157,6 @@ MUTANTS = [
      "        bias = sum(half << (s + width) for s in shifts)",
      "the packed multiplicity rows' sign bias shifted by one slot"),
     (CHARACTERS,
-     "            spaces.append((lam, _rref(rows, p)))",
-     "            spaces.append((mu, _rref(rows, p)))",
-     "the two children of a binary split swap their eigenvalue labels"),
-    (CHARACTERS,
-     "    if sum(len(rows) for _, (rows, _) in spaces) != d:",
-     "    if not spaces:",
-     "a binary split is taken without the check that its ranks sum to d"),
-    (CHARACTERS,
      "        if j is not None and j < len(irrs) and irrs[j] is chi:",
      "        if j is not None:",
      "irreducible_index trusts a table index it does not check"),
@@ -241,6 +233,14 @@ MUTANTS = [
      "        if covered == d or start == 0:\n"
      "            return sorted(spaces.items())",
      "the eigenspace split stops after e_0's Krylov sequence"),
+    (CHARACTERS,
+     "        if covered == d:\n            return sorted(spaces.items())",
+     "        if covered >= d - 1:\n            return sorted(spaces.items())",
+     "the eigenspace split returns while its kernels still miss a line"),
+    (CHARACTERS,
+     "    return basis, free",
+     "    return basis, pivots",
+     "a kernel is returned with its pivot columns for its free columns"),
     (CHARACTERS,
      "        if total != (norm << shifts[a] if a in shifts else 0):",
      "        if (total - (norm << shifts[a] if a in shifts else 0)"

@@ -11,9 +11,8 @@ sparse class-sum matrices over a prime field GF(p) with p ≡ 1 (mod exp G)
 and p > 2·sqrt(|G|); an abelian group leaves nothing to split and builds
 no class-sum matrix.  The class sums are tried cheapest first, by class
 size, and each is applied to a whole space at once, as sums of vectors
-packed into integers.  A binary split takes its two eigenspaces as the
-images of M - lam, checked by their ranks, and only a split into more
-eigenspaces takes kernels.  The split reaches one eigenvector per Galois
+packed into integers, and a class sum that is not scalar splits the space
+into the kernels of M - lam.  The split reaches one eigenvector per Galois
 orbit: sigma_k chi has the eigenvector of chi with its coordinates
 permuted by the k-th power map, so the whole orbit is known at once, and
 every space it fills is dropped.  Each orbit's first eigenvector gives a
@@ -201,7 +200,6 @@ class CharacterTable:
     group: PermGroup
     irreducibles: list[ClassFunction]
     class_sizes: tuple[int, ...]
-    prime: int
     # multisets[j][o]: the eigenvalue multiset of chi_j at the first class
     # of the o-th rational class, as sorted (j, c_j) pairs; equal multisets
     # are one shared tuple
@@ -279,7 +277,11 @@ def _unpack(x: int, d: int, p: int) -> list[int]:
                                       ).cast("Q")]
 
 
-def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
+def _kernel(mat: list[list[int]], p: int
+            ) -> tuple[list[list[int]], list[int]]:
+    """A basis of the kernel of mat over GF(p) and its free columns, the
+    columns that are no pivot of mat's reduced echelon form: the basis has
+    one vector per free column, with the identity at the free columns."""
     n = len(mat)
     rref_rows, pivots = _rref(mat, p)
     free = [c for c in range(n) if c not in pivots]
@@ -290,7 +292,7 @@ def _kernel(mat: list[list[int]], p: int) -> list[list[int]]:
         for row, c in zip(rref_rows, pivots):
             v[c] = (-row[fc]) % p
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def _krylov_poly(mat: list[list[int]], start: int, p: int) -> list[int]:
@@ -323,9 +325,9 @@ def _krylov_poly(mat: list[list[int]], start: int, p: int) -> list[int]:
 
 
 def _eigenspaces(mat: list[list[int]], p: int
-                 ) -> list[tuple[int, list[list[int]]]]:
-    """Each eigenvalue lam of mat over GF(p), ascending, with a basis of the
-    kernel of mat - lam.
+                 ) -> list[tuple[int, tuple[list[list[int]], list[int]]]]:
+    """Each eigenvalue lam of mat over GF(p), ascending, with the kernel
+    of mat - lam as :func:`_kernel` gives it: (basis, free columns).
 
     The Krylov sequences of e_0, e_1, ... are taken one at a time.  Each
     root of a sequence's polynomial is an eigenvalue, and every eigenvalue
@@ -336,7 +338,7 @@ def _eigenspaces(mat: list[list[int]], p: int
     diagonalizable over GF(p).
     """
     d = len(mat)
-    spaces: dict[int, list[list[int]]] = {}
+    spaces: dict[int, tuple[list[list[int]], list[int]]] = {}
     covered = 0
     for start in range(d):
         for lam in _roots(_krylov_poly(mat, start, p), p):
@@ -345,7 +347,7 @@ def _eigenspaces(mat: list[list[int]], p: int
                              for b, x in enumerate(row)]
                            for a, row in enumerate(mat)]
                 spaces[lam] = _kernel(shifted, p)
-                covered += len(spaces[lam])
+                covered += len(spaces[lam][1])
         if covered == d:
             return sorted(spaces.items())
     raise ModularMethodError("class-sum matrix is not "
@@ -372,21 +374,16 @@ def _split_space(basis: list[list[int]], pivots: list[int],
                  img: list[list[int]], p: int
                  ) -> list[tuple[int, tuple[list[list[int]], list[int]]]]:
     """The eigenspaces of M on an M-invariant space, ascending by
-    eigenvalue, each as (lam, (rows, pivots)) of its reduced echelon form.
+    eigenvalue, each as (lam, (rows, pivots)): a basis with the identity
+    at its pivots.
 
-    The space is (basis, pivots), and img[a][t] is coordinate a of M
-    basis[t], mod p.  The basis has the identity at its pivots, so
-    restr[a][t] = img[pivots[a]][t] are the coordinates of M basis[t], and
-    they fix every other entry of an image in the space; an image that
-    breaks this raises :class:`ModularMethodError`.  Where basis[0] has
-    the polynomial (x - lam1)(x - lam2), lam1 < lam2, the two eigenspaces
-    are the images of M - lam2 and M - lam1: the kernels of M - lam1 and
-    M - lam2 are independent, so the two ranks sum to d exactly when the
-    kernels fill the space, and a missed eigenvalue or a Jordan block
-    makes the sum larger.  Otherwise the kernels of restr are taken
-    (:func:`_eigenspaces`).
-    Each echelon form is found in the coordinates and taken back through
-    the basis, where it is the eigenspace's own.
+    The space is (basis, pivots) in the same form, and img[a][t] is
+    coordinate a of M basis[t], mod p.  So restr[a][t] = img[pivots[a]][t]
+    are the coordinates of M basis[t], and they fix every other entry of an
+    image in the space; an image that breaks this raises
+    :class:`ModularMethodError`.  The kernels of restr - lam
+    (:func:`_eigenspaces`) have the identity at their free columns q, and
+    taken back through the basis they keep it at the pivots[q].
     """
     d = len(basis)
     restr = [img[c] for c in pivots]
@@ -395,23 +392,11 @@ def _split_space(basis: list[list[int]], pivots: list[int],
         if img[a] != _unpack(sum(map(operator.mul, [row[a] for row in basis],
                                      packed)), d, p):
             raise ModularMethodError("vector left the invariant subspace")
-    poly = _krylov_poly(restr, 0, p)
-    roots = _roots(poly, p)
-    spaces = []
-    if len(roots) == 2 == len(poly) - 1:
-        for lam, mu in zip(roots, reversed(roots)):
-            rows = [list(col) for col in zip(*restr)]
-            for t, row in enumerate(rows):
-                row[t] = (row[t] - mu) % p
-            spaces.append((lam, _rref(rows, p)))
-    if sum(len(rows) for _, (rows, _) in spaces) != d:
-        spaces = [(lam, _rref(kern, p))
-                  for lam, kern in _eigenspaces(restr, p)]
     basis_rows = [_pack(row) for row in basis]
     return [(lam, ([_unpack(sum(map(operator.mul, row, basis_rows)),
                             len(img), p) for row in rows],
                    [pivots[q] for q in qs]))
-            for lam, (rows, qs) in spaces]
+            for lam, (rows, qs) in _eigenspaces(restr, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -643,17 +628,16 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     # others, each part by size: large classes are often scalar (on D128's
     # complement both reflection classes act as 0).  Each matrix is built
     # sparse when the split first needs it, as one (columns, coefficients)
-    # pair per row.  A space is kept as (rows, pivots) of its reduced
-    # echelon form, the position of the next class to try, and its path:
-    # the (class, eigenvalue) pairs that cut it out.  A line, scaled to 1
-    # at the identity, is om = omega_chi for an irreducible chi, and om[i]
-    # is the eigenvalue of the i-th class sum on it; the lines of chi's
-    # Galois conjugates follow from it with no split (see
+    # pair per row.  A space is kept as (rows, pivots), a basis with the
+    # identity at its pivots, the position of the next class to try, and
+    # its path: the (class, eigenvalue) pairs that cut it out.  A line,
+    # scaled to 1 at the identity, is om = omega_chi for an irreducible chi,
+    # and om[i] is the eigenvalue of the i-th class sum on it; the lines of
+    # chi's Galois conjugates follow from it with no split (see
     # _conjugate_lines).  A space is spanned by the lines whose eigenvalues
     # match its path, so it is dropped once the known such lines fill it.
-    # A class sum that is not scalar on a space splits it (_split_space):
-    # a binary split from the images of M - lam, checked by their ranks,
-    # and any other by kernels.
+    # A class sum that is not scalar on a space splits it into the kernels
+    # of M - lam (_split_space).
     firsts = {o[0] for o in G.data.rational_classes}
     trial = sorted(range(1, r), key=lambda i: (i not in firsts, sizes[i], i))
     mats: dict[int, list[tuple[list[int], list[int]]]] = {}
@@ -948,7 +932,7 @@ def _compute_character_table(G: PermGroup) -> CharacterTable:
     for t, a in enumerate(order_idx):
         members.setdefault(head[a], []).append(t)
     orbits = {h: tuple(m) for h, m in members.items()}
-    return CharacterTable(G, irrs, sizes, p,
+    return CharacterTable(G, irrs, sizes,
                           [rows[a][2] for a in order_idx],
                           [stabs[a] for a in order_idx],
                           [orbits[head[a]] for a in order_idx])

@@ -3,6 +3,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
 
 from krel import characters
 from krel.characters import (
@@ -10,6 +13,8 @@ from krel.characters import (
     _check_orthogonality,
     _conjugate_lines,
     _eigenspaces,
+    _krylov_poly,
+    _roots,
     _split_space,
     _structure_constants,
     char_field_data,
@@ -321,84 +326,69 @@ def test_eigenspaces_reject_a_jordan_block():
 
 def test_eigenspaces_reach_what_the_first_sequence_misses():
     # e_0 is an eigenvector of diag(1, 2): its Krylov sequence sees only 1
-    assert _eigenspaces([[1, 0], [0, 2]], 7) == [(1, [[1, 0]]), (2, [[0, 1]])]
+    assert _eigenspaces([[1, 0], [0, 2]], 7) == [(1, ([[1, 0]], [0])),
+                                                 (2, ([[0, 1]], [1]))]
 
 
 def test_eigenspaces_keep_a_repeated_eigenvalue_whole():
     p = 11
     mat = [[2, 1, 0], [0, 3, 0], [0, 0, 2]]
     got = _eigenspaces(mat, p)
-    assert [(lam, len(kern)) for lam, kern in got] == [(2, 2), (3, 1)]
+    assert [(lam, len(kern), free) for lam, (kern, free) in got] == [
+        (2, 2, [0, 2]), (3, 1, [1])]
     assert all(_is_eigenvector(mat, lam, v, p)
-               for lam, kern in got for v in kern)
-
-
-BINARY_SPLITS = {
-    "D128": lambda: dihedral_group(128),
-    "C12:C4": lambda: metacyclic_group(12, 4, 5),
-    "C16:C8": lambda: metacyclic_group(16, 8, 3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BINARY_SPLITS))
-def test_binary_splits_take_no_kernel(monkeypatch, name):
-    # every split of these tables is binary: its two eigenspaces are the
-    # images of M - lam2 and M - lam1, so no kernel is taken
-    splits, kernels = [], []
-    real_split, real_kernel = characters._split_space, characters._kernel
-
-    def split(*args):
-        splits.append(len(args[0]))
-        return real_split(*args)
-
-    def kernel(*args):
-        kernels.append(args)
-        return real_kernel(*args)
-    monkeypatch.setattr(characters, "_split_space", split)
-    monkeypatch.setattr(characters, "_kernel", kernel)
-    character_table(BINARY_SPLITS[name]())
-    assert splits and kernels == []
+               for lam, (kern, _) in got for v in kern)
 
 
 IDENTITY = {n: [[int(a == b) for b in range(n)] for a in range(n)]
-            for n in (2, 3)}
+            for n in range(1, 7)}
 
 
-def test_split_space_takes_a_binary_split_from_images():
-    # M = [[2, 0], [1, 1]] over GF(7), on the whole space: e_0 has the
-    # polynomial (x - 1)(x - 2); the image of M - 2 is the 1-space, spanned
-    # by (0, 1), and the image of M - 1 the 2-space, spanned by (1, 1)
-    got = _split_space(IDENTITY[2], [0, 1], [[2, 0], [1, 1]], 7)
-    assert got == [(1, ([[0, 1]], [1])), (2, ([[1, 1]], [0]))]
+@st.composite
+def diagonalizable(draw):
+    """(p, M, D, lam) with M = P D P^-1 over GF(p) and D diagonal: D has a
+    repeated entry and the entry lam once, and column 0 of P^-1 is 0 at
+    lam's row, so e_0 has no part in lam's eigenspace."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    n = draw(st.integers(3, 6))
+    values = st.integers(0, p - 1)
+    repeated = draw(values)
+    others = draw(st.lists(values, min_size=n - 3, max_size=n - 3))
+    lam = draw(st.sampled_from(sorted(set(range(p)) - {repeated, *others})))
+    diag = [repeated, *others, lam, repeated]
+    pinv = Matrix(n, n, lambda a, b: 0 if (a, b) == (n - 2, 0)
+                  else draw(values))
+    assume(pinv.det() % p)
+    mat = pinv.inv_mod(p) * Matrix.diag(*diag) * pinv
+    return p, [[int(x) % p for x in mat.row(a)] for a in range(n)], diag, lam
 
 
-def test_split_space_checks_the_ranks_of_a_binary_split(monkeypatch):
-    # M = [[1, 0, 0], [1, 2, 0], [0, 0, 3]] over GF(7): e_0 = (1, -1, 0) +
-    # (0, 1, 0) lies in the 1- and 2-spaces only, so its polynomial is
-    # (x - 1)(x - 2), but the images of M - 2 and M - 1 have ranks 2 + 2 >
-    # 3; the general path finds all three eigenspaces
-    general = []
-    monkeypatch.setattr(characters, "_eigenspaces",
-                        lambda mat, p: general.append(mat) or _eigenspaces(
-                            mat, p))
-    mat = [[1, 0, 0], [1, 2, 0], [0, 0, 3]]
-    got = _split_space(IDENTITY[3], [0, 1, 2], mat, 7)
-    assert got == [(1, ([[1, 6, 0]], [0])), (2, ([[0, 1, 0]], [1])),
-                   (3, ([[0, 0, 1]], [2]))]
-    assert general == [mat]
+@settings(max_examples=60, deadline=None)
+@given(diagonalizable())
+def test_split_space_returns_exactly_the_eigenspaces(case):
+    p, mat, diag, missed = case
+    n = len(mat)
+    assert missed not in _roots(_krylov_poly(mat, 0, p), p)
+    # on the whole space img[a][t], coordinate a of M e_t, is mat itself
+    got = _split_space(IDENTITY[n], list(range(n)), mat, p)
+    assert [(lam, len(rows)) for lam, (rows, _) in got] == sorted(
+        Counter(diag).items())
+    for lam, (rows, pivots) in got:
+        assert all(_is_eigenvector(mat, lam, v, p) for v in rows)
+        assert [[v[c] for c in pivots] for v in rows] == IDENTITY[len(rows)]
 
 
 def test_split_space_rejects_a_jordan_block():
-    # e_0 has the polynomial (x - 3)^2: one root, so the general path
-    # takes it, and finds one eigenvector where the space has two dimensions
+    # e_0 has the polynomial (x - 3)^2: the kernel of M - 3 has one
+    # dimension where the space has two
     with pytest.raises(ModularMethodError, match="not diagonalizable"):
         _split_space(IDENTITY[2], [0, 1], [[3, 0], [1, 3]], 7)
 
 
 def test_split_space_rejects_a_jordan_block_behind_two_roots():
     # e_0 = u + w with M u = u, M w = 2w, and a Jordan chain M w' = 2w' +
-    # w: e_0 has the polynomial (x - 1)(x - 2), but the ranks of M - 2 and
-    # M - 1 sum to 4 > 3, and the general path finds M not diagonalizable
+    # w: e_0 has the polynomial (x - 1)(x - 2), but the kernels of M - 1
+    # and M - 2 have 1 + 1 < 3 dimensions
     with pytest.raises(ModularMethodError, match="not diagonalizable"):
         _split_space(IDENTITY[3], [0, 1, 2],
                      [[1, 0, 0], [1, 2, 1], [0, 0, 2]], 7)
@@ -597,10 +587,9 @@ def test_split_reaches_one_line_per_galois_orbit(oracle_tables, name, orbits):
     assert len(calls["_conjugate_lines"]) == orbits
 
 
-@pytest.mark.parametrize("name, general", [("D128", 0), ("D77", 3),
-                                           ("C2^6", 0)])
-def test_only_splits_that_are_not_binary_reach_eigenspaces(oracle_tables,
-                                                          name, general):
+@pytest.mark.parametrize("name, splits", [("D128", 20), ("D77", 4),
+                                          ("C2^6", 0)])
+def test_each_split_takes_one_eigenspace_sweep(oracle_tables, name, splits):
     group, _, calls = oracle_tables[name]
     if all(len(c) == 1 for c in group.conjugacy_classes()):
         # every character of an abelian group is linear, read from G/G':
@@ -608,10 +597,10 @@ def test_only_splits_that_are_not_binary_reach_eigenspaces(oracle_tables,
         assert calls == {"_eigenspaces": [], "_structure_constants": [],
                          "_conjugate_lines": []}
         return
-    # D128's 20 splits are all binary; 3 of D77's 4 are not, and none of
+    # one _eigenspaces call per split, D128's 20 and D77's 4, and none of
     # them is handed a scalar matrix
     calls = calls["_eigenspaces"]
-    assert len(calls) == general
+    assert len(calls) == splits
     assert not any(calls)
 
 

@@ -96,7 +96,7 @@ def _reference_table(G):
                        for a in range(r)] for vec in basis]
             cols = [_coords(basis, pivots, img, p) for img in images]
             restr = [[cols[j][a] for j in range(d)] for a in range(d)]
-            for _, kern in _eigenspaces(restr, p):
+            for _, (kern, _) in _eigenspaces(restr, p):
                 nxt.append([[sum(kv[j] * basis[j][b] for j in range(d)) % p
                              for b in range(r)] for kv in kern])
         spaces = nxt
